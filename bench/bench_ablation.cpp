@@ -154,8 +154,8 @@ main(int argc, char **argv)
                        base, false, true});
 
     // Every configuration re-profiles gcc from scratch, so the config
-    // grid is the shard unit; each worker pulls private trace copies
-    // from its own context (the cursor state is not shareable).
+    // grid is the shard unit; every trace() call hands the worker its
+    // own cursor over the shared records.
     const auto rates = runner.map<double>(
         configs.size(),
         [&](sim::ExperimentContext &context, std::size_t i) {

@@ -17,6 +17,7 @@
 #include "store/cache_key.h"
 #include "store/serialize.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace vlp {
 namespace sim {
@@ -148,26 +149,89 @@ ComparisonRow::entry(const std::string &predictor) const
     util::fatal("no such predictor in comparison: " + predictor);
 }
 
+ExperimentContext::ExperimentContext(util::ThreadPool *pool)
+    : pool_(pool),
+      traceCapacity_(traceCacheCapacity * (pool ? pool->size() : 1))
+{}
+
+void
+ExperimentContext::pinTrace(const std::string &key, TraceEntry &entry)
+{
+    if (entry.pinned) {
+        traceLru_.splice(traceLru_.begin(), traceLru_, entry.lru);
+    } else {
+        entry.pinned = entry.records.lock();
+        traceLru_.push_front(key);
+        entry.lru = traceLru_.begin();
+    }
+
+    // The bound is on what the cache alone keeps alive. A trace some
+    // cursor holds costs nothing extra to keep, and evicting it would
+    // only invite a regeneration once its holders let go, so drop the
+    // least recently used traces nobody else holds until at most
+    // traceCapacity_ remain, counting the one just requested (whose
+    // cursor the caller may drop at once).
+    const auto unheld = [&](const std::string &name) {
+        return name != key && traces_.at(name).pinned.use_count() == 1;
+    };
+    std::size_t count = 1;
+    for (const std::string &name : traceLru_)
+        count += unheld(name) ? 1 : 0;
+    for (auto it = traceLru_.end();
+         count > traceCapacity_ && it != traceLru_.begin();) {
+        --it;
+        if (!unheld(*it))
+            continue;
+        traces_.at(*it).pinned.reset();
+        it = traceLru_.erase(it);
+        --count;
+    }
+}
+
 std::shared_ptr<trace::VectorTraceSource>
 ExperimentContext::trace(const workload::BenchmarkSpec &spec,
                          workload::InputKind kind)
 {
     const std::string key = spec.name
         + (kind == workload::InputKind::Profile ? "/profile" : "/test");
-    for (auto it = traces_.begin(); it != traces_.end(); ++it) {
-        if (it->key == key) {
-            traces_.splice(traces_.begin(), traces_, it);
-            return traces_.front().source;
-        }
+    std::unique_lock<std::mutex> lock(mutex_);
+    TraceEntry &entry = traces_[key];
+    if (entry.generating) {
+        // Another thread is generating this trace: wait for it, and
+        // share its failure rather than retrying behind its back.
+        const std::uint64_t failures = entry.failures;
+        traceReady_.wait(lock, [&] {
+            return !entry.generating || entry.failures != failures;
+        });
+        if (entry.failures != failures)
+            std::rethrow_exception(entry.error);
     }
-    TraceEntry entry;
-    entry.key = key;
-    entry.source = std::make_shared<trace::VectorTraceSource>(
-        workload::generateTrace(spec, kind));
-    traces_.push_front(std::move(entry));
-    while (traces_.size() > traceCacheCapacity)
-        traces_.pop_back();
-    return traces_.front().source;
+    if (auto records = entry.records.lock()) {
+        pinTrace(key, entry);
+        return std::make_shared<trace::VectorTraceSource>(
+            std::move(records));
+    }
+
+    entry.generating = true;
+    lock.unlock();
+    std::shared_ptr<const Records> records;
+    try {
+        records = workload::generateTrace(spec, kind).shared();
+    } catch (...) {
+        lock.lock();
+        entry.generating = false;
+        entry.error = std::current_exception();
+        ++entry.failures;
+        traceReady_.notify_all();
+        throw;
+    }
+    traceGenerations_.fetch_add(1, std::memory_order_relaxed);
+    lock.lock();
+    entry.generating = false;
+    entry.records = records;
+    pinTrace(key, entry);
+    traceReady_.notify_all();
+    return std::make_shared<trace::VectorTraceSource>(std::move(records));
 }
 
 std::shared_ptr<trace::TraceSource>
@@ -203,21 +267,21 @@ ExperimentContext::profilerEntry(const std::string &name,
                                  core::PathHistoryOptions history)
 {
     const Key key = makeKey(name, index_bits, indirect, history);
-    auto it = profilers_.find(key);
-    if (it == profilers_.end()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // std::map nodes never move, so the entry outlives the lock.
+    auto [it, inserted] = profilers_.try_emplace(key);
+    if (inserted) {
         core::ProfileOptions options;
         options.indexBits = index_bits;
         options.jobs = step1Jobs_;
         options.history = history;
-        ProfilerEntry entry;
         if (indirect) {
-            entry.indirect =
+            it->second.indirect =
                 std::make_unique<core::IndirectProfiler>(options);
         } else {
-            entry.conditional =
+            it->second.conditional =
                 std::make_unique<core::ConditionalProfiler>(options);
         }
-        it = profilers_.emplace(key, std::move(entry)).first;
     }
     return it->second;
 }
@@ -227,53 +291,51 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
                                const std::optional<store::CacheKey> &key,
                                const TraceProvider &profile_trace)
 {
-    if (entry.step1Done)
-        return;
-    throwIfCancelled();
-
-    const bool indirect = entry.indirect != nullptr;
-    if (store_ && key) {
-        if (const auto payload = store_->fetch(*key)) {
-            try {
-                core::FixedLengthSweep sweep;
-                std::unordered_map<std::uint64_t, core::BranchProfile>
-                    profiles;
-                store::decodeStep1Profile(*payload, sweep, profiles);
-                if (indirect) {
-                    entry.indirect->restoreStep1(std::move(sweep),
-                                                 std::move(profiles));
-                } else {
-                    entry.conditional->restoreStep1(
-                        std::move(sweep), std::move(profiles));
+    entry.step1.call([&] {
+        throwIfCancelled();
+        const bool indirect = entry.indirect != nullptr;
+        if (store_ && key) {
+            if (const auto payload = store_->fetch(*key)) {
+                try {
+                    core::FixedLengthSweep sweep;
+                    std::unordered_map<std::uint64_t,
+                                       core::BranchProfile>
+                        profiles;
+                    store::decodeStep1Profile(*payload, sweep, profiles);
+                    if (indirect) {
+                        entry.indirect->restoreStep1(
+                            std::move(sweep), std::move(profiles));
+                    } else {
+                        entry.conditional->restoreStep1(
+                            std::move(sweep), std::move(profiles));
+                    }
+                    return;
+                } catch (const std::exception &error) {
+                    util::warn(std::string("discarding unusable cached "
+                                           "profile: ")
+                               + error.what());
                 }
-                entry.step1Done = true;
-                return;
-            } catch (const std::exception &error) {
-                util::warn(std::string("discarding unusable cached "
-                                       "profile: ")
-                           + error.what());
             }
         }
-    }
 
-    const auto source = profile_trace();
-    source->reset();
-    if (entry.conditional)
-        entry.conditional->runStep1(*source);
-    else
-        entry.indirect->runStep1(*source);
-    entry.step1Done = true;
+        const auto source = profile_trace();
+        source->reset();
+        if (entry.conditional)
+            entry.conditional->runStep1(*source);
+        else
+            entry.indirect->runStep1(*source);
 
-    if (store_ && key) {
-        const core::FixedLengthSweep &sweep =
-            indirect ? entry.indirect->step1Sweep()
-                     : entry.conditional->step1Sweep();
-        const auto &profiles = indirect
-            ? entry.indirect->branchProfiles()
-            : entry.conditional->branchProfiles();
-        store_->insert(*key,
-                       store::encodeStep1Profile(sweep, profiles));
-    }
+        if (store_ && key) {
+            const core::FixedLengthSweep &sweep =
+                indirect ? entry.indirect->step1Sweep()
+                         : entry.conditional->step1Sweep();
+            const auto &profiles = indirect
+                ? entry.indirect->branchProfiles()
+                : entry.conditional->branchProfiles();
+            store_->insert(*key,
+                           store::encodeStep1Profile(sweep, profiles));
+        }
+    });
 }
 
 const core::HashAssignment &
@@ -283,36 +345,34 @@ ExperimentContext::ensureAssignment(
         const std::optional<store::CacheKey> &profile_key,
         const TraceProvider &profile_trace)
 {
-    if (entry.assignment)
-        return *entry.assignment;
-    throwIfCancelled();
-
-    // A cached assignment short-circuits both profiling steps; only
-    // probe step 1 (and possibly recompute it) on a miss.
-    if (store_ && assignment_key) {
-        if (const auto payload = store_->fetch(*assignment_key)) {
-            try {
-                entry.assignment = store::decodeAssignment(*payload);
-                return *entry.assignment;
-            } catch (const std::exception &error) {
-                util::warn(std::string("discarding unusable cached "
-                                       "assignment: ")
-                           + error.what());
+    entry.step2.call([&] {
+        throwIfCancelled();
+        // A cached assignment short-circuits both profiling steps;
+        // only probe step 1 (and possibly recompute it) on a miss.
+        if (store_ && assignment_key) {
+            if (const auto payload = store_->fetch(*assignment_key)) {
+                try {
+                    entry.assignment = store::decodeAssignment(*payload);
+                    return;
+                } catch (const std::exception &error) {
+                    util::warn(std::string("discarding unusable cached "
+                                           "assignment: ")
+                               + error.what());
+                }
             }
         }
-    }
 
-    ensureStep1(entry, profile_key, profile_trace);
-    const auto source = profile_trace();
-    source->reset();
-    if (entry.conditional)
-        entry.assignment = entry.conditional->runStep2(*source);
-    else
-        entry.assignment = entry.indirect->runStep2(*source);
-    if (store_ && assignment_key) {
-        store_->insert(*assignment_key,
-                       store::encodeAssignment(*entry.assignment));
-    }
+        ensureStep1(entry, profile_key, profile_trace);
+        const auto source = profile_trace();
+        source->reset();
+        entry.assignment = entry.conditional
+            ? entry.conditional->runStep2(*source)
+            : entry.indirect->runStep2(*source);
+        if (store_ && assignment_key) {
+            store_->insert(*assignment_key,
+                           store::encodeAssignment(*entry.assignment));
+        }
+    });
     return *entry.assignment;
 }
 
@@ -443,64 +503,35 @@ ExperimentContext::externalAssignment(const ExternalTrace &ext,
 }
 
 std::vector<double>
-ExperimentContext::averageConditionalSweep(std::size_t bytes)
+rateCurve(const core::FixedLengthSweep &sweep)
 {
-    const Key key = "avg/c/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    const unsigned index_bits = pred::conditionalIndexBits(bytes);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    const auto &suite = workload::benchmarkSuite();
-    for (const auto &spec : suite) {
-        const core::FixedLengthSweep &sweep =
-            conditionalSweep(spec, index_bits);
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rate(length);
-        }
+    // Term for term FixedLengthSweep::rate(), over every stored length.
+    std::vector<double> rates(sweep.mispredictions.size(), 0.0);
+    if (sweep.branches == 0)
+        return rates;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        rates[i] = 100.0 * static_cast<double>(sweep.mispredictions[i])
+            / static_cast<double>(sweep.branches);
     }
-    for (double &rate : average)
-        rate /= static_cast<double>(suite.size());
-    averageSweeps_[key] = average;
-    return average;
+    return rates;
+}
+
+void
+SuiteAverage::add(const std::vector<double> &rates)
+{
+    for (std::size_t l = 0; l < rates.size(); ++l)
+        sum_[l] += rates[l];
+    ++count_;
 }
 
 std::vector<double>
-ExperimentContext::averageIndirectSweep(std::size_t bytes)
+SuiteAverage::average() const
 {
-    const Key key = "avg/i/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    const unsigned index_bits = pred::indirectIndexBits(bytes);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    // Average over the benchmarks that execute a meaningful number of
-    // indirect branches; a program with three indirect branch sites
-    // contributes noise, not signal, to the average.
-    unsigned counted = 0;
-    for (const auto &spec : workload::benchmarkSuite()) {
-        const core::FixedLengthSweep &sweep =
-            indirectSweep(spec, index_bits);
-        if (sweep.branches < 1000)
-            continue;
-        ++counted;
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rate(length);
-        }
-    }
-    if (counted == 0)
-        util::fatal("no benchmark produced indirect branches");
+    std::vector<double> average = sum_;
     for (double &rate : average)
-        rate /= static_cast<double>(counted);
-    averageSweeps_[key] = average;
+        rate /= static_cast<double>(count_);
     return average;
 }
-
-namespace {
 
 unsigned
 argminLength(const std::vector<double> &rates)
@@ -513,7 +544,56 @@ argminLength(const std::vector<double> &rates)
     return best;
 }
 
-} // anonymous namespace
+std::vector<double>
+ExperimentContext::averageSweep(std::size_t bytes, bool indirect)
+{
+    AverageEntry *entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entry = &averages_[(indirect ? "i/" : "c/")
+                           + std::to_string(bytes)];
+    }
+    entry->once.call([&] {
+        const unsigned index_bits = indirect
+            ? pred::indirectIndexBits(bytes)
+            : pred::conditionalIndexBits(bytes);
+        const auto &suite = workload::benchmarkSuite();
+        std::vector<const core::FixedLengthSweep *> sweeps(suite.size());
+        const auto sweep_one = [&](std::size_t i) {
+            sweeps[i] = indirect ? &indirectSweep(suite[i], index_bits)
+                                 : &conditionalSweep(suite[i], index_bits);
+        };
+        if (pool_) {
+            pool_->parallelFor(suite.size(), sweep_one);
+        } else {
+            for (std::size_t i = 0; i < suite.size(); ++i)
+                sweep_one(i);
+        }
+
+        SuiteAverage average;
+        for (const core::FixedLengthSweep *sweep : sweeps) {
+            if (indirect && sweep->branches < minIndirectBranches)
+                continue;
+            average.add(rateCurve(*sweep));
+        }
+        if (average.count() == 0)
+            util::fatal("no benchmark produced indirect branches");
+        entry->rates = average.average();
+    });
+    return entry->rates;
+}
+
+std::vector<double>
+ExperimentContext::averageConditionalSweep(std::size_t bytes)
+{
+    return averageSweep(bytes, false);
+}
+
+std::vector<double>
+ExperimentContext::averageIndirectSweep(std::size_t bytes)
+{
+    return averageSweep(bytes, true);
+}
 
 unsigned
 ExperimentContext::globalConditionalLength(std::size_t bytes)

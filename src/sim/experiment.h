@@ -3,20 +3,26 @@
  * High-level experiment harness: everything the bench binaries need to
  * regenerate the paper's tables and figures.
  *
- * ExperimentContext caches, within one process, the expensive
- * artifacts: generated traces (a few at a time) and profiling results
- * (step-1 sweeps and step-2 assignments per benchmark/size), so a
- * bench that needs the global fixed length *and* per-benchmark VLP
- * assignments profiles each benchmark exactly once.
+ * ExperimentContext memoizes, within one process, the expensive
+ * artifacts: generated traces (a bounded set, shared zero-copy) and
+ * profiling results (step-1 sweeps, step-2 assignments and suite
+ * averages per benchmark/size), so a bench that needs the global fixed
+ * length *and* per-benchmark VLP assignments profiles each benchmark
+ * exactly once, however many threads ask.
  */
 
 #ifndef VLPSIM_SIM_EXPERIMENT_H
 #define VLPSIM_SIM_EXPERIMENT_H
 
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <list>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "sim/simulator.h"
 #include "trace/streaming.h"
 #include "util/cancel.h"
+#include "util/once.h"
 #include "workload/benchmarks.h"
 
 namespace vlp {
@@ -33,6 +40,10 @@ namespace store {
 class ArtifactStore;
 class CacheKey;
 } // namespace store
+
+namespace util {
+class ThreadPool;
+} // namespace util
 
 namespace sim {
 
@@ -91,7 +102,17 @@ struct ExternalTrace
 };
 
 /**
- * Process-level cache of traces and profiling artifacts.
+ * Process-level memo of traces and profiling artifacts.
+ *
+ * Every accessor is a pure function of its arguments, memoized behind
+ * a latch, so one context may be shared by any number of threads: each
+ * trace is generated once and each profile, assignment and suite
+ * average computed once per key, with concurrent requesters waiting on
+ * the in-flight computation. A computation that fails or is cancelled
+ * leaves its key unset (the next request recomputes it), and every
+ * waiter rethrows its error. The configuration setters (setStore(),
+ * setCancelToken(), setStep1Jobs()) are not synchronized: call them
+ * before sharing the context.
  *
  * With an attached ArtifactStore (setStore()), profiling results are
  * additionally persisted on disk: step-1 sweeps, step-2 assignments,
@@ -103,10 +124,20 @@ struct ExternalTrace
 class ExperimentContext
 {
   public:
-    ExperimentContext() = default;
+    /**
+     * @param pool optional worker pool: the suite averages fan their
+     *             per-benchmark sweeps out over it, and the trace cache
+     *             is sized at traceCacheCapacity per pool worker. The
+     *             pool must outlive the context.
+     */
+    explicit ExperimentContext(util::ThreadPool *pool = nullptr);
 
     ExperimentContext(const ExperimentContext &) = delete;
     ExperimentContext &operator=(const ExperimentContext &) = delete;
+
+    /** Traces the cache keeps alive per worker beyond those cursors
+     *  hold (one worker without a pool). */
+    static constexpr std::size_t traceCacheCapacity = 4;
 
     /**
      * Attach an on-disk artifact store (shared freely across contexts
@@ -159,14 +190,21 @@ class ExperimentContext
     unsigned step1Jobs() const { return step1Jobs_; }
 
     /**
-     * The benchmark's trace on the given input, generated on first
-     * use. A small LRU keeps the working set bounded; the returned
-     * shared_ptr pins the trace, so it stays valid even after later
-     * trace() calls evict it from the cache (callers holding a trace
-     * across a nested profiling call used to read freed memory).
+     * A fresh cursor over the benchmark's trace on the given input,
+     * generated on first use. Cursors share the immutable records, so
+     * a trace is never copied and every caller replays at its own
+     * position. An LRU bounds the traces the cache keeps; a trace
+     * evicted from it while some cursor still holds it is reused, not
+     * regenerated.
      */
     std::shared_ptr<trace::VectorTraceSource>
     trace(const workload::BenchmarkSpec &spec, workload::InputKind kind);
+
+    /** Traces this context has generated so far (cache misses). */
+    std::uint64_t traceGenerations() const
+    {
+        return traceGenerations_.load(std::memory_order_relaxed);
+    }
 
     /**
      * Step-1 sweep for conditional branches of @p spec at @p
@@ -199,7 +237,7 @@ class ExperimentContext
      * Open an external trace for one streaming replay: the parked
      * session rewound when the trace carries one, else a fresh
      * bounded-memory reader. External traces are deliberately
-     * excluded from the in-memory trace LRU. Replays of a shared
+     * excluded from the in-memory trace cache. Replays of a shared
      * session must not overlap (the suite runner serializes per
      * trace by sharding).
      * @throws util::TransientError / std::runtime_error from the
@@ -226,6 +264,9 @@ class ExperimentContext
      * Average conditional misprediction rate per path length over the
      * whole suite at a table of @p bytes (profile inputs) — the curve
      * whose minimum defines the paper's global fixed length (Table 2).
+     * The per-benchmark sweeps fan out over the pool, if any; the
+     * average accumulates in suite order (SuiteAverage), so it is
+     * bit-identical for any pool size.
      * @return rates[L-1] in percent for L = 1..32
      */
     std::vector<double> averageConditionalSweep(std::size_t bytes);
@@ -244,8 +285,29 @@ class ExperimentContext
     {
         std::unique_ptr<core::ConditionalProfiler> conditional;
         std::unique_ptr<core::IndirectProfiler> indirect;
-        bool step1Done = false;
+        util::Once step1;
+        util::Once step2;
         std::optional<core::HashAssignment> assignment;
+    };
+
+    struct AverageEntry
+    {
+        util::Once once;
+        std::vector<double> rates;
+    };
+
+    using Records = trace::VectorTraceSource::Records;
+
+    struct TraceEntry
+    {
+        /** Set while some cursor (or the LRU) holds the records. */
+        std::weak_ptr<const Records> records;
+        /** The LRU's hold; null once evicted. */
+        std::shared_ptr<const Records> pinned;
+        std::list<std::string>::iterator lru;
+        bool generating = false;
+        std::uint64_t failures = 0;
+        std::exception_ptr error;
     };
 
     using Key = std::string;
@@ -277,21 +339,63 @@ class ExperimentContext
                      const std::optional<store::CacheKey> &profile_key,
                      const TraceProvider &profile_trace);
 
-    static constexpr std::size_t traceCacheCapacity = 4;
+    /** Shared body of the two average accessors. */
+    std::vector<double> averageSweep(std::size_t bytes, bool indirect);
 
-    struct TraceEntry
-    {
-        std::string key;
-        std::shared_ptr<trace::VectorTraceSource> source;
-    };
+    /** Put @p entry's live records at the front of the LRU and trim
+     *  it; call under mutex_. */
+    void pinTrace(const std::string &key, TraceEntry &entry);
 
-    std::list<TraceEntry> traces_;
+    util::ThreadPool *pool_;
+    std::size_t traceCapacity_;
     std::shared_ptr<const util::CancelToken> cancel_;
     unsigned step1Jobs_ = 1;
-    std::map<Key, ProfilerEntry> profilers_;
-    std::map<Key, std::vector<double>> averageSweeps_;
     std::shared_ptr<store::ArtifactStore> store_;
+
+    /** Guards the maps and the LRU below (never a computation). */
+    std::mutex mutex_;
+    std::condition_variable traceReady_;
+    std::map<std::string, TraceEntry> traces_;
+    std::list<std::string> traceLru_;
+    std::map<Key, ProfilerEntry> profilers_;
+    std::map<Key, AverageEntry> averages_;
+    std::atomic<std::uint64_t> traceGenerations_{0};
 };
+
+/** Indirect sweeps with fewer branches stay out of suite averages: a
+ *  program with a handful of indirect branch sites contributes noise,
+ *  not signal. */
+inline constexpr std::uint64_t minIndirectBranches = 1000;
+
+/** A sweep's rate curve: rates[L-1] = sweep.rate(L), in percent. */
+std::vector<double> rateCurve(const core::FixedLengthSweep &sweep);
+
+/**
+ * Suite-average rate curve. Curves are summed term by term in the
+ * order they are added, then divided by their count; callers add them
+ * in suite order, so the floating-point result is bit-identical no
+ * matter which threads computed the curves.
+ */
+class SuiteAverage
+{
+  public:
+    /** Add one curve (rates[L-1], at most core::maxPathLength). */
+    void add(const std::vector<double> &rates);
+
+    /** Curves added so far. */
+    unsigned count() const { return count_; }
+
+    /** The sum divided by count(), per length. @pre count() > 0 */
+    std::vector<double> average() const;
+
+  private:
+    std::vector<double> sum_ =
+        std::vector<double>(core::maxPathLength, 0.0);
+    unsigned count_ = 0;
+};
+
+/** The path length (1-based) with the lowest rate; ties: shortest. */
+unsigned argminLength(const std::vector<double> &rates);
 
 /**
  * Compare the paper's conditional predictors on one benchmark:

@@ -7,60 +7,30 @@
 
 #include "core/profiler.h"
 #include "predictors/budget.h"
-#include "util/logging.h"
 
 namespace vlp {
 namespace sim {
 
 ParallelRunner::ParallelRunner(unsigned jobs)
-{
-    jobs_ = jobs == 0 ? util::ThreadPool::defaultThreadCount() : jobs;
-    contexts_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; ++i)
-        contexts_.push_back(std::make_unique<ExperimentContext>());
-    if (jobs_ > 1)
-        pool_ = std::make_unique<util::ThreadPool>(jobs_);
-}
+    : jobs_(jobs == 0 ? util::ThreadPool::defaultThreadCount() : jobs),
+      pool_(jobs_ > 1 ? std::make_unique<util::ThreadPool>(jobs_)
+                      : nullptr),
+      context_(pool_.get())
+{}
 
 void
 ParallelRunner::runSharded(std::size_t count,
                            const std::function<void(ExperimentContext &,
                                                     std::size_t)> &fn)
 {
-    if (count == 0)
-        return;
-    if (jobs_ == 1 || count == 1) {
+    if (!pool_ || count <= 1) {
         // Exact serial path: no pool, no cross-thread hand-off.
         for (std::size_t index = 0; index < count; ++index)
-            fn(*contexts_.front(), index);
+            fn(context_, index);
         return;
     }
-
-    std::exception_ptr failure;
-    std::mutex failure_mutex;
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(jobs_, count));
-    for (unsigned worker = 0; worker < workers; ++worker) {
-        pool_->submit([&, worker] {
-            try {
-                // Static sharding: worker w owns items w, w + jobs,
-                // ... so a repeated map over the same list reuses this
-                // worker's context caches, and the work split never
-                // depends on scheduling.
-                for (std::size_t index = worker; index < count;
-                     index += jobs_) {
-                    fn(*contexts_[worker], index);
-                }
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(failure_mutex);
-                if (!failure)
-                    failure = std::current_exception();
-            }
-        });
-    }
-    pool_->wait();
-    if (failure)
-        std::rethrow_exception(failure);
+    pool_->parallelFor(count,
+                       [&](std::size_t index) { fn(context_, index); });
 }
 
 std::vector<ComparisonRow>
@@ -97,103 +67,42 @@ ParallelRunner::compareIndirectSuite(
     return rows;
 }
 
-std::vector<ParallelRunner::SweepRates>
-ParallelRunner::suiteSweeps(std::size_t bytes, bool indirect)
+std::vector<double>
+ParallelRunner::averageSweep(std::size_t bytes, bool indirect)
 {
+    std::vector<double> average =
+        indirect ? context_.averageIndirectSweep(bytes)
+                 : context_.averageConditionalSweep(bytes);
+    {
+        std::lock_guard<std::mutex> lock(countedMutex_);
+        if (!countedAverages_.emplace(bytes, indirect).second)
+            return average;
+    }
     const unsigned index_bits = indirect
         ? pred::indirectIndexBits(bytes)
         : pred::conditionalIndexBits(bytes);
-    const auto &suite = workload::benchmarkSuite();
-    auto sweeps = map<SweepRates>(
-        suite.size(), [&](ExperimentContext &context, std::size_t i) {
-            const core::FixedLengthSweep &sweep = indirect
-                ? context.indirectSweep(suite[i], index_bits)
-                : context.conditionalSweep(suite[i], index_bits);
-            SweepRates result;
-            result.branches = sweep.branches;
-            result.rates.reserve(core::maxPathLength);
-            for (unsigned length = 1; length <= core::maxPathLength;
-                 ++length) {
-                result.rates.push_back(sweep.rate(length));
-            }
-            return result;
-        });
-    // Step 1 drives all maxPathLength fixed-length predictors at once.
-    for (const SweepRates &sweep : sweeps)
+    for (const auto &spec : workload::benchmarkSuite()) {
+        const core::FixedLengthSweep &sweep = indirect
+            ? context_.indirectSweep(spec, index_bits)
+            : context_.conditionalSweep(spec, index_bits);
+        // Step 1 drives all maxPathLength fixed-length predictors at
+        // once.
         addPredictions(sweep.branches * core::maxPathLength);
-    return sweeps;
+    }
+    return average;
 }
 
 std::vector<double>
 ParallelRunner::averageConditionalSweep(std::size_t bytes)
 {
-    const std::string key = "avg/c/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    // Per-benchmark sweeps run in parallel; the accumulation below
-    // mirrors ExperimentContext::averageConditionalSweep() term for
-    // term (same suite order, same divisions) so the result is
-    // bit-identical to the serial path.
-    const auto sweeps = suiteSweeps(bytes, false);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    for (const SweepRates &sweep : sweeps) {
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rates[length - 1];
-        }
-    }
-    for (double &rate : average)
-        rate /= static_cast<double>(sweeps.size());
-    averageSweeps_[key] = average;
-    return average;
+    return averageSweep(bytes, false);
 }
 
 std::vector<double>
 ParallelRunner::averageIndirectSweep(std::size_t bytes)
 {
-    const std::string key = "avg/i/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    const auto sweeps = suiteSweeps(bytes, true);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    unsigned counted = 0;
-    for (const SweepRates &sweep : sweeps) {
-        // Same filter as the serial path: a benchmark with almost no
-        // indirect branches contributes noise, not signal.
-        if (sweep.branches < 1000)
-            continue;
-        ++counted;
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rates[length - 1];
-        }
-    }
-    if (counted == 0)
-        util::fatal("no benchmark produced indirect branches");
-    for (double &rate : average)
-        rate /= static_cast<double>(counted);
-    averageSweeps_[key] = average;
-    return average;
+    return averageSweep(bytes, true);
 }
-
-namespace {
-
-unsigned
-argminLength(const std::vector<double> &rates)
-{
-    unsigned best = 1;
-    for (unsigned length = 2; length <= rates.size(); ++length) {
-        if (rates[length - 1] < rates[best - 1])
-            best = length;
-    }
-    return best;
-}
-
-} // anonymous namespace
 
 unsigned
 ParallelRunner::globalConditionalLength(std::size_t bytes)

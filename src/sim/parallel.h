@@ -4,18 +4,20 @@
  *
  * The paper's methodology — profile every benchmark, then evaluate a
  * grid of benchmark x predictor x table-budget points — is
- * embarrassingly parallel across benchmarks. ParallelRunner shards
- * that grid at benchmark granularity over a fixed thread pool
- * (util::ThreadPool), gives every worker its own private
- * ExperimentContext (so the trace and profiler caches need no locks),
- * and merges results in deterministic benchmark order.
+ * embarrassingly parallel across benchmarks. ParallelRunner spreads
+ * that grid over a fixed thread pool (util::ThreadPool), with idle
+ * workers claiming the next item, and gives all of them one shared
+ * ExperimentContext: a thread-safe memo in which every trace is
+ * generated once and every profile computed once, whichever worker
+ * asks first. Results come back in index order.
  *
  * Determinism contract: trace generation, profiling, and simulation
  * are all pure functions of the benchmark spec (the xoshiro RNG is
- * seeded per benchmark, never from global state), and reductions
- * accumulate in suite order on the controlling thread. Output is
- * therefore bit-identical for any --jobs value; --jobs 1 additionally
- * bypasses the pool and runs the exact serial code path.
+ * seeded per benchmark, never from global state), so which worker runs
+ * an item never changes its result, and reductions accumulate in suite
+ * order. Output is therefore bit-identical for any --jobs value;
+ * --jobs 1 additionally bypasses the pool and runs the exact serial
+ * code path.
  */
 
 #ifndef VLPSIM_SIM_PARALLEL_H
@@ -23,11 +25,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -38,15 +40,14 @@ namespace vlp {
 namespace sim {
 
 /**
- * Shards experiment work across worker threads, each owning a private
+ * Runs experiment work across worker threads over one shared
  * ExperimentContext, and reduces results in deterministic order.
  *
- * Sharding is static: item i of a map() always runs in worker
- * i % jobs(), and each worker processes its items in increasing index
- * order on its own context. Repeating a map over the same item list
- * therefore hits the same worker's caches (step-1 profiles computed
- * for the suite-average sweep are reused by the per-benchmark
- * comparisons), and results never depend on thread scheduling.
+ * Items are claimed dynamically: a worker that finishes takes the next
+ * unclaimed index, so one slow item never leaves the other workers
+ * idle. Work a map body triggers inside the context (a suite average,
+ * say) fans out over the same pool, and repeated maps over the same
+ * items hit the shared memo whichever worker runs them.
  */
 class ParallelRunner
 {
@@ -65,40 +66,38 @@ class ParallelRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Worker 0's context, for callers that mix parallel sweeps with
+     * The shared context, for callers that mix parallel sweeps with
      * ad-hoc serial queries (e.g. a per-benchmark tuned length).
      */
-    ExperimentContext &context() { return *contexts_.front(); }
+    ExperimentContext &context() { return context_; }
 
     /**
-     * Attach one artifact store to every worker context (the store is
+     * Attach an artifact store to the context (the store is
      * internally synchronized; pass nullptr to detach). Call before
      * submitting work.
      */
     void setStore(std::shared_ptr<store::ArtifactStore> store)
     {
-        for (auto &context : contexts_)
-            context->setStore(store);
+        context_.setStore(std::move(store));
     }
 
     /**
-     * Attach a cooperative cancellation token to every worker context
-     * (pass nullptr to detach). Once the token fires, each worker
-     * unwinds with util::CancelledError at its next step boundary and
-     * the map()/compare call rethrows it on the controlling thread.
+     * Attach a cooperative cancellation token to the context (pass
+     * nullptr to detach). Once the token fires, each worker unwinds
+     * with util::CancelledError at its next step boundary and the
+     * map()/compare call rethrows it on the calling thread.
      */
     void setCancelToken(std::shared_ptr<const util::CancelToken> token)
     {
-        for (auto &context : contexts_)
-            context->setCancelToken(token);
+        context_.setCancelToken(std::move(token));
     }
 
     /**
      * Run fn(context, i) for i in [0, count) across the pool and
      * return the results in index order. fn must only touch the
-     * context it is handed plus its own locals; exceptions thrown by
-     * fn are rethrown (first one wins) on the calling thread after
-     * all workers finish.
+     * (thread-safe) context it is handed plus its own locals; the
+     * first exception thrown by fn stops further items and is
+     * rethrown on the calling thread once running items finish.
      */
     template <typename T>
     std::vector<T> map(std::size_t count,
@@ -115,7 +114,7 @@ class ParallelRunner
 
     /**
      * compareConditional() for each of @p specs (suite order in,
-     * suite order out), sharded across workers.
+     * suite order out), spread across workers.
      */
     std::vector<ComparisonRow>
     compareConditionalSuite(const std::vector<workload::BenchmarkSpec> &specs,
@@ -129,10 +128,10 @@ class ParallelRunner
                          bool include_tuned = false);
 
     /**
-     * ExperimentContext::averageConditionalSweep() with the
-     * per-benchmark step-1 sweeps computed in parallel. The
-     * accumulation runs in suite order on the calling thread, so the
-     * floating-point result is bit-identical to the serial method.
+     * ExperimentContext::averageConditionalSweep() (whose
+     * per-benchmark sweeps fan out over the pool), counting the
+     * step-1 predictions into predictions() the first time each
+     * budget is asked for.
      */
     std::vector<double> averageConditionalSweep(std::size_t bytes);
 
@@ -162,28 +161,20 @@ class ParallelRunner
     }
 
   private:
-    /**
-     * Per-benchmark step-1 rate curves (rates[L-1] percent, L =
-     * 1..maxPathLength) plus the profiled branch count, computed in
-     * parallel over the whole suite.
-     */
-    struct SweepRates
-    {
-        std::vector<double> rates;
-        std::uint64_t branches = 0;
-    };
+    /** Shared body of the average accessors. */
+    std::vector<double> averageSweep(std::size_t bytes, bool indirect);
 
-    std::vector<SweepRates> suiteSweeps(std::size_t bytes, bool indirect);
-
-    /** Shard fn over [0, count): item i runs in worker i % jobs(). */
+    /** fn(context, i) for i in [0, count), claimed dynamically. */
     void runSharded(std::size_t count,
                     const std::function<void(ExperimentContext &,
                                              std::size_t)> &fn);
 
     unsigned jobs_;
     std::unique_ptr<util::ThreadPool> pool_; // null when jobs_ == 1
-    std::vector<std::unique_ptr<ExperimentContext>> contexts_;
-    std::map<std::string, std::vector<double>> averageSweeps_;
+    ExperimentContext context_;              // fans out over pool_
+    std::mutex countedMutex_;
+    /** (bytes, indirect) averages already counted in predictions_. */
+    std::set<std::pair<std::size_t, bool>> countedAverages_;
     std::atomic<std::uint64_t> predictions_{0};
 };
 

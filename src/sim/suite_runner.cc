@@ -44,10 +44,6 @@ namespace sim {
 
 namespace {
 
-/** Indirect sweeps below this many branches are noise, not signal
- *  (mirrors ExperimentContext::averageIndirectSweep). */
-constexpr std::uint64_t minIndirectBranches = 1000;
-
 /** Manifest file picked up from the corpus root when present. */
 constexpr const char *defaultManifestName = "pairs.txt";
 
@@ -162,21 +158,6 @@ decodeSweepCell(const std::vector<std::uint8_t> &payload)
     return sweep;
 }
 
-/** Rate curve (percent per length) from a sweep, like
- *  FixedLengthSweep::rate() over the full range. */
-std::vector<double>
-rateCurve(const core::FixedLengthSweep &sweep)
-{
-    std::vector<double> rates(sweep.mispredictions.size(), 0.0);
-    if (sweep.branches == 0)
-        return rates;
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        rates[i] = 100.0 * static_cast<double>(sweep.mispredictions[i])
-            / static_cast<double>(sweep.branches);
-    }
-    return rates;
-}
-
 /** Journal lookup that treats undecodable payloads as misses. */
 template <typename Decode>
 auto
@@ -267,8 +248,9 @@ quarantine(TraceWork &work, const std::string &cause)
 
 /**
  * Static-sharded parallel loop: item i runs on worker i % jobs, each
- * worker walks its items in increasing order (mirrors
- * ParallelRunner::runSharded). jobs == 1 runs inline. fn(worker, i)
+ * worker walks its items in increasing order, so a pair's parked
+ * session and its profiler caches stay with one worker's context
+ * across phases. jobs == 1 runs inline. fn(worker, i)
  * must not throw — per-pair errors are absorbed into outcomes — but
  * a stray exception is still captured and rethrown, first one wins.
  */
@@ -298,17 +280,6 @@ forEachSharded(util::ThreadPool *pool, unsigned jobs, std::size_t count,
     pool->wait();
     if (first_error)
         std::rethrow_exception(first_error);
-}
-
-unsigned
-argminLength(const std::vector<double> &rates)
-{
-    unsigned best = 1;
-    for (unsigned length = 2; length <= rates.size(); ++length) {
-        if (rates[length - 1] < rates[best - 1])
-            best = length;
-    }
-    return best;
 }
 
 bool
@@ -976,23 +947,15 @@ TraceSuiteRunner::run()
     // this thread so the averages are bit-identical for any jobs
     // value (mirrors the paper's Table 2 methodology: profile inputs
     // only).
-    std::vector<double> cond_average(core::maxPathLength, 0.0);
-    std::vector<double> ind_average(core::maxPathLength, 0.0);
-    unsigned cond_counted = 0;
-    unsigned ind_counted = 0;
+    SuiteAverage cond_average;
+    SuiteAverage ind_average;
     for (TraceWork &item : work) {
         if (!item.valid)
             continue;
-        if (item.outcome.conditionalBranches > 0) {
-            ++cond_counted;
-            for (std::size_t l = 0; l < item.condRates.size(); ++l)
-                cond_average[l] += item.condRates[l];
-        }
-        if (item.outcome.indirectBranches >= minIndirectBranches) {
-            ++ind_counted;
-            for (std::size_t l = 0; l < item.indRates.size(); ++l)
-                ind_average[l] += item.indRates[l];
-        }
+        if (item.outcome.conditionalBranches > 0)
+            cond_average.add(item.condRates);
+        if (item.outcome.indirectBranches >= minIndirectBranches)
+            ind_average.add(item.indRates);
         if (item.outcome.conditionalBranches == 0
             && item.outcome.indirectBranches < minIndirectBranches) {
             item.valid = false;
@@ -1006,16 +969,10 @@ TraceSuiteRunner::run()
     }
     unsigned global_cond = 0;
     unsigned global_ind = 0;
-    if (cond_counted > 0) {
-        for (double &rate : cond_average)
-            rate /= static_cast<double>(cond_counted);
-        global_cond = argminLength(cond_average);
-    }
-    if (ind_counted > 0) {
-        for (double &rate : ind_average)
-            rate /= static_cast<double>(ind_counted);
-        global_ind = argminLength(ind_average);
-    }
+    if (cond_average.count() > 0)
+        global_cond = argminLength(cond_average.average());
+    if (ind_average.count() > 0)
+        global_ind = argminLength(ind_average.average());
     // Pinned globals (the chaos campaign's masked baseline): replay
     // rows are pure functions of the pair's traces plus these two
     // lengths, so pinning them lets a chaos-off rerun be compared

@@ -3,12 +3,11 @@
  * A small fixed-size thread pool for the parallel experiment engine.
  *
  * The pool is deliberately minimal: tasks are type-erased
- * std::function<void()> thunks, submitted from one controlling thread,
- * and wait() blocks that thread until every submitted task has
- * finished. Exceptions must be handled inside the task (the experiment
- * layer captures them into a std::exception_ptr and rethrows on the
- * controlling thread); a task that lets an exception escape terminates
- * the process, as with any detached thread.
+ * std::function<void()> thunks, and wait() blocks until every submitted
+ * task has finished. Exceptions must be handled inside the task; a task
+ * that lets an exception escape terminates the process, as with any
+ * detached thread. parallelFor() does that handling for loops: it
+ * rethrows the first exception on the calling thread.
  */
 
 #ifndef VLPSIM_UTIL_THREAD_POOL_H
@@ -29,9 +28,9 @@ namespace util {
  * Fixed set of worker threads consuming a FIFO task queue.
  *
  * Threads are started in the constructor and joined in the destructor;
- * the pool never grows or shrinks. Submission and wait() are intended
- * to be called from a single controlling thread (the experiment
- * engine's reduction thread); tasks themselves may run on any worker.
+ * the pool never grows or shrinks. submit() and parallelFor() may be
+ * called from any thread, pool tasks included; wait() must not be
+ * called from inside a task (it would wait for itself).
  */
 class ThreadPool
 {
@@ -54,6 +53,20 @@ class ThreadPool
 
     /** Enqueue @p task for execution on some worker. */
     void submit(std::function<void()> task);
+
+    /**
+     * Run fn(i) once for every i in [0, count), spread over the pool
+     * with the calling thread taking part. Up to size() - 1 helper
+     * tasks claim indices from a shared counter, and so does the
+     * caller; the caller then waits only for indices already claimed,
+     * never for a helper still queued. That makes parallelFor safe to
+     * call from inside a pool task: when every worker is busy, the
+     * caller runs the whole loop itself. The first exception thrown
+     * by fn stops further claims and is rethrown here once every
+     * claimed index has finished.
+     */
+    void parallelFor(std::size_t count,
+                     const std::function<void(std::size_t)> &fn);
 
     /**
      * Block until every task submitted so far has completed (queue

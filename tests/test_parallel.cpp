@@ -7,15 +7,19 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/profiler.h"
+#include "predictors/budget.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
+#include "store/artifact_store.h"
 #include "util/thread_pool.h"
 #include "workload/benchmarks.h"
 
@@ -57,6 +61,91 @@ TEST(ThreadPool, WaitWithNoTasksReturnsImmediately)
 TEST(ThreadPool, DefaultThreadCountIsPositive)
 {
     EXPECT_GE(util::ThreadPool::defaultThreadCount(), 1u);
+}
+
+/** Every (outer, inner) index of a parallelFor nested inside pool
+ *  tasks must run exactly once, whether or not a worker is free. */
+void
+expectNestedParallelForRunsEachIndexOnce(unsigned threads)
+{
+    util::ThreadPool pool(threads);
+    constexpr std::size_t outer = 6;
+    constexpr std::size_t inner = 50;
+    std::vector<std::atomic<int>> hits(outer * inner);
+    // Outer loop as plain tasks, so every caller is a pool worker...
+    for (std::size_t i = 0; i < outer; ++i) {
+        pool.submit([&, i] {
+            pool.parallelFor(inner, [&](std::size_t j) {
+                ++hits[i * inner + j];
+            });
+        });
+    }
+    pool.wait();
+    // ...and as a parallelFor whose items nest again.
+    pool.parallelFor(outer, [&](std::size_t i) {
+        pool.parallelFor(inner, [&](std::size_t j) {
+            ++hits[i * inner + j];
+        });
+    });
+    for (const auto &count : hits)
+        EXPECT_EQ(count.load(), 2);
+}
+
+TEST(ThreadPool, NestedParallelForRunsEveryIndexOnceOnOneThread)
+{
+    expectNestedParallelForRunsEachIndexOnce(1);
+}
+
+TEST(ThreadPool, NestedParallelForRunsEveryIndexOnceOnFourThreads)
+{
+    expectNestedParallelForRunsEachIndexOnce(4);
+}
+
+TEST(ThreadPool, NestedParallelForRethrowsFirstException)
+{
+    for (const unsigned threads : {1u, 4u}) {
+        util::ThreadPool pool(threads);
+        std::atomic<int> caught{0};
+        pool.submit([&] {
+            try {
+                pool.parallelFor(20, [](std::size_t j) {
+                    if (j == 7)
+                        throw std::runtime_error("inner");
+                });
+            } catch (const std::runtime_error &error) {
+                if (std::string(error.what()) == "inner")
+                    ++caught;
+            }
+        });
+        pool.wait();
+        EXPECT_EQ(caught.load(), 1) << threads << " threads";
+
+        // One failing index: its exception, not another, reaches the
+        // caller, and the loop still returns (no lost wake-up).
+        EXPECT_THROW(pool.parallelFor(8,
+                                      [&](std::size_t i) {
+                                          pool.parallelFor(
+                                              4, [&](std::size_t j) {
+                                                  if (i == 3 && j == 2)
+                                                      throw std::logic_error(
+                                                          "nested");
+                                              });
+                                      }),
+                     std::logic_error);
+    }
+}
+
+TEST(ThreadPool, ParallelForOverZeroAndOneItems)
+{
+    util::ThreadPool pool(3);
+    int runs = 0;
+    pool.parallelFor(0, [&](std::size_t) { ++runs; });
+    EXPECT_EQ(runs, 0);
+    pool.parallelFor(1, [&](std::size_t index) {
+        EXPECT_EQ(index, 0u);
+        ++runs;
+    });
+    EXPECT_EQ(runs, 1);
 }
 
 TEST(ParallelRunner, JobsZeroMeansHardwareConcurrency)
@@ -273,6 +362,91 @@ TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
               indirect_serial.step1Sweep().mispredictions);
     EXPECT_EQ(indirect_sharded.step1Sweep().branches,
               indirect_serial.step1Sweep().branches);
+}
+
+/** Table 2's body (bench::buildTable2): the suite averages it prints. */
+void
+runTable2Body(ParallelRunner &runner)
+{
+    for (const std::size_t bytes : {1024, 4096, 16384, 65536, 262144})
+        runner.globalConditionalLength(bytes);
+    for (const std::size_t bytes : {512, 2048, 8192, 32768})
+        runner.globalIndirectLength(bytes);
+}
+
+/** Figure 9's body (bench_fig9): one item per budget, each needing
+ *  its own suite average plus a gcc comparison. */
+void
+runFigure9Body(ParallelRunner &runner)
+{
+    const auto &gcc = workload::findBenchmark("gcc");
+    const std::vector<std::size_t> sizes = {1024, 4096, 16384, 65536,
+                                            262144};
+    runner.map<int>(sizes.size(), [&](ExperimentContext &context,
+                                      std::size_t i) {
+        const unsigned global_length =
+            context.globalConditionalLength(sizes[i]);
+        context.conditionalSweep(gcc,
+                                 pred::conditionalIndexBits(sizes[i]));
+        const auto row = compareConditional(context, gcc, sizes[i],
+                                            global_length, true);
+        for (const auto &entry : row.entries)
+            runner.addPredictions(entry.branches);
+        return 0;
+    });
+}
+
+TEST_F(ParallelHarness, Table2GeneratesEachProfileTraceOnce)
+{
+    ParallelRunner runner(4);
+    runTable2Body(runner);
+    // 16 profile traces, each shared by all nine budgets.
+    EXPECT_EQ(runner.context().traceGenerations(),
+              workload::benchmarkSuite().size());
+}
+
+TEST_F(ParallelHarness, Figure9GeneratesEachTraceOnce)
+{
+    // Five workers keep 20 traces, more than the 17 Figure 9 touches
+    // (16 profile traces plus gcc's test trace), so nothing is evicted
+    // and nothing is generated twice.
+    ParallelRunner runner(5);
+    runFigure9Body(runner);
+    EXPECT_EQ(runner.context().traceGenerations(),
+              workload::benchmarkSuite().size() + 1);
+}
+
+TEST_F(ParallelHarness, StoreTrafficAndPredictionsIdenticalAcrossJobs)
+{
+    // Every artifact key is fetched and inserted exactly once per
+    // runner, whichever worker gets to it first.
+    const std::string directory = testing::TempDir() + "/vlpsim_jobs_store";
+    struct Traffic
+    {
+        std::uint64_t hits, misses, inserts, predictions;
+    };
+    const auto run = [&](unsigned jobs) {
+        std::filesystem::remove_all(directory);
+        store::StoreOptions options;
+        options.directory = directory;
+        const auto store = std::make_shared<store::ArtifactStore>(options);
+        ParallelRunner runner(jobs);
+        runner.setStore(store);
+        runFigure9Body(runner);
+        const unsigned global_length = runner.globalIndirectLength(2048);
+        runner.compareIndirectSuite(testSpecs(), 2048, global_length);
+        const store::StoreCounters counters = store->counters();
+        return Traffic{counters.hits, counters.misses, counters.inserts,
+                       runner.predictions()};
+    };
+    const Traffic serial = run(1);
+    const Traffic parallel = run(4);
+    std::filesystem::remove_all(directory);
+    EXPECT_GT(serial.inserts, 0u);
+    EXPECT_EQ(parallel.hits, serial.hits);
+    EXPECT_EQ(parallel.misses, serial.misses);
+    EXPECT_EQ(parallel.inserts, serial.inserts);
+    EXPECT_EQ(parallel.predictions, serial.predictions);
 }
 
 TEST_F(ParallelHarness, SerialRunnerMatchesPlainContext)

@@ -358,61 +358,85 @@ TEST_F(ExperimentHarness, HistoryOptionsKeyedSeparately)
 
 TEST_F(ExperimentHarness, TraceCacheSurvivesEviction)
 {
-    // Touch more benchmarks than the LRU capacity, then re-fetch the
-    // first: it must be regenerated identically (determinism makes
-    // eviction invisible).
+    // A held trace outlives its eviction from the LRU and is reused,
+    // never regenerated; a released one is regenerated identically
+    // (determinism makes eviction invisible).
     ExperimentContext context;
     const auto &first = workload::findBenchmark("compress");
-    const auto initial = context.trace(first, workload::InputKind::Test);
-    const std::size_t initial_size = initial->size();
-    const trace::BranchRecord first_record = initial->records().front();
+    auto held = context.trace(first, workload::InputKind::Test);
+    auto records = held->shared();
+    EXPECT_EQ(context.traceGenerations(), 1u);
 
-    for (const char *name : {"li", "pgp", "go", "plot", "ss"}) {
+    // More distinct traces than the 4-entry LRU keeps.
+    const char *others[] = {"li", "pgp", "go", "plot", "ss"};
+    for (const char *name : others) {
         context.trace(workload::findBenchmark(name),
                       workload::InputKind::Test);
     }
-    const auto again = context.trace(first, workload::InputKind::Test);
-    EXPECT_EQ(again->size(), initial_size);
-    EXPECT_EQ(again->records().front(), first_record);
+    EXPECT_EQ(context.traceGenerations(), 1u + std::size(others));
+    auto again = context.trace(first, workload::InputKind::Test);
+    EXPECT_EQ(again->shared(), records); // same records, not a copy
+    EXPECT_EQ(context.traceGenerations(), 1u + std::size(others));
+
+    // Once nothing holds it, eviction drops it for real.
+    const std::size_t size = records->size();
+    const trace::BranchRecord first_record = records->front();
+    held.reset();
+    again.reset();
+    records.reset();
+    for (const char *name : others) {
+        context.trace(workload::findBenchmark(name),
+                      workload::InputKind::Test);
+    }
+    const std::uint64_t before = context.traceGenerations();
+    const auto regenerated =
+        context.trace(first, workload::InputKind::Test);
+    EXPECT_EQ(context.traceGenerations(), before + 1);
+    EXPECT_EQ(regenerated->size(), size);
+    EXPECT_EQ(regenerated->records().front(), first_record);
 }
 
 TEST_F(ExperimentHarness, TraceReferenceSurvivesEviction)
 {
-    // Regression: trace() used to return a bare reference that dangled
-    // as soon as the 4-entry LRU evicted the benchmark — a caller
-    // holding a trace across a nested profiling call read freed
-    // memory. The shared_ptr return pins the trace for as long as the
-    // caller needs it.
+    // Each trace() call is a fresh cursor over shared records: a
+    // held cursor stays readable across evictions, and two cursors
+    // over one trace replay independently (several workers replay one
+    // trace at once).
     ExperimentContext context;
     const auto &first = workload::findBenchmark("compress");
     const auto held = context.trace(first, workload::InputKind::Test);
     const std::size_t held_size = held->size();
-    const trace::BranchRecord first_record = held->records().front();
-    const trace::BranchRecord last_record = held->records().back();
+    ASSERT_GT(held_size, 2u);
 
-    // Evict "compress" by touching more benchmarks than the LRU holds
-    // (the capacity is 4), while the original pointer stays live.
     for (const char *name : {"li", "pgp", "go", "plot", "ss", "tex"}) {
         context.trace(workload::findBenchmark(name),
                       workload::InputKind::Test);
     }
 
-    // The held trace must still be fully readable.
-    EXPECT_EQ(held->size(), held_size);
-    EXPECT_EQ(held->records().front(), first_record);
-    EXPECT_EQ(held->records().back(), last_record);
+    const auto other = context.trace(first, workload::InputKind::Test);
+    EXPECT_NE(other.get(), held.get());
+    EXPECT_EQ(other->shared(), held->shared());
+
+    // Advance one cursor partway; the other still starts at record 0.
     held->reset();
     trace::BranchRecord record;
-    std::size_t count = 0;
-    while (held->next(record))
-        ++count;
-    EXPECT_EQ(count, held_size);
+    ASSERT_TRUE(held->next(record));
+    ASSERT_TRUE(held->next(record));
+    const trace::BranchRecord held_second = record;
+    other->reset();
+    ASSERT_TRUE(other->next(record));
+    EXPECT_EQ(record, held->records().front());
 
-    // And a re-fetch regenerates an identical trace in a new entry.
-    const auto again = context.trace(first, workload::InputKind::Test);
-    EXPECT_NE(again.get(), held.get());
-    EXPECT_EQ(again->size(), held_size);
-    EXPECT_EQ(again->records().front(), first_record);
+    // Both run to the end on their own count.
+    std::size_t held_count = 2;
+    while (held->next(record))
+        ++held_count;
+    std::size_t other_count = 1;
+    while (other->next(record))
+        ++other_count;
+    EXPECT_EQ(held_count, held_size);
+    EXPECT_EQ(other_count, held_size);
+    EXPECT_EQ(held_second, held->records()[1]);
 }
 
 TEST(PredictorResultRate, ZeroBranchesIsZeroNotNan)
