@@ -35,7 +35,7 @@ evaluateVlp(trace::VectorTraceSource &profile_trace,
             const std::vector<unsigned> *allowed_lengths = nullptr,
             std::uint64_t *branches_out = nullptr)
 {
-    core::ConditionalProfiler profiler(options);
+    core::Profiler profiler(options, false);
     profile_trace.reset();
     core::HashAssignment assignment = profiler.profile(profile_trace);
 
@@ -190,7 +190,7 @@ main(int argc, char **argv)
             context.trace(spec, workload::InputKind::Test);
         trace::VectorTraceSource &profile_trace = *profile_ptr;
         trace::VectorTraceSource &test_trace = *test_ptr;
-        core::ConditionalProfiler profiler(base);
+        core::Profiler profiler(base, false);
         profile_trace.reset();
         const core::HashAssignment assignment =
             profiler.profile(profile_trace);

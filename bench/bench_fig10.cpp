@@ -54,14 +54,13 @@ main(int argc, char **argv)
                 const std::size_t bytes = sizes[i];
                 SizePoint point;
                 point.globalLength =
-                    context.globalIndirectLength(bytes);
+                    context.globalLength(bytes, true);
                 point.tunedLength =
                     context
-                        .indirectSweep(spec,
-                                       pred::indirectIndexBits(bytes))
+                        .sweep(spec, pred::indirectIndexBits(bytes), true)
                         .bestLength();
-                point.row = sim::compareIndirect(
-                    context, spec, bytes, point.globalLength, true);
+                point.row = sim::compare(
+                    context, spec, bytes, point.globalLength, true, true);
                 for (const auto &entry : point.row.entries)
                     runner.addPredictions(entry.branches);
                 return point;

@@ -44,14 +44,14 @@ main(int argc, char **argv)
             [&](sim::ExperimentContext &context, std::size_t i) {
                 const std::size_t bytes = sizes[i];
                 const unsigned global_length =
-                    context.globalConditionalLength(bytes);
+                    context.globalLength(bytes, false);
                 const unsigned tuned_length =
                     context
-                        .conditionalSweep(
-                            spec, pred::conditionalIndexBits(bytes))
+                        .sweep(spec, pred::conditionalIndexBits(bytes),
+                               false)
                         .bestLength();
-                const auto row = sim::compareConditional(
-                    context, spec, bytes, global_length, true);
+                const auto row = sim::compare(
+                    context, spec, bytes, global_length, false, true);
                 for (const auto &entry : row.entries)
                     runner.addPredictions(entry.branches);
                 return std::vector<sim::Cell>{

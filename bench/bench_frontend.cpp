@@ -9,8 +9,8 @@
  * counter tables (and the HFNT) are banked m ways, so same-bank
  * structural hazards split bundles.
  *
- * Every engine run doubles as an equivalence tripwire: the retire-order
- * engine and every fetch-bundle configuration must reproduce the
+ * Every engine run doubles as an equivalence tripwire: every
+ * fetch-bundle configuration must reproduce the retire-order
  * Simulator's branch and misprediction counts bit for bit, or the
  * binary aborts — speculation may move cycles around, never accuracy.
  */
@@ -110,9 +110,9 @@ main(int argc, char **argv)
                 const unsigned k =
                     pred::conditionalIndexBits(budgetBytes);
                 const core::HashAssignment &assignment =
-                    context.conditionalAssignment(spec, k);
+                    context.assignment(spec, k, false);
                 const unsigned tuned =
-                    context.conditionalSweep(spec, k).bestLength();
+                    context.sweep(spec, k, false).bestLength();
                 const auto test_trace =
                     context.trace(spec, workload::InputKind::Test);
 
@@ -128,26 +128,11 @@ main(int argc, char **argv)
                 for (const auto &result : expected)
                     runner.addPredictions(result.branches);
 
-                // Tripwire 1: the engine's retire-order mode.
-                {
-                    sim::FrontendParameters parameters;
-                    parameters.mode = sim::FrontendMode::RetireOrder;
-                    parameters.chaosIdentity = name;
-                    Trio trio(k, tuned, assignment);
-                    sim::FetchEngine engine(parameters);
-                    trio.registerWith(engine);
-                    test_trace->reset();
-                    engine.run(*test_trace);
-                    requireEquivalent(name, "retire-order", expected,
-                                      engine.conditionalResults());
-                }
-
                 // The sweep: each width is a fresh speculative engine,
-                // and tripwire 2 holds its accuracy to the reference.
+                // and a tripwire holds its accuracy to the reference.
                 std::vector<std::vector<sim::Cell>> result_rows;
                 for (unsigned m : widths) {
                     sim::FrontendParameters parameters;
-                    parameters.mode = sim::FrontendMode::FetchBundle;
                     parameters.bundleWidth = m;
                     parameters.chaosIdentity = name;
 

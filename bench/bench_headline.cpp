@@ -35,9 +35,9 @@ main(int argc, char **argv)
                 std::ostringstream out;
                 if (i == 0) {
                     const unsigned global_length =
-                        context.globalConditionalLength(4096);
-                    const auto row = sim::compareConditional(
-                        context, spec, 4096, global_length);
+                        context.globalLength(4096, false);
+                    const auto row = sim::compare(
+                        context, spec, 4096, global_length, false);
                     for (const auto &entry : row.entries)
                         runner.addPredictions(entry.branches);
                     out << "\nconditional, 4K bytes:\n"
@@ -51,9 +51,9 @@ main(int argc, char **argv)
                         << "%   (paper: 4.3%)\n";
                 } else {
                     const unsigned global_length =
-                        context.globalIndirectLength(512);
-                    const auto row = sim::compareIndirect(
-                        context, spec, 512, global_length);
+                        context.globalLength(512, true);
+                    const auto row = sim::compare(
+                        context, spec, 512, global_length, true);
                     for (const auto &entry : row.entries)
                         runner.addPredictions(entry.branches);
                     const auto &path =

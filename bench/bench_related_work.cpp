@@ -70,7 +70,7 @@ conditionalColumn(vlp::sim::ExperimentContext &context,
     // Profiled artifacts for the two profile-driven predictors.
     core::ProfileOptions options;
     options.indexBits = k;
-    core::ConditionalProfiler vlp_profiler(options);
+    core::Profiler vlp_profiler(options, false);
     profile_trace->reset();
     const core::HashAssignment assignment =
         vlp_profiler.profile(*profile_trace);
@@ -166,7 +166,7 @@ indirectColumn(vlp::sim::ExperimentContext &context,
 
     core::ProfileOptions options;
     options.indexBits = k;
-    core::IndirectProfiler profiler(options);
+    core::Profiler profiler(options, true);
     profile_trace->reset();
     const core::HashAssignment assignment =
         profiler.profile(*profile_trace);

@@ -40,13 +40,13 @@ main(int argc, char **argv)
         };
 
         const unsigned global_length =
-            runner.globalIndirectLength(bytes);
+            runner.globalLength(bytes, true);
 
         std::vector<workload::BenchmarkSpec> specs;
         for (const auto &name : workload::indirectHeavyNames())
             specs.push_back(workload::findBenchmark(name));
         const auto rows =
-            runner.compareIndirectSuite(specs, bytes, global_length);
+            runner.compareSuite(specs, bytes, global_length, true);
 
         sim::Section &section = report.addSection("indirect-heavy");
         section.columns = {{"Benchmark"},     {"path (%)"},

@@ -148,7 +148,7 @@ BM_ProfilerStep1(benchmark::State &state)
     core::ProfileOptions options;
     options.indexBits = 14;
     for (auto _ : state) {
-        core::ConditionalProfiler profiler(options);
+        core::Profiler profiler(options, false);
         trace.reset();
         benchmark::DoNotOptimize(profiler.runStep1(trace).branches);
     }
@@ -180,7 +180,7 @@ BM_Step1Conditional(benchmark::State &state)
     options.indexBits = 14;
     options.jobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        core::ConditionalProfiler profiler(options);
+        core::Profiler profiler(options, false);
         trace.reset();
         benchmark::DoNotOptimize(profiler.runStep1(trace).branches);
     }

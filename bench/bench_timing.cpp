@@ -80,7 +80,7 @@ main(int argc, char **argv)
                 const auto &spec = workload::findBenchmark(name);
                 const unsigned k = pred::conditionalIndexBits(bytes);
                 const core::HashAssignment &assignment =
-                    context.conditionalAssignment(spec, k);
+                    context.assignment(spec, k, false);
 
                 pred::GsharePredictor gshare(k);
                 core::PathConditionalPredictor vlp(k, assignment);

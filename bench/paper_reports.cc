@@ -1,6 +1,6 @@
 /**
  * @file
- * Table 2 and Figures 5 & 6 report builders.
+ * Table 2, Figures 5 & 6 and Figures 7 & 8 report builders.
  */
 
 #include "paper_reports.h"
@@ -29,9 +29,9 @@ buildTable2(sim::ParallelRunner &runner, sim::Report &report)
         const unsigned paper_lengths[] = {6, 9, 14, 16, 23};
         for (unsigned i = 0; i < 5; ++i) {
             const auto average =
-                runner.averageConditionalSweep(sizes[i]);
+                runner.averageSweep(sizes[i], false);
             const unsigned best =
-                runner.globalConditionalLength(sizes[i]);
+                runner.globalLength(sizes[i], false);
             section.addRow(std::to_string(sizes[i]),
                            {
                                sim::Cell::real(sizes[i] / 1024.0, 0),
@@ -52,9 +52,9 @@ buildTable2(sim::ParallelRunner &runner, sim::Report &report)
         const unsigned paper_lengths[] = {11, 21, 21, 21};
         for (unsigned i = 0; i < 4; ++i) {
             const auto average =
-                runner.averageIndirectSweep(sizes[i]);
+                runner.averageSweep(sizes[i], true);
             const unsigned best =
-                runner.globalIndirectLength(sizes[i]);
+                runner.globalLength(sizes[i], true);
             section.addRow(std::to_string(sizes[i]),
                            {
                                sim::Cell::real(sizes[i] / 1024.0, 1),
@@ -71,7 +71,7 @@ buildFig5_6(sim::ParallelRunner &runner, sim::Report &report)
 {
     constexpr std::size_t bytes = 16384;
     const unsigned global_length =
-        runner.globalConditionalLength(bytes);
+        runner.globalLength(bytes, false);
     report.addText("global-length",
                    "global fixed path length: "
                        + std::to_string(global_length) + "\n");
@@ -82,7 +82,7 @@ buildFig5_6(sim::ParallelRunner &runner, sim::Report &report)
     // come back in suite order regardless of scheduling.
     const auto &suite = workload::benchmarkSuite();
     const auto rows =
-        runner.compareConditionalSuite(suite, bytes, global_length);
+        runner.compareSuite(suite, bytes, global_length, false);
 
     double total_reduction = 0.0;
     double worst_reduction = 1e9, best_reduction = -1e9;
@@ -137,6 +137,52 @@ buildFig5_6(sim::ParallelRunner &runner, sim::Report &report)
             + best_name + "  (paper: 68.6% for perl)\n"
             + "smallest reduction: " + rate(worst_reduction)
             + "% for " + worst_name + "  (paper: 7.4% for pgp)\n");
+}
+
+void
+buildFig7_8(sim::ParallelRunner &runner, sim::Report &report)
+{
+    constexpr std::size_t bytes = 2048;
+    const unsigned global_length = runner.globalLength(bytes, true);
+    report.addText("global-length",
+                   "global fixed path length: "
+                       + std::to_string(global_length) + "\n");
+    report.setMeta("globalIndirectLength",
+                   std::uint64_t{global_length});
+
+    const auto &suite = workload::benchmarkSuite();
+    const auto rows = runner.compareSuite(suite, bytes, global_length, true);
+
+    for (const bool spec_group : {true, false}) {
+        sim::Section &section = report.addSection(
+            spec_group ? "figure7" : "figure8");
+        section.caption = spec_group ? "\nFigure 7 (SPECint95)\n"
+                                     : "\nFigure 8 (non-SPEC)\n";
+        section.columns = {{"Benchmark"},
+                           {"path CHP (%)"},
+                           {"pattern CHP (%)"},
+                           {"fixed length path (%)"},
+                           {"variable length path (%)"},
+                           {"ind branches"}};
+        for (std::size_t i = 0; i < suite.size(); ++i) {
+            const auto &spec = suite[i];
+            if (spec.isSpec != spec_group)
+                continue;
+            const auto &row = rows[i];
+            section.addRow(
+                spec.name,
+                {
+                    sim::Cell::text(spec.name
+                                    + (spec.indirectHeavy ? " *" : "")),
+                    sim::Cell::percent(row.entry(sim::names::chpPath).rate),
+                    sim::Cell::percent(
+                        row.entry(sim::names::chpPattern).rate),
+                    sim::Cell::percent(row.entry(sim::names::flp).rate),
+                    sim::Cell::percent(row.entry(sim::names::vlp).rate),
+                    sim::Cell::scaled(row.entry(sim::names::vlp).branches),
+                });
+        }
+    }
 }
 
 } // namespace bench

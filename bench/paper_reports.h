@@ -3,10 +3,10 @@
  * Report builders shared between bench binaries and the golden-file
  * tests.
  *
- * bench_table2 and bench_fig5_6 are the byte-identity reference
- * binaries: tests/test_report.cpp builds the same reports through
- * these functions and asserts the ASCII sink reproduces the committed
- * pre-refactor stdout (tests/golden/) at --jobs 1 and --jobs 4.
+ * bench_table2, bench_fig5_6 and bench_fig7_8 are the byte-identity
+ * reference binaries: tests/test_report.cpp builds the same reports
+ * through these functions and asserts the ASCII sink reproduces the
+ * committed stdout (tests/golden/) at --jobs 1 and --jobs 4.
  */
 
 #ifndef VLPSIM_BENCH_PAPER_REPORTS_H
@@ -29,6 +29,13 @@ inline constexpr char fig5_6Title[] =
 inline constexpr char fig5_6Configuration[] =
     "16K byte predictor, test inputs";
 
+/** Banner text of bench_fig7_8. */
+inline constexpr char fig7_8Title[] =
+    "Figures 7 & 8: Indirect Misprediction Rates";
+inline constexpr char fig7_8Configuration[] =
+    "2K byte predictor, test inputs; '*' marks the 8 "
+    "indirect-heavy benchmarks of Table 3";
+
 /** Fill @p report with Table 2's sections (conditional and indirect
  *  best path lengths per table size). */
 void buildTable2(vlp::sim::ParallelRunner &runner,
@@ -37,6 +44,12 @@ void buildTable2(vlp::sim::ParallelRunner &runner,
 /** Fill @p report with Figures 5 & 6's sections (per-benchmark
  *  conditional rates at 16K bytes plus the reduction summary). */
 void buildFig5_6(vlp::sim::ParallelRunner &runner,
+                 vlp::sim::Report &report);
+
+/** Fill @p report with Figures 7 & 8's sections (per-benchmark
+ *  indirect rates at 2K bytes, CHP path/pattern vs fixed and variable
+ *  length path). */
+void buildFig7_8(vlp::sim::ParallelRunner &runner,
                  vlp::sim::Report &report);
 
 } // namespace bench

@@ -54,7 +54,7 @@ main(int argc, char **argv)
         // Profile a VLP assignment at this size.
         core::ProfileOptions options;
         options.indexBits = k;
-        core::ConditionalProfiler profiler(options);
+        core::Profiler profiler(options, false);
         profile_trace.reset();
         const core::HashAssignment assignment =
             profiler.profile(profile_trace);

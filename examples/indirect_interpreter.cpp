@@ -112,7 +112,7 @@ main(int argc, char **argv)
 
     core::ProfileOptions options;
     options.indexBits = index_bits;
-    core::IndirectProfiler profiler(options);
+    core::Profiler profiler(options, true);
     const core::HashAssignment assignment =
         profiler.profile(profile_trace);
     std::cout << "profiled dispatch length: "

@@ -48,7 +48,7 @@ main(int argc, char **argv)
 
     core::ProfileOptions options;
     options.indexBits = index_bits;
-    core::ConditionalProfiler profiler(options);
+    core::Profiler profiler(options, false);
     const core::FixedLengthSweep &sweep =
         profiler.runStep1(profile_trace);
 

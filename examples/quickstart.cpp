@@ -42,7 +42,7 @@ main(int argc, char **argv)
         workload::generateTrace(spec, workload::InputKind::Profile);
     core::ProfileOptions options;
     options.indexBits = index_bits;
-    core::ConditionalProfiler profiler(options);
+    core::Profiler profiler(options, false);
     const core::HashAssignment assignment =
         profiler.profile(profile_trace);
     std::cout << " assigned " << assignment.size()

@@ -171,12 +171,6 @@ class ConditionalStep1Tables
 #endif
     }
 
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isConditional();
-    }
-
     /**
      * Predict/update lengths lo..lo+lengths-1 (table slots 0..) for
      * one branch, reading the hash indices straight out of @p bank:
@@ -337,12 +331,6 @@ class IndirectStep1Tables
     {
     }
 
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isIndirect();
-    }
-
     /** See ConditionalStep1Tables::accessAll(). */
     void
     accessAll(const PathIndexBank &bank, unsigned lo, unsigned lengths,
@@ -368,13 +356,70 @@ class IndirectStep1Tables
     std::vector<std::uint32_t> table_;
 };
 
+/*
+ * ---- Per-class policy -----------------------------------------------
+ *
+ * Everything the heuristic does differently for the two branch
+ * classes: the step-1 table bank, the step-2 variable length path
+ * predictor, the record filter (profiled()) and the miss test
+ * (missed()). The step loops are templates over a policy, and
+ * withClass() picks the policy once per step, so the per-record loops
+ * stay monomorphic.
+ */
+
+struct ConditionalClass
+{
+    using Step1Tables = ConditionalStep1Tables;
+    using Predictor = PathConditionalPredictor;
+
+    static bool
+    profiled(const trace::BranchRecord &record)
+    {
+        return record.isConditional();
+    }
+
+    static bool
+    missed(bool predicted, const trace::BranchRecord &record)
+    {
+        return predicted != record.taken;
+    }
+};
+
+struct IndirectClass
+{
+    using Step1Tables = IndirectStep1Tables;
+    using Predictor = PathIndirectPredictor;
+
+    static bool
+    profiled(const trace::BranchRecord &record)
+    {
+        return record.isIndirect();
+    }
+
+    static bool
+    missed(std::uint64_t predicted, const trace::BranchRecord &record)
+    {
+        return predicted != record.nextPc;
+    }
+};
+
+/** body(policy) with the policy of the class @p indirect selects. */
+template <typename Body>
+decltype(auto)
+withClass(bool indirect, Body &&body)
+{
+    if (indirect)
+        return body(IndirectClass{});
+    return body(ConditionalClass{});
+}
+
 /**
  * Replay a record stream over one shard's private predictors.
  * @p replay is a callable invoking its argument once per record in
  * trace order — either a loop over an in-memory vector or a streaming
  * pass over a trace source (bounded memory for on-disk traces).
  */
-template <typename Tables, typename Replay>
+template <typename Class, typename Replay>
 void
 runShard(Replay &&replay, const ProfileOptions &options,
          const LengthShard &shard, bool leader, ShardResult &out)
@@ -385,7 +430,8 @@ runShard(Replay &&replay, const ProfileOptions &options,
     // reads past its own highest length.
     history.depth = shard.hi;
     PathIndexBank bank(options.indexBits, history);
-    Tables tables(options.indexBits, shard.hi - shard.lo + 1);
+    typename Class::Step1Tables tables(options.indexBits,
+                                       shard.hi - shard.lo + 1);
 
     const unsigned lengths = shard.hi - shard.lo + 1;
     out.mispredictions.assign(lengths, 0);
@@ -402,7 +448,7 @@ runShard(Replay &&replay, const ProfileOptions &options,
     std::array<CachedProfile, 1024> recent{};
 
     replay([&](const trace::BranchRecord &record) {
-        if (Tables::profiled(record)) {
+        if (Class::profiled(record)) {
             CachedProfile &cached = recent[(record.pc >> 2) & 1023];
             if (cached.pc != record.pc || cached.profile == nullptr) {
                 cached.pc = record.pc;
@@ -439,7 +485,7 @@ struct VectorReplay
  * Run step 1 over @p profile_trace, sharding the length range across
  * options.jobs workers, and merge into @p sweep / @p profiles.
  */
-template <typename Tables>
+template <typename Class>
 void
 runStep1Sharded(trace::TraceSource &profile_trace,
                 const ProfileOptions &options, FixedLengthSweep &sweep,
@@ -460,10 +506,10 @@ runStep1Sharded(trace::TraceSource &profile_trace,
         // peak trace-buffer memory stays whatever the source buffers,
         // not the whole trace.
         if (vector_source != nullptr) {
-            runShard<Tables>(VectorReplay{vector_source->records()},
-                             options, shards[0], true, results[0]);
+            runShard<Class>(VectorReplay{vector_source->records()},
+                            options, shards[0], true, results[0]);
         } else {
-            runShard<Tables>(
+            runShard<Class>(
                 [&profile_trace](auto &&body) {
                     trace::BranchRecord record;
                     while (profile_trace.next(record))
@@ -497,8 +543,8 @@ runStep1Sharded(trace::TraceSource &profile_trace,
         for (std::size_t i = 1; i < shards.size(); ++i) {
             pool.submit([&, i] {
                 try {
-                    runShard<Tables>(VectorReplay{*records}, options,
-                                     shards[i], false, results[i]);
+                    runShard<Class>(VectorReplay{*records}, options,
+                                    shards[i], false, results[i]);
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(failure_mutex);
                     if (!failure)
@@ -506,8 +552,8 @@ runStep1Sharded(trace::TraceSource &profile_trace,
                 }
             });
         }
-        runShard<Tables>(VectorReplay{*records}, options, shards[0],
-                         true, results[0]);
+        runShard<Class>(VectorReplay{*records}, options, shards[0],
+                        true, results[0]);
         pool.wait();
         if (failure)
             std::rethrow_exception(failure);
@@ -537,163 +583,98 @@ runStep1Sharded(trace::TraceSource &profile_trace,
     }
 }
 
+/**
+ * Step 2 for one class: options.iterations replays of the profile
+ * trace, each testing the selector's next assignment on one variable
+ * length path predictor. @p branches sizes the miss map.
+ */
+template <typename Class>
+void
+runStep2Iterations(trace::TraceSource &profile_trace,
+                   const ProfileOptions &options,
+                   CandidateSelector &selector, std::size_t branches)
+{
+    // One miss map reused across iterations, sized for the worst case
+    // (every profiled branch mispredicts at least once), so the hot
+    // counting loop never rehashes or reallocates.
+    std::unordered_map<std::uint64_t, std::uint64_t> misses;
+    misses.reserve(branches);
+    for (unsigned iteration = 0; iteration < options.iterations;
+         ++iteration) {
+        const HashAssignment assignment = selector.nextAssignment();
+        typename Class::Predictor predictor(options.indexBits, assignment,
+                                            historyFor(options));
+        misses.clear();
+
+        profile_trace.reset();
+        trace::BranchRecord record;
+        while (profile_trace.next(record)) {
+            if (Class::profiled(record)) {
+                if (Class::missed(predictor.predict(record), record))
+                    ++misses[record.pc];
+                predictor.update(record);
+            }
+            predictor.observe(record);
+        }
+        selector.recordResults(assignment, misses);
+    }
+}
+
 } // anonymous namespace
 
-ConditionalProfiler::ConditionalProfiler(ProfileOptions options)
-    : options_(options)
+Profiler::Profiler(ProfileOptions options, bool indirect)
+    : options_(options), indirect_(indirect)
 {
     validateOptions(options_);
 }
 
 const FixedLengthSweep &
-ConditionalProfiler::runStep1(trace::TraceSource &profile_trace)
+Profiler::runStep1(trace::TraceSource &profile_trace)
 {
     // One private table per hash function (step 1 of Section 3.5),
     // packed and length-sharded; see the kernel comment above.
     FixedLengthSweep sweep;
     profiles_.clear();
-    runStep1Sharded<ConditionalStep1Tables>(profile_trace, options_,
-                                            sweep, profiles_);
+    withClass(indirect_, [&](auto policy) {
+        runStep1Sharded<decltype(policy)>(profile_trace, options_, sweep,
+                                          profiles_);
+    });
     sweep_ = std::move(sweep);
     step1Done_ = true;
     return sweep_;
 }
 
 HashAssignment
-ConditionalProfiler::runStep2(trace::TraceSource &profile_trace)
+Profiler::runStep2(trace::TraceSource &profile_trace)
 {
     if (!step1Done_)
         util::fatal("profiler step 2 requires step 1 to have run");
     CandidateSelector selector(profiles_, sweep_, options_.candidates,
                                options_.maxLength);
-
-    // One miss map reused across iterations, sized for the worst case
-    // (every profiled branch mispredicts at least once), so the hot
-    // counting loop never rehashes or reallocates.
-    std::unordered_map<std::uint64_t, std::uint64_t> misses;
-    misses.reserve(profiles_.size());
-    for (unsigned iteration = 0; iteration < options_.iterations;
-         ++iteration) {
-        const HashAssignment assignment = selector.nextAssignment();
-        PathConditionalPredictor predictor(options_.indexBits,
-                                           assignment,
-                                           historyFor(options_));
-        misses.clear();
-
-        profile_trace.reset();
-        trace::BranchRecord record;
-        while (profile_trace.next(record)) {
-            if (record.isConditional()) {
-                if (predictor.predict(record) != record.taken)
-                    ++misses[record.pc];
-                predictor.update(record);
-            }
-            predictor.observe(record);
-        }
-        selector.recordResults(assignment, misses);
-    }
+    withClass(indirect_, [&](auto policy) {
+        runStep2Iterations<decltype(policy)>(profile_trace, options_,
+                                             selector, profiles_.size());
+    });
     return selector.finalAssignment();
 }
 
 HashAssignment
-ConditionalProfiler::profile(trace::TraceSource &profile_trace)
+Profiler::profile(trace::TraceSource &profile_trace)
 {
     runStep1(profile_trace);
     return runStep2(profile_trace);
 }
 
-namespace {
-
-/** Shared restoreStep1() sanity check. */
 void
-validateRestoredSweep(const FixedLengthSweep &sweep,
-                      const ProfileOptions &options)
+Profiler::restoreStep1(
+        FixedLengthSweep sweep,
+        std::unordered_map<std::uint64_t, BranchProfile> profiles)
 {
-    if (sweep.mispredictions.size() != options.maxLength
-        || sweep.minLength != options.minLength) {
+    if (sweep.mispredictions.size() != options_.maxLength
+        || sweep.minLength != options_.minLength) {
         util::fatal("restored step-1 sweep does not match the "
                     "profiler's configured length range");
     }
-}
-
-} // anonymous namespace
-
-void
-ConditionalProfiler::restoreStep1(
-        FixedLengthSweep sweep,
-        std::unordered_map<std::uint64_t, BranchProfile> profiles)
-{
-    validateRestoredSweep(sweep, options_);
-    sweep_ = std::move(sweep);
-    profiles_ = std::move(profiles);
-    step1Done_ = true;
-}
-
-IndirectProfiler::IndirectProfiler(ProfileOptions options)
-    : options_(options)
-{
-    validateOptions(options_);
-}
-
-const FixedLengthSweep &
-IndirectProfiler::runStep1(trace::TraceSource &profile_trace)
-{
-    FixedLengthSweep sweep;
-    profiles_.clear();
-    runStep1Sharded<IndirectStep1Tables>(profile_trace, options_,
-                                         sweep, profiles_);
-    sweep_ = std::move(sweep);
-    step1Done_ = true;
-    return sweep_;
-}
-
-HashAssignment
-IndirectProfiler::runStep2(trace::TraceSource &profile_trace)
-{
-    if (!step1Done_)
-        util::fatal("profiler step 2 requires step 1 to have run");
-    CandidateSelector selector(profiles_, sweep_, options_.candidates,
-                               options_.maxLength);
-
-    // As in ConditionalProfiler::runStep2: one pre-sized miss map
-    // reused across iterations.
-    std::unordered_map<std::uint64_t, std::uint64_t> misses;
-    misses.reserve(profiles_.size());
-    for (unsigned iteration = 0; iteration < options_.iterations;
-         ++iteration) {
-        const HashAssignment assignment = selector.nextAssignment();
-        PathIndirectPredictor predictor(options_.indexBits, assignment,
-                                        historyFor(options_));
-        misses.clear();
-
-        profile_trace.reset();
-        trace::BranchRecord record;
-        while (profile_trace.next(record)) {
-            if (record.isIndirect()) {
-                if (predictor.predict(record) != record.nextPc)
-                    ++misses[record.pc];
-                predictor.update(record);
-            }
-            predictor.observe(record);
-        }
-        selector.recordResults(assignment, misses);
-    }
-    return selector.finalAssignment();
-}
-
-HashAssignment
-IndirectProfiler::profile(trace::TraceSource &profile_trace)
-{
-    runStep1(profile_trace);
-    return runStep2(profile_trace);
-}
-
-void
-IndirectProfiler::restoreStep1(
-        FixedLengthSweep sweep,
-        std::unordered_map<std::uint64_t, BranchProfile> profiles)
-{
-    validateRestoredSweep(sweep, options_);
     sweep_ = std::move(sweep);
     profiles_ = std::move(profiles);
     step1Done_ = true;

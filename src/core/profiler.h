@@ -24,6 +24,11 @@
  * branches. The same sweep machinery also yields the global fixed
  * length (Table 2) and the per-benchmark "tuned" fixed length of
  * Figures 9 and 10.
+ *
+ * One Profiler runs both steps for either branch class. The classes
+ * differ only in the table entry (2-bit counter or 32-bit target
+ * register), the record filter and the miss test, which a private
+ * per-class policy in profiler.cc supplies.
  */
 
 #ifndef VLPSIM_CORE_PROFILER_H
@@ -132,12 +137,20 @@ struct BranchProfile
 };
 
 /**
- * Profiles conditional branches and produces a HashAssignment.
+ * Profiles one branch class and produces a HashAssignment: conditional
+ * branches (2-bit counter tables, taken/not-taken outcomes) or
+ * indirect branches (jumps and calls, returns excluded; 32-bit target
+ * tables). The class is fixed at construction and dispatched once per
+ * step, so the per-record loops stay specialized to it.
  */
-class ConditionalProfiler
+class Profiler
 {
   public:
-    explicit ConditionalProfiler(ProfileOptions options);
+    /**
+     * @param indirect profile indirect branches instead of
+     *                 conditional ones
+     */
+    Profiler(ProfileOptions options, bool indirect);
 
     /**
      * Step 1: simulate the N fixed-length predictors, populating the
@@ -182,64 +195,46 @@ class ConditionalProfiler
     /** The options this profiler was constructed with. */
     const ProfileOptions &options() const { return options_; }
 
+    /** Whether this profiler profiles indirect branches. */
+    bool indirect() const { return indirect_; }
+
   private:
     ProfileOptions options_;
+    bool indirect_;
     std::unordered_map<std::uint64_t, BranchProfile> profiles_;
     FixedLengthSweep sweep_;
     bool step1Done_ = false;
 };
 
-/**
- * Profiles indirect branches (jumps and calls; returns excluded) and
- * produces a HashAssignment.
- */
-class IndirectProfiler
+/** Profiler(options, false); kept for perfbench/src until the replica
+ *  is re-mirrored. */
+class ConditionalProfiler : public Profiler
 {
   public:
-    explicit IndirectProfiler(ProfileOptions options);
-
-    /** Step 1: simulate the N fixed-length predictors. */
-    const FixedLengthSweep &runStep1(trace::TraceSource &profile_trace);
-
-    /** Step 2: iterate candidate selection (requires runStep1()). */
-    HashAssignment runStep2(trace::TraceSource &profile_trace);
-
-    /** Run both steps and return the assignment. */
-    HashAssignment profile(trace::TraceSource &profile_trace);
-
-    /** Aggregate sweep from the last runStep1(). */
-    const FixedLengthSweep &step1Sweep() const { return sweep_; }
-
-    /** Per-branch step-1 records from the last runStep1(). */
-    const std::unordered_map<std::uint64_t, BranchProfile> &
-    branchProfiles() const
+    explicit ConditionalProfiler(ProfileOptions options)
+        : Profiler(options, false)
     {
-        return profiles_;
     }
+};
 
-    /** Adopt step-1 results computed earlier (see
-     *  ConditionalProfiler::restoreStep1()). */
-    void restoreStep1(
-        FixedLengthSweep sweep,
-        std::unordered_map<std::uint64_t, BranchProfile> profiles);
-
-    /** The options this profiler was constructed with. */
-    const ProfileOptions &options() const { return options_; }
-
-  private:
-    ProfileOptions options_;
-    std::unordered_map<std::uint64_t, BranchProfile> profiles_;
-    FixedLengthSweep sweep_;
-    bool step1Done_ = false;
+/** Profiler(options, true); kept for perfbench/src until the replica
+ *  is re-mirrored. */
+class IndirectProfiler : public Profiler
+{
+  public:
+    explicit IndirectProfiler(ProfileOptions options)
+        : Profiler(options, true)
+    {
+    }
 };
 
 /**
- * Shared by both profilers: turn step-1 per-branch records into
- * candidate lists, run step 2 with the given simulation callback, and
- * assemble the final assignment.
+ * Step 2's bookkeeping: turn step-1 per-branch records into candidate
+ * lists, pick each iteration's assignment, record its per-branch
+ * results, and assemble the final assignment.
  *
  * Exposed for white-box testing; regular users call
- * ConditionalProfiler::profile() / IndirectProfiler::profile().
+ * Profiler::profile().
  */
 class CandidateSelector
 {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "core/path_predictor.h"
 #include "predictors/budget.h"
@@ -23,6 +24,15 @@ namespace vlp {
 namespace sim {
 
 namespace {
+
+/** Table index bits of a @p bytes predictor of the class @p indirect
+ *  selects. */
+unsigned
+indexBits(std::size_t bytes, bool indirect)
+{
+    return indirect ? pred::indirectIndexBits(bytes)
+                    : pred::conditionalIndexBits(bytes);
+}
 
 /**
  * Cache-key prefix identifying a synthetic workload: benchmark name,
@@ -275,26 +285,24 @@ ExperimentContext::profilerEntry(const std::string &name,
         options.indexBits = index_bits;
         options.jobs = step1Jobs_;
         options.history = history;
-        if (indirect) {
-            it->second.indirect =
-                std::make_unique<core::IndirectProfiler>(options);
-        } else {
-            it->second.conditional =
-                std::make_unique<core::ConditionalProfiler>(options);
-        }
+        it->second.profiler =
+            std::make_unique<core::Profiler>(options, indirect);
     }
     return it->second;
 }
 
-void
+const core::FixedLengthSweep &
 ExperimentContext::ensureStep1(ProfilerEntry &entry,
-                               const std::optional<store::CacheKey> &key,
+                               const KeyPrefix &prefix,
                                const TraceProvider &profile_trace)
 {
+    core::Profiler &profiler = *entry.profiler;
     entry.step1.call([&] {
         throwIfCancelled();
-        const bool indirect = entry.indirect != nullptr;
-        if (store_ && key) {
+        std::optional<store::CacheKey> key;
+        if (store_) {
+            key = profileKey(prefix("profile"), profiler.options(),
+                             profiler.indirect());
             if (const auto payload = store_->fetch(*key)) {
                 try {
                     core::FixedLengthSweep sweep;
@@ -302,13 +310,8 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
                                        core::BranchProfile>
                         profiles;
                     store::decodeStep1Profile(*payload, sweep, profiles);
-                    if (indirect) {
-                        entry.indirect->restoreStep1(
-                            std::move(sweep), std::move(profiles));
-                    } else {
-                        entry.conditional->restoreStep1(
-                            std::move(sweep), std::move(profiles));
-                    }
+                    profiler.restoreStep1(std::move(sweep),
+                                          std::move(profiles));
                     return;
                 } catch (const std::exception &error) {
                     util::warn(std::string("discarding unusable cached "
@@ -320,37 +323,32 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
 
         const auto source = profile_trace();
         source->reset();
-        if (entry.conditional)
-            entry.conditional->runStep1(*source);
-        else
-            entry.indirect->runStep1(*source);
-
-        if (store_ && key) {
-            const core::FixedLengthSweep &sweep =
-                indirect ? entry.indirect->step1Sweep()
-                         : entry.conditional->step1Sweep();
-            const auto &profiles = indirect
-                ? entry.indirect->branchProfiles()
-                : entry.conditional->branchProfiles();
+        profiler.runStep1(*source);
+        if (key) {
             store_->insert(*key,
-                           store::encodeStep1Profile(sweep, profiles));
+                           store::encodeStep1Profile(
+                               profiler.step1Sweep(),
+                               profiler.branchProfiles()));
         }
     });
+    return profiler.step1Sweep();
 }
 
 const core::HashAssignment &
-ExperimentContext::ensureAssignment(
-        ProfilerEntry &entry,
-        const std::optional<store::CacheKey> &assignment_key,
-        const std::optional<store::CacheKey> &profile_key,
-        const TraceProvider &profile_trace)
+ExperimentContext::ensureAssignment(ProfilerEntry &entry,
+                                    const KeyPrefix &prefix,
+                                    const TraceProvider &profile_trace)
 {
+    core::Profiler &profiler = *entry.profiler;
     entry.step2.call([&] {
         throwIfCancelled();
         // A cached assignment short-circuits both profiling steps;
         // only probe step 1 (and possibly recompute it) on a miss.
-        if (store_ && assignment_key) {
-            if (const auto payload = store_->fetch(*assignment_key)) {
+        std::optional<store::CacheKey> key;
+        if (store_) {
+            key = assignmentKey(prefix("assignment"), profiler.options(),
+                                profiler.indirect());
+            if (const auto payload = store_->fetch(*key)) {
                 try {
                     entry.assignment = store::decodeAssignment(*payload);
                     return;
@@ -362,14 +360,12 @@ ExperimentContext::ensureAssignment(
             }
         }
 
-        ensureStep1(entry, profile_key, profile_trace);
+        ensureStep1(entry, prefix, profile_trace);
         const auto source = profile_trace();
         source->reset();
-        entry.assignment = entry.conditional
-            ? entry.conditional->runStep2(*source)
-            : entry.indirect->runStep2(*source);
-        if (store_ && assignment_key) {
-            store_->insert(*assignment_key,
+        entry.assignment = profiler.runStep2(*source);
+        if (key) {
+            store_->insert(*key,
                            store::encodeAssignment(*entry.assignment));
         }
     });
@@ -377,81 +373,25 @@ ExperimentContext::ensureAssignment(
 }
 
 const core::FixedLengthSweep &
-ExperimentContext::conditionalSweep(const workload::BenchmarkSpec &spec,
-                                    unsigned index_bits,
-                                    core::PathHistoryOptions history)
+ExperimentContext::sweep(const workload::BenchmarkSpec &spec,
+                         unsigned index_bits, bool indirect,
+                         core::PathHistoryOptions history)
 {
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, false, history);
-    std::optional<store::CacheKey> key;
-    if (store_) {
-        key = profileKey(workloadKey("profile", spec),
-                         entry.conditional->options(), false);
-    }
-    ensureStep1(entry, key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
-    return entry.conditional->step1Sweep();
-}
-
-const core::FixedLengthSweep &
-ExperimentContext::indirectSweep(const workload::BenchmarkSpec &spec,
-                                 unsigned index_bits,
-                                 core::PathHistoryOptions history)
-{
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, true, history);
-    std::optional<store::CacheKey> key;
-    if (store_) {
-        key = profileKey(workloadKey("profile", spec),
-                         entry.indirect->options(), true);
-    }
-    ensureStep1(entry, key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
-    return entry.indirect->step1Sweep();
+    return ensureStep1(
+        profilerEntry(spec.name, index_bits, indirect, history),
+        [&](const char *kind) { return workloadKey(kind, spec); },
+        [&] { return trace(spec, workload::InputKind::Profile); });
 }
 
 const core::HashAssignment &
-ExperimentContext::conditionalAssignment(
-        const workload::BenchmarkSpec &spec, unsigned index_bits,
-        core::PathHistoryOptions history)
+ExperimentContext::assignment(const workload::BenchmarkSpec &spec,
+                              unsigned index_bits, bool indirect,
+                              core::PathHistoryOptions history)
 {
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, false, history);
-    std::optional<store::CacheKey> assignment_key;
-    std::optional<store::CacheKey> profile_key;
-    if (store_) {
-        assignment_key = assignmentKey(
-            workloadKey("assignment", spec),
-            entry.conditional->options(), false);
-        profile_key = profileKey(workloadKey("profile", spec),
-                                 entry.conditional->options(), false);
-    }
-    return ensureAssignment(entry, assignment_key, profile_key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
-}
-
-const core::HashAssignment &
-ExperimentContext::indirectAssignment(const workload::BenchmarkSpec &spec,
-                                      unsigned index_bits,
-                                      core::PathHistoryOptions history)
-{
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, true, history);
-    std::optional<store::CacheKey> assignment_key;
-    std::optional<store::CacheKey> profile_key;
-    if (store_) {
-        assignment_key = assignmentKey(
-            workloadKey("assignment", spec),
-            entry.indirect->options(), true);
-        profile_key = profileKey(workloadKey("profile", spec),
-                                 entry.indirect->options(), true);
-    }
-    return ensureAssignment(entry, assignment_key, profile_key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
+    return ensureAssignment(
+        profilerEntry(spec.name, index_bits, indirect, history),
+        [&](const char *kind) { return workloadKey(kind, spec); },
+        [&] { return trace(spec, workload::InputKind::Profile); });
 }
 
 const core::FixedLengthSweep &
@@ -460,21 +400,12 @@ ExperimentContext::externalSweep(const ExternalTrace &ext,
 {
     // "ext:" + hash cannot collide with a benchmark name, so external
     // profilers share the in-process map with synthetic ones.
-    ProfilerEntry &entry = profilerEntry("ext:" + ext.contentHash,
-                                         index_bits, indirect, {});
-    std::optional<store::CacheKey> key;
-    if (store_) {
-        const core::ProfileOptions &options =
-            indirect ? entry.indirect->options()
-                     : entry.conditional->options();
-        key = profileKey(externalKey("profile", ext), options,
-                         indirect);
-    }
-    ensureStep1(entry, key, [&]() -> std::shared_ptr<trace::TraceSource> {
-        return openExternal(ext);
-    });
-    return indirect ? entry.indirect->step1Sweep()
-                    : entry.conditional->step1Sweep();
+    return ensureStep1(
+        profilerEntry("ext:" + ext.contentHash, index_bits, indirect, {}),
+        [&](const char *kind) { return externalKey(kind, ext); },
+        [&]() -> std::shared_ptr<trace::TraceSource> {
+            return openExternal(ext);
+        });
 }
 
 const core::HashAssignment &
@@ -482,21 +413,9 @@ ExperimentContext::externalAssignment(const ExternalTrace &ext,
                                       unsigned index_bits,
                                       bool indirect)
 {
-    ProfilerEntry &entry = profilerEntry("ext:" + ext.contentHash,
-                                         index_bits, indirect, {});
-    std::optional<store::CacheKey> assignment_key;
-    std::optional<store::CacheKey> profile_key;
-    if (store_) {
-        const core::ProfileOptions &options =
-            indirect ? entry.indirect->options()
-                     : entry.conditional->options();
-        assignment_key = assignmentKey(externalKey("assignment", ext),
-                                       options, indirect);
-        profile_key = profileKey(externalKey("profile", ext), options,
-                                 indirect);
-    }
     return ensureAssignment(
-        entry, assignment_key, profile_key,
+        profilerEntry("ext:" + ext.contentHash, index_bits, indirect, {}),
+        [&](const char *kind) { return externalKey(kind, ext); },
         [&]() -> std::shared_ptr<trace::TraceSource> {
             return openExternal(ext);
         });
@@ -554,14 +473,11 @@ ExperimentContext::averageSweep(std::size_t bytes, bool indirect)
                            + std::to_string(bytes)];
     }
     entry->once.call([&] {
-        const unsigned index_bits = indirect
-            ? pred::indirectIndexBits(bytes)
-            : pred::conditionalIndexBits(bytes);
+        const unsigned index_bits = indexBits(bytes, indirect);
         const auto &suite = workload::benchmarkSuite();
         std::vector<const core::FixedLengthSweep *> sweeps(suite.size());
         const auto sweep_one = [&](std::size_t i) {
-            sweeps[i] = indirect ? &indirectSweep(suite[i], index_bits)
-                                 : &conditionalSweep(suite[i], index_bits);
+            sweeps[i] = &sweep(suite[i], index_bits, indirect);
         };
         if (pool_) {
             pool_->parallelFor(suite.size(), sweep_one);
@@ -583,28 +499,10 @@ ExperimentContext::averageSweep(std::size_t bytes, bool indirect)
     return entry->rates;
 }
 
-std::vector<double>
-ExperimentContext::averageConditionalSweep(std::size_t bytes)
-{
-    return averageSweep(bytes, false);
-}
-
-std::vector<double>
-ExperimentContext::averageIndirectSweep(std::size_t bytes)
-{
-    return averageSweep(bytes, true);
-}
-
 unsigned
-ExperimentContext::globalConditionalLength(std::size_t bytes)
+ExperimentContext::globalLength(std::size_t bytes, bool indirect)
 {
-    return argminLength(averageConditionalSweep(bytes));
-}
-
-unsigned
-ExperimentContext::globalIndirectLength(std::size_t bytes)
-{
-    return argminLength(averageIndirectSweep(bytes));
+    return argminLength(averageSweep(bytes, indirect));
 }
 
 namespace {
@@ -641,206 +539,144 @@ fetchComparisonRow(store::ArtifactStore *store,
 }
 
 /**
- * Shared conditional-comparison body: build the predictor set, replay
- * the evaluation trace, and assemble the row.
+ * Register @p predictors (the class's baselines), then fixed length
+ * path at @p global_length, optionally the tuned fixed length, and
+ * variable length path; replay @p eval_trace and assemble the row.
  */
+template <typename PathPredictor, typename Baseline>
 ComparisonRow
-runConditionalComparison(const std::string &name,
-                         trace::TraceSource &eval_trace,
-                         unsigned index_bits, unsigned global_length,
-                         unsigned tuned_length,
-                         const core::HashAssignment &assignment,
-                         bool include_tuned)
+replay(const std::string &name, trace::TraceSource &eval_trace,
+       std::vector<Baseline *> predictors, unsigned index_bits,
+       unsigned global_length, unsigned tuned_length,
+       const core::HashAssignment &assignment, bool include_tuned)
 {
-    pred::GsharePredictor gshare(index_bits);
-    core::PathConditionalPredictor flp(index_bits, global_length);
-    core::PathConditionalPredictor flp_tuned(index_bits, tuned_length);
-    core::PathConditionalPredictor vlp(index_bits, assignment);
-
-    Simulator simulator;
-    simulator.addConditional(&gshare);
-    simulator.addConditional(&flp);
+    const std::size_t tuned_column = predictors.size() + 1;
+    PathPredictor flp(index_bits, global_length);
+    PathPredictor flp_tuned(index_bits, tuned_length);
+    PathPredictor vlp(index_bits, assignment);
+    predictors.push_back(&flp);
     if (include_tuned)
-        simulator.addConditional(&flp_tuned);
-    simulator.addConditional(&vlp);
+        predictors.push_back(&flp_tuned);
+    predictors.push_back(&vlp);
 
+    constexpr bool indirect =
+        std::is_same_v<Baseline, pred::IndirectPredictor>;
+    Simulator simulator;
+    for (Baseline *predictor : predictors) {
+        if constexpr (indirect)
+            simulator.addIndirect(predictor);
+        else
+            simulator.addConditional(predictor);
+    }
     eval_trace.reset();
     simulator.run(eval_trace);
 
     ComparisonRow row;
     row.benchmark = name;
-    for (const auto &result : simulator.conditionalResults())
+    for (const auto &result : indirect ? simulator.indirectResults()
+                                       : simulator.conditionalResults())
         row.entries.push_back(toRateEntry(result));
     if (include_tuned)
-        row.entries[2].predictor = names::flpTuned;
+        row.entries[tuned_column].predictor = names::flpTuned;
     return row;
 }
 
-/** Indirect counterpart of runConditionalComparison(). */
+/**
+ * The predictor set a comparison of the class @p indirect selects
+ * replays: gshare for conditional branches, the Chang-Hao-Patt path
+ * and pattern target caches for indirect ones, then the path
+ * predictors (see replay()).
+ */
 ComparisonRow
-runIndirectComparison(const std::string &name,
-                      trace::TraceSource &eval_trace,
-                      unsigned index_bits, unsigned global_length,
-                      unsigned tuned_length,
-                      const core::HashAssignment &assignment,
-                      bool include_tuned)
+replayComparison(const std::string &name, trace::TraceSource &eval_trace,
+                 bool indirect, unsigned index_bits,
+                 unsigned global_length, unsigned tuned_length,
+                 const core::HashAssignment &assignment,
+                 bool include_tuned)
 {
-    pred::PathTargetCache chp_path(index_bits);
-    pred::PatternTargetCache chp_pattern(index_bits);
-    core::PathIndirectPredictor flp(index_bits, global_length);
-    core::PathIndirectPredictor flp_tuned(index_bits, tuned_length);
-    core::PathIndirectPredictor vlp(index_bits, assignment);
+    if (indirect) {
+        pred::PathTargetCache chp_path(index_bits);
+        pred::PatternTargetCache chp_pattern(index_bits);
+        return replay<core::PathIndirectPredictor,
+                      pred::IndirectPredictor>(
+            name, eval_trace, {&chp_path, &chp_pattern}, index_bits,
+            global_length, tuned_length, assignment, include_tuned);
+    }
+    pred::GsharePredictor gshare(index_bits);
+    return replay<core::PathConditionalPredictor,
+                  pred::ConditionalPredictor>(
+        name, eval_trace, {&gshare}, index_bits, global_length,
+        tuned_length, assignment, include_tuned);
+}
 
-    Simulator simulator;
-    simulator.addIndirect(&chp_path);
-    simulator.addIndirect(&chp_pattern);
-    simulator.addIndirect(&flp);
-    if (include_tuned)
-        simulator.addIndirect(&flp_tuned);
-    simulator.addIndirect(&vlp);
+/**
+ * The one comparison body: the cached row under @p key, else the tuned
+ * length and assignment from @p profile_sweep / @p profile_assignment,
+ * a replay over the trace @p eval_trace opens, and a store insert.
+ */
+template <typename Sweep, typename Assign, typename Open>
+ComparisonRow
+compareWith(ExperimentContext &context, const store::CacheKey &key,
+            const std::string &name, std::size_t bytes,
+            unsigned global_length, bool indirect, bool include_tuned,
+            Sweep &&profile_sweep, Assign &&profile_assignment,
+            Open &&eval_trace)
+{
+    context.throwIfCancelled();
+    if (auto cached = fetchComparisonRow(context.store(), key))
+        return *cached;
 
-    eval_trace.reset();
-    simulator.run(eval_trace);
-
-    ComparisonRow row;
-    row.benchmark = name;
-    for (const auto &result : simulator.indirectResults())
-        row.entries.push_back(toRateEntry(result));
-    if (include_tuned)
-        row.entries[3].predictor = names::flpTuned;
+    const unsigned index_bits = indexBits(bytes, indirect);
+    const unsigned tuned_length = profile_sweep(index_bits).bestLength();
+    const core::HashAssignment &assignment = profile_assignment(index_bits);
+    const auto trace = eval_trace();
+    ComparisonRow row = replayComparison(
+        name, *trace, indirect, index_bits, global_length, tuned_length,
+        assignment, include_tuned);
+    if (auto *store = context.store())
+        store->insert(key, store::encodeComparisonRow(row));
     return row;
 }
 
 } // anonymous namespace
 
 ComparisonRow
-compareConditional(ExperimentContext &context,
-                   const workload::BenchmarkSpec &spec,
-                   std::size_t bytes, unsigned global_length,
-                   bool include_tuned)
+compare(ExperimentContext &context, const workload::BenchmarkSpec &spec,
+        std::size_t bytes, unsigned global_length, bool indirect,
+        bool include_tuned)
 {
-    context.throwIfCancelled();
-    const store::CacheKey key =
-        comparisonKey(spec, false, bytes, global_length, include_tuned);
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
-
-    const unsigned index_bits = pred::conditionalIndexBits(bytes);
-    const unsigned tuned_length =
-        context.conditionalSweep(spec, index_bits).bestLength();
-    const core::HashAssignment &assignment =
-        context.conditionalAssignment(spec, index_bits);
-
-    const auto test_trace =
-        context.trace(spec, workload::InputKind::Test);
-    ComparisonRow row = runConditionalComparison(
-        spec.name, *test_trace, index_bits, global_length, tuned_length,
-        assignment, include_tuned);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
+    return compareWith(
+        context,
+        comparisonKey(spec, indirect, bytes, global_length, include_tuned),
+        spec.name, bytes, global_length, indirect, include_tuned,
+        [&](unsigned bits) -> const core::FixedLengthSweep & {
+            return context.sweep(spec, bits, indirect);
+        },
+        [&](unsigned bits) -> const core::HashAssignment & {
+            return context.assignment(spec, bits, indirect);
+        },
+        [&] { return context.trace(spec, workload::InputKind::Test); });
 }
 
 ComparisonRow
-compareIndirect(ExperimentContext &context,
-                const workload::BenchmarkSpec &spec, std::size_t bytes,
-                unsigned global_length, bool include_tuned)
+compareExternal(ExperimentContext &context, const ExternalTrace &profile,
+                const ExternalTrace &test, std::size_t bytes,
+                unsigned global_length, bool indirect)
 {
-    context.throwIfCancelled();
-    const store::CacheKey key =
-        comparisonKey(spec, true, bytes, global_length, include_tuned);
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
-
-    const unsigned index_bits = pred::indirectIndexBits(bytes);
-    const unsigned tuned_length =
-        context.indirectSweep(spec, index_bits).bestLength();
-    const core::HashAssignment &assignment =
-        context.indirectAssignment(spec, index_bits);
-
-    const auto test_trace =
-        context.trace(spec, workload::InputKind::Test);
-    ComparisonRow row = runIndirectComparison(
-        spec.name, *test_trace, index_bits, global_length, tuned_length,
-        assignment, include_tuned);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
-}
-
-ComparisonRow
-compareExternalConditional(ExperimentContext &context,
-                           const ExternalTrace &profile,
-                           const ExternalTrace &test, std::size_t bytes,
-                           unsigned global_length)
-{
-    context.throwIfCancelled();
-    const store::CacheKey key = externalComparisonKey(
-        profile, test, false, bytes, global_length, true);
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
-
     // Everything learned comes from the profile trace (and is cached
-    // under its content hash); only the replay below touches the test
-    // trace.
-    const unsigned index_bits = pred::conditionalIndexBits(bytes);
-    const unsigned tuned_length =
-        context.externalSweep(profile, index_bits, false).bestLength();
-    const core::HashAssignment &assignment =
-        context.externalAssignment(profile, index_bits, false);
-
-    const auto eval_trace = context.openExternal(test);
-    ComparisonRow row = runConditionalComparison(
-        test.name, *eval_trace, index_bits, global_length,
-        tuned_length, assignment, true);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
-}
-
-ComparisonRow
-compareExternalIndirect(ExperimentContext &context,
-                        const ExternalTrace &profile,
-                        const ExternalTrace &test, std::size_t bytes,
-                        unsigned global_length)
-{
-    context.throwIfCancelled();
-    const store::CacheKey key = externalComparisonKey(
-        profile, test, true, bytes, global_length, true);
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
-
-    const unsigned index_bits = pred::indirectIndexBits(bytes);
-    const unsigned tuned_length =
-        context.externalSweep(profile, index_bits, true).bestLength();
-    const core::HashAssignment &assignment =
-        context.externalAssignment(profile, index_bits, true);
-
-    const auto eval_trace = context.openExternal(test);
-    ComparisonRow row = runIndirectComparison(
-        test.name, *eval_trace, index_bits, global_length,
-        tuned_length, assignment, true);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
-}
-
-ComparisonRow
-compareExternalConditional(ExperimentContext &context,
-                           const ExternalTrace &trace,
-                           std::size_t bytes, unsigned global_length)
-{
-    return compareExternalConditional(context, trace, trace, bytes,
-                                      global_length);
-}
-
-ComparisonRow
-compareExternalIndirect(ExperimentContext &context,
-                        const ExternalTrace &trace, std::size_t bytes,
-                        unsigned global_length)
-{
-    return compareExternalIndirect(context, trace, trace, bytes,
-                                   global_length);
+    // under its content hash); only the replay touches the test trace.
+    return compareWith(
+        context,
+        externalComparisonKey(profile, test, indirect, bytes,
+                              global_length, true),
+        test.name, bytes, global_length, indirect, true,
+        [&](unsigned bits) -> const core::FixedLengthSweep & {
+            return context.externalSweep(profile, bits, indirect);
+        },
+        [&](unsigned bits) -> const core::HashAssignment & {
+            return context.externalAssignment(profile, bits, indirect);
+        },
+        [&] { return context.openExternal(test); });
 }
 
 } // namespace sim

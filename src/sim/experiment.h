@@ -9,6 +9,10 @@
  * averages per benchmark/size), so a bench that needs the global fixed
  * length *and* per-benchmark VLP assignments profiles each benchmark
  * exactly once, however many threads ask.
+ *
+ * Both branch classes share every accessor and comparison: a
+ * `bool indirect` argument selects the class, as it does in the cache
+ * keys (class=cond|ind).
  */
 
 #ifndef VLPSIM_SIM_EXPERIMENT_H
@@ -38,7 +42,7 @@
 namespace vlp {
 namespace store {
 class ArtifactStore;
-class CacheKey;
+class KeyBuilder;
 } // namespace store
 
 namespace util {
@@ -207,31 +211,27 @@ class ExperimentContext
     }
 
     /**
-     * Step-1 sweep for conditional branches of @p spec at @p
-     * index_bits (profile input), cached.
+     * Step-1 sweep for the branch class @p indirect selects, of
+     * @p spec at @p index_bits (profile input), cached.
      */
+    const core::FixedLengthSweep &
+    sweep(const workload::BenchmarkSpec &spec, unsigned index_bits,
+          bool indirect, core::PathHistoryOptions history = {});
+
+    /** Full two-step profiling result, cached like sweep(). */
+    const core::HashAssignment &
+    assignment(const workload::BenchmarkSpec &spec, unsigned index_bits,
+               bool indirect, core::PathHistoryOptions history = {});
+
+    /** sweep(spec, index_bits, false, history); kept for perfbench/src
+     *  until the replica is re-mirrored. */
     const core::FixedLengthSweep &
     conditionalSweep(const workload::BenchmarkSpec &spec,
                      unsigned index_bits,
-                     core::PathHistoryOptions history = {});
-
-    /** Step-1 sweep for indirect branches, cached. */
-    const core::FixedLengthSweep &
-    indirectSweep(const workload::BenchmarkSpec &spec,
-                  unsigned index_bits,
-                  core::PathHistoryOptions history = {});
-
-    /** Full two-step conditional profiling result, cached. */
-    const core::HashAssignment &
-    conditionalAssignment(const workload::BenchmarkSpec &spec,
-                          unsigned index_bits,
-                          core::PathHistoryOptions history = {});
-
-    /** Full two-step indirect profiling result, cached. */
-    const core::HashAssignment &
-    indirectAssignment(const workload::BenchmarkSpec &spec,
-                       unsigned index_bits,
-                       core::PathHistoryOptions history = {});
+                     core::PathHistoryOptions history = {})
+    {
+        return sweep(spec, index_bits, false, history);
+    }
 
     /**
      * Open an external trace for one streaming replay: the parked
@@ -261,30 +261,32 @@ class ExperimentContext
                        bool indirect);
 
     /**
-     * Average conditional misprediction rate per path length over the
-     * whole suite at a table of @p bytes (profile inputs) — the curve
-     * whose minimum defines the paper's global fixed length (Table 2).
-     * The per-benchmark sweeps fan out over the pool, if any; the
-     * average accumulates in suite order (SuiteAverage), so it is
-     * bit-identical for any pool size.
+     * Average misprediction rate per path length of the branch class
+     * @p indirect selects, over the whole suite at a table of @p bytes
+     * (profile inputs) — the curve whose minimum defines the paper's
+     * global fixed length (Table 2). Indirect averages skip benchmarks
+     * with fewer than minIndirectBranches indirect branches. The
+     * per-benchmark sweeps fan out over the pool, if any; the average
+     * accumulates in suite order (SuiteAverage), so it is bit-identical
+     * for any pool size.
      * @return rates[L-1] in percent for L = 1..32
      */
-    std::vector<double> averageConditionalSweep(std::size_t bytes);
+    std::vector<double> averageSweep(std::size_t bytes, bool indirect);
 
-    /** Indirect counterpart of averageConditionalSweep(). */
-    std::vector<double> averageIndirectSweep(std::size_t bytes);
+    /** The global fixed path length: argminLength(averageSweep()). */
+    unsigned globalLength(std::size_t bytes, bool indirect);
 
-    /** The global fixed path length for conditional predictors. */
-    unsigned globalConditionalLength(std::size_t bytes);
-
-    /** The global fixed path length for indirect predictors. */
-    unsigned globalIndirectLength(std::size_t bytes);
+    /** globalLength(bytes, false); kept for perfbench/src until the
+     *  replica is re-mirrored. */
+    unsigned globalConditionalLength(std::size_t bytes)
+    {
+        return globalLength(bytes, false);
+    }
 
   private:
     struct ProfilerEntry
     {
-        std::unique_ptr<core::ConditionalProfiler> conditional;
-        std::unique_ptr<core::IndirectProfiler> indirect;
+        std::unique_ptr<core::Profiler> profiler;
         util::Once step1;
         util::Once step2;
         std::optional<core::HashAssignment> assignment;
@@ -316,6 +318,10 @@ class ExperimentContext
     using TraceProvider =
         std::function<std::shared_ptr<trace::TraceSource>()>;
 
+    /** The store-key prefix of one artifact kind ("profile",
+     *  "assignment") for the profiled trace. */
+    using KeyPrefix = std::function<store::KeyBuilder(const char *kind)>;
+
     static Key makeKey(const std::string &name, unsigned index_bits,
                        bool indirect, core::PathHistoryOptions history);
 
@@ -325,22 +331,18 @@ class ExperimentContext
 
     /**
      * Ensure step 1 has run for @p entry: restore it from the store
-     * under @p key when possible, otherwise replay the trace from
-     * @p profile_trace (and persist the result).
+     * (under the "profile" key of @p prefix) when possible, otherwise
+     * replay the trace from @p profile_trace (and persist the result).
      */
-    void ensureStep1(ProfilerEntry &entry,
-                     const std::optional<store::CacheKey> &key,
-                     const TraceProvider &profile_trace);
+    const core::FixedLengthSweep &
+    ensureStep1(ProfilerEntry &entry, const KeyPrefix &prefix,
+                const TraceProvider &profile_trace);
 
-    /** Shared body of the four assignment accessors. */
+    /** Shared body of the two assignment accessors: the stored
+     *  assignment, else step 1 (ensureStep1()) then step 2. */
     const core::HashAssignment &
-    ensureAssignment(ProfilerEntry &entry,
-                     const std::optional<store::CacheKey> &assignment_key,
-                     const std::optional<store::CacheKey> &profile_key,
+    ensureAssignment(ProfilerEntry &entry, const KeyPrefix &prefix,
                      const TraceProvider &profile_trace);
-
-    /** Shared body of the two average accessors. */
-    std::vector<double> averageSweep(std::size_t bytes, bool indirect);
 
     /** Put @p entry's live records at the front of the LRU and trim
      *  it; call under mutex_. */
@@ -398,71 +400,46 @@ class SuiteAverage
 unsigned argminLength(const std::vector<double> &rates);
 
 /**
- * Compare the paper's conditional predictors on one benchmark:
- * gshare, fixed length path (at @p global_length), optionally "fixed
- * length path (tuned)" (per-benchmark best profiled length), and the
- * variable length path predictor, all with tables of @p bytes,
- * evaluated on the test input.
+ * Compare the paper's predictors for the branch class @p indirect
+ * selects on one benchmark, all with tables of @p bytes, evaluated on
+ * the test input. Conditional rows hold gshare, fixed length path (at
+ * @p global_length), optionally "fixed length path (tuned)" (the
+ * per-benchmark best profiled length), and variable length path.
+ * Indirect rows lead with the Chang-Hao-Patt path and pattern target
+ * caches in place of gshare.
  */
-ComparisonRow compareConditional(ExperimentContext &context,
-                                 const workload::BenchmarkSpec &spec,
-                                 std::size_t bytes,
-                                 unsigned global_length,
-                                 bool include_tuned = false);
+ComparisonRow compare(ExperimentContext &context,
+                      const workload::BenchmarkSpec &spec,
+                      std::size_t bytes, unsigned global_length,
+                      bool indirect, bool include_tuned = false);
+
+/** compare(context, spec, bytes, global_length, false, include_tuned);
+ *  kept for perfbench/src until the replica is re-mirrored. */
+inline ComparisonRow
+compareConditional(ExperimentContext &context,
+                   const workload::BenchmarkSpec &spec, std::size_t bytes,
+                   unsigned global_length, bool include_tuned = false)
+{
+    return compare(context, spec, bytes, global_length, false,
+                   include_tuned);
+}
 
 /**
- * Compare the paper's indirect predictors on one benchmark: the
- * Chang-Hao-Patt path and pattern target caches, fixed length path,
- * optionally tuned fixed length path, and variable length path.
+ * compare() for an external trace pair — the paper's §3 methodology:
+ * profile on one input, evaluate on another. All profiling artifacts
+ * (step-1 sweep, tuned length, step-2 assignment) come from
+ * @p profile and are cached under *its* content hash, so swapping the
+ * evaluation trace reuses them; the predictors are then replayed over
+ * @p test. The row's cache key carries both content hashes — a row
+ * evaluated on one test trace can never be served for another. The
+ * row always includes the profile-tuned fixed length. Self-evaluation
+ * is the profile == test case, which overstates accuracy; the suite
+ * runner labels it "self-eval".
  */
-ComparisonRow compareIndirect(ExperimentContext &context,
-                              const workload::BenchmarkSpec &spec,
-                              std::size_t bytes,
-                              unsigned global_length,
-                              bool include_tuned = false);
-
-/**
- * compareConditional() for an external trace pair — the paper's §3
- * methodology: profile on one input, evaluate on another. All
- * profiling artifacts (step-1 sweep, tuned length, step-2 assignment)
- * come from @p profile and are cached under *its* content hash, so
- * swapping the evaluation trace reuses them; the predictors are then
- * replayed over @p test. The row's cache key carries both content
- * hashes — a row evaluated on one test trace can never be served for
- * another. Compared predictors: gshare, fixed length path at
- * @p global_length, the profile-tuned fixed length, and the variable
- * length path predictor.
- */
-ComparisonRow compareExternalConditional(ExperimentContext &context,
-                                         const ExternalTrace &profile,
-                                         const ExternalTrace &test,
-                                         std::size_t bytes,
-                                         unsigned global_length);
-
-/** Indirect counterpart of the paired compareExternalConditional(). */
-ComparisonRow compareExternalIndirect(ExperimentContext &context,
-                                      const ExternalTrace &profile,
-                                      const ExternalTrace &test,
-                                      std::size_t bytes,
-                                      unsigned global_length);
-
-/**
- * Self-evaluation shorthand: profile and evaluate on the same trace.
- * This overstates accuracy (the predictor is tested on the input it
- * was trained on) — callers with a second input per workload should
- * use the paired overload; the suite runner labels results from this
- * path "self-eval".
- */
-ComparisonRow compareExternalConditional(ExperimentContext &context,
-                                         const ExternalTrace &trace,
-                                         std::size_t bytes,
-                                         unsigned global_length);
-
-/** Self-evaluation counterpart of compareExternalIndirect(). */
-ComparisonRow compareExternalIndirect(ExperimentContext &context,
-                                      const ExternalTrace &trace,
-                                      std::size_t bytes,
-                                      unsigned global_length);
+ComparisonRow compareExternal(ExperimentContext &context,
+                              const ExternalTrace &profile,
+                              const ExternalTrace &test, std::size_t bytes,
+                              unsigned global_length, bool indirect);
 
 /** Canonical predictor display names used in comparison rows. */
 namespace names {

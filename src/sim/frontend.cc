@@ -149,15 +149,6 @@ FetchEngine::attachHfnt(
 }
 
 void
-FetchEngine::run(trace::TraceSource &source)
-{
-    if (parameters_.mode == FrontendMode::RetireOrder)
-        runRetireOrder(source);
-    else
-        runFetchBundle(source);
-}
-
-void
 FetchEngine::closeBundle(ConditionalSlot &slot)
 {
     if (slot.slotsUsed == 0)
@@ -255,7 +246,7 @@ FetchEngine::advanceHistory(pred::Predictor &predictor,
 }
 
 void
-FetchEngine::runFetchBundle(trace::TraceSource &source)
+FetchEngine::run(trace::TraceSource &source)
 {
     trace::BranchRecord record;
     while (source.next(record)) {
@@ -314,72 +305,6 @@ FetchEngine::runFetchBundle(trace::TraceSource &source)
             slot.timing.mispredictions, 0);
         filled.checkpointRestores = slot.timing.checkpointRestores;
         slot.timing = filled;
-    }
-}
-
-void
-FetchEngine::runRetireOrder(trace::TraceSource &source)
-{
-    trace::BranchRecord record;
-    while (source.next(record)) {
-        if (record.isConditional()) {
-            for (ConditionalSlot &slot : conditional_) {
-                if (slot.hfnt != nullptr) {
-                    // Same HFNT stream as the fetch-bundle mode, so
-                    // repredictEvents agrees; only the cycle charge
-                    // is closed-form here.
-                    const unsigned actual_number =
-                        slot.actualNumber(record);
-                    if (slot.hfnt->predictNumber(record.pc)
-                        != actual_number)
-                        ++slot.timing.repredictEvents;
-                    slot.hfnt->update(record.pc, actual_number);
-                }
-                const bool predicted =
-                    slot.predictor->predict(record);
-                const bool miss = predicted != record.taken;
-                ++slot.timing.branches;
-                slot.timing.mispredictions += miss ? 1 : 0;
-                slot.predictor->update(record);
-            }
-        } else if (record.isIndirect()) {
-            for (IndirectSlot &slot : indirect_) {
-                const std::uint64_t predicted =
-                    slot.predictor->predict(record);
-                const bool miss = predicted != record.nextPc;
-                ++slot.timing.branches;
-                slot.timing.mispredictions += miss ? 1 : 0;
-                slot.predictor->update(record);
-            }
-        } else if (record.isReturn()) {
-            ++returns_;
-            if (ras_.predictAndPop() != record.nextPc)
-                ++returnMisses_;
-        }
-
-        if (record.isCall())
-            ras_.push(record.pc + trace::instructionBytes);
-
-        for (ConditionalSlot &slot : conditional_)
-            slot.predictor->observe(record);
-        for (IndirectSlot &slot : indirect_)
-            slot.predictor->observe(record);
-    }
-    fillClosedFormTiming();
-}
-
-void
-FetchEngine::fillClosedFormTiming()
-{
-    for (ConditionalSlot &slot : conditional_) {
-        slot.timing = closedFormFrontend(
-            parameters_, slot.timing.branches,
-            slot.timing.mispredictions, slot.timing.repredictEvents);
-    }
-    for (IndirectSlot &slot : indirect_) {
-        slot.timing = closedFormFrontend(
-            parameters_, slot.timing.branches,
-            slot.timing.mispredictions, 0);
     }
 }
 

@@ -54,25 +54,9 @@
 namespace vlp {
 namespace sim {
 
-/** How the engine advances predictor state. */
-enum class FrontendMode
-{
-    /**
-     * Retirement order, exactly the Simulator's loop, with closed-form
-     * timing. The equivalence baseline.
-     */
-    RetireOrder,
-    /**
-     * Speculate-at-fetch with checkpoint repair and per-bundle cycle
-     * accounting.
-     */
-    FetchBundle,
-};
-
 /** Front-end configuration. */
 struct FrontendParameters
 {
-    FrontendMode mode = FrontendMode::FetchBundle;
     /** m: branch slots per fetch bundle (one bundle per cycle). */
     unsigned bundleWidth = 4;
     /** Average instructions fetched per branch (for IPC). */
@@ -110,7 +94,7 @@ struct FrontendResult
     std::uint64_t mispredictions = 0;
     /** HFNT mismatches charged in-line (0 without an HFNT). */
     std::uint64_t repredictEvents = 0;
-    /** Fetch bundles issued (engine modes only; 0 in closed form). */
+    /** Fetch bundles issued (engine only; 0 in closed form). */
     std::uint64_t bundles = 0;
     /** Bundles split because two branches hit one bank. */
     std::uint64_t bankConflicts = 0;
@@ -128,8 +112,8 @@ struct FrontendResult
 };
 
 /**
- * Closed-form fill of a FrontendResult — the thin fallback the
- * RetireOrder mode and sim/timing.h build on: bundles of up to m
+ * Closed-form fill of a FrontendResult — the thin fallback that
+ * indirect slots and sim/timing.h build on: bundles of up to m
  * branches with no conflict or speculation modelling. branches == 0 or
  * bundle_width == 0 yields the all-zero result.
  */
@@ -141,8 +125,8 @@ FrontendResult closedFormFrontend(const FrontendParameters &parameters,
 /**
  * The fetch-bundle front end. Register predictors (borrowed, like the
  * Simulator's), optionally attach an HFNT to a conditional slot, call
- * run(), then read accuracy results (bit-identical to the Simulator in
- * both modes) and per-slot timing.
+ * run(), then read accuracy results (bit-identical to the Simulator,
+ * which stays the retire-order reference) and per-slot timing.
  */
 class FetchEngine
 {
@@ -234,12 +218,6 @@ class FetchEngine
                         const trace::BranchRecord &wrong_path,
                         FrontendResult &timing,
                         const std::string &chaos_key);
-
-    void runRetireOrder(trace::TraceSource &source);
-    void runFetchBundle(trace::TraceSource &source);
-
-    /** Fill closed-form timing for every slot (RetireOrder mode). */
-    void fillClosedFormTiming();
 
     FrontendParameters parameters_;
     std::vector<ConditionalSlot> conditional_;

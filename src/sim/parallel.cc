@@ -34,31 +34,15 @@ ParallelRunner::runSharded(std::size_t count,
 }
 
 std::vector<ComparisonRow>
-ParallelRunner::compareConditionalSuite(
+ParallelRunner::compareSuite(
         const std::vector<workload::BenchmarkSpec> &specs,
-        std::size_t bytes, unsigned global_length, bool include_tuned)
+        std::size_t bytes, unsigned global_length, bool indirect,
+        bool include_tuned)
 {
     auto rows = map<ComparisonRow>(
         specs.size(), [&](ExperimentContext &context, std::size_t i) {
-            return compareConditional(context, specs[i], bytes,
-                                      global_length, include_tuned);
-        });
-    for (const ComparisonRow &row : rows) {
-        for (const RateEntry &entry : row.entries)
-            addPredictions(entry.branches);
-    }
-    return rows;
-}
-
-std::vector<ComparisonRow>
-ParallelRunner::compareIndirectSuite(
-        const std::vector<workload::BenchmarkSpec> &specs,
-        std::size_t bytes, unsigned global_length, bool include_tuned)
-{
-    auto rows = map<ComparisonRow>(
-        specs.size(), [&](ExperimentContext &context, std::size_t i) {
-            return compareIndirect(context, specs[i], bytes,
-                                   global_length, include_tuned);
+            return compare(context, specs[i], bytes, global_length,
+                           indirect, include_tuned);
         });
     for (const ComparisonRow &row : rows) {
         for (const RateEntry &entry : row.entries)
@@ -70,9 +54,7 @@ ParallelRunner::compareIndirectSuite(
 std::vector<double>
 ParallelRunner::averageSweep(std::size_t bytes, bool indirect)
 {
-    std::vector<double> average =
-        indirect ? context_.averageIndirectSweep(bytes)
-                 : context_.averageConditionalSweep(bytes);
+    std::vector<double> average = context_.averageSweep(bytes, indirect);
     {
         std::lock_guard<std::mutex> lock(countedMutex_);
         if (!countedAverages_.emplace(bytes, indirect).second)
@@ -82,38 +64,18 @@ ParallelRunner::averageSweep(std::size_t bytes, bool indirect)
         ? pred::indirectIndexBits(bytes)
         : pred::conditionalIndexBits(bytes);
     for (const auto &spec : workload::benchmarkSuite()) {
-        const core::FixedLengthSweep &sweep = indirect
-            ? context_.indirectSweep(spec, index_bits)
-            : context_.conditionalSweep(spec, index_bits);
         // Step 1 drives all maxPathLength fixed-length predictors at
         // once.
-        addPredictions(sweep.branches * core::maxPathLength);
+        addPredictions(context_.sweep(spec, index_bits, indirect).branches
+                       * core::maxPathLength);
     }
     return average;
 }
 
-std::vector<double>
-ParallelRunner::averageConditionalSweep(std::size_t bytes)
-{
-    return averageSweep(bytes, false);
-}
-
-std::vector<double>
-ParallelRunner::averageIndirectSweep(std::size_t bytes)
-{
-    return averageSweep(bytes, true);
-}
-
 unsigned
-ParallelRunner::globalConditionalLength(std::size_t bytes)
+ParallelRunner::globalLength(std::size_t bytes, bool indirect)
 {
-    return argminLength(averageConditionalSweep(bytes));
-}
-
-unsigned
-ParallelRunner::globalIndirectLength(std::size_t bytes)
-{
-    return argminLength(averageIndirectSweep(bytes));
+    return argminLength(averageSweep(bytes, indirect));
 }
 
 } // namespace sim

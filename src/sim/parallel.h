@@ -113,36 +113,23 @@ class ParallelRunner
     }
 
     /**
-     * compareConditional() for each of @p specs (suite order in,
-     * suite order out), spread across workers.
+     * compare() for each of @p specs (suite order in, suite order
+     * out), spread across workers.
      */
     std::vector<ComparisonRow>
-    compareConditionalSuite(const std::vector<workload::BenchmarkSpec> &specs,
-                            std::size_t bytes, unsigned global_length,
-                            bool include_tuned = false);
-
-    /** Indirect counterpart of compareConditionalSuite(). */
-    std::vector<ComparisonRow>
-    compareIndirectSuite(const std::vector<workload::BenchmarkSpec> &specs,
-                         std::size_t bytes, unsigned global_length,
-                         bool include_tuned = false);
+    compareSuite(const std::vector<workload::BenchmarkSpec> &specs,
+                 std::size_t bytes, unsigned global_length, bool indirect,
+                 bool include_tuned = false);
 
     /**
-     * ExperimentContext::averageConditionalSweep() (whose
-     * per-benchmark sweeps fan out over the pool), counting the
-     * step-1 predictions into predictions() the first time each
-     * budget is asked for.
+     * ExperimentContext::averageSweep() (whose per-benchmark sweeps
+     * fan out over the pool), counting the step-1 predictions into
+     * predictions() the first time each budget and class is asked for.
      */
-    std::vector<double> averageConditionalSweep(std::size_t bytes);
+    std::vector<double> averageSweep(std::size_t bytes, bool indirect);
 
-    /** Indirect counterpart of averageConditionalSweep(). */
-    std::vector<double> averageIndirectSweep(std::size_t bytes);
-
-    /** The global fixed path length for conditional predictors. */
-    unsigned globalConditionalLength(std::size_t bytes);
-
-    /** The global fixed path length for indirect predictors. */
-    unsigned globalIndirectLength(std::size_t bytes);
+    /** The global fixed path length: argminLength(averageSweep()). */
+    unsigned globalLength(std::size_t bytes, bool indirect);
 
     /**
      * Dynamic predictions issued through this runner so far (one per
@@ -161,9 +148,6 @@ class ParallelRunner
     }
 
   private:
-    /** Shared body of the average accessors. */
-    std::vector<double> averageSweep(std::size_t bytes, bool indirect);
-
     /** fn(context, i) for i in [0, count), claimed dynamically. */
     void runSharded(std::size_t count,
                     const std::function<void(ExperimentContext &,

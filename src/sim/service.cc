@@ -34,13 +34,9 @@ addCompareSection(Report &report, ParallelRunner &runner,
                   bool indirect, std::size_t bytes,
                   const std::string &name)
 {
-    const unsigned global_length = indirect
-        ? runner.globalIndirectLength(bytes)
-        : runner.globalConditionalLength(bytes);
-    const auto &suite = workload::benchmarkSuite();
-    const auto rows = indirect
-        ? runner.compareIndirectSuite(suite, bytes, global_length)
-        : runner.compareConditionalSuite(suite, bytes, global_length);
+    const unsigned global_length = runner.globalLength(bytes, indirect);
+    const auto rows = runner.compareSuite(workload::benchmarkSuite(), bytes,
+                                          global_length, indirect);
 
     Section &section = report.addSection(name);
     std::ostringstream caption;
@@ -58,14 +54,6 @@ addCompareSection(Report &report, ParallelRunner &runner,
             cells.push_back(Cell::percent(entry.rate));
         section.addRow(row.benchmark, std::move(cells));
     }
-}
-
-/** The global fixed length for @p bytes, without building rows. */
-unsigned
-globalLength(ParallelRunner &runner, bool indirect, std::size_t bytes)
-{
-    return indirect ? runner.globalIndirectLength(bytes)
-                    : runner.globalConditionalLength(bytes);
 }
 
 } // anonymous namespace
@@ -88,7 +76,7 @@ runSuiteCompare(const SuiteCompareSpec &spec,
 
     tick(progress, "global length", 0, 2);
     const unsigned global_length =
-        globalLength(runner, spec.indirect, spec.bytes);
+        runner.globalLength(spec.bytes, spec.indirect);
 
     tick(progress, "compare", 1, 2);
 

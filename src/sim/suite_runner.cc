@@ -221,11 +221,8 @@ obtainRow(const TraceSuiteOptions &options,
     }
 
     const ComparisonRow row = retryTransient(options, [&] {
-        return indirect
-            ? compareExternalIndirect(context, profile, eval, bytes,
-                                      global_length)
-            : compareExternalConditional(context, profile, eval, bytes,
-                                         global_length);
+        return compareExternal(context, profile, eval, bytes,
+                               global_length, indirect);
     });
     if (journal != nullptr)
         journal->record(key, store::encodeComparisonRow(row));

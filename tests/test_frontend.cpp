@@ -2,8 +2,8 @@
  * @file
  * Tests for the speculative fetch-bundle front end (DESIGN.md §17).
  *
- * The contract under test has two halves. Accuracy: both FetchEngine
- * modes must reproduce the retirement-order Simulator's branch and
+ * The contract under test has two halves. Accuracy: the FetchEngine
+ * must reproduce the retirement-order Simulator's branch and
  * misprediction counts bit for bit, for every benchmark in the suite,
  * at any --jobs setting — speculation may move cycles around, never
  * what the tables learn. Mechanism: the checkpoint/speculate/restore
@@ -82,8 +82,8 @@ randomRecord(util::Rng &rng)
 }
 
 // ---------------------------------------------------------------------
-// Suite-wide equivalence: Simulator == RetireOrder == FetchBundle,
-// bit-identically, at --jobs 1 and 4.
+// Suite-wide equivalence: Simulator == FetchEngine, bit-identically,
+// at --jobs 1 and 4.
 // ---------------------------------------------------------------------
 
 /** Flattened (branches, mispredictions) pairs across all slots. */
@@ -108,11 +108,10 @@ signatureOf(const std::vector<sim::PredictorResult> &conditional,
     return out;
 }
 
-/** All three accuracy signatures for one workload. */
-struct ModeSignatures
+/** Both accuracy signatures for one workload. */
+struct Signatures
 {
     Signature simulator;
-    Signature retire;
     Signature bundle;
 };
 
@@ -154,7 +153,7 @@ struct Rig
     }
 };
 
-ModeSignatures
+Signatures
 runWorkload(sim::ExperimentContext &context, const std::string &name)
 {
     const auto &spec = workload::findBenchmark(name);
@@ -164,7 +163,7 @@ runWorkload(sim::ExperimentContext &context, const std::string &name)
         return assignment.lookup(r.pc);
     };
 
-    ModeSignatures out;
+    Signatures out;
     {
         Rig rig(assignment);
         sim::Simulator simulator;
@@ -179,9 +178,8 @@ runWorkload(sim::ExperimentContext &context, const std::string &name)
                                     simulator.rasResult());
     }
 
-    const auto engine_run = [&](sim::FrontendMode mode) {
+    {
         sim::FrontendParameters parameters;
-        parameters.mode = mode;
         parameters.bundleWidth = 4;
         parameters.chaosIdentity = name;
 
@@ -199,11 +197,10 @@ runWorkload(sim::ExperimentContext &context, const std::string &name)
         engine.attachHfnt(2, &hfnt, actual_number);
         trace->reset();
         engine.run(*trace);
-        return signatureOf(engine.conditionalResults(),
-                           engine.indirectResults(), engine.rasResult());
-    };
-    out.retire = engine_run(sim::FrontendMode::RetireOrder);
-    out.bundle = engine_run(sim::FrontendMode::FetchBundle);
+        out.bundle = signatureOf(engine.conditionalResults(),
+                                 engine.indirectResults(),
+                                 engine.rasResult());
+    }
     return out;
 }
 
@@ -214,7 +211,7 @@ TEST(FrontendEquivalence, AllWorkloadsBothModesAndJobCounts)
 
     const auto run_all = [&](unsigned jobs) {
         sim::ParallelRunner runner(jobs);
-        return runner.map<ModeSignatures>(
+        return runner.map<Signatures>(
             names.size(),
             [&](sim::ExperimentContext &context, std::size_t i) {
                 return runWorkload(context, names[i]);
@@ -230,12 +227,10 @@ TEST(FrontendEquivalence, AllWorkloadsBothModesAndJobCounts)
         // Non-degenerate: the workload produced branches.
         ASSERT_FALSE(serial[i].simulator.empty());
         EXPECT_GT(serial[i].simulator[0], 0u);
-        // Both engine modes match the Simulator bit for bit.
-        EXPECT_EQ(serial[i].retire, serial[i].simulator);
+        // The fetch-bundle engine matches the Simulator bit for bit.
         EXPECT_EQ(serial[i].bundle, serial[i].simulator);
         // And sharding across 4 workers changes nothing.
         EXPECT_EQ(parallel[i].simulator, serial[i].simulator);
-        EXPECT_EQ(parallel[i].retire, serial[i].retire);
         EXPECT_EQ(parallel[i].bundle, serial[i].bundle);
     }
 }
@@ -576,7 +571,6 @@ TEST(FrontendBanking, SinglePortedTableSplitsEveryBundle)
 
     const auto run = [&](unsigned banks) {
         sim::FrontendParameters parameters;
-        parameters.mode = sim::FrontendMode::FetchBundle;
         parameters.bundleWidth = 4;
         core::PathConditionalPredictor flp(8, 4);
         if (banks != 0)
@@ -643,7 +637,6 @@ TEST(FrontendChaos, SpuriousRestoresLeaveStatsUnchanged)
         }
 
         sim::FrontendParameters parameters;
-        parameters.mode = sim::FrontendMode::FetchBundle;
         parameters.bundleWidth = 2;
         parameters.chaosIdentity = "frontend-test";
         pred::GsharePredictor gshare(10);

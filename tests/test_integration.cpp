@@ -32,7 +32,7 @@ TEST_F(HeadlineOrdering, VlpBeatsGshareOnGcc)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("gcc");
-    const auto row = compareConditional(context, spec, 4096, 5, true);
+    const auto row = compare(context, spec, 4096, 5, false, true);
 
     const double gshare = row.entry(names::gshare).rate;
     const double vlp = row.entry(names::vlp).rate;
@@ -50,7 +50,7 @@ TEST_F(HeadlineOrdering, VlpBeatsTargetCachesOnIndirect)
     ExperimentContext context;
     for (const char *name : {"perl", "li"}) {
         const auto &spec = workload::findBenchmark(name);
-        const auto row = compareIndirect(context, spec, 2048, 2, true);
+        const auto row = compare(context, spec, 2048, 2, true, true);
         const double path = row.entry(names::chpPath).rate;
         const double pattern = row.entry(names::chpPattern).rate;
         const double vlp = row.entry(names::vlp).rate;
@@ -65,7 +65,7 @@ TEST_F(HeadlineOrdering, TunedFixedLengthBeatsUntuned)
     // tuning must not hurt (it was chosen on the profile input).
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("m88ksim");
-    const auto row = compareIndirect(context, spec, 2048, 2, true);
+    const auto row = compare(context, spec, 2048, 2, true, true);
     EXPECT_LE(row.entry(names::flpTuned).rate,
               row.entry(names::flp).rate * 1.1);
 }
@@ -77,8 +77,8 @@ TEST_F(HeadlineOrdering, ProfilingGeneralizesAcrossInputs)
     // the assignment is non-trivial (uses multiple lengths).
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("li");
-    const auto &assignment = context.conditionalAssignment(
-        spec, pred::conditionalIndexBits(4096));
+    const auto &assignment = context.assignment(
+        spec, pred::conditionalIndexBits(4096), false);
     const auto histogram = assignment.lengthHistogram();
     unsigned distinct = 0;
     for (unsigned length = 1; length <= core::maxPathLength; ++length)
@@ -90,8 +90,8 @@ TEST_F(HeadlineOrdering, BiggerTablesDoNotHurtVlp)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("compress");
-    const auto small = compareConditional(context, spec, 1024, 4);
-    const auto large = compareConditional(context, spec, 16384, 4);
+    const auto small = compare(context, spec, 1024, 4, false);
+    const auto large = compare(context, spec, 16384, 4, false);
     EXPECT_LE(large.entry(names::vlp).rate,
               small.entry(names::vlp).rate * 1.15);
 }

@@ -240,14 +240,13 @@ TEST_F(ParallelHarness, ConditionalRowsBitIdenticalAcrossJobs)
     ParallelRunner serial(1);
     ParallelRunner parallel(4);
     const unsigned serial_length =
-        serial.globalConditionalLength(4096);
+        serial.globalLength(4096, false);
     const unsigned parallel_length =
-        parallel.globalConditionalLength(4096);
+        parallel.globalLength(4096, false);
     EXPECT_EQ(serial_length, parallel_length);
     expectIdenticalRows(
-        serial.compareConditionalSuite(specs, 4096, serial_length),
-        parallel.compareConditionalSuite(specs, 4096,
-                                         parallel_length));
+        serial.compareSuite(specs, 4096, serial_length, false),
+        parallel.compareSuite(specs, 4096, parallel_length, false));
 }
 
 TEST_F(ParallelHarness, IndirectRowsBitIdenticalAcrossJobs)
@@ -255,22 +254,22 @@ TEST_F(ParallelHarness, IndirectRowsBitIdenticalAcrossJobs)
     const auto specs = testSpecs();
     ParallelRunner serial(1);
     ParallelRunner parallel(4);
-    const unsigned serial_length = serial.globalIndirectLength(512);
+    const unsigned serial_length = serial.globalLength(512, true);
     const unsigned parallel_length =
-        parallel.globalIndirectLength(512);
+        parallel.globalLength(512, true);
     EXPECT_EQ(serial_length, parallel_length);
     expectIdenticalRows(
-        serial.compareIndirectSuite(specs, 512, serial_length),
-        parallel.compareIndirectSuite(specs, 512, parallel_length));
+        serial.compareSuite(specs, 512, serial_length, true),
+        parallel.compareSuite(specs, 512, parallel_length, true));
 }
 
 TEST_F(ParallelHarness, AverageSweepBitIdenticalAcrossJobs)
 {
     ParallelRunner serial(1);
     ParallelRunner parallel(4);
-    const auto serial_sweep = serial.averageConditionalSweep(4096);
+    const auto serial_sweep = serial.averageSweep(4096, false);
     const auto parallel_sweep =
-        parallel.averageConditionalSweep(4096);
+        parallel.averageSweep(4096, false);
     ASSERT_EQ(serial_sweep.size(), parallel_sweep.size());
     for (std::size_t i = 0; i < serial_sweep.size(); ++i)
         EXPECT_EQ(serial_sweep[i], parallel_sweep[i]);
@@ -301,11 +300,11 @@ TEST_F(ParallelHarness, Step1ShardingBitIdenticalAcrossJobs)
 
         core::ProfileOptions reference_options = options;
         reference_options.jobs = 1;
-        core::ConditionalProfiler reference(reference_options);
+        core::Profiler reference(reference_options, false);
         profile_trace.reset();
         reference.runStep1(profile_trace);
 
-        core::ConditionalProfiler sharded(options);
+        core::Profiler sharded(options, false);
         profile_trace.reset();
         sharded.runStep1(profile_trace);
 
@@ -336,13 +335,13 @@ TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
 
     core::ProfileOptions options;
     options.indexBits = 12;
-    core::ConditionalProfiler serial(options);
+    core::Profiler serial(options, false);
     profile_trace.reset();
     const core::HashAssignment serial_assignment =
         serial.profile(profile_trace);
 
     options.jobs = 4;
-    core::ConditionalProfiler sharded(options);
+    core::Profiler sharded(options, false);
     profile_trace.reset();
     const core::HashAssignment sharded_assignment =
         sharded.profile(profile_trace);
@@ -352,10 +351,10 @@ TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
     ASSERT_EQ(sharded_assignment.table(), serial_assignment.table());
 
     // The indirect profiler shares the sharded sweep machinery.
-    core::IndirectProfiler indirect_serial(options);
+    core::Profiler indirect_serial(options, true);
     profile_trace.reset();
     indirect_serial.runStep1(profile_trace);
-    core::IndirectProfiler indirect_sharded(options);
+    core::Profiler indirect_sharded(options, true);
     profile_trace.reset();
     indirect_sharded.runStep1(profile_trace);
     EXPECT_EQ(indirect_sharded.step1Sweep().mispredictions,
@@ -369,9 +368,9 @@ void
 runTable2Body(ParallelRunner &runner)
 {
     for (const std::size_t bytes : {1024, 4096, 16384, 65536, 262144})
-        runner.globalConditionalLength(bytes);
+        runner.globalLength(bytes, false);
     for (const std::size_t bytes : {512, 2048, 8192, 32768})
-        runner.globalIndirectLength(bytes);
+        runner.globalLength(bytes, true);
 }
 
 /** Figure 9's body (bench_fig9): one item per budget, each needing
@@ -385,11 +384,10 @@ runFigure9Body(ParallelRunner &runner)
     runner.map<int>(sizes.size(), [&](ExperimentContext &context,
                                       std::size_t i) {
         const unsigned global_length =
-            context.globalConditionalLength(sizes[i]);
-        context.conditionalSweep(gcc,
-                                 pred::conditionalIndexBits(sizes[i]));
-        const auto row = compareConditional(context, gcc, sizes[i],
-                                            global_length, true);
+            context.globalLength(sizes[i], false);
+        context.sweep(gcc, pred::conditionalIndexBits(sizes[i]), false);
+        const auto row = compare(context, gcc, sizes[i], global_length,
+                                 false, true);
         for (const auto &entry : row.entries)
             runner.addPredictions(entry.branches);
         return 0;
@@ -433,8 +431,8 @@ TEST_F(ParallelHarness, StoreTrafficAndPredictionsIdenticalAcrossJobs)
         ParallelRunner runner(jobs);
         runner.setStore(store);
         runFigure9Body(runner);
-        const unsigned global_length = runner.globalIndirectLength(2048);
-        runner.compareIndirectSuite(testSpecs(), 2048, global_length);
+        const unsigned global_length = runner.globalLength(2048, true);
+        runner.compareSuite(testSpecs(), 2048, global_length, true);
         const store::StoreCounters counters = store->counters();
         return Traffic{counters.hits, counters.misses, counters.inserts,
                        runner.predictions()};
@@ -455,9 +453,9 @@ TEST_F(ParallelHarness, SerialRunnerMatchesPlainContext)
     ParallelRunner runner(1);
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("compress");
-    const auto direct = compareConditional(context, spec, 4096, 4);
+    const auto direct = compare(context, spec, 4096, 4, false);
     const auto via_runner =
-        runner.compareConditionalSuite({spec}, 4096, 4);
+        runner.compareSuite({spec}, 4096, 4, false);
     ASSERT_EQ(via_runner.size(), 1u);
     expectIdenticalRows({direct}, via_runner);
 }

@@ -112,16 +112,16 @@ TEST(ProfileOptions, Validation)
 {
     ProfileOptions bad;
     bad.maxLength = 0;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, false}), std::runtime_error);
     bad = ProfileOptions{};
     bad.maxLength = 40;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, false}), std::runtime_error);
     bad = ProfileOptions{};
     bad.candidates = 0;
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, true}), std::runtime_error);
     bad = ProfileOptions{};
     bad.iterations = 0;
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, true}), std::runtime_error);
 }
 
 TEST(ProfileOptions, RejectsZeroOrDescendingLengthRange)
@@ -131,31 +131,31 @@ TEST(ProfileOptions, RejectsZeroOrDescendingLengthRange)
     // Both must fail at construction, for both profiler classes.
     ProfileOptions bad;
     bad.minLength = 0;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, false}), std::runtime_error);
+    EXPECT_THROW((Profiler{bad, true}), std::runtime_error);
 
     bad = ProfileOptions{};
     bad.minLength = 9;
     bad.maxLength = 4;
     try {
-        ConditionalProfiler profiler(bad);
+        Profiler profiler(bad, false);
         FAIL() << "expected a descending range to be rejected";
     } catch (const std::runtime_error &error) {
         EXPECT_NE(std::string(error.what()).find("descending"),
                   std::string::npos)
             << error.what();
     }
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, true}), std::runtime_error);
 }
 
 TEST(ProfileOptions, RejectsBadIndexBits)
 {
     ProfileOptions bad;
     bad.indexBits = 0;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, false}), std::runtime_error);
     bad = ProfileOptions{};
     bad.indexBits = 31; // a per-length table would need 2^31 entries
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW((Profiler{bad, true}), std::runtime_error);
 }
 
 TEST(ConditionalProfiler, RestrictedLengthRangeSweeps)
@@ -165,7 +165,7 @@ TEST(ConditionalProfiler, RestrictedLengthRangeSweeps)
     options.indexBits = 12;
     options.minLength = 3;
     options.maxLength = 8;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const FixedLengthSweep &sweep = profiler.runStep1(trace);
     EXPECT_EQ(sweep.minLength, 3u);
     // Lengths below the range were never simulated...
@@ -188,7 +188,7 @@ TEST(ConditionalProfiler, Step2RequiresStep1)
 {
     ProfileOptions options;
     options.indexBits = 10;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     trace::VectorTraceSource empty;
     EXPECT_THROW(profiler.runStep2(empty), std::runtime_error);
 }
@@ -199,7 +199,7 @@ TEST(ConditionalProfiler, SweepIdentifiesUsefulLengths)
     ProfileOptions options;
     options.indexBits = 12;
     options.maxLength = 8;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const FixedLengthSweep &sweep = profiler.runStep1(trace);
     // Lengths >= 4 cover the context; lengths < 4 do not. The filler
     // branches are perfectly predictable either way, so the sweep
@@ -214,7 +214,7 @@ TEST(ConditionalProfiler, AssignsCoveringLengths)
     ProfileOptions options;
     options.indexBits = 12;
     options.maxLength = 10;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const HashAssignment assignment = profiler.profile(trace);
 
     // Branch X needs distance 3. Branch Y correlates with the context
@@ -240,7 +240,7 @@ TEST(ConditionalProfiler, AssignmentBeatsWrongFixedLength)
     ProfileOptions options;
     options.indexBits = 12;
     options.maxLength = 10;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const HashAssignment assignment = profiler.profile(profile_trace);
 
     PathConditionalPredictor vlp(12, assignment);
@@ -292,7 +292,7 @@ TEST(IndirectProfiler, AssignsCoveringLength)
     ProfileOptions options;
     options.indexBits = 9;
     options.maxLength = 8;
-    IndirectProfiler profiler(options);
+    Profiler profiler(options, true);
     const HashAssignment assignment = profiler.profile(trace);
     EXPECT_GE(assignment.lookup(0x405000), 4u);
 
@@ -317,7 +317,7 @@ TEST(IndirectProfiler, Step2RequiresStep1)
 {
     ProfileOptions options;
     options.indexBits = 9;
-    IndirectProfiler profiler(options);
+    Profiler profiler(options, true);
     trace::VectorTraceSource empty;
     EXPECT_THROW(profiler.runStep2(empty), std::runtime_error);
 }

@@ -2,12 +2,14 @@
  * @file
  * Tests for the structured report model and its sinks.
  *
- * The two golden-file tests are the byte-identity lock for the bench
- * refactor: they rebuild the Table 2 and Figures 5 & 6 reports through
- * bench::paper_reports and assert the ASCII sink reproduces the
- * committed pre-refactor stdout exactly, at --jobs 1 and --jobs 4.
- * The goldens were captured at VLPSIM_SCALE=0.05, so main() pins that
- * scale before the workload generators run.
+ * The golden-file tests are the byte-identity lock for the bench
+ * refactors: they rebuild the Table 2, Figures 5 & 6 and Figures 7 & 8
+ * reports through bench::paper_reports and assert the ASCII sink
+ * reproduces the committed stdout exactly, at --jobs 1 and --jobs 4.
+ * Figures 7 & 8 cover the indirect comparison replay (CHP path and
+ * pattern, fixed and variable length path). The goldens were captured
+ * at VLPSIM_SCALE=0.05, so main() pins that scale before the workload
+ * generators run.
  */
 
 #include <cmath>
@@ -103,6 +105,26 @@ TEST(GoldenAscii, Fig5_6MatchesCommittedStdoutAtJobs4)
     EXPECT_EQ(renderBench(bench::fig5_6Title,
                           bench::fig5_6Configuration, 4,
                           bench::buildFig5_6),
+              golden);
+}
+
+TEST(GoldenAscii, Fig7_8MatchesCommittedStdoutAtJobs1)
+{
+    const std::string golden =
+        readFile(std::string(VLPSIM_GOLDEN_DIR) + "/bench_fig7_8.txt");
+    EXPECT_EQ(renderBench(bench::fig7_8Title,
+                          bench::fig7_8Configuration, 1,
+                          bench::buildFig7_8),
+              golden);
+}
+
+TEST(GoldenAscii, Fig7_8MatchesCommittedStdoutAtJobs4)
+{
+    const std::string golden =
+        readFile(std::string(VLPSIM_GOLDEN_DIR) + "/bench_fig7_8.txt");
+    EXPECT_EQ(renderBench(bench::fig7_8Title,
+                          bench::fig7_8Configuration, 4,
+                          bench::buildFig7_8),
               golden);
 }
 

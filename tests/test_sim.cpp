@@ -254,7 +254,7 @@ TEST_F(ExperimentHarness, CompareConditionalRowShape)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("li");
-    const auto row = compareConditional(context, spec, 4096, 4, true);
+    const auto row = compare(context, spec, 4096, 4, false, true);
     EXPECT_EQ(row.benchmark, "li");
     ASSERT_EQ(row.entries.size(), 4u);
     EXPECT_EQ(row.entries[0].predictor, names::gshare);
@@ -274,7 +274,7 @@ TEST_F(ExperimentHarness, CompareConditionalWithoutTuned)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("compress");
-    const auto row = compareConditional(context, spec, 4096, 4, false);
+    const auto row = compare(context, spec, 4096, 4, false, false);
     ASSERT_EQ(row.entries.size(), 3u);
     EXPECT_EQ(row.entries[2].predictor, names::vlp);
 }
@@ -283,7 +283,7 @@ TEST_F(ExperimentHarness, CompareIndirectRowShape)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("perl");
-    const auto row = compareIndirect(context, spec, 2048, 2, true);
+    const auto row = compare(context, spec, 2048, 2, true, true);
     ASSERT_EQ(row.entries.size(), 5u);
     EXPECT_EQ(row.entries[0].predictor, names::chpPath);
     EXPECT_EQ(row.entries[1].predictor, names::chpPattern);
@@ -297,8 +297,8 @@ TEST_F(ExperimentHarness, SweepsAreCached)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("compress");
-    const auto &first = context.conditionalSweep(spec, 12);
-    const auto &second = context.conditionalSweep(spec, 12);
+    const auto &first = context.sweep(spec, 12, false);
+    const auto &second = context.sweep(spec, 12, false);
     EXPECT_EQ(&first, &second); // same cached object
     EXPECT_EQ(first.mispredictions.size(), core::maxPathLength);
     EXPECT_GT(first.branches, 0u);
@@ -308,8 +308,8 @@ TEST_F(ExperimentHarness, AssignmentsAreCached)
 {
     ExperimentContext context;
     const auto &spec = workload::findBenchmark("compress");
-    const auto &first = context.conditionalAssignment(spec, 12);
-    const auto &second = context.conditionalAssignment(spec, 12);
+    const auto &first = context.assignment(spec, 12, false);
+    const auto &second = context.assignment(spec, 12, false);
     EXPECT_EQ(&first, &second);
     EXPECT_GT(first.size(), 0u);
 }
@@ -317,9 +317,9 @@ TEST_F(ExperimentHarness, AssignmentsAreCached)
 TEST_F(ExperimentHarness, GlobalLengthWithinRange)
 {
     ExperimentContext context;
-    const auto average = context.averageConditionalSweep(1024);
+    const auto average = context.averageSweep(1024, false);
     EXPECT_EQ(average.size(), core::maxPathLength);
-    const unsigned global = context.globalConditionalLength(1024);
+    const unsigned global = context.globalLength(1024, false);
     EXPECT_GE(global, 1u);
     EXPECT_LE(global, core::maxPathLength);
     // The reported minimum really is the curve's minimum.
@@ -330,7 +330,7 @@ TEST_F(ExperimentHarness, GlobalLengthWithinRange)
 TEST_F(ExperimentHarness, GlobalIndirectLengthWithinRange)
 {
     ExperimentContext context;
-    const unsigned global = context.globalIndirectLength(2048);
+    const unsigned global = context.globalLength(2048, true);
     EXPECT_GE(global, 1u);
     EXPECT_LE(global, core::maxPathLength);
 }
@@ -346,9 +346,9 @@ TEST_F(ExperimentHarness, HistoryOptionsKeyedSeparately)
     core::PathHistoryOptions plain;
     plain.rotateTargets = false;
     const auto &with_rotation =
-        context.conditionalSweep(spec, 12, rotated);
+        context.sweep(spec, 12, false, rotated);
     const auto &without_rotation =
-        context.conditionalSweep(spec, 12, plain);
+        context.sweep(spec, 12, false, plain);
     EXPECT_NE(&with_rotation, &without_rotation);
     // Length-1 indices ignore rotation entirely, so compare a deep
     // length where rotation matters.

@@ -6,6 +6,7 @@
  * must reproduce a cold run bit for bit, serial or parallel.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +22,8 @@
 #include "store/artifact_store.h"
 #include "store/cache_key.h"
 #include "store/serialize.h"
+#include "trace/streaming.h"
+#include "trace/trace_io.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -481,7 +484,7 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunSerially)
     {
         sim::ParallelRunner runner(1);
         runner.setStore(openShared());
-        cold = runner.compareConditionalSuite(suite, 4096, 5);
+        cold = runner.compareSuite(suite, 4096, 5, false);
         EXPECT_EQ(runner.context().store()->counters().hits, 0u);
     }
     {
@@ -489,7 +492,7 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunSerially)
         const auto store = openShared();
         runner.setStore(store);
         const auto warm =
-            runner.compareConditionalSuite(suite, 4096, 5);
+            runner.compareSuite(suite, 4096, 5, false);
         expectIdenticalRows(cold, warm);
         // Every row came from the cache: no misses, no new inserts.
         const StoreCounters counters = store->counters();
@@ -507,20 +510,20 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunInParallel)
         // Cold population runs with four workers sharing the store.
         sim::ParallelRunner runner(4);
         runner.setStore(openShared());
-        cold = runner.compareIndirectSuite(suite, 512, 3);
+        cold = runner.compareSuite(suite, 512, 3, true);
     }
     {
         sim::ParallelRunner warm_parallel(4);
         warm_parallel.setStore(openShared());
         expectIdenticalRows(
-            cold, warm_parallel.compareIndirectSuite(suite, 512, 3));
+            cold, warm_parallel.compareSuite(suite, 512, 3, true));
     }
     {
         // A serial consumer of the parallel-written cache agrees too.
         sim::ParallelRunner warm_serial(1);
         warm_serial.setStore(openShared());
         expectIdenticalRows(
-            cold, warm_serial.compareIndirectSuite(suite, 512, 3));
+            cold, warm_serial.compareSuite(suite, 512, 3, true));
     }
 }
 
@@ -529,12 +532,12 @@ TEST_F(CachedExperimentHarness, CachedRunMatchesUncachedRun)
     const auto suite = specs();
     sim::ParallelRunner uncached(1);
     const auto expected =
-        uncached.compareConditionalSuite(suite, 4096, 5);
+        uncached.compareSuite(suite, 4096, 5, false);
 
     sim::ParallelRunner cached(1);
     cached.setStore(openShared());
     expectIdenticalRows(
-        expected, cached.compareConditionalSuite(suite, 4096, 5));
+        expected, cached.compareSuite(suite, 4096, 5, false));
 }
 
 TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
@@ -544,7 +547,7 @@ TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
     {
         sim::ParallelRunner runner(1);
         runner.setStore(openShared());
-        cold = runner.compareConditionalSuite(suite, 4096, 5);
+        cold = runner.compareSuite(suite, 4096, 5, false);
     }
 
     // Flip one byte in every cached entry's payload region.
@@ -563,7 +566,7 @@ TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
     const auto store = openShared();
     runner.setStore(store);
     const auto recovered =
-        runner.compareConditionalSuite(suite, 4096, 5);
+        runner.compareSuite(suite, 4096, 5, false);
     expectIdenticalRows(cold, recovered);
 
     // Each poisoned row was detected, evicted, and recomputed.
@@ -577,7 +580,7 @@ TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
     const auto rewarm_store = openShared();
     rewarm.setStore(rewarm_store);
     expectIdenticalRows(
-        cold, rewarm.compareConditionalSuite(suite, 4096, 5));
+        cold, rewarm.compareSuite(suite, 4096, 5, false));
     EXPECT_EQ(rewarm_store->counters().corrupt, 0u);
     EXPECT_EQ(rewarm_store->counters().hits, suite.size());
 }
@@ -588,17 +591,87 @@ TEST_F(CachedExperimentHarness, WarmRunSkipsStepOneSweeps)
     {
         sim::ExperimentContext context;
         context.setStore(openShared());
-        context.conditionalSweep(spec, 12);
-        context.conditionalAssignment(spec, 12);
+        context.sweep(spec, 12, false);
+        context.assignment(spec, 12, false);
     }
     sim::ExperimentContext warm;
     const auto store = openShared();
     warm.setStore(store);
     // The assignment fetch must satisfy the request outright — step 1
     // is never consulted, so a warm rerun skips the sweeps entirely.
-    warm.conditionalAssignment(spec, 12);
+    warm.assignment(spec, 12, false);
     EXPECT_EQ(store->counters().hits, 1u);
     EXPECT_EQ(store->counters().misses, 0u);
+}
+
+/**
+ * The store-key pin: every artifact kind the experiment layer writes —
+ * step-1 sweeps, step-2 assignments and comparison rows (with and
+ * without the tuned column) for one synthetic benchmark, and the same
+ * for one external profile/test pair — in both branch classes, lands
+ * under exactly these object names. Each name is the hash of the
+ * canonical key text, so a store filled by an earlier build still hits
+ * only while this list holds; a refactor that changes any key text
+ * fails here.
+ */
+TEST_F(CachedExperimentHarness, StoreKeysArePinned)
+{
+    const auto &spec = workload::findBenchmark("compress");
+    fs::create_directories(directory_ + "/traces");
+    const auto external = [&](workload::InputKind kind,
+                              const std::string &name) {
+        sim::ExternalTrace trace;
+        trace.name = name;
+        trace.path = directory_ + "/traces/" + name + ".vbt";
+        trace::saveTrace(workload::generateTrace(spec, kind), trace.path);
+        trace.contentHash = trace::hashTraceFile(trace.path);
+        return trace;
+    };
+    const sim::ExternalTrace profile =
+        external(workload::InputKind::Profile, "compress.profile");
+    const sim::ExternalTrace test =
+        external(workload::InputKind::Test, "compress.test");
+
+    {
+        sim::ExperimentContext context;
+        context.setStore(openShared());
+        context.sweep(spec, 12, false);
+        context.assignment(spec, 12, false);
+        context.sweep(spec, 8, true);
+        context.assignment(spec, 8, true);
+        for (const bool tuned : {false, true}) {
+            sim::compare(context, spec, 4096, 5, false, tuned);
+            sim::compare(context, spec, 512, 3, true, tuned);
+        }
+        sim::compareExternal(context, profile, test, 4096, 5, false);
+        sim::compareExternal(context, profile, test, 512, 3, true);
+    }
+
+    std::vector<std::string> names;
+    for (const fs::path &file : entryFiles())
+        names.push_back(file.stem().string());
+    std::sort(names.begin(), names.end());
+    const std::vector<std::string> expected = {
+        "04546b9e069105b92b98f75afceb3053",
+        "08c282dc882d8cb6b68b11ae3135e228",
+        "1dc3f08489939c25872b1845230e0bc7",
+        "26891e99a10963233a40205fa2cf5d79",
+        "383a266c12686745d88708cd228a276b",
+        "43daac20626eae2ad1bed851b76b3be0",
+        "47c569e8cd3aaddd80b0f185b2340773",
+        "48bb6afdb1b3db873526515f23ee0b11",
+        "54168ca6a35b7a42f02d0da50f145590",
+        "70fcfff09a4400194ca1cb92a3993e83",
+        "7fc6b4506d3353ecce1f85e16e4d3726",
+        "88af9ee32da12ad57e23214957302f77",
+        "967ab10ad4ee60e626f4179662c31dcc",
+        "a2fe9167c48d70c9e885b609609cd337",
+        "a7ddcc3030adf583fa3ad35db3455f71",
+        "b772830d6d0e530a0d65e702c52e7454",
+        "d5f04193ca80466f24ddc7c998ed1175",
+        "fd235e20b93724c9613d8f4bdb7c3bf3",
+    };
+    EXPECT_EQ(names, expected);
 }
 
 } // anonymous namespace

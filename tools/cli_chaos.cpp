@@ -386,14 +386,13 @@ runFrontendOnce(const ChaosArgs &args, bool with_chaos)
     const workload::BenchmarkSpec &spec = workload::findBenchmark("go");
     const unsigned k = pred::conditionalIndexBits(args.bytes);
     const core::HashAssignment &assignment =
-        context.conditionalAssignment(spec, k);
+        context.assignment(spec, k, false);
 
     pred::GsharePredictor gshare(k);
     core::PathConditionalPredictor vlp(k, assignment);
     vlp.setBanks(4);
 
     sim::FrontendParameters parameters;
-    parameters.mode = sim::FrontendMode::FetchBundle;
     parameters.bundleWidth = 4;
     parameters.chaosIdentity = "chaos-frontend";
     sim::FetchEngine engine(parameters);

@@ -287,16 +287,10 @@ cmdProfile(int argc, char **argv)
     // The length-sharded step-1 sweep is bit-identical at any worker
     // count, so --jobs only changes wall-clock (default: serial).
     options.jobs = static_cast<unsigned>(jobs);
-    core::HashAssignment assignment(1);
-    if (indirect) {
-        options.indexBits = pred::indirectIndexBits(bytes);
-        core::IndirectProfiler profiler(options);
-        assignment = profiler.profile(trace);
-    } else {
-        options.indexBits = pred::conditionalIndexBits(bytes);
-        core::ConditionalProfiler profiler(options);
-        assignment = profiler.profile(trace);
-    }
+    options.indexBits = indirect ? pred::indirectIndexBits(bytes)
+                                 : pred::conditionalIndexBits(bytes);
+    const core::HashAssignment assignment =
+        core::Profiler(options, indirect).profile(trace);
     assignment.save(args[3]);
 
     const std::string histogram =
