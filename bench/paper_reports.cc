@@ -1,9 +1,11 @@
 /**
  * @file
- * Table 2, Figures 5 & 6 and Figures 7 & 8 report builders.
+ * Table 2 and Figures 5 & 6, 7 & 8 and 9 report builders.
  */
 
 #include "paper_reports.h"
+
+#include <iterator>
 
 #include "bench_common.h"
 #include "predictors/budget.h"
@@ -17,50 +19,46 @@ using namespace vlp;
 void
 buildTable2(sim::ParallelRunner &runner, sim::Report &report)
 {
+    struct Budget
     {
-        sim::Section &section = report.addSection("conditional");
-        section.caption = "\nConditional Branches\n";
+        std::size_t bytes;
+        bool indirect;
+        unsigned paperLength;
+    };
+    const Budget budgets[] = {
+        {1024, false, 6},  {4096, false, 9},  {16384, false, 14},
+        {65536, false, 16}, {262144, false, 23}, {512, true, 11},
+        {2048, true, 21},  {8192, true, 21},  {32768, true, 21},
+    };
+    // All nine suite averages in flight at once, so no worker idles at
+    // a budget boundary waiting for the last sweep of that budget.
+    const auto averages = runner.map<std::vector<double>>(
+        std::size(budgets), [&](sim::ExperimentContext &, std::size_t i) {
+            return runner.averageSweep(budgets[i].bytes,
+                                       budgets[i].indirect);
+        });
+
+    for (const bool indirect : {false, true}) {
+        sim::Section &section =
+            report.addSection(indirect ? "indirect" : "conditional");
+        section.caption = indirect ? "\nIndirect Branches\n"
+                                   : "\nConditional Branches\n";
         section.columns = {{"Table Size (KB)"},
                            {"Path Length"},
                            {"avg mispredict (%)"},
                            {"paper length"}};
-        const std::size_t sizes[] = {1024, 4096, 16384, 65536,
-                                     262144};
-        const unsigned paper_lengths[] = {6, 9, 14, 16, 23};
-        for (unsigned i = 0; i < 5; ++i) {
-            const auto average =
-                runner.averageSweep(sizes[i], false);
-            const unsigned best =
-                runner.globalLength(sizes[i], false);
-            section.addRow(std::to_string(sizes[i]),
+        for (std::size_t i = 0; i < std::size(budgets); ++i) {
+            const Budget &budget = budgets[i];
+            if (budget.indirect != indirect)
+                continue;
+            const unsigned best = sim::argminLength(averages[i]);
+            section.addRow(std::to_string(budget.bytes),
                            {
-                               sim::Cell::real(sizes[i] / 1024.0, 0),
+                               sim::Cell::real(budget.bytes / 1024.0,
+                                               indirect ? 1 : 0),
                                sim::Cell::count(best),
-                               sim::Cell::percent(average[best - 1]),
-                               sim::Cell::count(paper_lengths[i]),
-                           });
-        }
-    }
-    {
-        sim::Section &section = report.addSection("indirect");
-        section.caption = "\nIndirect Branches\n";
-        section.columns = {{"Table Size (KB)"},
-                           {"Path Length"},
-                           {"avg mispredict (%)"},
-                           {"paper length"}};
-        const std::size_t sizes[] = {512, 2048, 8192, 32768};
-        const unsigned paper_lengths[] = {11, 21, 21, 21};
-        for (unsigned i = 0; i < 4; ++i) {
-            const auto average =
-                runner.averageSweep(sizes[i], true);
-            const unsigned best =
-                runner.globalLength(sizes[i], true);
-            section.addRow(std::to_string(sizes[i]),
-                           {
-                               sim::Cell::real(sizes[i] / 1024.0, 1),
-                               sim::Cell::count(best),
-                               sim::Cell::percent(average[best - 1]),
-                               sim::Cell::count(paper_lengths[i]),
+                               sim::Cell::percent(averages[i][best - 1]),
+                               sim::Cell::count(budget.paperLength),
                            });
         }
     }
@@ -183,6 +181,60 @@ buildFig7_8(sim::ParallelRunner &runner, sim::Report &report)
                 });
         }
     }
+}
+
+void
+buildFig9(sim::ParallelRunner &runner, sim::Report &report)
+{
+    const auto &spec = workload::findBenchmark("gcc");
+
+    sim::Section &section = report.addSection("sizes");
+    section.columns = {{"Size (KB)"},
+                       {"gshare (%)"},
+                       {"fixed length path (%)"},
+                       {"fixed length path (tuned) (%)"},
+                       {"variable length path (%)"},
+                       {"global len"},
+                       {"tuned len"}};
+
+    // Each table size is an independent full-suite sweep plus a gcc
+    // comparison, so the shard unit here is the size, not the
+    // benchmark; rows come back in size order.
+    const std::vector<std::size_t> sizes = {1024, 4096, 16384, 65536,
+                                            262144};
+    const auto rows = runner.map<std::vector<sim::Cell>>(
+        sizes.size(),
+        [&](sim::ExperimentContext &context, std::size_t i) {
+            const std::size_t bytes = sizes[i];
+            // Through the runner, so the step-1 sweeps count once per
+            // budget in the run summary.
+            const unsigned global_length =
+                runner.globalLength(bytes, false);
+            const unsigned tuned_length =
+                context
+                    .sweep(spec, pred::conditionalIndexBits(bytes), false)
+                    .bestLength();
+            const auto row = sim::compare(context, spec, bytes,
+                                          global_length, false, true);
+            for (const auto &entry : row.entries)
+                runner.addPredictions(entry.branches);
+            return std::vector<sim::Cell>{
+                sim::Cell::real(bytes / 1024.0, 0),
+                sim::Cell::percent(row.entry(sim::names::gshare).rate),
+                sim::Cell::percent(row.entry(sim::names::flp).rate),
+                sim::Cell::percent(row.entry(sim::names::flpTuned).rate),
+                sim::Cell::percent(row.entry(sim::names::vlp).rate),
+                sim::Cell::count(global_length),
+                sim::Cell::count(tuned_length),
+            };
+        });
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        section.addRow(std::to_string(sizes[i]),
+                       std::vector<sim::Cell>(rows[i]));
+    section.footer =
+        "\npaper series (approx.): gshare 13/8.8/7.5/6.5/6, "
+        "VLP 6.5/4.3/3.6/3.2/3 — the paper's gcc headline is "
+        "VLP 4.3% vs gshare 8.8% at 4K bytes\n";
 }
 
 } // namespace bench

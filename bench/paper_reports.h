@@ -3,10 +3,11 @@
  * Report builders shared between bench binaries and the golden-file
  * tests.
  *
- * bench_table2, bench_fig5_6 and bench_fig7_8 are the byte-identity
- * reference binaries: tests/test_report.cpp builds the same reports
- * through these functions and asserts the ASCII sink reproduces the
- * committed stdout (tests/golden/) at --jobs 1 and --jobs 4.
+ * bench_table2, bench_fig5_6, bench_fig7_8 and bench_fig9 are the
+ * byte-identity reference binaries: tests/test_report.cpp builds the
+ * same reports through these functions and asserts the ASCII sink
+ * reproduces the committed stdout (tests/golden/) at --jobs 1 and
+ * --jobs 4.
  */
 
 #ifndef VLPSIM_BENCH_PAPER_REPORTS_H
@@ -36,6 +37,12 @@ inline constexpr char fig7_8Configuration[] =
     "2K byte predictor, test inputs; '*' marks the 8 "
     "indirect-heavy benchmarks of Table 3";
 
+/** Banner text of bench_fig9. */
+inline constexpr char fig9Title[] =
+    "Figure 9: Conditional Misprediction Rates for Gcc";
+inline constexpr char fig9Configuration[] =
+    "predictor sizes 1K to 256K bytes, test input";
+
 /** Fill @p report with Table 2's sections (conditional and indirect
  *  best path lengths per table size). */
 void buildTable2(vlp::sim::ParallelRunner &runner,
@@ -51,6 +58,12 @@ void buildFig5_6(vlp::sim::ParallelRunner &runner,
  *  length path). */
 void buildFig7_8(vlp::sim::ParallelRunner &runner,
                  vlp::sim::Report &report);
+
+/** Fill @p report with Figure 9's section (gcc conditional rates at
+ *  1K to 256K bytes: gshare, fixed length path at the global and the
+ *  tuned length, and variable length path). */
+void buildFig9(vlp::sim::ParallelRunner &runner,
+               vlp::sim::Report &report);
 
 } // namespace bench
 

@@ -27,7 +27,7 @@ PathIndexBank::PathIndexBank(unsigned index_bits,
     const unsigned capacity = std::bit_ceil(options_.depth + 1);
     thbMask_ = capacity - 1;
     thb_.assign(capacity, 0);
-    sums_.assign(capacity, 0);
+    sums_.assign(2 * capacity, 0); // mirrored; see sums_
     indexMask_ = util::mask(indexBits_);
     rotAmounts_.resize(options_.depth);
     for (unsigned length = 1; length <= options_.depth; ++length)
@@ -35,66 +35,28 @@ PathIndexBank::PathIndexBank(unsigned index_bits,
             options_.rotateTargets ? length % indexBits_ : 0;
 }
 
-std::uint64_t
-PathIndexBank::compress(std::uint64_t target) const
+bool
+PathIndexBank::observeCallReturn(const trace::BranchRecord &record)
 {
-    // Drop the word-alignment bits, then the high-order bits
-    // ("we compressed the target addresses by simply discarding the
-    // higher order bits", Section 3.1).
-    return util::truncate(target >> 2, indexBits_);
-}
-
-void
-PathIndexBank::observe(const trace::BranchRecord &record)
-{
-    if (options_.historyStack) {
-        if (record.isCall()) {
-            // Save the caller's history; the indirect-call target (if
-            // any) is inserted below, *after* the snapshot, so the
-            // callee still sees which call site it came from.
-            if (snapshots_.size() >= options_.historyStackDepth)
-                snapshots_.erase(snapshots_.begin());
-            snapshots_.push_back(
-                Snapshot{thb_, sums_, pathSum_, head_, occupancy_});
-        } else if (record.isReturn() && !snapshots_.empty()) {
-            Snapshot &saved = snapshots_.back();
-            thb_ = std::move(saved.thb);
-            sums_ = std::move(saved.sums);
-            pathSum_ = saved.pathSum;
-            head_ = saved.head;
-            occupancy_ = saved.occupancy;
-            snapshots_.pop_back();
-            return;
-        }
+    if (record.isCall()) {
+        // Save the caller's history; the indirect-call target (if
+        // any) is inserted by observe() *after* the snapshot, so the
+        // callee still sees which call site it came from.
+        if (snapshots_.size() >= options_.historyStackDepth)
+            snapshots_.erase(snapshots_.begin());
+        snapshots_.push_back(
+            Snapshot{thb_, sums_, pathSum_, head_, occupancy_});
+    } else if (record.isReturn() && !snapshots_.empty()) {
+        Snapshot &saved = snapshots_.back();
+        thb_ = std::move(saved.thb);
+        sums_ = std::move(saved.sums);
+        pathSum_ = saved.pathSum;
+        head_ = saved.head;
+        occupancy_ = saved.occupancy;
+        snapshots_.pop_back();
+        return true;
     }
-    if (record.entersPathHistory(options_.includeReturns))
-        insert(record.nextPc);
-}
-
-void
-PathIndexBank::insert(std::uint64_t target)
-{
-    const std::uint64_t compressed = compress(target);
-
-    // One rotate-and-XOR maintains every hash function at once:
-    //   S_t = rotl(S_{t-1}, 1) XOR T_t,
-    //   I_X = S_t XOR rotl(S_{t-X}, X)     (see the header comment).
-    // Without rotation the ordering information is lost (ablation).
-    // The k=1 edge case degenerates correctly: (s << 1 | s) & 1 == s,
-    // matching rotl(s, 1, 1) == s.
-    if (options_.rotateTargets)
-        pathSum_ = ((pathSum_ << 1) | (pathSum_ >> (indexBits_ - 1)))
-                 & indexMask_;
-    pathSum_ ^= compressed;
-
-    // Ring-buffer insert: step the head back one slot instead of
-    // shifting all depth entries.
-    head_ = (head_ - 1) & thbMask_;
-    thb_[head_] = compressed;
-    sums_[head_] = pathSum_;
-
-    if (occupancy_ < options_.depth)
-        ++occupancy_;
+    return false;
 }
 
 std::uint64_t

@@ -27,8 +27,10 @@
  * satisfies I_X(t) = S_t XOR rotl(S_{t-X}, X), so one register plus a
  * ring of the last N sums replaces the N-register update (the
  * hardware still pays N registers — historyBytes() is unchanged).
- * directIndex() recomputes an index from the buffered targets the
- * slow way so tests can prove the representations always agree.
+ * The sum ring is stored twice back to back (mirrored), so S_{t-X}
+ * for any run of consecutive X is one contiguous read that never
+ * wraps. directIndex() recomputes an index from the buffered targets
+ * the slow way so tests can prove the representations always agree.
  */
 
 #ifndef VLPSIM_CORE_PATH_HISTORY_H
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "trace/branch_record.h"
+#include "util/bits.h"
 
 namespace vlp {
 namespace core {
@@ -87,18 +90,58 @@ class PathIndexBank
 
     /**
      * Compress a target address to k bits by discarding high-order
-     * bits (after dropping the always-zero word-alignment bits).
+     * bits (after dropping the always-zero word-alignment bits):
+     * "we compressed the target addresses by simply discarding the
+     * higher order bits" (Section 3.1).
      */
-    std::uint64_t compress(std::uint64_t target) const;
+    std::uint64_t
+    compress(std::uint64_t target) const
+    {
+        return util::truncate(target >> 2, indexBits_);
+    }
 
     /**
      * Insert the destination of a retired branch if the paper's THB
      * policy admits it (conditional/indirect; optionally returns).
+     * Inline — the profiling kernel calls it for every record; only
+     * the historyStack extension leaves the header.
      */
-    void observe(const trace::BranchRecord &record);
+    void
+    observe(const trace::BranchRecord &record)
+    {
+        if (options_.historyStack && observeCallReturn(record))
+            return;
+        if (record.entersPathHistory(options_.includeReturns))
+            insert(record.nextPc);
+    }
 
     /** Unconditionally insert a (pre-compression) target address. */
-    void insert(std::uint64_t target);
+    void
+    insert(std::uint64_t target)
+    {
+        const std::uint64_t compressed = compress(target);
+
+        // One rotate-and-XOR maintains every hash function at once:
+        //   S_t = rotl(S_{t-1}, 1) XOR T_t,
+        //   I_X = S_t XOR rotl(S_{t-X}, X)   (see the file comment).
+        // Without rotation the ordering information is lost
+        // (ablation). The k=1 edge case degenerates correctly:
+        // (s << 1 | s) & 1 == s, matching rotl(s, 1, 1) == s.
+        if (options_.rotateTargets)
+            pathSum_ = ((pathSum_ << 1) | (pathSum_ >> (indexBits_ - 1)))
+                     & indexMask_;
+        pathSum_ ^= compressed;
+
+        // Ring-buffer insert: step the head back one slot instead of
+        // shifting all depth entries; the sum goes to both mirrors.
+        head_ = (head_ - 1) & thbMask_;
+        thb_[head_] = compressed;
+        sums_[head_] = pathSum_;
+        sums_[head_ + thbMask_ + 1] = pathSum_;
+
+        if (occupancy_ < options_.depth)
+            ++occupancy_;
+    }
 
     /**
      * Index produced by hash function HF_length: the running path sum
@@ -112,7 +155,9 @@ class PathIndexBank
         assert(length >= 1 && length <= options_.depth);
         // Sums are k-bit clean, so the rotate is two shifts and a
         // mask; a zero amount degenerates correctly (s >> k == 0).
-        const std::uint64_t s = sums_[(head_ + length) & thbMask_];
+        // The mirror makes head_ + length an in-bounds, unwrapped
+        // position.
+        const std::uint64_t s = sums_[head_ + length];
         const unsigned amount = rotAmounts_[length - 1];
         return pathSum_
             ^ (((s << amount) | (s >> (indexBits_ - amount)))
@@ -143,10 +188,13 @@ class PathIndexBank
 
     /**
      * Raw state snapshot for vectorized profiling kernels: everything
-     * index() reads, as plain pointers and scalars. sums[(head + L) &
-     * mask] rotated left by rotAmounts[L - 1] (as an indexBits-bit
-     * value) XOR pathSum reproduces index(L) exactly. Take a fresh
-     * view after every insert.
+     * index() reads, as plain pointers and scalars. sums[head + L]
+     * rotated left by rotAmounts[L - 1] (as an indexBits-bit value)
+     * XOR pathSum reproduces index(L) exactly. The ring is mirrored —
+     * sums[i] == sums[i + mask + 1] for every i <= mask — so
+     * sums[head + L .. head + L + n) is one contiguous, in-bounds run
+     * for any lengths L .. L + n - 1 <= depth. Take a fresh view after
+     * every insert.
      */
     struct RawView
     {
@@ -178,6 +226,13 @@ class PathIndexBank
     std::size_t historyBytes() const;
 
   private:
+    /**
+     * The historyStack extension's half of observe(): snapshot on a
+     * call, restore on a return. True when it consumed the record (a
+     * return that restored a snapshot).
+     */
+    bool observeCallReturn(const trace::BranchRecord &record);
+
     /** One saved history snapshot (historyStack extension). */
     struct Snapshot
     {
@@ -227,14 +282,16 @@ class PathIndexBank
      * single head decrement instead of an O(depth) shift.
      */
     std::vector<std::uint64_t> thb_;
-    /** Capacity mask for thb_ and sums_ (capacity - 1). */
+    /** Ring capacity mask (capacity - 1). */
     unsigned thbMask_;
     /** Ring position of the most recent target. */
     unsigned head_ = 0;
     /** Running path sum S_t (k-bit clean). */
     std::uint64_t pathSum_ = 0;
-    /** Past path sums, sharing head_: sums_[(head_ + X) & thbMask_]
-     *  is S_{t-X} (the capacity leaves room for S_{t-depth}). */
+    /** Past path sums, sharing head_, mirrored: 2 * capacity slots
+     *  with sums_[i] == sums_[i + capacity], so sums_[head_ + X] is
+     *  S_{t-X} without a wrap (the capacity leaves room for
+     *  S_{t-depth}). */
     std::vector<std::uint64_t> sums_;
     /** rotAmounts_[X - 1] = X mod k, or 0 with rotateTargets off. */
     std::vector<unsigned> rotAmounts_;

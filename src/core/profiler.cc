@@ -7,14 +7,21 @@
 
 #include <algorithm>
 #include <cassert>
-#include <exception>
-#include <mutex>
+#include <span>
+#include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
+/** The AVX-512 step-1 kernel is built (and used where the CPU has it). */
+#define VLPSIM_STEP1_AVX512 1
+#define VLPSIM_AVX512 \
+    __attribute__((target("avx512f,avx512vl,avx512dq,avx512bw")))
+#else
+#define VLPSIM_STEP1_AVX512 0
 #endif
 
 #include "core/path_predictor.h"
+#include "core/step1_kernel.h"
 #include "predictors/predictor.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
@@ -45,6 +52,8 @@ FixedLengthSweep::bestLength() const
     }
     return best;
 }
+
+using detail::Step1Kernel;
 
 namespace {
 
@@ -142,209 +151,173 @@ struct ShardResult
     std::uint64_t branches = 0;
 };
 
-/**
- * Step-1 table bank for conditional branches: every shard length's
- * 2-bit-counter table, packed back to back in one PackedCounterTable
- * (4 KiB per 14-bit table, so even the full 32-length bank stays
- * L2-resident).
+/*
+ * ---- Step-1 tables --------------------------------------------------
  *
- * accessAll() predicts, updates, and tallies every shard length for
- * one dynamic branch. On x86-64 hosts with AVX-512 it runs a
- * gather/scatter kernel eight lengths at a time — each length's
- * counter lives in its own table segment, so the lanes never alias —
- * with arithmetic identical to the scalar loop (results stay
- * bit-identical; the dispatch is per process capability, not per
- * run).
+ * One private table per shard length, packed back to back: length
+ * lo + s owns the segment of entries starting at s << segmentBits().
+ * access() predicts and updates one entry (the portable kernel);
+ * access8() does the same for eight entries of eight different
+ * segments at once (the AVX-512 kernel). The segments never overlap,
+ * so the eight lanes never alias and both give identical results.
+ */
+
+/**
+ * Conditional branches: 2-bit counters in one PackedCounterTable.
+ * Every segment is at least one 64-bit word (32 counters), so two
+ * lanes never share a word even when k < 5.
  */
 class ConditionalStep1Tables
 {
   public:
     ConditionalStep1Tables(unsigned index_bits, unsigned lengths)
-        : indexBits_(index_bits),
-          table_(std::size_t{lengths} << index_bits, 2)
+        : segmentBits_(std::max(index_bits, 5u)),
+          table_(std::size_t{lengths} << segmentBits_, 2)
     {
-#if defined(__x86_64__) && defined(__GNUC__)
-        simd_ = __builtin_cpu_supports("avx512f")
-             && __builtin_cpu_supports("avx512vl")
-             && __builtin_cpu_supports("avx512dq")
-             && __builtin_cpu_supports("avx512bw");
-#endif
     }
 
-    /**
-     * Predict/update lengths lo..lo+lengths-1 (table slots 0..) for
-     * one branch, reading the hash indices straight out of @p bank:
-     * hits bump the (saturating) correct[s], misses bump misses[s].
-     */
-    void
-    accessAll(const PathIndexBank &bank, unsigned lo, unsigned lengths,
-              const trace::BranchRecord &record, std::uint32_t *correct,
-              std::uint64_t *misses)
+    unsigned segmentBits() const { return segmentBits_; }
+
+    /** Predict, then train, counter @p entry: true on a hit. */
+    bool
+    access(std::size_t entry, const trace::BranchRecord &record)
     {
-#if defined(__x86_64__) && defined(__GNUC__)
-        if (simd_) {
-            accessAllAvx512(bank.rawView(), lo, lengths, record.taken,
-                            correct, misses);
-            return;
-        }
-#endif
-        const bool taken = record.taken;
-        for (unsigned slot = 0; slot < lengths; ++slot) {
-            const std::size_t entry =
-                (std::size_t{slot} << indexBits_)
-                | static_cast<std::size_t>(bank.index(lo + slot));
-            const bool hit =
-                table_.predictThenUpdate(entry, taken) == taken;
-            correct[slot] += static_cast<std::uint32_t>(
-                hit & (correct[slot] != BranchProfile::saturated));
-            misses[slot] += !hit;
-        }
+        return table_.predictThenUpdate(entry, record.taken)
+            == record.taken;
     }
 
-  private:
-#if defined(__x86_64__) && defined(__GNUC__)
+#if VLPSIM_STEP1_AVX512
     /**
-     * The scalar loop above, eight 64-bit lanes at a time, with the
-     * index reconstruction (ring read, rotate, XOR with the running
-     * sum) fused in so no per-record staging buffer is needed. Slot
-     * width is 2 bits, so a word holds 32 counters (entry >> 5
-     * selects the word, (entry & 31) * 2 the bit position) —
-     * mirroring PackedCounterTable's layout for bits == 2.
+     * access() for the @p active lanes of @p entry: the hit mask. A
+     * word holds 32 counters (entry >> 5 selects the word, (entry &
+     * 31) * 2 the bit position), as PackedCounterTable lays out 2-bit
+     * counters.
      */
-    __attribute__((target("avx512f,avx512vl,avx512dq,avx512bw")))
-    void
-    accessAllAvx512(const PathIndexBank::RawView view, unsigned lo,
-                    unsigned lengths, bool taken,
-                    std::uint32_t *correct, std::uint64_t *misses)
+    VLPSIM_AVX512 __mmask8
+    access8(__m512i entry, __mmask8 active,
+            const trace::BranchRecord &record)
     {
         std::uint64_t *words = table_.wordData();
-        const __m512i one = _mm512_set1_epi64(1);
-        const __m512i two = _mm512_set1_epi64(2);
-        const __m512i three = _mm512_set1_epi64(3);
-        const __m512i in_word = _mm512_set1_epi64(31);
-        const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-        const __m128i index_bits = _mm_cvtsi32_si128(
-            static_cast<int>(indexBits_));
-        const __m256i saturated =
-            _mm256_set1_epi32(static_cast<int>(BranchProfile::saturated));
-        const __m256i one32 = _mm256_set1_epi32(1);
-        const __m512i ring_mask = _mm512_set1_epi64(view.mask);
-        const __m512i path_sum = _mm512_set1_epi64(
-            static_cast<long long>(view.pathSum));
-        const __m512i k_mask = _mm512_set1_epi64(
-            static_cast<long long>(view.indexMask));
-        const __m512i k = _mm512_set1_epi64(view.indexBits);
-        for (unsigned base = 0; base < lengths; base += 8) {
-            const unsigned rest = lengths - base;
-            const __mmask8 active = rest >= 8
-                ? static_cast<__mmask8>(0xff)
-                : static_cast<__mmask8>((1u << rest) - 1);
-            const __m512i slot = _mm512_add_epi64(
-                _mm512_set1_epi64(base), lane);
-            // index(L) for L = lo+base+lane: rotate S_{t-L} left by
-            // rotAmounts[L-1] as a k-bit value, XOR the running sum.
-            const __m512i ring_index = _mm512_and_epi64(
-                _mm512_add_epi64(
-                    _mm512_set1_epi64(view.head + lo + base), lane),
-                ring_mask);
-            const __m512i sum = _mm512_mask_i64gather_epi64(
-                _mm512_setzero_si512(), active, ring_index, view.sums,
-                8);
-            const __m512i amount = _mm512_cvtepu32_epi64(
-                _mm256_maskz_loadu_epi32(
-                    active, view.rotAmounts + (lo + base - 1)));
-            const __m512i rotated = _mm512_and_epi64(
-                _mm512_or_epi64(
-                    _mm512_sllv_epi64(sum, amount),
-                    _mm512_srlv_epi64(sum,
-                                      _mm512_sub_epi64(k, amount))),
-                k_mask);
-            const __m512i index =
-                _mm512_xor_epi64(path_sum, rotated);
-            const __m512i entry = _mm512_or_epi64(
-                _mm512_sll_epi64(slot, index_bits), index);
-            const __m512i word_index = _mm512_srli_epi64(entry, 5);
-            const __m512i shift = _mm512_slli_epi64(
-                _mm512_and_epi64(entry, in_word), 1);
-            __m512i word = _mm512_mask_i64gather_epi64(
-                _mm512_setzero_si512(), active, word_index, words, 8);
-            const __m512i field = _mm512_and_epi64(
-                _mm512_srlv_epi64(word, shift), three);
-            const __mmask8 predict_taken =
-                _mm512_cmpge_epu64_mask(field, two);
-            __m512i next;
-            __mmask8 hit;
-            if (taken) {
-                next = _mm512_mask_add_epi64(
-                    field, _mm512_cmplt_epu64_mask(field, three),
-                    field, one);
-                hit = predict_taken & active;
-            } else {
-                next = _mm512_mask_sub_epi64(
-                    field,
-                    _mm512_cmpneq_epu64_mask(field,
-                                             _mm512_setzero_si512()),
-                    field, one);
-                hit = static_cast<__mmask8>(~predict_taken) & active;
-            }
-            word = _mm512_xor_epi64(
-                word,
-                _mm512_sllv_epi64(_mm512_xor_epi64(field, next),
-                                  shift));
-            _mm512_mask_i64scatter_epi64(words, active, word_index,
-                                         word, 8);
-            __m256i tallies =
-                _mm256_maskz_loadu_epi32(active, correct + base);
-            const __mmask8 unsaturated =
-                _mm256_cmpneq_epu32_mask(tallies, saturated);
-            tallies = _mm256_mask_add_epi32(tallies, hit & unsaturated,
-                                            tallies, one32);
-            _mm256_mask_storeu_epi32(correct + base, active, tallies);
-            __m512i missed =
-                _mm512_maskz_loadu_epi64(active, misses + base);
-            missed = _mm512_mask_add_epi64(
-                missed, static_cast<__mmask8>(~hit) & active, missed,
-                one);
-            _mm512_mask_storeu_epi64(misses + base, active, missed);
-        }
+        const __m512i word_index = _mm512_srli_epi64(entry, 5);
+        // AddressSanitizer does not see gathers and scatters.
+        assert(_mm512_mask_cmpge_epu64_mask(
+                   active, word_index,
+                   _mm512_set1_epi64(static_cast<long long>(
+                       (table_.size() + 31) / 32)))
+               == 0);
+        const __m512i shift = _mm512_slli_epi64(
+            _mm512_and_epi64(entry, _mm512_set1_epi64(31)), 1);
+        const __m512i word = _mm512_mask_i64gather_epi64(
+            _mm512_setzero_si512(), active, word_index, words, 8);
+        const __m512i field = _mm512_and_epi64(
+            _mm512_srlv_epi64(word, shift), _mm512_set1_epi64(3));
+        const __mmask8 taken = record.taken ? 0xff : 0;
+        const __mmask8 predict_taken =
+            _mm512_cmpge_epu64_mask(field, _mm512_set1_epi64(2));
+        // Saturating step toward the outcome: up below 3 when taken,
+        // down above 0 when not.
+        const __mmask8 move =
+            (taken & _mm512_cmplt_epu64_mask(field, _mm512_set1_epi64(3)))
+            | (static_cast<__mmask8>(~taken)
+               & _mm512_test_epi64_mask(field, field));
+        const __m512i next = _mm512_mask_add_epi64(
+            field, move, field, _mm512_set1_epi64(record.taken ? 1 : -1));
+        _mm512_mask_i64scatter_epi64(
+            words, active, word_index,
+            _mm512_xor_epi64(word,
+                             _mm512_sllv_epi64(
+                                 _mm512_xor_epi64(field, next), shift)),
+            8);
+        return static_cast<__mmask8>(~(predict_taken ^ taken)) & active;
     }
 #endif
 
-    unsigned indexBits_;
+  private:
+    unsigned segmentBits_;
     util::PackedCounterTable table_;
-#if defined(__x86_64__) && defined(__GNUC__)
-    bool simd_ = false;
-#endif
 };
 
-/**
- * Step-1 table bank for indirect branches: per-length tables of
- * 32-bit target registers, packed back to back. Indirect branches are
- * a small fraction of a trace, so the scalar loop suffices.
- */
+/** Indirect branches: 32-bit target registers. */
 class IndirectStep1Tables
 {
   public:
     IndirectStep1Tables(unsigned index_bits, unsigned lengths)
-        : indexBits_(index_bits),
+        : segmentBits_(index_bits),
           table_(std::size_t{lengths} << index_bits, 0)
     {
     }
 
-    /** See ConditionalStep1Tables::accessAll(). */
-    void
-    accessAll(const PathIndexBank &bank, unsigned lo, unsigned lengths,
-              const trace::BranchRecord &record, std::uint32_t *correct,
-              std::uint64_t *misses)
+    unsigned segmentBits() const { return segmentBits_; }
+
+    /** Predict, then overwrite, target register @p entry. */
+    bool
+    access(std::size_t entry, const trace::BranchRecord &record)
     {
-        for (unsigned slot = 0; slot < lengths; ++slot) {
-            std::uint32_t &entry =
-                table_[(std::size_t{slot} << indexBits_)
-                       | static_cast<std::size_t>(
-                           bank.index(lo + slot))];
-            const bool hit =
-                pred::widenTarget(entry, record.pc) == record.nextPc;
-            entry = static_cast<std::uint32_t>(record.nextPc);
+        std::uint32_t &target = table_[entry];
+        const bool hit =
+            pred::widenTarget(target, record.pc) == record.nextPc;
+        target = static_cast<std::uint32_t>(record.nextPc);
+        return hit;
+    }
+
+#if VLPSIM_STEP1_AVX512
+    /** See ConditionalStep1Tables::access8(). */
+    VLPSIM_AVX512 __mmask8
+    access8(__m512i entry, __mmask8 active,
+            const trace::BranchRecord &record)
+    {
+        assert(_mm512_mask_cmpge_epu64_mask(
+                   active, entry,
+                   _mm512_set1_epi64(
+                       static_cast<long long>(table_.size())))
+               == 0);
+        const __m256i target = _mm256_set1_epi32(
+            static_cast<int>(static_cast<std::uint32_t>(record.nextPc)));
+        const __m256i stored = _mm512_mask_i64gather_epi32(
+            _mm256_setzero_si256(), active, entry, table_.data(), 4);
+        _mm512_mask_i64scatter_epi32(table_.data(), active, entry, target,
+                                     4);
+        // widenTarget() takes the high half from the branch's own pc.
+        if ((record.pc >> 32) != (record.nextPc >> 32))
+            return 0;
+        return _mm256_mask_cmpeq_epi32_mask(active, stored, target);
+    }
+#endif
+
+  private:
+    unsigned segmentBits_;
+    std::vector<std::uint32_t> table_;
+};
+
+/*
+ * ---- Step-1 kernels -------------------------------------------------
+ *
+ * A kernel owns one shard's tables and, per profiled record, predicts
+ * and trains every shard length and tallies the outcome: hits bump the
+ * branch's (saturating) correct[], misses the shard's misses[].
+ */
+
+/** One length at a time, reading each index from the bank. */
+template <typename Tables>
+class PortableKernel
+{
+  public:
+    PortableKernel(unsigned index_bits, const LengthShard &shard,
+                   const PathIndexBank &)
+        : tables_(index_bits, shard.hi - shard.lo + 1), lo_(shard.lo),
+          lengths_(shard.hi - shard.lo + 1)
+    {
+    }
+
+    void
+    access(const PathIndexBank &bank, const trace::BranchRecord &record,
+           std::uint32_t *correct, std::uint64_t *misses)
+    {
+        for (unsigned slot = 0; slot < lengths_; ++slot) {
+            const bool hit = tables_.access(
+                (std::size_t{slot} << tables_.segmentBits())
+                    | static_cast<std::size_t>(bank.index(lo_ + slot)),
+                record);
             correct[slot] += static_cast<std::uint32_t>(
                 hit & (correct[slot] != BranchProfile::saturated));
             misses[slot] += !hit;
@@ -352,8 +325,175 @@ class IndirectStep1Tables
     }
 
   private:
-    unsigned indexBits_;
-    std::vector<std::uint32_t> table_;
+    Tables tables_;
+    unsigned lo_;
+    unsigned lengths_;
+};
+
+#if VLPSIM_STEP1_AVX512
+/**
+ * Eight lengths per instruction, in chunks of eight consecutive shard
+ * lengths. What depends only on the shard — each chunk's segment
+ * bases, rotate amounts and lane mask — is computed once, in the
+ * constructor. Per record, each chunk's eight past sums are one
+ * contiguous load from the mirrored ring, and the tallies are
+ * full-width loads and stores, because a masked store does not
+ * forward to the next record's load of the same lanes. Only a ragged
+ * last chunk (fewer than eight lengths left) masks them.
+ */
+template <typename Tables>
+class Avx512Kernel
+{
+  public:
+    VLPSIM_AVX512
+    Avx512Kernel(unsigned index_bits, const LengthShard &shard,
+                 const PathIndexBank &bank)
+        : tables_(index_bits, shard.hi - shard.lo + 1), lo_(shard.lo),
+          lengths_(shard.hi - shard.lo + 1), fullChunks_(lengths_ / 8)
+    {
+        const PathIndexBank::RawView view = bank.rawView();
+        const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+        for (unsigned base = 0; base < lengths_; base += 8) {
+            Chunk &chunk = chunks_[base / 8];
+            const unsigned rest = lengths_ - base;
+            chunk.active = rest >= 8 ? 0xff : (1u << rest) - 1;
+            chunk.segment = _mm512_sll_epi64(
+                _mm512_add_epi64(_mm512_set1_epi64(base), lane),
+                _mm_cvtsi32_si128(
+                    static_cast<int>(tables_.segmentBits())));
+            // Rotate S_{t-L} left by rotAmounts[L - 1] as a k-bit
+            // value: two shifts, by amount and by k - amount.
+            chunk.left = _mm512_cvtepu32_epi64(_mm256_maskz_loadu_epi32(
+                chunk.active, view.rotAmounts + (lo_ + base - 1)));
+            chunk.right = _mm512_sub_epi64(
+                _mm512_set1_epi64(view.indexBits), chunk.left);
+        }
+        indexMask_ = _mm512_set1_epi64(
+            static_cast<long long>(view.indexMask));
+    }
+
+    VLPSIM_AVX512 void
+    access(const PathIndexBank &bank, const trace::BranchRecord &record,
+           std::uint32_t *correct, std::uint64_t *misses)
+    {
+        const PathIndexBank::RawView view = bank.rawView();
+        // S_{t-L} for L = lo, lo + 1, ...: one unwrapped run.
+        assert(view.head + lo_ + lengths_ <= 2 * (view.mask + 1));
+        const std::uint64_t *sums = view.sums + view.head + lo_;
+        const __m512i path_sum =
+            _mm512_set1_epi64(static_cast<long long>(view.pathSum));
+        for (unsigned c = 0; c < fullChunks_; ++c)
+            chunk<false>(c, sums, path_sum, record, correct, misses);
+        if (fullChunks_ * 8 < lengths_)
+            chunk<true>(fullChunks_, sums, path_sum, record, correct,
+                        misses);
+    }
+
+  private:
+    /** One chunk's shard-invariant vectors. */
+    struct Chunk
+    {
+        __m512i segment;
+        __m512i left;
+        __m512i right;
+        __mmask8 active;
+    };
+
+    template <bool ragged>
+    VLPSIM_AVX512 void
+    chunk(unsigned c, const std::uint64_t *sums, __m512i path_sum,
+          const trace::BranchRecord &record, std::uint32_t *correct,
+          std::uint64_t *misses)
+    {
+        const Chunk &chunk = chunks_[c];
+        const unsigned base = c * 8;
+        __m512i sum;
+        if constexpr (ragged)
+            sum = _mm512_maskz_loadu_epi64(chunk.active, sums + base);
+        else
+            sum = _mm512_loadu_si512(sums + base);
+        const __m512i index = _mm512_xor_epi64(
+            path_sum,
+            _mm512_and_epi64(
+                _mm512_or_epi64(_mm512_sllv_epi64(sum, chunk.left),
+                                _mm512_srlv_epi64(sum, chunk.right)),
+                indexMask_));
+        const __mmask8 hit = tables_.access8(
+            _mm512_or_epi64(chunk.segment, index), chunk.active, record);
+
+        __m256i tallies;
+        if constexpr (ragged)
+            tallies = _mm256_maskz_loadu_epi32(chunk.active, correct + base);
+        else
+            tallies = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(correct + base));
+        // Subtracting the all-ones lanes of a mask adds one to them.
+        // (A masked add would let the compiler store only the changed
+        // lanes: a masked store again.)
+        tallies = _mm256_sub_epi32(
+            tallies,
+            _mm256_movm_epi32(
+                hit & _mm256_cmpneq_epu32_mask(
+                          tallies, _mm256_set1_epi32(static_cast<int>(
+                                       BranchProfile::saturated)))));
+        if constexpr (ragged)
+            _mm256_mask_storeu_epi32(correct + base, chunk.active,
+                                     tallies);
+        else
+            _mm256_storeu_si256(reinterpret_cast<__m256i *>(correct + base),
+                                tallies);
+
+        // misses has a slot for every lane of every chunk, so even a
+        // ragged chunk stores it full width.
+        _mm512_storeu_si512(
+            misses + base,
+            _mm512_sub_epi64(_mm512_loadu_si512(misses + base),
+                             _mm512_movm_epi64(static_cast<__mmask8>(~hit)
+                                               & chunk.active)));
+    }
+
+    Tables tables_;
+    unsigned lo_;
+    unsigned lengths_;
+    unsigned fullChunks_;
+    __m512i indexMask_;
+    std::array<Chunk, maxPathLength / 8> chunks_;
+};
+#endif
+
+/**
+ * A shard's records as spans: an in-memory trace as one span, any
+ * other source through a bounded buffer filled from next().
+ */
+class RecordFeed
+{
+  public:
+    explicit RecordFeed(const std::vector<trace::BranchRecord> &records)
+        : whole_(records)
+    {
+    }
+
+    explicit RecordFeed(trace::TraceSource &source)
+        : source_(&source), buffer_(4096)
+    {
+    }
+
+    /** The next span of records; empty at the end of the trace. */
+    std::span<const trace::BranchRecord>
+    next()
+    {
+        if (source_ == nullptr)
+            return std::exchange(whole_, {});
+        std::size_t count = 0;
+        while (count < buffer_.size() && source_->next(buffer_[count]))
+            ++count;
+        return {buffer_.data(), count};
+    }
+
+  private:
+    std::span<const trace::BranchRecord> whole_;
+    trace::TraceSource *source_ = nullptr;
+    std::vector<trace::BranchRecord> buffer_;
 };
 
 /*
@@ -414,27 +554,24 @@ withClass(bool indirect, Body &&body)
 }
 
 /**
- * Replay a record stream over one shard's private predictors.
- * @p replay is a callable invoking its argument once per record in
- * trace order — either a loop over an in-memory vector or a streaming
- * pass over a trace source (bounded memory for on-disk traces).
+ * One shard's step-1 loop, the same for both classes and both
+ * kernels: each profiled record goes through the kernel, every record
+ * into the bank.
  */
-template <typename Class, typename Replay>
-void
-runShard(Replay &&replay, const ProfileOptions &options,
-         const LengthShard &shard, bool leader, ShardResult &out)
+template <typename Class, typename Kernel>
+[[gnu::always_inline]] inline void
+step1Loop(RecordFeed &feed, const ProfileOptions &options,
+          const LengthShard &shard, bool leader, ShardResult &out)
 {
     PathHistoryOptions history = options.history;
     // A shallower bank computes identical indices for every length it
-    // implements (see the kernel comment above), and a shard never
+    // implements (see the sharding comment above), and a shard never
     // reads past its own highest length.
     history.depth = shard.hi;
     PathIndexBank bank(options.indexBits, history);
-    typename Class::Step1Tables tables(options.indexBits,
-                                       shard.hi - shard.lo + 1);
-
-    const unsigned lengths = shard.hi - shard.lo + 1;
-    out.mispredictions.assign(lengths, 0);
+    Kernel kernel(options.indexBits, shard, bank);
+    // Room for every lane of every chunk; added to the sweep once.
+    alignas(64) std::array<std::uint64_t, maxPathLength> misses{};
 
     // Direct-mapped pc -> profile cache in front of the hash map. Hot
     // branches dominate a trace, so most records hit; BranchProfile
@@ -447,39 +584,59 @@ runShard(Replay &&replay, const ProfileOptions &options,
     };
     std::array<CachedProfile, 1024> recent{};
 
-    replay([&](const trace::BranchRecord &record) {
-        if (Class::profiled(record)) {
-            CachedProfile &cached = recent[(record.pc >> 2) & 1023];
-            if (cached.pc != record.pc || cached.profile == nullptr) {
-                cached.pc = record.pc;
-                cached.profile = &out.profiles[record.pc];
+    for (auto records = feed.next(); !records.empty();
+         records = feed.next()) {
+        for (const trace::BranchRecord &record : records) {
+            if (Class::profiled(record)) {
+                CachedProfile &cached = recent[(record.pc >> 2) & 1023];
+                if (cached.pc != record.pc || cached.profile == nullptr) {
+                    cached.pc = record.pc;
+                    cached.profile = &out.profiles[record.pc];
+                }
+                BranchProfile &profile = *cached.profile;
+                if (leader) {
+                    profile.addExecution();
+                    ++out.branches;
+                }
+                kernel.access(bank, record,
+                              profile.correct.data() + (shard.lo - 1),
+                              misses.data());
             }
-            BranchProfile &profile = *cached.profile;
-            if (leader) {
-                profile.addExecution();
-                ++out.branches;
-            }
-            tables.accessAll(bank, shard.lo, lengths, record,
-                             profile.correct.data() + (shard.lo - 1),
-                             out.mispredictions.data());
+            bank.observe(record);
         }
-        bank.observe(record);
-    });
+    }
+    out.mispredictions.assign(misses.begin(),
+                              misses.begin() + (shard.hi - shard.lo + 1));
 }
 
-/** A Replay over an in-memory record vector (see runShard()). */
-struct VectorReplay
+#if VLPSIM_STEP1_AVX512
+/** step1Loop() with the AVX-512 kernel, compiled for AVX-512. */
+template <typename Class>
+VLPSIM_AVX512 void
+runShardAvx512(RecordFeed &feed, const ProfileOptions &options,
+               const LengthShard &shard, bool leader, ShardResult &out)
 {
-    const std::vector<trace::BranchRecord> &records;
+    step1Loop<Class, Avx512Kernel<typename Class::Step1Tables>>(
+        feed, options, shard, leader, out);
+}
+#endif
 
-    template <typename Body>
-    void
-    operator()(Body &&body) const
-    {
-        for (const trace::BranchRecord &record : records)
-            body(record);
+/** Run one shard's step 1 with @p kernel. */
+template <typename Class>
+void
+runShard(Step1Kernel kernel, RecordFeed &feed,
+         const ProfileOptions &options, const LengthShard &shard,
+         bool leader, ShardResult &out)
+{
+#if VLPSIM_STEP1_AVX512
+    if (kernel == Step1Kernel::avx512) {
+        runShardAvx512<Class>(feed, options, shard, leader, out);
+        return;
     }
-};
+#endif
+    step1Loop<Class, PortableKernel<typename Class::Step1Tables>>(
+        feed, options, shard, leader, out);
+}
 
 /**
  * Run step 1 over @p profile_trace, sharding the length range across
@@ -487,7 +644,7 @@ struct VectorReplay
  */
 template <typename Class>
 void
-runStep1Sharded(trace::TraceSource &profile_trace,
+runStep1Sharded(Step1Kernel kernel, trace::TraceSource &profile_trace,
                 const ProfileOptions &options, FixedLengthSweep &sweep,
                 std::unordered_map<std::uint64_t, BranchProfile>
                     &profiles)
@@ -505,18 +662,11 @@ runStep1Sharded(trace::TraceSource &profile_trace,
         // source (e.g. a streaming .vbt reader) is consumed in place —
         // peak trace-buffer memory stays whatever the source buffers,
         // not the whole trace.
-        if (vector_source != nullptr) {
-            runShard<Class>(VectorReplay{vector_source->records()},
-                            options, shards[0], true, results[0]);
-        } else {
-            runShard<Class>(
-                [&profile_trace](auto &&body) {
-                    trace::BranchRecord record;
-                    while (profile_trace.next(record))
-                        body(record);
-                },
-                options, shards[0], true, results[0]);
-        }
+        RecordFeed feed = vector_source != nullptr
+            ? RecordFeed(vector_source->records())
+            : RecordFeed(profile_trace);
+        runShard<Class>(kernel, feed, options, shards[0], true,
+                        results[0]);
     } else {
         // Workers need independent, read-only passes over the
         // records; borrow the vector of an in-memory trace, otherwise
@@ -533,30 +683,14 @@ runStep1Sharded(trace::TraceSource &profile_trace,
                 materialized.push_back(record);
             records = &materialized;
         }
-        // The controlling thread takes the leader shard; the rest run
-        // on a transient pool. Tasks must not leak exceptions into
-        // the pool, so failures are captured and rethrown here.
-        util::ThreadPool pool(
-            static_cast<unsigned>(shards.size()) - 1);
-        std::exception_ptr failure;
-        std::mutex failure_mutex;
-        for (std::size_t i = 1; i < shards.size(); ++i) {
-            pool.submit([&, i] {
-                try {
-                    runShard<Class>(VectorReplay{*records}, options,
-                                    shards[i], false, results[i]);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(failure_mutex);
-                    if (!failure)
-                        failure = std::current_exception();
-                }
-            });
-        }
-        runShard<Class>(VectorReplay{*records}, options, shards[0],
-                        true, results[0]);
-        pool.wait();
-        if (failure)
-            std::rethrow_exception(failure);
+        // The controlling thread and a transient pool claim shards;
+        // the first failure is rethrown here.
+        util::ThreadPool pool(static_cast<unsigned>(shards.size()) - 1);
+        pool.parallelFor(shards.size(), [&](std::size_t i) {
+            RecordFeed feed(*records);
+            runShard<Class>(kernel, feed, options, shards[i], i == 0,
+                            results[i]);
+        });
     }
 
     // Merge in length order. Every shard sees the same profiled
@@ -622,6 +756,39 @@ runStep2Iterations(trace::TraceSource &profile_trace,
 
 } // anonymous namespace
 
+namespace detail {
+
+Step1Kernel
+nativeStep1Kernel()
+{
+#if VLPSIM_STEP1_AVX512
+    static const bool avx512 = __builtin_cpu_supports("avx512f")
+                            && __builtin_cpu_supports("avx512vl")
+                            && __builtin_cpu_supports("avx512dq")
+                            && __builtin_cpu_supports("avx512bw");
+    if (avx512)
+        return Step1Kernel::avx512;
+#endif
+    return Step1Kernel::portable;
+}
+
+void
+runStep1(Step1Kernel kernel, bool indirect,
+         trace::TraceSource &profile_trace, const ProfileOptions &options,
+         FixedLengthSweep &sweep,
+         std::unordered_map<std::uint64_t, BranchProfile> &profiles)
+{
+    if (kernel == Step1Kernel::avx512
+        && nativeStep1Kernel() != Step1Kernel::avx512)
+        util::fatal("this CPU cannot run the AVX-512 step-1 kernel");
+    withClass(indirect, [&](auto policy) {
+        runStep1Sharded<decltype(policy)>(kernel, profile_trace, options,
+                                          sweep, profiles);
+    });
+}
+
+} // namespace detail
+
 Profiler::Profiler(ProfileOptions options, bool indirect)
     : options_(options), indirect_(indirect)
 {
@@ -635,10 +802,8 @@ Profiler::runStep1(trace::TraceSource &profile_trace)
     // packed and length-sharded; see the kernel comment above.
     FixedLengthSweep sweep;
     profiles_.clear();
-    withClass(indirect_, [&](auto policy) {
-        runStep1Sharded<decltype(policy)>(profile_trace, options_, sweep,
-                                          profiles_);
-    });
+    detail::runStep1(detail::nativeStep1Kernel(), indirect_,
+                     profile_trace, options_, sweep, profiles_);
     sweep_ = std::move(sweep);
     step1Done_ = true;
     return sweep_;

@@ -188,6 +188,62 @@ TEST(PathIndexBank, HistoryStackHandlesUnderflowAndOverflow)
     EXPECT_EQ(bank.index(1), bank.compress(0x400040));
 }
 
+/**
+ * The sum ring is mirrored (sums[i] == sums[i + capacity]) in every
+ * raw view, and the fast index agrees with the reference at every
+ * length.
+ */
+void
+expectMirroredAndExact(const PathIndexBank &bank)
+{
+    const PathIndexBank::RawView view = bank.rawView();
+    const unsigned capacity = view.mask + 1;
+    for (unsigned i = 0; i < capacity; ++i)
+        ASSERT_EQ(view.sums[i], view.sums[i + capacity]) << "slot " << i;
+    for (unsigned length = 1; length <= bank.depth(); ++length)
+        ASSERT_EQ(bank.index(length), bank.directIndex(length))
+            << "length " << length;
+}
+
+TEST(PathIndexBank, MirroredRingSurvivesEveryMutation)
+{
+    const BranchKind kinds[] = {BranchKind::Conditional,
+                                BranchKind::IndirectJump,
+                                BranchKind::DirectCall,
+                                BranchKind::IndirectCall,
+                                BranchKind::Return};
+    for (const unsigned depth : {1u, 5u, 8u, 32u}) {
+        for (const unsigned k : {3u, 12u}) {
+            SCOPED_TRACE("depth " + std::to_string(depth) + " k "
+                         + std::to_string(k));
+            PathHistoryOptions options;
+            options.depth = depth;
+            options.historyStack = true;
+            options.historyStackDepth = 4;
+            PathIndexBank bank(k, options);
+            util::Rng rng(depth * 100 + k);
+            PathIndexBank::HistoryCheckpoint saved;
+            expectMirroredAndExact(bank);
+            for (int step = 0; step < 400; ++step) {
+                if (step % 3 == 0) {
+                    bank.insert(rng.next());
+                } else {
+                    // Calls snapshot and returns restore the history.
+                    bank.observe(record(kinds[rng.nextBelow(5)],
+                                        0x400000, rng.next()));
+                }
+                if (step == 100)
+                    saved = bank.checkpoint();
+                if (step == 200)
+                    bank.restore(saved);
+                if (step == 300)
+                    bank.clear();
+                expectMirroredAndExact(bank);
+            }
+        }
+    }
+}
+
 TEST(PathIndexBank, HistoryStackOffByDefault)
 {
     PathIndexBank bank(12);

@@ -7,10 +7,14 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <map>
+#include <utility>
 
 #include "core/path_predictor.h"
 #include "core/profiler.h"
+#include "core/step1_kernel.h"
 #include "util/rng.h"
+#include "workload/benchmarks.h"
 
 namespace {
 
@@ -437,6 +441,185 @@ TEST(CandidateSelector, FewerIterationsThanCandidates)
     // Only one candidate tested: it wins over untested ones.
     EXPECT_EQ(selector.finalAssignment().lookup(0x400000),
               tested.lookup(0x400000));
+}
+
+// --- Step-1 oracle ----------------------------------------------------
+//
+// Step 1 must report, for every swept length L, exactly what a
+// standalone fixed length path predictor of length L reports over the
+// same trace — whatever the kernel, the sharding or the source.
+
+/** One standalone predictor's mispredictions and per-branch hits. */
+struct StandaloneResult
+{
+    std::uint64_t mispredictions = 0;
+    std::unordered_map<std::uint64_t, std::uint32_t> hits;
+};
+
+StandaloneResult
+replayStandalone(const std::vector<BranchRecord> &records, bool indirect,
+                 unsigned index_bits, unsigned length)
+{
+    StandaloneResult result;
+    const auto replay = [&](auto &predictor, auto profiled, auto hit) {
+        for (const BranchRecord &record : records) {
+            if (profiled(record)) {
+                if (hit(predictor.predict(record), record))
+                    ++result.hits[record.pc];
+                else
+                    ++result.mispredictions;
+                predictor.update(record);
+            }
+            predictor.observe(record);
+        }
+    };
+    if (indirect) {
+        PathIndirectPredictor predictor(index_bits, length);
+        replay(predictor,
+               [](const BranchRecord &record) { return record.isIndirect(); },
+               [](std::uint64_t predicted, const BranchRecord &record) {
+                   return predicted == record.nextPc;
+               });
+    } else {
+        PathConditionalPredictor predictor(index_bits, length);
+        replay(predictor,
+               [](const BranchRecord &record) {
+                   return record.isConditional();
+               },
+               [](bool predicted, const BranchRecord &record) {
+                   return predicted == record.taken;
+               });
+    }
+    return result;
+}
+
+/** A source that is not a VectorTraceSource, so step 1 streams it. */
+class StreamingSource : public trace::TraceSource
+{
+  public:
+    explicit StreamingSource(const std::vector<BranchRecord> &records)
+        : records_(records)
+    {
+    }
+
+    bool
+    next(BranchRecord &record) override
+    {
+        if (position_ == records_.size())
+            return false;
+        record = records_[position_++];
+        return true;
+    }
+
+    void reset() override { position_ = 0; }
+
+  private:
+    const std::vector<BranchRecord> &records_;
+    std::size_t position_ = 0;
+};
+
+void
+expectStep1MatchesStandalone(detail::Step1Kernel kernel, bool indirect)
+{
+    // perl has both classes in quantity; > 4096 records so a streamed
+    // source spans several buffers. A third of its indirect branches
+    // jump into another 4 GiB half, where a 32-bit target register
+    // never hits (pred::widenTarget).
+    std::vector<BranchRecord> generated =
+        workload::generateTrace(workload::findBenchmark("perl"),
+                                workload::InputKind::Profile, 0.01)
+            .records();
+    for (BranchRecord &record : generated) {
+        if (record.isIndirect() && (record.pc >> 2) % 3 == 0)
+            record.nextPc += std::uint64_t{1} << 32;
+    }
+    trace::VectorTraceSource vector_source(std::move(generated));
+    const std::vector<BranchRecord> &records = vector_source.records();
+    ASSERT_GT(records.size(), 3 * 4096u);
+    StreamingSource streaming_source(records);
+
+    // k = 3 packs several lengths' counters into one table word.
+    for (const unsigned k : {3u, 12u, 20u}) {
+        std::map<unsigned, StandaloneResult> standalone;
+        for (const auto [lo, hi] : {std::pair{3u, 29u}, std::pair{1u, 1u},
+                                    std::pair{32u, 32u}}) {
+            for (const unsigned jobs : {1u, 3u}) {
+                for (const bool streaming : {false, true}) {
+                    SCOPED_TRACE("k=" + std::to_string(k) + " lengths "
+                                 + std::to_string(lo) + ".."
+                                 + std::to_string(hi) + " jobs="
+                                 + std::to_string(jobs)
+                                 + (streaming ? " streaming" : " vector"));
+                    ProfileOptions options;
+                    options.indexBits = k;
+                    options.minLength = lo;
+                    options.maxLength = hi;
+                    options.jobs = jobs;
+                    FixedLengthSweep sweep;
+                    std::unordered_map<std::uint64_t, BranchProfile>
+                        profiles;
+                    trace::TraceSource &source = streaming
+                        ? static_cast<trace::TraceSource &>(
+                              streaming_source)
+                        : vector_source;
+                    detail::runStep1(kernel, indirect, source, options,
+                                     sweep, profiles);
+                    ASSERT_EQ(sweep.mispredictions.size(), hi);
+                    for (unsigned length = 1; length < lo; ++length)
+                        EXPECT_EQ(sweep.mispredictions[length - 1], 0u);
+                    for (unsigned length = lo; length <= hi; ++length) {
+                        auto found = standalone.find(length);
+                        if (found == standalone.end())
+                            found = standalone
+                                        .emplace(length,
+                                                 replayStandalone(
+                                                     records, indirect, k,
+                                                     length))
+                                        .first;
+                        const StandaloneResult &expected = found->second;
+                        EXPECT_EQ(sweep.mispredictions[length - 1],
+                                  expected.mispredictions)
+                            << "length " << length;
+                        unsigned wrong = 0;
+                        for (const auto &[pc, profile] : profiles) {
+                            const auto hits = expected.hits.find(pc);
+                            wrong += profile.correct[length - 1]
+                                  != (hits == expected.hits.end()
+                                          ? 0u
+                                          : hits->second);
+                        }
+                        EXPECT_EQ(wrong, 0u)
+                            << "branches with wrong hits at length "
+                            << length;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Step1Oracle, ConditionalPortableKernel)
+{
+    expectStep1MatchesStandalone(detail::Step1Kernel::portable, false);
+}
+
+TEST(Step1Oracle, IndirectPortableKernel)
+{
+    expectStep1MatchesStandalone(detail::Step1Kernel::portable, true);
+}
+
+TEST(Step1Oracle, ConditionalAvx512Kernel)
+{
+    if (detail::nativeStep1Kernel() != detail::Step1Kernel::avx512)
+        GTEST_SKIP() << "this CPU has no AVX-512";
+    expectStep1MatchesStandalone(detail::Step1Kernel::avx512, false);
+}
+
+TEST(Step1Oracle, IndirectAvx512Kernel)
+{
+    if (detail::nativeStep1Kernel() != detail::Step1Kernel::avx512)
+        GTEST_SKIP() << "this CPU has no AVX-512";
+    expectStep1MatchesStandalone(detail::Step1Kernel::avx512, true);
 }
 
 } // anonymous namespace

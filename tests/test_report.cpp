@@ -3,11 +3,12 @@
  * Tests for the structured report model and its sinks.
  *
  * The golden-file tests are the byte-identity lock for the bench
- * refactors: they rebuild the Table 2, Figures 5 & 6 and Figures 7 & 8
+ * refactors: they rebuild the Table 2 and Figures 5 & 6, 7 & 8 and 9
  * reports through bench::paper_reports and assert the ASCII sink
  * reproduces the committed stdout exactly, at --jobs 1 and --jobs 4.
  * Figures 7 & 8 cover the indirect comparison replay (CHP path and
- * pattern, fixed and variable length path). The goldens were captured
+ * pattern, fixed and variable length path); Figure 9 the five
+ * conditional budgets and the tuned length. The goldens were captured
  * at VLPSIM_SCALE=0.05, so main() pins that scale before the workload
  * generators run.
  */
@@ -125,6 +126,24 @@ TEST(GoldenAscii, Fig7_8MatchesCommittedStdoutAtJobs4)
     EXPECT_EQ(renderBench(bench::fig7_8Title,
                           bench::fig7_8Configuration, 4,
                           bench::buildFig7_8),
+              golden);
+}
+
+TEST(GoldenAscii, Fig9MatchesCommittedStdoutAtJobs1)
+{
+    const std::string golden =
+        readFile(std::string(VLPSIM_GOLDEN_DIR) + "/bench_fig9.txt");
+    EXPECT_EQ(renderBench(bench::fig9Title, bench::fig9Configuration, 1,
+                          bench::buildFig9),
+              golden);
+}
+
+TEST(GoldenAscii, Fig9MatchesCommittedStdoutAtJobs4)
+{
+    const std::string golden =
+        readFile(std::string(VLPSIM_GOLDEN_DIR) + "/bench_fig9.txt");
+    EXPECT_EQ(renderBench(bench::fig9Title, bench::fig9Configuration, 4,
+                          bench::buildFig9),
               golden);
 }
 
