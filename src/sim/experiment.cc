@@ -505,6 +505,19 @@ ExperimentContext::globalLength(std::size_t bytes, bool indirect)
     return argminLength(averageSweep(bytes, indirect));
 }
 
+ComparisonRow
+ExperimentContext::row(const std::string &key,
+                       const std::function<ComparisonRow()> &compute)
+{
+    RowEntry *entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entry = &rows_[key];
+    }
+    entry->once.call([&] { entry->row = compute(); });
+    return entry->row;
+}
+
 namespace {
 
 RateEntry
@@ -610,9 +623,10 @@ replayComparison(const std::string &name, trace::TraceSource &eval_trace,
 }
 
 /**
- * The one comparison body: the cached row under @p key, else the tuned
- * length and assignment from @p profile_sweep / @p profile_assignment,
- * a replay over the trace @p eval_trace opens, and a store insert.
+ * The one comparison body, memoized in @p context under @p key: the
+ * stored row under @p key, else the tuned length and assignment from
+ * @p profile_sweep / @p profile_assignment, a replay over the trace
+ * @p eval_trace opens, and a store insert.
  */
 template <typename Sweep, typename Assign, typename Open>
 ComparisonRow
@@ -623,19 +637,23 @@ compareWith(ExperimentContext &context, const store::CacheKey &key,
             Open &&eval_trace)
 {
     context.throwIfCancelled();
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
+    return context.row(key.text(), [&] {
+        if (auto cached = fetchComparisonRow(context.store(), key))
+            return *cached;
 
-    const unsigned index_bits = indexBits(bytes, indirect);
-    const unsigned tuned_length = profile_sweep(index_bits).bestLength();
-    const core::HashAssignment &assignment = profile_assignment(index_bits);
-    const auto trace = eval_trace();
-    ComparisonRow row = replayComparison(
-        name, *trace, indirect, index_bits, global_length, tuned_length,
-        assignment, include_tuned);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
+        const unsigned index_bits = indexBits(bytes, indirect);
+        const unsigned tuned_length =
+            profile_sweep(index_bits).bestLength();
+        const core::HashAssignment &assignment =
+            profile_assignment(index_bits);
+        const auto trace = eval_trace();
+        ComparisonRow row = replayComparison(
+            name, *trace, indirect, index_bits, global_length,
+            tuned_length, assignment, include_tuned);
+        if (auto *store = context.store())
+            store->insert(key, store::encodeComparisonRow(row));
+        return row;
+    });
 }
 
 } // anonymous namespace

@@ -5,10 +5,10 @@
  *
  * ExperimentContext memoizes, within one process, the expensive
  * artifacts: generated traces (a bounded set, shared zero-copy) and
- * profiling results (step-1 sweeps, step-2 assignments and suite
- * averages per benchmark/size), so a bench that needs the global fixed
- * length *and* per-benchmark VLP assignments profiles each benchmark
- * exactly once, however many threads ask.
+ * profiling results (step-1 sweeps, step-2 assignments, suite
+ * averages and comparison rows per benchmark/size), so a bench that
+ * needs the global fixed length *and* per-benchmark VLP assignments
+ * profiles each benchmark exactly once, however many threads ask.
  *
  * Both branch classes share every accessor and comparison: a
  * `bool indirect` argument selects the class, as it does in the cache
@@ -110,13 +110,13 @@ struct ExternalTrace
  *
  * Every accessor is a pure function of its arguments, memoized behind
  * a latch, so one context may be shared by any number of threads: each
- * trace is generated once and each profile, assignment and suite
- * average computed once per key, with concurrent requesters waiting on
- * the in-flight computation. A computation that fails or is cancelled
- * leaves its key unset (the next request recomputes it), and every
- * waiter rethrows its error. The configuration setters (setStore(),
- * setCancelToken(), setStep1Jobs()) are not synchronized: call them
- * before sharing the context.
+ * trace is generated once and each profile, assignment, suite average
+ * and comparison row computed once per key, with concurrent requesters
+ * waiting on the in-flight computation. A computation that fails or is
+ * cancelled leaves its key unset (the next request recomputes it), and
+ * every waiter rethrows its error. The configuration setters
+ * (setStore(), setCancelToken(), setStep1Jobs()) are not synchronized:
+ * call them before sharing the context.
  *
  * With an attached ArtifactStore (setStore()), profiling results are
  * additionally persisted on disk: step-1 sweeps, step-2 assignments,
@@ -238,8 +238,8 @@ class ExperimentContext
      * session rewound when the trace carries one, else a fresh
      * bounded-memory reader. External traces are deliberately
      * excluded from the in-memory trace cache. Replays of a shared
-     * session must not overlap (the suite runner serializes per
-     * trace by sharding).
+     * session must not overlap (the suite runner keeps each pair's
+     * sessions on one thread at a time).
      * @throws util::TransientError / std::runtime_error from the
      *         underlying file
      */
@@ -283,6 +283,17 @@ class ExperimentContext
         return globalLength(bytes, false);
     }
 
+    /**
+     * The comparison row under store key @p key (its canonical text),
+     * memoized like the profiling artifacts: @p compute — which
+     * fetches from the store or replays and inserts — runs once per
+     * key, so two requests for an identical row cost one store lookup
+     * however they are scheduled. compare() and compareExternal() go
+     * through here.
+     */
+    ComparisonRow row(const std::string &key,
+                      const std::function<ComparisonRow()> &compute);
+
   private:
     struct ProfilerEntry
     {
@@ -296,6 +307,12 @@ class ExperimentContext
     {
         util::Once once;
         std::vector<double> rates;
+    };
+
+    struct RowEntry
+    {
+        util::Once once;
+        ComparisonRow row;
     };
 
     using Records = trace::VectorTraceSource::Records;
@@ -361,6 +378,7 @@ class ExperimentContext
     std::list<std::string> traceLru_;
     std::map<Key, ProfilerEntry> profilers_;
     std::map<Key, AverageEntry> averages_;
+    std::map<Key, RowEntry> rows_;
     std::atomic<std::uint64_t> traceGenerations_{0};
 };
 

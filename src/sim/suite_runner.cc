@@ -12,8 +12,9 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
-#include <mutex>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -241,42 +242,6 @@ quarantine(TraceWork &work, const std::string &cause)
     work.profile.session.reset();
     work.test.session.reset();
     util::warn("quarantined pair " + work.outcome.name + ": " + cause);
-}
-
-/**
- * Static-sharded parallel loop: item i runs on worker i % jobs, each
- * worker walks its items in increasing order, so a pair's parked
- * session and its profiler caches stay with one worker's context
- * across phases. jobs == 1 runs inline. fn(worker, i)
- * must not throw — per-pair errors are absorbed into outcomes — but
- * a stray exception is still captured and rethrown, first one wins.
- */
-void
-forEachSharded(util::ThreadPool *pool, unsigned jobs, std::size_t count,
-               const std::function<void(unsigned, std::size_t)> &fn)
-{
-    if (pool == nullptr || jobs <= 1 || count <= 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(0, i);
-        return;
-    }
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    for (unsigned worker = 0; worker < jobs; ++worker) {
-        pool->submit([&, worker] {
-            try {
-                for (std::size_t i = worker; i < count; i += jobs)
-                    fn(worker, i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        });
-    }
-    pool->wait();
-    if (first_error)
-        std::rethrow_exception(first_error);
 }
 
 bool
@@ -778,13 +743,25 @@ TraceSuiteRunner::run()
     std::unique_ptr<util::ThreadPool> pool;
     if (jobs > 1 && pairing.pairs.size() > 1)
         pool = std::make_unique<util::ThreadPool>(jobs);
+    // fn(i) for every i: inline without a pool, else claimed
+    // dynamically by the pool's workers. fn absorbs per-pair errors
+    // into outcomes; only cancellation escapes, and it aborts the run.
+    const auto for_each = [&](std::size_t count,
+                              const std::function<void(std::size_t)> &fn) {
+        if (!pool) {
+            for (std::size_t i = 0; i < count; ++i)
+                fn(i);
+            return;
+        }
+        pool->parallelFor(count, fn);
+    };
 
-    std::vector<std::unique_ptr<ExperimentContext>> contexts;
-    for (unsigned worker = 0; worker < jobs; ++worker) {
-        contexts.push_back(std::make_unique<ExperimentContext>());
-        contexts.back()->setStore(options_.store);
-        contexts.back()->setCancelToken(options_.cancel);
-    }
+    // One memo for every worker, configured before it is shared: a
+    // profile trace serving several pairs is swept, assigned and
+    // compared once per run, whichever worker asks first.
+    ExperimentContext context;
+    context.setStore(options_.store);
+    context.setCancelToken(options_.cancel);
 
     std::vector<TraceWork> work(pairing.pairs.size());
     for (std::size_t i = 0; i < pairing.pairs.size(); ++i) {
@@ -843,14 +820,16 @@ TraceSuiteRunner::run()
     trace::TracePrefetcher prefetch(prefetch_paths, prefetch_options);
 
     // Phase A+B: validate both traces of each pair and collect the
-    // profile trace's step-1 sweeps.
-    forEachSharded(pool.get(), jobs, work.size(),
-                   [&](unsigned worker, std::size_t i) {
+    // profile trace's step-1 sweeps. Pairs are claimed in index order
+    // from parallelFor's one monotonic counter, so every worker takes
+    // its prefetched items in increasing order — TracePrefetcher's
+    // consumption contract, which keeps the bounded window
+    // deadlock-free.
+    for_each(work.size(), [&](std::size_t i) {
         TraceWork &item = work[i];
         const TracePair &pair = pairing.pairs[i];
         if (options_.cancel)
             options_.cancel->throwIfCancelled();
-        ExperimentContext &context = *contexts[worker];
         try {
             if (pair.profilePath.empty()) {
                 quarantine(item, "pair manifest references '"
@@ -982,11 +961,23 @@ TraceSuiteRunner::run()
     // Phase C: comparison rows per surviving pair — the train row
     // replays the profile trace, the test row replays the test trace,
     // both against the assignment learned from the profile trace.
-    // Same sharding as phase A so each worker reuses its own phase-B
-    // profiler caches.
-    forEachSharded(pool.get(), jobs, work.size(),
-                   [&](unsigned worker, std::size_t i) {
-        TraceWork &item = work[i];
+    // Pairs are claimed largest first (profile plus test records, ties
+    // by index) so the biggest pair never starts last; the order moves
+    // only the schedule, as every row is a pure function of its pair.
+    // A pair stays one work item: its parked sessions are used by one
+    // thread at a time, and the join between the phases orders their
+    // hand-off from the phase-A worker to this one.
+    std::vector<std::size_t> order(work.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto pair_records = [&](std::size_t i) {
+        return work[i].outcome.profileRecords + work[i].outcome.records;
+    };
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return pair_records(a) > pair_records(b);
+                     });
+    for_each(order.size(), [&](std::size_t claim) {
+        TraceWork &item = work[order[claim]];
         if (!item.valid) {
             // Skipped in the barrier (or quarantined without passing
             // through quarantine's release): this pair will never be
@@ -997,7 +988,6 @@ TraceSuiteRunner::run()
         }
         if (options_.cancel)
             options_.cancel->throwIfCancelled();
-        ExperimentContext &context = *contexts[worker];
         try {
             if (item.outcome.conditionalBranches > 0
                 && global_cond > 0) {
@@ -1036,8 +1026,8 @@ TraceSuiteRunner::run()
         } catch (const std::exception &error) {
             quarantine(item, error.what());
         }
-        // All replays of this pair are done: close the parked opens so
-        // descriptors scale with the active shard, not the corpus.
+        // All replays of this pair are done: close its parked opens now
+        // rather than when the run ends.
         item.profile.session.reset();
         item.test.session.reset();
     });

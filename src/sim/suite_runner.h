@@ -45,12 +45,16 @@
  * upcoming traces while earlier ones simulate (trace/prefetch.h).
  * Prefetching affects throughput only, never results.
  *
- * Determinism contract: pairs are processed in sorted-name order with
- * static sharding (pair i on worker i % jobs), per-pair work is a
- * pure function of the trace bytes and options, and the report is
- * assembled in sorted order on the controlling thread — so the printed
- * report is bit-identical across jobs values, interruptions, and
- * resumes.
+ * Determinism contract: workers claim pairs dynamically — validation
+ * and step-1 sweeps in sorted-name order, comparisons largest pair
+ * first — through one memo shared by every worker, so which worker
+ * runs a pair, and when, is left to the schedule. Per-pair work is a
+ * pure function of the trace bytes and options, the suite-wide
+ * averages accumulate in sorted order, and the report is assembled in
+ * sorted order on the controlling thread — so the printed report is
+ * bit-identical across jobs values, interruptions, and resumes, and
+ * with a store attached each artifact is fetched or computed once per
+ * run at any jobs value.
  */
 
 #ifndef VLPSIM_SIM_SUITE_RUNNER_H

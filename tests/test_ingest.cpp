@@ -599,6 +599,42 @@ class SuiteHarness : public IngestHarness
         return out.str();
     }
 
+    /** A run's rendered report and the traffic of its store. */
+    struct StoreRun
+    {
+        std::string report;
+        store::StoreCounters counters;
+    };
+
+    /** Run @p options against an empty store in @p cache. */
+    static StoreRun runWithFreshStore(sim::TraceSuiteOptions options,
+                                      const std::string &cache)
+    {
+        fs::remove_all(cache);
+        store::StoreOptions store_options;
+        store_options.directory = cache;
+        const auto store =
+            std::make_shared<store::ArtifactStore>(store_options);
+        options.store = store;
+        StoreRun run;
+        run.report = render(sim::TraceSuiteRunner(std::move(options)).run());
+        run.counters = store->counters();
+        return run;
+    }
+
+    /** Expect @p run to match @p reference in report and traffic. */
+    static void expectSameRun(const StoreRun &reference,
+                              const StoreRun &run, unsigned jobs)
+    {
+        EXPECT_EQ(run.report, reference.report) << "jobs=" << jobs;
+        EXPECT_EQ(run.counters.hits, reference.counters.hits)
+            << "jobs=" << jobs;
+        EXPECT_EQ(run.counters.misses, reference.counters.misses)
+            << "jobs=" << jobs;
+        EXPECT_EQ(run.counters.inserts, reference.counters.inserts)
+            << "jobs=" << jobs;
+    }
+
     std::string corpus_;
 };
 
@@ -1583,6 +1619,137 @@ TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccessUnderMmap)
     EXPECT_GT(injector.counters().transientOpens, 0u);
     sim::TraceSuiteRunner clean(baseOptions());
     EXPECT_EQ(faulty_report, render(clean.run()));
+}
+
+TEST_F(SuiteHarness, SharedProfileTraceWorkIsIdenticalAcrossJobs)
+{
+    // chessA and chessB profile on the same trace, and their train
+    // rows are the same row: the run profiles that trace once and
+    // fetches or computes that row once, at any jobs value.
+    fs::create_directories(path("shared"));
+    for (const auto &[name, seed] :
+         std::vector<std::pair<std::string, std::uint64_t>>{
+             {"chess", 61}, {"gcc", 63}, {"li", 65}}) {
+        trace::saveTrace(makeTrace(seed, 3000),
+                         path("shared/" + name + ".profile.vbt"));
+        trace::saveTrace(makeTrace(seed + 1, 3000),
+                         path("shared/" + name + ".test.vbt"));
+    }
+    {
+        std::ofstream out(path("shared_pairs.txt"));
+        out << "chessA chess.profile.vbt chess.test.vbt\n"
+               "chessB chess.profile.vbt gcc.test.vbt\n"
+               "gcc gcc.profile.vbt gcc.test.vbt\n"
+               "li li.profile.vbt li.test.vbt\n";
+    }
+    const auto options = [&](unsigned jobs) {
+        auto options = baseOptions();
+        options.directory = path("shared");
+        options.manifest = path("shared_pairs.txt");
+        options.jobs = jobs;
+        return options;
+    };
+
+    const StoreRun serial = runWithFreshStore(options(1), path("cache"));
+    EXPECT_NE(serial.report.find("4 ok (4 cross-eval"), std::string::npos)
+        << serial.report;
+    EXPECT_GT(serial.counters.inserts, 0u);
+    EXPECT_EQ(serial.counters.hits, 0u);
+    for (const unsigned jobs : {2u, 4u})
+        expectSameRun(serial, runWithFreshStore(options(jobs), path("cache")),
+                      jobs);
+}
+
+TEST_F(SuiteHarness, ImbalancedCorpusReportAndTrafficMatchAcrossJobs)
+{
+    // One pair carries 12x the records of the others, sorted first, in
+    // the middle, and last. Phase C claims it first wherever it sorts;
+    // the report and the store traffic must not notice.
+    constexpr std::size_t pairs = 5;
+    for (const std::size_t big : {std::size_t{0}, pairs / 2, pairs - 1}) {
+        const std::string corpus = path("imbalanced" + std::to_string(big));
+        fs::create_directories(corpus);
+        for (std::size_t i = 0; i < pairs; ++i) {
+            const std::size_t records = i == big ? 18000 : 1500;
+            const std::string stem = corpus + "/p" + std::to_string(i);
+            trace::saveTrace(makeTrace(70 + 2 * i, records),
+                             stem + ".profile.vbt");
+            trace::saveTrace(makeTrace(71 + 2 * i, records),
+                             stem + ".test.vbt");
+        }
+        const auto options = [&](unsigned jobs) {
+            auto options = baseOptions();
+            options.directory = corpus;
+            options.jobs = jobs;
+            return options;
+        };
+        SCOPED_TRACE("large pair at index " + std::to_string(big));
+        const StoreRun serial =
+            runWithFreshStore(options(1), path("cache"));
+        EXPECT_EQ(serial.counters.hits, 0u);
+        for (const unsigned jobs : {3u, 4u}) {
+            expectSameRun(serial,
+                          runWithFreshStore(options(jobs), path("cache")),
+                          jobs);
+        }
+    }
+}
+
+TEST_F(SuiteHarness, CancelMidRunUnwindsWithoutQuarantine)
+{
+    // Ten cross-eval pairs, twenty opens: the token fires on the
+    // seventh, with workers and read-ahead producers mid-flight.
+    fs::create_directories(path("cancel"));
+    for (std::size_t i = 0; i < 10; ++i) {
+        const std::string stem = path("cancel/c") + std::to_string(i);
+        trace::saveTrace(makeTrace(90 + 2 * i, 3000),
+                         stem + ".profile.vbt");
+        trace::saveTrace(makeTrace(91 + 2 * i, 3000), stem + ".test.vbt");
+    }
+    auto plain = baseOptions();
+    plain.directory = path("cancel");
+    const std::string reference =
+        render(sim::TraceSuiteRunner(std::move(plain)).run());
+
+    store::StoreOptions store_options;
+    store_options.directory = path("cache");
+    const auto store = std::make_shared<store::ArtifactStore>(store_options);
+
+    const auto token = std::make_shared<util::CancelToken>();
+    std::atomic<unsigned> opens{0};
+    const trace::FileOpener inner = trace::fastOpener(trace::ReadMode::Auto);
+    std::mutex log_mutex;
+    std::vector<std::string> log;
+    util::setLogSink([&](const std::string &line) {
+        const std::lock_guard<std::mutex> hold(log_mutex);
+        log.push_back(line);
+    });
+    auto cancelled = baseOptions();
+    cancelled.directory = path("cancel");
+    cancelled.jobs = 4;
+    cancelled.store = store;
+    cancelled.cancel = token;
+    cancelled.opener = [&](const std::string &file) {
+        if (opens.fetch_add(1) + 1 == 7)
+            token->cancel();
+        return inner(file);
+    };
+    EXPECT_THROW(sim::TraceSuiteRunner(std::move(cancelled)).run(),
+                 util::CancelledError);
+    util::setLogSink({});
+    EXPECT_TRUE(token->cancelled());
+    EXPECT_LT(opens.load(), 20u);
+    for (const std::string &line : log)
+        EXPECT_EQ(line.find("quarantined"), std::string::npos) << line;
+
+    // The cancelled run left nothing half built: a rerun on the same
+    // store reproduces the uncancelled report.
+    auto rerun = baseOptions();
+    rerun.directory = path("cancel");
+    rerun.jobs = 4;
+    rerun.store = store;
+    EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(rerun)).run()),
+              reference);
 }
 
 } // anonymous namespace
