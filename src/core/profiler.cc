@@ -23,6 +23,7 @@
 #include "core/path_predictor.h"
 #include "core/step1_kernel.h"
 #include "predictors/predictor.h"
+#include "trace/compact_trace.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
 #include "util/thread_pool.h"
@@ -462,8 +463,9 @@ class Avx512Kernel
 #endif
 
 /**
- * A shard's records as spans: an in-memory trace as one span, any
- * other source through a bounded buffer filled from next().
+ * A shard's records as spans: an in-memory trace as one span, a
+ * resident trace expanded chunk by chunk from its edge ids, any other
+ * source through a bounded buffer filled from next().
  */
 class RecordFeed
 {
@@ -473,8 +475,13 @@ class RecordFeed
     {
     }
 
+    explicit RecordFeed(const trace::CompactTrace &compact)
+        : compact_(&compact), buffer_(chunkRecords)
+    {
+    }
+
     explicit RecordFeed(trace::TraceSource &source)
-        : source_(&source), buffer_(4096)
+        : source_(&source), buffer_(chunkRecords)
     {
     }
 
@@ -482,6 +489,19 @@ class RecordFeed
     std::span<const trace::BranchRecord>
     next()
     {
+        if (compact_ != nullptr) {
+            // Expand the next chunk of edge ids straight into the
+            // buffer: no virtual call per record.
+            const trace::BranchRecord *edges = compact_->edges().data();
+            const trace::CompactTrace::EdgeId *ids =
+                compact_->ids().data() + position_;
+            const std::size_t count =
+                std::min(buffer_.size(), compact_->size() - position_);
+            for (std::size_t i = 0; i < count; ++i)
+                buffer_[i] = edges[ids[i]];
+            position_ += count;
+            return {buffer_.data(), count};
+        }
         if (source_ == nullptr)
             return std::exchange(whole_, {});
         std::size_t count = 0;
@@ -491,7 +511,11 @@ class RecordFeed
     }
 
   private:
+    static constexpr std::size_t chunkRecords = 4096;
+
     std::span<const trace::BranchRecord> whole_;
+    const trace::CompactTrace *compact_ = nullptr;
+    std::size_t position_ = 0;
     trace::TraceSource *source_ = nullptr;
     std::vector<trace::BranchRecord> buffer_;
 };
@@ -656,39 +680,45 @@ runStep1Sharded(Step1Kernel kernel, trace::TraceSource &profile_trace,
 
     const auto *vector_source =
         dynamic_cast<const trace::VectorTraceSource *>(&profile_trace);
+    const auto *compact_source =
+        dynamic_cast<const trace::CompactTraceCursor *>(&profile_trace);
+
+    // Several shards need independent, read-only passes over the
+    // records: borrow an in-memory or resident trace, otherwise
+    // materialize the stream once (a documented memory/speed trade:
+    // intra-trace sharding buys wall-clock at the cost of holding the
+    // records). A single shard makes exactly one pass, so it consumes
+    // a streaming source (e.g. a .vbt reader) in place — peak
+    // trace-buffer memory stays whatever the source buffers, not the
+    // whole trace.
+    const std::vector<trace::BranchRecord> *records =
+        vector_source != nullptr ? &vector_source->records() : nullptr;
+    std::vector<trace::BranchRecord> materialized;
+    if (shards.size() > 1 && records == nullptr
+        && compact_source == nullptr) {
+        trace::BranchRecord record;
+        while (profile_trace.next(record))
+            materialized.push_back(record);
+        records = &materialized;
+    }
+    const auto feed = [&] {
+        return records != nullptr ? RecordFeed(*records)
+            : compact_source != nullptr
+            ? RecordFeed(compact_source->trace())
+            : RecordFeed(profile_trace);
+    };
 
     if (shards.size() == 1) {
-        // A single shard makes exactly one pass, so a non-vector
-        // source (e.g. a streaming .vbt reader) is consumed in place —
-        // peak trace-buffer memory stays whatever the source buffers,
-        // not the whole trace.
-        RecordFeed feed = vector_source != nullptr
-            ? RecordFeed(vector_source->records())
-            : RecordFeed(profile_trace);
-        runShard<Class>(kernel, feed, options, shards[0], true,
+        RecordFeed single = feed();
+        runShard<Class>(kernel, single, options, shards[0], true,
                         results[0]);
     } else {
-        // Workers need independent, read-only passes over the
-        // records; borrow the vector of an in-memory trace, otherwise
-        // materialize the stream once (a documented memory/speed
-        // trade: intra-trace sharding buys wall-clock at the cost of
-        // holding the records).
-        const std::vector<trace::BranchRecord> *records = nullptr;
-        std::vector<trace::BranchRecord> materialized;
-        if (vector_source != nullptr) {
-            records = &vector_source->records();
-        } else {
-            trace::BranchRecord record;
-            while (profile_trace.next(record))
-                materialized.push_back(record);
-            records = &materialized;
-        }
         // The controlling thread and a transient pool claim shards;
         // the first failure is rethrown here.
         util::ThreadPool pool(static_cast<unsigned>(shards.size()) - 1);
         pool.parallelFor(shards.size(), [&](std::size_t i) {
-            RecordFeed feed(*records);
-            runShard<Class>(kernel, feed, options, shards[i], i == 0,
+            RecordFeed shard = feed();
+            runShard<Class>(kernel, shard, options, shards[i], i == 0,
                             results[i]);
         });
     }

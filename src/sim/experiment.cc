@@ -247,6 +247,8 @@ ExperimentContext::trace(const workload::BenchmarkSpec &spec,
 std::shared_ptr<trace::TraceSource>
 ExperimentContext::openExternal(const ExternalTrace &trace) const
 {
+    if (trace.resident)
+        return std::make_shared<trace::CompactTraceCursor>(trace.resident);
     if (trace.session) {
         trace.session->reset();
         return trace.session;

@@ -34,6 +34,7 @@
 #include "core/path_history.h"
 #include "core/profiler.h"
 #include "sim/simulator.h"
+#include "trace/compact_trace.h"
 #include "trace/streaming.h"
 #include "util/cancel.h"
 #include "util/once.h"
@@ -81,8 +82,10 @@ struct ComparisonRow
  * trace::hashTraceFile), not the synthetic generator version or
  * VLPSIM_SCALE: artifacts survive renames and moves of the trace
  * file, and a changed file can never be served stale artifacts.
- * External traces are replayed through a bounded-memory streaming
- * reader; they are never materialized whole.
+ * A trace the suite runner has verified arrives resident (an interned
+ * trace::CompactTrace, file already closed) or, when the process's
+ * resident budget could not hold it, as a parked streaming session;
+ * a bare path is streamed from a fresh open on every replay.
  */
 struct ExternalTrace
 {
@@ -98,10 +101,15 @@ struct ExternalTrace
     /** How to open the file; empty = plain stdio (tests inject
      *  fault-wrapped openers here). */
     trace::FileOpener opener;
-    /** Optional persistent open: a reader kept alive across replays
-     *  (the suite runner's single-pass ingestion parks the open it
-     *  validated and hashed here). When set, openExternal() rewinds
-     *  and returns this session instead of reopening the path. */
+    /** The verified records held in memory (the suite runner's
+     *  ingestion pass interns them here). When set, openExternal()
+     *  returns a cursor over them and never touches the file. */
+    std::shared_ptr<const trace::CompactTrace> resident;
+    /** Optional persistent open for a trace too large to keep
+     *  resident: a reader kept alive across replays (the suite
+     *  runner parks the open it verified here). When set,
+     *  openExternal() rewinds and returns this session instead of
+     *  reopening the path. */
     std::shared_ptr<trace::StreamingTraceReader> session;
 };
 
@@ -234,12 +242,13 @@ class ExperimentContext
     }
 
     /**
-     * Open an external trace for one streaming replay: the parked
-     * session rewound when the trace carries one, else a fresh
-     * bounded-memory reader. External traces are deliberately
-     * excluded from the in-memory trace cache. Replays of a shared
-     * session must not overlap (the suite runner keeps each pair's
-     * sessions on one thread at a time).
+     * Open an external trace for one replay: a fresh cursor over the
+     * resident copy when the trace carries one (cursors may overlap),
+     * else the parked session rewound, else a fresh bounded-memory
+     * streaming reader. External traces live with their ExternalTrace,
+     * not in this context's trace memo. Replays of a shared session
+     * must not overlap (the suite runner keeps each pair's sessions on
+     * one thread at a time).
      * @throws util::TransientError / std::runtime_error from the
      *         underlying file
      */

@@ -230,6 +230,17 @@ obtainRow(const TraceSuiteOptions &options,
     return row;
 }
 
+/** Drop @p work's resident traces and parked opens: returns their
+ *  bytes to the resident budget and closes their files. */
+void
+releaseTraces(TraceWork &work)
+{
+    for (ExternalTrace *trace : {&work.profile, &work.test}) {
+        trace->resident.reset();
+        trace->session.reset();
+    }
+}
+
 /** Quarantine @p work with a deterministic cause string. */
 void
 quarantine(TraceWork &work, const std::string &cause)
@@ -237,10 +248,9 @@ quarantine(TraceWork &work, const std::string &cause)
     work.outcome.status = TraceStatus::Quarantined;
     work.outcome.cause = cause;
     work.valid = false;
-    // A quarantined pair is never replayed again: release any parked
-    // opens immediately.
-    work.profile.session.reset();
-    work.test.session.reset();
+    // A quarantined pair is never replayed again: release its traces
+    // immediately.
+    releaseTraces(work);
     util::warn("quarantined pair " + work.outcome.name + ": " + cause);
 }
 
@@ -778,12 +788,13 @@ TraceSuiteRunner::run()
     const unsigned cond_bits = pred::conditionalIndexBits(options_.bytes);
     const unsigned ind_bits = pred::indirectIndexBits(options_.bytes);
 
-    // Single-pass pipelined ingestion: each trace is opened exactly
-    // once per attempt through a content-hashing reader (validation,
-    // identity, and replay share the open), and a bounded prefetcher
-    // hashes upcoming traces while workers simulate earlier ones.
-    // Overlap changes throughput only — every result is still a pure
-    // function of the trace bytes and options.
+    // Verify-once pipelined ingestion: each trace is opened and read
+    // exactly once per attempt by one fused pass (content hash,
+    // checksum, decode, and record checks), which leaves it resident
+    // for every later replay, and a bounded prefetcher verifies
+    // upcoming traces while workers simulate earlier ones. Overlap
+    // changes throughput only — every result is still a pure function
+    // of the trace bytes and options.
     trace::FileOpener effective_opener = options_.opener
         ? options_.opener
         : trace::fastOpener(options_.readMode);
@@ -862,6 +873,7 @@ TraceSuiteRunner::run()
             item.profile.chunkRecords = options_.chunkRecords;
             item.profile.opener = effective_opener;
             item.profile.contentHash = profile_open.contentHash;
+            item.profile.resident = std::move(profile_open.resident);
             item.profile.session = std::move(profile_open.session);
             item.outcome.profileFormatVersion =
                 profile_open.formatVersion;
@@ -880,6 +892,7 @@ TraceSuiteRunner::run()
                 item.test.chunkRecords = options_.chunkRecords;
                 item.test.opener = effective_opener;
                 item.test.contentHash = test_open.contentHash;
+                item.test.resident = std::move(test_open.resident);
                 item.test.session = std::move(test_open.session);
                 item.outcome.formatVersion = test_open.formatVersion;
                 item.outcome.records = test_open.records;
@@ -964,9 +977,10 @@ TraceSuiteRunner::run()
     // Pairs are claimed largest first (profile plus test records, ties
     // by index) so the biggest pair never starts last; the order moves
     // only the schedule, as every row is a pure function of its pair.
-    // A pair stays one work item: its parked sessions are used by one
-    // thread at a time, and the join between the phases orders their
-    // hand-off from the phase-A worker to this one.
+    // A pair stays one work item: a trace too large to keep resident
+    // has one parked session, which one thread at a time may use, and
+    // the join between the phases orders its hand-off from the
+    // phase-A worker to this one.
     std::vector<std::size_t> order(work.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     const auto pair_records = [&](std::size_t i) {
@@ -981,9 +995,8 @@ TraceSuiteRunner::run()
         if (!item.valid) {
             // Skipped in the barrier (or quarantined without passing
             // through quarantine's release): this pair will never be
-            // replayed, so close any parked open now.
-            item.profile.session.reset();
-            item.test.session.reset();
+            // replayed, so release its traces now.
+            releaseTraces(item);
             return;
         }
         if (options_.cancel)
@@ -1026,10 +1039,9 @@ TraceSuiteRunner::run()
         } catch (const std::exception &error) {
             quarantine(item, error.what());
         }
-        // All replays of this pair are done: close its parked opens now
+        // All replays of this pair are done: release its traces now
         // rather than when the run ends.
-        item.profile.session.reset();
-        item.test.session.reset();
+        releaseTraces(item);
     });
 
     SuiteReport report;

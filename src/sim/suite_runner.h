@@ -38,12 +38,25 @@
  *    uninterrupted run — and an edited manifest can never replay a
  *    cell recorded for a different pairing.
  *
- * Ingestion is single-pass and pipelined: every trace is opened once
- * per attempt through a content-hashing reader (header validation, the
- * cache identity, and replay all share that open — see
- * trace/content_hash.h), and a bounded prefetcher opens and hashes
- * upcoming traces while earlier ones simulate (trace/prefetch.h).
- * Prefetching affects throughput only, never results.
+ * Ingestion verifies once and is pipelined: every trace is opened and
+ * read once per attempt by one fused pass — content hash, VBT2
+ * checksum, decode, and per-record checks (trace/content_hash.h) — so
+ * a corrupt trace is quarantined before any profiling, and a bounded
+ * prefetcher verifies upcoming traces while earlier ones simulate
+ * (trace/prefetch.h). Prefetching affects throughput only, never
+ * results.
+ *
+ * Memory contract: the verifying pass interns each trace into a
+ * resident trace::CompactTrace (about 4 bytes per record) and closes
+ * the file; every sweep and comparison replays that copy. A pair's
+ * traces are held from its validation until its last row is done (or
+ * it is quarantined or skipped), then released. All resident traces
+ * in the process — every suite run's, a serve daemon's included —
+ * draw on one byte budget (trace::residentTraceBudgetBytes). A trace
+ * that does not fit streams instead: its file stays open as a parked
+ * session that re-reads and re-checksums it on every replay, holding
+ * one streaming chunk of buffer. Results are byte-identical either
+ * way.
  *
  * Determinism contract: workers claim pairs dynamically — validation
  * and step-1 sweeps in sorted-name order, comparisons largest pair
@@ -89,8 +102,8 @@ struct TraceSuiteOptions
     /** Predictor table budget in bytes. */
     std::size_t bytes = 8 * 1024;
     /** Worker threads across traces (0 = one per hardware thread;
-     *  per-trace step-1 sweeps stay serial so peak memory is bounded
-     *  by jobs x one streaming chunk). */
+     *  per-trace step-1 sweeps stay serial, so replay buffers stay at
+     *  jobs x one chunk on top of the resident traces). */
     unsigned jobs = 1;
     /** Checkpoint journal path; empty disables checkpointing. */
     std::string checkpoint;
@@ -111,7 +124,8 @@ struct TraceSuiteOptions
     /** Full-jitter seed for retry backoff (util::RetryPolicy
      *  ::jitterSeed); 0 keeps the exact exponential schedule. */
     std::uint64_t retryJitterSeed = 0;
-    /** Records buffered per streaming chunk (bounds peak memory). */
+    /** Records per chunk of the verifying pass and of streamed
+     *  (over-budget) replays. */
     std::size_t chunkRecords =
         trace::StreamingTraceReader::defaultChunkRecords;
     /** File opener override; empty = open via readMode (tests inject
@@ -121,8 +135,8 @@ struct TraceSuiteOptions
      *  with stdio fallback), Mmap, or Stdio. The report is
      *  byte-identical across backends; only throughput changes. */
     trace::ReadMode readMode = trace::ReadMode::Auto;
-    /** Max validated-but-unconsumed read-ahead opens in the ingestion
-     *  pipeline (bounds prefetch memory and descriptors); 0 = auto
+    /** Max verified-but-unconsumed read-ahead opens in the ingestion
+     *  pipeline (bounds how far verification runs ahead); 0 = auto
      *  (2 * jobs + 2). */
     std::size_t prefetchWindow = 0;
     /** Optional artifact store shared by all workers. */

@@ -40,14 +40,30 @@ TracePrefetcher::openTrace(const std::string &path,
                 auto hashing =
                     std::make_unique<HashingByteFile>(std::move(raw));
                 HashingByteFile &hasher = *hashing;
-                PrefetchedTrace open;
-                open.session = std::make_shared<StreamingTraceReader>(
+                auto reader = std::make_shared<StreamingTraceReader>(
                     std::move(hashing), options.chunkRecords);
-                // Header validation passed; complete the identity in
-                // the same open (zero-copy when the file maps).
+                PrefetchedTrace open;
+                open.formatVersion = reader->formatVersion();
+                open.records = reader->count();
+                // The verifying pass: the reader fuses the VBT2
+                // checksum into the content-hash kernel over each
+                // chunk, checks every record, and throws on a
+                // mismatch at the end of the stream.
+                CompactTrace::Builder builder(
+                    open.records, ResidentBudget::process());
+                BranchRecord record;
+                while (reader->next(record))
+                    builder.add(record);
+                // Every byte is hashed by now: finish() only formats.
                 open.contentHash = hasher.finish();
-                open.formatVersion = open.session->formatVersion();
-                open.records = open.session->count();
+                // A resident trace drops the reader, and with it the
+                // file, when this attempt returns.
+                if (builder.ok()) {
+                    open.resident = builder.finish();
+                } else {
+                    reader->reset();
+                    open.session = std::move(reader);
+                }
                 return open;
             });
     } catch (...) {

@@ -3,19 +3,31 @@
  * Bounded read-ahead for trace corpora.
  *
  * TracePrefetcher turns a sorted list of trace paths into a pipeline:
- * background producers open, validate, and content-hash upcoming
- * traces (one single-pass open each — see trace/content_hash.h) while
+ * background producers open and verify upcoming traces while
  * consumers simulate earlier ones, so corpus ingestion overlaps I/O,
- * hashing, and compute. The window bounds how many validated-but-
- * unconsumed opens may exist at once, which bounds both memory and
- * open file descriptors regardless of corpus size.
+ * verification, and compute.
+ *
+ * Each open is one fused pass over the file (openTrace()): the
+ * content hash, the VBT2 stream checksum, the decode, and every
+ * per-record check share one loop, so a corrupt trace fails here,
+ * before any replay. The pass interns the records into a resident
+ * CompactTrace (trace/compact_trace.h) and closes the file; later
+ * replays read that copy and never touch the file again. A trace the
+ * process-wide resident budget cannot hold is instead kept as a
+ * parked streaming session that re-reads and re-checksums the file on
+ * every replay. Both forms replay identical records.
+ *
+ * The window bounds how many verified-but-unconsumed opens may exist
+ * at once, which bounds the file descriptors parked sessions hold and
+ * how far ahead of the consumers the resident copies are built,
+ * regardless of corpus size.
  *
  * Consumption contract: take(i) blocks until item i is ready and may
  * be called from many threads, but each consumer must take its own
  * items in increasing index order, and every item must eventually be
  * taken (even when an earlier item of the same unit failed) — that is
  * what makes the bounded window deadlock-free. Failures never throw
- * out of the producers: each item carries either a ready session or
+ * out of the producers: each item carries either a verified trace or
  * the exception (post-retry) that prevented one, so consumers apply
  * their own quarantine policy. Results are a pure function of the
  * trace bytes — prefetching cannot change a report.
@@ -35,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "trace/compact_trace.h"
 #include "trace/streaming.h"
 #include "util/cancel.h"
 #include "util/retry.h"
@@ -42,11 +55,14 @@
 namespace vlp {
 namespace trace {
 
-/** One validated, hash-complete single-pass trace open. */
+/** One verified, hash-complete trace open. */
 struct PrefetchedTrace
 {
-    /** Ready-to-replay session wrapping a HashingByteFile; null when
-     *  @ref error is set. */
+    /** The verified records, held resident; null when the resident
+     *  budget could not hold them or @ref error is set. */
+    std::shared_ptr<const CompactTrace> resident;
+    /** A parked session over the still-open file (a HashingByteFile)
+     *  when the trace is not resident; null otherwise. */
     std::shared_ptr<StreamingTraceReader> session;
     /** 32-hex content hash (hashTraceFile-identical). */
     std::string contentHash;
@@ -66,13 +82,14 @@ class TracePrefetcher
     {
         /** How paths open; empty = mmap-auto fast open. */
         FileOpener opener;
-        /** Records per streaming chunk for the sessions. */
+        /** Records per streaming chunk, for the verifying pass and
+         *  the sessions. */
         std::size_t chunkRecords =
             StreamingTraceReader::defaultChunkRecords;
-        /** Max validated-but-untaken opens; 0 = no read-ahead
+        /** Max verified-but-untaken opens; 0 = no read-ahead
          *  (take() opens inline on the consumer thread). */
         std::size_t window = 0;
-        /** Producer threads hashing ahead (ignored when window is
+        /** Producer threads verifying ahead (ignored when window is
          *  0); clamped to the window. */
         unsigned threads = 1;
         /** Retry schedule for each open (opener faults included). */
@@ -87,7 +104,7 @@ class TracePrefetcher
     TracePrefetcher(const TracePrefetcher &) = delete;
     TracePrefetcher &operator=(const TracePrefetcher &) = delete;
 
-    /** Stops producers, joins them, and drops untaken sessions. */
+    /** Stops producers, joins them, and drops untaken opens. */
     ~TracePrefetcher();
 
     /**
@@ -98,11 +115,15 @@ class TracePrefetcher
     PrefetchedTrace take(std::size_t index);
 
     /**
-     * One synchronous single-pass open: open via @p options.opener,
-     * wrap in a HashingByteFile, validate the header, finish the
-     * hash — all under the retry policy. Never throws; failures land
-     * in PrefetchedTrace::error. (The building block producers run;
-     * exposed for inline mode, tools, and benchmarks.)
+     * One synchronous verifying open: open via @p options.opener,
+     * wrap in a HashingByteFile, validate the header, then make one
+     * fused pass over the records — content hash, stream checksum,
+     * decode, and per-record checks — interning them into a resident
+     * CompactTrace while ResidentBudget::process() allows, else
+     * parking a rewound session. All of it runs under the retry
+     * policy, each attempt from a fresh open. Never throws; failures
+     * land in PrefetchedTrace::error. (The building block producers
+     * run; exposed for inline mode, tools, and benchmarks.)
      */
     static PrefetchedTrace openTrace(const std::string &path,
                                      const Options &options);

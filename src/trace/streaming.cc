@@ -150,11 +150,25 @@ StreamingTraceReader::refill()
         peakBufferBytes_ = bytes;
 }
 
+void
+StreamingTraceReader::verifyChecksum() const
+{
+    if (formatVersion_ >= 2 && checksum_.digest() != expectedChecksum_) {
+        util::fatal("corrupt trace file: checksum mismatch: "
+                    + file_->name());
+    }
+}
+
 bool
 StreamingTraceReader::next(BranchRecord &record)
 {
-    if (read_ >= count_)
+    if (read_ >= count_) {
+        // An empty stream has no final record to trigger the check:
+        // its checksum must still be the digest of no bytes.
+        if (count_ == 0)
+            verifyChecksum();
         return false;
+    }
     if (bufferPos_ >= bufferBytes_)
         refill();
     const std::uint8_t *bytes = chunk_ + bufferPos_;
@@ -166,11 +180,8 @@ StreamingTraceReader::next(BranchRecord &record)
     record.taken = bytes[1] != 0;
     record.pc = getU64(bytes + 2);
     record.nextPc = getU64(bytes + 10);
-    if (formatVersion_ >= 2 && read_ + 1 == count_
-        && checksum_.digest() != expectedChecksum_) {
-        util::fatal("corrupt trace file: checksum mismatch: "
-                    + file_->name());
-    }
+    if (read_ + 1 == count_)
+        verifyChecksum();
     bufferPos_ += recordBytes;
     ++read_;
     return true;

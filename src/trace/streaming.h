@@ -14,13 +14,18 @@
  * Validation matches trace_io.h's TraceReader: magic and header-vs-
  * file-size checks at open (truncated files fail before any record is
  * served), per-record kind/taken checks, and — for VBT2 — a
- * stream checksum verified when the final record is consumed. The
+ * stream checksum verified at the end of the stream (when the final
+ * record is consumed, or at the first next() of an empty trace). The
  * checksum is accumulated per refilled chunk (same bytes, same order,
  * same digest as the historical per-record accumulation); when the
  * file is wrapped in a HashingByteFile the checksum chain is fused
- * into the content-hash kernel, so hash, checksum, and decode touch
- * each byte exactly once. formatVersion() lets callers warn on
- * unchecksummed VBT1 inputs.
+ * into the content-hash kernel, so one pass hashes, checksums, and
+ * decodes each chunk in a single loop. Every further pass re-reads
+ * and re-checksums the file, which is why the suite runner makes
+ * exactly one such pass per trace and replays a resident copy
+ * afterwards (trace/prefetch.h, trace/compact_trace.h), keeping a
+ * parked reader only for traces over the resident budget.
+ * formatVersion() lets callers warn on unchecksummed VBT1 inputs.
  */
 
 #ifndef VLPSIM_TRACE_STREAMING_H
@@ -62,8 +67,8 @@ class StreamingTraceReader : public TraceSource
         std::size_t chunk_records = defaultChunkRecords);
 
     /**
-     * @throws std::runtime_error on a corrupt record or (VBT2, after
-     *         the final record) a checksum mismatch
+     * @throws std::runtime_error on a corrupt record or (VBT2, at the
+     *         end of the stream) a checksum mismatch
      */
     bool next(BranchRecord &record) override;
 
@@ -90,6 +95,10 @@ class StreamingTraceReader : public TraceSource
     /** Load the next chunk: mapped view when available, else a
      *  buffered read; accumulates the VBT2 chunk checksum. */
     void refill();
+
+    /** Throw unless the VBT2 stream checksum of every record read
+     *  matches the header's. */
+    void verifyChecksum() const;
 
     /** Read exactly @p size bytes, looping over short reads. */
     void readFully(std::uint8_t *buffer, std::size_t size);

@@ -157,8 +157,15 @@ TraceReader::~TraceReader()
 bool
 TraceReader::next(BranchRecord &record)
 {
-    if (read_ >= count_)
+    if (read_ >= count_) {
+        // An empty stream has no final record to trigger the check:
+        // its checksum must still be the digest of no bytes.
+        if (count_ == 0 && hasChecksum_
+            && checksum_.digest() != expectedChecksum_) {
+            util::fatal("corrupt trace file: checksum mismatch");
+        }
         return false;
+    }
     std::uint8_t buffer[recordBytes];
     if (std::fread(buffer, 1, recordBytes, file_) != recordBytes)
         util::fatal("truncated trace file");

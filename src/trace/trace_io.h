@@ -16,8 +16,9 @@
  * The reader validates the file size against the header's record count
  * at open — a truncated or torn file fails immediately with a clear
  * error instead of a partial read — and, for VBT2 files, verifies the
- * checksum once the last record has been consumed, so bit flips
- * anywhere in the record stream are detected.
+ * checksum at the end of the stream (once the last record has been
+ * consumed, or on the first next() of an empty trace), so bit flips
+ * anywhere in the record stream or its checksum are detected.
  *
  * The format is deliberately trivial so that external traces (e.g.
  * branch streams extracted from ChampSim-style instruction traces) can
@@ -88,8 +89,8 @@ class TraceReader : public TraceSource
     TraceReader &operator=(const TraceReader &) = delete;
 
     /**
-     * @throws std::runtime_error on a corrupt record, or — after the
-     *         final record of a VBT2 file — on a checksum mismatch
+     * @throws std::runtime_error on a corrupt record, or — at the end
+     *         of a VBT2 stream — on a checksum mismatch
      */
     bool next(BranchRecord &record) override;
 

@@ -25,11 +25,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/profiler.h"
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
 #include "store/checkpoint.h"
 #include "store/fault_injection.h"
 #include "trace/byte_file.h"
+#include "trace/compact_trace.h"
 #include "trace/content_hash.h"
 #include "trace/fault_injection.h"
 #include "trace/mmap_file.h"
@@ -160,26 +162,29 @@ TEST_F(IngestHarness, StreamingHoldsPeakBufferUnderCap)
     EXPECT_GT(reader.peakBufferBytes(), 0u);
 }
 
+/** Hand-write @p trace as VBT1: magic + count, no checksum field,
+ *  then 18-byte records. */
+void
+writeVbt1(const std::string &path, const trace::VectorTraceSource &trace)
+{
+    std::ofstream out(path, std::ios::binary);
+    out.write("VBT1", 4);
+    const std::uint64_t count = trace.size();
+    out.write(reinterpret_cast<const char *>(&count), 8);
+    for (const trace::BranchRecord &record : trace.records()) {
+        const std::uint8_t kind = static_cast<std::uint8_t>(record.kind);
+        const std::uint8_t taken = record.taken ? 1 : 0;
+        out.write(reinterpret_cast<const char *>(&kind), 1);
+        out.write(reinterpret_cast<const char *>(&taken), 1);
+        out.write(reinterpret_cast<const char *>(&record.pc), 8);
+        out.write(reinterpret_cast<const char *>(&record.nextPc), 8);
+    }
+}
+
 TEST_F(IngestHarness, StreamingReadsHandcraftedVbt1)
 {
-    // VBT1: magic + count, no checksum field, then 18-byte records.
     const auto trace = makeTrace(3, 5);
-    {
-        std::ofstream out(path("old.vbt"), std::ios::binary);
-        out.write("VBT1", 4);
-        const std::uint64_t count = trace.size();
-        out.write(reinterpret_cast<const char *>(&count), 8);
-        for (const trace::BranchRecord &record : trace.records()) {
-            const std::uint8_t kind =
-                static_cast<std::uint8_t>(record.kind);
-            const std::uint8_t taken = record.taken ? 1 : 0;
-            out.write(reinterpret_cast<const char *>(&kind), 1);
-            out.write(reinterpret_cast<const char *>(&taken), 1);
-            out.write(reinterpret_cast<const char *>(&record.pc), 8);
-            out.write(reinterpret_cast<const char *>(&record.nextPc),
-                      8);
-        }
-    }
+    writeVbt1(path("old.vbt"), trace);
 
     trace::StreamingTraceReader streaming(path("old.vbt"), 2);
     EXPECT_EQ(streaming.formatVersion(), 1u);
@@ -1484,11 +1489,14 @@ TEST_F(IngestHarness, PrefetcherDeliversFailuresInBandAndInOrder)
     ASSERT_FALSE(first.error);
     EXPECT_EQ(first.contentHash, trace::hashTraceFile(path("ok1.vbt")));
     EXPECT_EQ(first.records, 300u);
-    first.session->reset();
-    EXPECT_EQ(drainRecords(*first.session).size(), 300u);
+    ASSERT_TRUE(first.resident);
+    EXPECT_FALSE(first.session);
+    trace::CompactTraceCursor replay(first.resident);
+    EXPECT_EQ(drainRecords(replay).size(), 300u);
 
     auto second = prefetch.take(1);
     ASSERT_TRUE(second.error);
+    EXPECT_FALSE(second.resident);
     EXPECT_FALSE(second.session);
     EXPECT_THROW(std::rethrow_exception(second.error),
                  std::runtime_error);
@@ -1511,7 +1519,7 @@ TEST_F(IngestHarness, PrefetcherTakeUnblocksOnCancellation)
     // either surfaces the already-finished open or throws.
     try {
         auto item = prefetch.take(0);
-        EXPECT_TRUE(item.session || item.error);
+        EXPECT_TRUE(item.resident || item.session || item.error);
     } catch (const util::CancelledError &) {
         // Equally acceptable: cancellation won the race.
     }
@@ -1519,23 +1527,31 @@ TEST_F(IngestHarness, PrefetcherTakeUnblocksOnCancellation)
 
 // --- suite runner over the fast path ----------------------------------
 
-/** A FileOpener decorator counting opens per path. */
+/**
+ * A FileOpener decorator counting opens and the bytes served (read()
+ * and view() alike) per trace file name. Optionally it fails the first
+ * record access of each path's first open with a transient error —
+ * inside the verifying pass, after the header has been read.
+ */
 class CountingOpener
 {
   public:
-    explicit CountingOpener(trace::FileOpener inner)
-        : inner_(std::move(inner))
+    explicit CountingOpener(trace::FileOpener inner,
+                            bool fail_first_records = false)
+        : inner_(std::move(inner)), failFirstRecords_(fail_first_records)
     {
     }
 
     trace::FileOpener opener()
     {
         return [this](const std::string &path) {
+            bool fail = false;
             {
                 const std::lock_guard<std::mutex> hold(mutex_);
-                ++opens_[fs::path(path).filename().string()];
+                fail = opens_[fs::path(path).filename().string()]++ == 0
+                    && failFirstRecords_;
             }
-            return inner_(path);
+            return std::make_unique<File>(inner_(path), *this, fail);
         };
     }
 
@@ -1545,29 +1561,117 @@ class CountingOpener
         return opens_;
     }
 
+    std::map<std::string, std::uint64_t> served() const
+    {
+        const std::lock_guard<std::mutex> hold(mutex_);
+        return served_;
+    }
+
+    std::uint64_t faults() const { return faults_.load(); }
+
   private:
+    /** Past the longest (VBT2) header: record bytes. */
+    static constexpr std::uint64_t recordsStart = 20;
+
+    class File : public trace::ByteFile
+    {
+      public:
+        File(std::unique_ptr<trace::ByteFile> inner,
+             CountingOpener &counting, bool fail)
+            : inner_(std::move(inner)), counting_(counting), fail_(fail),
+              name_(fs::path(inner_->name()).filename().string())
+        {
+        }
+
+        std::size_t read(void *buffer, std::size_t size) override
+        {
+            faultAt(position_);
+            const std::size_t got = inner_->read(buffer, size);
+            position_ += got;
+            counting_.serve(name_, got);
+            return got;
+        }
+
+        void seek(std::uint64_t offset) override
+        {
+            inner_->seek(offset);
+            position_ = offset;
+        }
+
+        std::uint64_t size() override { return inner_->size(); }
+
+        const std::string &name() const override { return inner_->name(); }
+
+        const std::uint8_t *view(std::uint64_t offset,
+                                 std::size_t size) override
+        {
+            faultAt(offset);
+            const std::uint8_t *window = inner_->view(offset, size);
+            if (window != nullptr)
+                counting_.serve(name_, size);
+            return window;
+        }
+
+      private:
+        void faultAt(std::uint64_t offset)
+        {
+            if (fail_ && offset >= recordsStart) {
+                fail_ = false;
+                ++counting_.faults_;
+                throw util::TransientError("injected record-read fault: "
+                                           + name_);
+            }
+        }
+
+        std::unique_ptr<trace::ByteFile> inner_;
+        CountingOpener &counting_;
+        bool fail_;
+        std::string name_;
+        std::uint64_t position_ = 0;
+    };
+
+    void serve(const std::string &name, std::uint64_t bytes)
+    {
+        const std::lock_guard<std::mutex> hold(mutex_);
+        served_[name] += bytes;
+    }
+
     trace::FileOpener inner_;
+    const bool failFirstRecords_;
     mutable std::mutex mutex_;
     std::map<std::string, std::uint64_t> opens_;
+    std::map<std::string, std::uint64_t> served_;
+    std::atomic<std::uint64_t> faults_{0};
 };
 
 TEST_F(SuiteHarness, EveryTraceIsOpenedExactlyOncePerAttempt)
 {
     // The single-pass contract: validation, hashing, and replay all
     // ride one open. A second open of any path would mean the old
-    // hash-then-reopen double read is back.
-    CountingOpener counting(trace::fastOpener(trace::ReadMode::Auto));
-    auto options = baseOptions();
-    options.opener = counting.opener();
-    sim::TraceSuiteRunner runner(std::move(options));
-    const sim::SuiteReport report = runner.run();
-    EXPECT_EQ(report.okCount(), 3u);
+    // hash-then-reopen double read is back. And the one open reads
+    // (so hashes and checksums) each byte once: every sweep and
+    // comparison replays the resident copy, where streaming each
+    // replay from the file read a trace 19 times.
+    for (const trace::ReadMode mode :
+         {trace::ReadMode::Stdio, trace::ReadMode::Mmap}) {
+        SCOPED_TRACE(trace::readModeName(mode));
+        CountingOpener counting(trace::fastOpener(mode));
+        auto options = baseOptions();
+        options.opener = counting.opener();
+        sim::TraceSuiteRunner runner(std::move(options));
+        const sim::SuiteReport report = runner.run();
+        EXPECT_EQ(report.okCount(), 3u);
 
-    const auto opens = counting.opens();
-    ASSERT_EQ(opens.size(), 5u);
-    for (const auto &[name, count] : opens)
-        EXPECT_EQ(count, 1u) << name << " opened " << count
-                             << " times; single-pass open regressed";
+        const auto opens = counting.opens();
+        ASSERT_EQ(opens.size(), 5u);
+        for (const auto &[name, count] : opens)
+            EXPECT_EQ(count, 1u) << name << " opened " << count
+                                 << " times; single-pass open regressed";
+        const auto served = counting.served();
+        ASSERT_EQ(served.size(), 5u);
+        for (const auto &[name, bytes] : served)
+            EXPECT_EQ(bytes, fs::file_size(corpus_ + "/" + name)) << name;
+    }
 }
 
 TEST_F(SuiteHarness, ReportIsByteIdenticalAcrossBackendsAndJobs)
@@ -1750,6 +1854,323 @@ TEST_F(SuiteHarness, CancelMidRunUnwindsWithoutQuarantine)
     rerun.store = store;
     EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(rerun)).run()),
               reference);
+}
+
+// --- empty-trace checksum ---------------------------------------------
+
+TEST_F(IngestHarness, EmptyTraceChecksumIsVerifiedByBothReaders)
+{
+    // An empty VBT2 has no final record to trigger the checksum check;
+    // a flipped header checksum byte must still be caught at the end
+    // of the stream.
+    trace::saveTrace(trace::VectorTraceSource{}, path("empty.vbt"));
+    {
+        trace::StreamingTraceReader clean(path("empty.vbt"));
+        trace::BranchRecord record;
+        EXPECT_FALSE(clean.next(record));
+    }
+    flipBit(path("empty.vbt"), 15);
+    for (const trace::ReadMode mode :
+         {trace::ReadMode::Stdio, trace::ReadMode::Mmap}) {
+        trace::StreamingTraceReader reader(
+            trace::openByteFileFast(path("empty.vbt"), mode));
+        trace::BranchRecord record;
+        try {
+            reader.next(record);
+            ADD_FAILURE() << "no checksum mismatch via "
+                          << trace::readModeName(mode);
+        } catch (const std::runtime_error &error) {
+            EXPECT_NE(std::string(error.what()).find("checksum mismatch"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    trace::TraceReader materialized(path("empty.vbt"));
+    trace::BranchRecord record;
+    EXPECT_THROW(materialized.next(record), std::runtime_error);
+}
+
+// --- resident traces ---------------------------------------------------
+
+/**
+ * A trace over every branch kind whose indirect targets (and some
+ * return addresses) sit just above and below a 4 GiB boundary, so a
+ * truncated 32-bit target could not replay as the original.
+ */
+trace::VectorTraceSource
+makeWideTrace(std::uint64_t seed, std::size_t records)
+{
+    constexpr std::uint64_t boundary = std::uint64_t{1} << 32;
+    util::Rng rng(seed);
+    trace::VectorTraceSource source;
+    for (std::size_t i = 0; i < records; ++i) {
+        trace::BranchRecord record;
+        record.kind = static_cast<trace::BranchKind>(
+            rng.nextBelow(trace::numBranchKinds));
+        record.pc = boundary - 0x800 + 16 * rng.nextBelow(128);
+        record.taken = !record.isConditional() || rng.nextBool(0.5);
+        record.nextPc = record.taken
+            ? boundary - 0x100 + 64 * rng.nextBelow(8)
+            : record.pc + 4;
+        source.append(record);
+    }
+    return source;
+}
+
+/** Intern @p path the way the ingestion pass does. */
+std::shared_ptr<const trace::CompactTrace>
+internFile(const std::string &path, trace::ResidentBudget &budget)
+{
+    trace::StreamingTraceReader reader(path);
+    trace::CompactTrace::Builder builder(reader.count(), budget);
+    trace::BranchRecord record;
+    while (reader.next(record))
+        builder.add(record);
+    return builder.ok() ? builder.finish() : nullptr;
+}
+
+using CompactTraceHarness = IngestHarness;
+
+TEST_F(CompactTraceHarness, ReplayMatchesStreamingReaderRecordForRecord)
+{
+    const struct
+    {
+        const char *name;
+        std::size_t records;
+        bool vbt1;
+    } cases[] = {
+        {"empty2.vbt", 0, false},   {"empty1.vbt", 0, true},
+        {"small2.vbt", 37, false},  {"small1.vbt", 37, true},
+        {"chunks2.vbt", 9000, false}, {"chunks1.vbt", 9000, true},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto trace = makeWideTrace(71, c.records);
+        if (c.vbt1)
+            writeVbt1(path(c.name), trace);
+        else
+            trace::saveTrace(trace, path(c.name));
+        trace::StreamingTraceReader streaming(path(c.name));
+        const auto streamed = drainRecords(streaming);
+        ASSERT_EQ(streamed, trace.records());
+
+        trace::ResidentBudget budget(trace::residentTraceBudgetBytes);
+        const auto resident = internFile(path(c.name), budget);
+        ASSERT_TRUE(resident);
+        EXPECT_EQ(resident->size(), c.records);
+        EXPECT_LE(resident->edges().size(), c.records);
+        EXPECT_EQ(budget.used(), resident->residentBytes());
+
+        trace::CompactTraceCursor cursor(resident);
+        EXPECT_EQ(drainRecords(cursor), streamed);
+        // reset() replays the same records again, and two cursors
+        // over one trace keep independent positions.
+        cursor.reset();
+        trace::CompactTraceCursor other(resident);
+        trace::BranchRecord first;
+        EXPECT_EQ(other.next(first), c.records > 0);
+        EXPECT_EQ(drainRecords(cursor), streamed);
+        if (c.records > 0) {
+            EXPECT_EQ(first, streamed.front());
+        }
+    }
+}
+
+TEST_F(CompactTraceHarness, ResidentCopyIsAboutFourBytesPerRecord)
+{
+    // makeTrace revisits a few hundred edges, like a real branch
+    // stream: the id array dominates the copy.
+    trace::saveTrace(makeTrace(5, 50000), path("t.vbt"));
+    trace::ResidentBudget budget(trace::residentTraceBudgetBytes);
+    const auto resident = internFile(path("t.vbt"), budget);
+    ASSERT_TRUE(resident);
+    EXPECT_LT(resident->edges().size(), 1000u);
+    EXPECT_GE(resident->residentBytes(), 50000u * 4);
+    EXPECT_LT(resident->residentBytes(), 50000u * 5);
+    EXPECT_EQ(budget.used(), resident->residentBytes());
+}
+
+TEST_F(CompactTraceHarness, RefusedBudgetReturnsEveryByte)
+{
+    const auto trace = makeWideTrace(73, 6000);
+    trace::saveTrace(trace, path("t.vbt"));
+
+    // Refused from the header: the id array alone does not fit.
+    trace::ResidentBudget tiny(6000 * 4 - 1);
+    EXPECT_FALSE(internFile(path("t.vbt"), tiny));
+    EXPECT_EQ(tiny.used(), 0u);
+
+    // Refused mid-build: the ids fit, the growing edge table does not.
+    trace::ResidentBudget tight(6000 * 4 + 16 * 1024);
+    EXPECT_FALSE(internFile(path("t.vbt"), tight));
+    EXPECT_EQ(tight.used(), 0u);
+
+    // A trace dropped by its last holder returns its charge.
+    trace::ResidentBudget roomy(trace::residentTraceBudgetBytes);
+    auto resident = internFile(path("t.vbt"), roomy);
+    ASSERT_TRUE(resident);
+    EXPECT_GT(roomy.used(), 0u);
+    resident.reset();
+    EXPECT_EQ(roomy.used(), 0u);
+}
+
+TEST_F(CompactTraceHarness, ConcurrentBuildsNeverOverdrawTheBudget)
+{
+    // Room for about two of the eight traces at once: builders race
+    // for the same counter, and whatever they keep stays within it.
+    for (int i = 0; i < 8; ++i)
+        trace::saveTrace(makeTrace(80 + i, 4000),
+                         path("t" + std::to_string(i) + ".vbt"));
+    trace::ResidentBudget budget(2 * 4000 * 5);
+    std::vector<std::shared_ptr<const trace::CompactTrace>> kept(8);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 8; ++i) {
+        threads.emplace_back([&, i] {
+            kept[i] = internFile(path("t" + std::to_string(i) + ".vbt"),
+                                 budget);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    std::uint64_t held = 0;
+    std::size_t resident = 0;
+    for (const auto &trace : kept) {
+        if (trace) {
+            held += trace->residentBytes();
+            ++resident;
+        }
+    }
+    EXPECT_GE(resident, 1u);
+    EXPECT_LE(held, budget.capacity());
+    EXPECT_EQ(budget.used(), held);
+    kept.clear();
+    EXPECT_EQ(budget.used(), 0u);
+}
+
+TEST_F(CompactTraceHarness, Step1OverResidentTraceMatchesStream)
+{
+    // Step 1 expands resident chunks straight from the id array, on a
+    // single shard and on several; both must see the stream's records.
+    trace::saveTrace(makeTrace(91, 10000), path("t.vbt"));
+    trace::ResidentBudget budget(trace::residentTraceBudgetBytes);
+    const auto resident = internFile(path("t.vbt"), budget);
+    ASSERT_TRUE(resident);
+    for (const bool indirect : {false, true}) {
+        for (const unsigned jobs : {1u, 3u}) {
+            SCOPED_TRACE(std::string(indirect ? "indirect" : "conditional")
+                         + " jobs=" + std::to_string(jobs));
+            core::ProfileOptions options;
+            options.indexBits = 10;
+            options.jobs = jobs;
+            core::Profiler streamed(options, indirect);
+            trace::StreamingTraceReader reader(path("t.vbt"));
+            const core::HashAssignment expected = streamed.profile(reader);
+
+            core::Profiler replayed(options, indirect);
+            trace::CompactTraceCursor cursor(resident);
+            const core::HashAssignment got = replayed.profile(cursor);
+            EXPECT_EQ(replayed.step1Sweep().branches,
+                      streamed.step1Sweep().branches);
+            EXPECT_EQ(replayed.step1Sweep().mispredictions,
+                      streamed.step1Sweep().mispredictions);
+            EXPECT_EQ(got.table(), expected.table());
+        }
+    }
+}
+
+// --- verify-once ingestion ---------------------------------------------
+
+TEST_F(SuiteHarness, ZeroResidentBudgetMatchesResidentRun)
+{
+    const auto options = [&](unsigned jobs) {
+        auto options = baseOptions();
+        options.jobs = jobs;
+        return options;
+    };
+    const StoreRun resident = runWithFreshStore(options(1), path("cache"));
+    EXPECT_GT(resident.counters.inserts, 0u);
+
+    // With no budget every trace takes the streaming path: a parked
+    // session re-reads (and re-checksums) the file on every replay.
+    const trace::ScopedResidentCapacity none(0);
+    for (const unsigned jobs : {1u, 4u}) {
+        CountingOpener counting(trace::fastOpener(trace::ReadMode::Auto));
+        auto streamed = options(jobs);
+        streamed.opener = counting.opener();
+        expectSameRun(resident,
+                      runWithFreshStore(std::move(streamed), path("cache")),
+                      jobs);
+        const std::string alpha = corpus_ + "/alpha.vbt";
+        EXPECT_GT(counting.served().at("alpha.vbt"), fs::file_size(alpha))
+            << "jobs=" << jobs << ": the zero budget kept a trace resident";
+    }
+    EXPECT_EQ(trace::ResidentBudget::process().used(), 0u);
+}
+
+TEST_F(SuiteHarness, CorruptTracesKeepTheirQuarantineCauses)
+{
+    fs::create_directories(path("bad"));
+    fs::copy_file(corpus_ + "/alpha.vbt", path("bad/alpha.vbt"));
+    fs::copy_file(corpus_ + "/delta.vbt", path("bad/delta.vbt"));
+    trace::saveTrace(makeTrace(6, 3000), path("bad/zeta.vbt"));
+    fs::resize_file(path("bad/zeta.vbt"),
+                    fs::file_size(path("bad/zeta.vbt")) - 9);
+    const std::string delta_cause = "corrupt trace file: checksum mismatch: "
+        + path("bad/delta.vbt");
+    const std::string zeta_cause = "truncated or corrupt trace file: "
+        + path("bad/zeta.vbt") + " (header promises "
+        + std::to_string(20 + 18 * 3000) + " bytes, file has "
+        + std::to_string(20 + 18 * 3000 - 9) + ")";
+
+    for (const std::uint64_t capacity :
+         {trace::residentTraceBudgetBytes, std::uint64_t{0}}) {
+        SCOPED_TRACE("budget " + std::to_string(capacity));
+        const trace::ScopedResidentCapacity budget(capacity);
+        auto options = baseOptions();
+        options.directory = path("bad");
+        const sim::SuiteReport report =
+            sim::TraceSuiteRunner(std::move(options)).run();
+        ASSERT_EQ(report.traces.size(), 3u);
+        EXPECT_EQ(report.traces[0].status, sim::TraceStatus::Ok);
+        EXPECT_EQ(report.traces[1].status, sim::TraceStatus::Quarantined);
+        EXPECT_EQ(report.traces[1].cause, delta_cause);
+        EXPECT_EQ(report.traces[2].status, sim::TraceStatus::Quarantined);
+        EXPECT_EQ(report.traces[2].cause, zeta_cause);
+    }
+}
+
+TEST_F(SuiteHarness, EmptyTraceWithBadChecksumIsQuarantined)
+{
+    // epsilon.vbt is empty and valid (skipped); with one header
+    // checksum bit flipped it fails like any corrupt trace.
+    flipBit(corpus_ + "/epsilon.vbt", 15);
+    const sim::SuiteReport report =
+        sim::TraceSuiteRunner(baseOptions()).run();
+    ASSERT_EQ(report.traces.size(), 5u);
+    EXPECT_EQ(report.traces[3].name, "epsilon.vbt");
+    EXPECT_EQ(report.traces[3].status, sim::TraceStatus::Quarantined);
+    EXPECT_EQ(report.traces[3].cause,
+              "corrupt trace file: checksum mismatch: " + corpus_
+                  + "/epsilon.vbt");
+    EXPECT_EQ(report.skippedCount(), 0u);
+}
+
+TEST_F(SuiteHarness, TransientFaultInVerifyingPassIsRetried)
+{
+    const std::string reference =
+        render(sim::TraceSuiteRunner(baseOptions()).run());
+    for (const unsigned jobs : {1u, 4u}) {
+        CountingOpener counting(trace::fastOpener(trace::ReadMode::Auto), true);
+        auto options = baseOptions();
+        options.jobs = jobs;
+        options.opener = counting.opener();
+        EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(options)).run()),
+                  reference)
+            << "jobs=" << jobs;
+        // One fault per non-empty trace (epsilon.vbt has no record
+        // bytes), each inside its first verifying pass.
+        EXPECT_EQ(counting.faults(), 4u);
+    }
 }
 
 } // anonymous namespace

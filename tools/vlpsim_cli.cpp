@@ -49,8 +49,10 @@
  *       --pairs (or <dir>/pairs.txt), else the
  *       .profile.vbt/.test.vbt name convention, else a labeled
  *       self-eval fallback — and each pair reports train vs test
- *       accuracy with the generalization delta. Traces stream in
- *       bounded-memory chunks, transient IO errors are retried with
+ *       accuracy with the generalization delta. Each trace is read
+ *       once, verified, and replayed from a compact resident copy
+ *       (streamed in bounded-memory chunks when it does not fit the
+ *       resident budget), transient IO errors are retried with
  *       backoff, unreadable pairs are quarantined (listed with their
  *       cause) while the run continues, and with --checkpoint every
  *       completed per-pair cell is journaled so a killed run resumes
