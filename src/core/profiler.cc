@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
+#include <type_traits>
 #include <utility>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -20,10 +20,8 @@
 #define VLPSIM_STEP1_AVX512 0
 #endif
 
-#include "core/path_predictor.h"
+#include "core/replay_feed.h"
 #include "core/step1_kernel.h"
-#include "predictors/predictor.h"
-#include "trace/compact_trace.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
 #include "util/thread_pool.h"
@@ -54,7 +52,12 @@ FixedLengthSweep::bestLength() const
     return best;
 }
 
+using detail::ConditionalClass;
+using detail::IndirectClass;
+using detail::RecordFeed;
+using detail::ReplayFeed;
 using detail::Step1Kernel;
+using detail::withClass;
 
 namespace {
 
@@ -183,8 +186,7 @@ class ConditionalStep1Tables
     bool
     access(std::size_t entry, const trace::BranchRecord &record)
     {
-        return table_.predictThenUpdate(entry, record.taken)
-            == record.taken;
+        return ConditionalClass::access(table_, entry, record);
     }
 
 #if VLPSIM_STEP1_AVX512
@@ -254,11 +256,7 @@ class IndirectStep1Tables
     bool
     access(std::size_t entry, const trace::BranchRecord &record)
     {
-        std::uint32_t &target = table_[entry];
-        const bool hit =
-            pred::widenTarget(target, record.pc) == record.nextPc;
-        target = static_cast<std::uint32_t>(record.nextPc);
-        return hit;
+        return IndirectClass::access(table_, entry, record);
     }
 
 #if VLPSIM_STEP1_AVX512
@@ -462,120 +460,11 @@ class Avx512Kernel
 };
 #endif
 
-/**
- * A shard's records as spans: an in-memory trace as one span, a
- * resident trace expanded chunk by chunk from its edge ids, any other
- * source through a bounded buffer filled from next().
- */
-class RecordFeed
-{
-  public:
-    explicit RecordFeed(const std::vector<trace::BranchRecord> &records)
-        : whole_(records)
-    {
-    }
-
-    explicit RecordFeed(const trace::CompactTrace &compact)
-        : compact_(&compact), buffer_(chunkRecords)
-    {
-    }
-
-    explicit RecordFeed(trace::TraceSource &source)
-        : source_(&source), buffer_(chunkRecords)
-    {
-    }
-
-    /** The next span of records; empty at the end of the trace. */
-    std::span<const trace::BranchRecord>
-    next()
-    {
-        if (compact_ != nullptr) {
-            // Expand the next chunk of edge ids straight into the
-            // buffer: no virtual call per record.
-            const trace::BranchRecord *edges = compact_->edges().data();
-            const trace::CompactTrace::EdgeId *ids =
-                compact_->ids().data() + position_;
-            const std::size_t count =
-                std::min(buffer_.size(), compact_->size() - position_);
-            for (std::size_t i = 0; i < count; ++i)
-                buffer_[i] = edges[ids[i]];
-            position_ += count;
-            return {buffer_.data(), count};
-        }
-        if (source_ == nullptr)
-            return std::exchange(whole_, {});
-        std::size_t count = 0;
-        while (count < buffer_.size() && source_->next(buffer_[count]))
-            ++count;
-        return {buffer_.data(), count};
-    }
-
-  private:
-    static constexpr std::size_t chunkRecords = 4096;
-
-    std::span<const trace::BranchRecord> whole_;
-    const trace::CompactTrace *compact_ = nullptr;
-    std::size_t position_ = 0;
-    trace::TraceSource *source_ = nullptr;
-    std::vector<trace::BranchRecord> buffer_;
-};
-
-/*
- * ---- Per-class policy -----------------------------------------------
- *
- * Everything the heuristic does differently for the two branch
- * classes: the step-1 table bank, the step-2 variable length path
- * predictor, the record filter (profiled()) and the miss test
- * (missed()). The step loops are templates over a policy, and
- * withClass() picks the policy once per step, so the per-record loops
- * stay monomorphic.
- */
-
-struct ConditionalClass
-{
-    using Step1Tables = ConditionalStep1Tables;
-    using Predictor = PathConditionalPredictor;
-
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isConditional();
-    }
-
-    static bool
-    missed(bool predicted, const trace::BranchRecord &record)
-    {
-        return predicted != record.taken;
-    }
-};
-
-struct IndirectClass
-{
-    using Step1Tables = IndirectStep1Tables;
-    using Predictor = PathIndirectPredictor;
-
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isIndirect();
-    }
-
-    static bool
-    missed(std::uint64_t predicted, const trace::BranchRecord &record)
-    {
-        return predicted != record.nextPc;
-    }
-};
-
-/** body(policy) with the policy of the class @p indirect selects. */
-template <typename Body>
-decltype(auto)
-withClass(bool indirect, Body &&body)
-{
-    if (indirect)
-        return body(IndirectClass{});
-    return body(ConditionalClass{});
-}
+/** The step-1 table bank of the branch class @p Class. */
+template <typename Class>
+using Step1TablesOf =
+    std::conditional_t<std::is_same_v<Class, IndirectClass>,
+                       IndirectStep1Tables, ConditionalStep1Tables>;
 
 /**
  * One shard's step-1 loop, the same for both classes and both
@@ -640,7 +529,7 @@ VLPSIM_AVX512 void
 runShardAvx512(RecordFeed &feed, const ProfileOptions &options,
                const LengthShard &shard, bool leader, ShardResult &out)
 {
-    step1Loop<Class, Avx512Kernel<typename Class::Step1Tables>>(
+    step1Loop<Class, Avx512Kernel<Step1TablesOf<Class>>>(
         feed, options, shard, leader, out);
 }
 #endif
@@ -658,7 +547,7 @@ runShard(Step1Kernel kernel, RecordFeed &feed,
         return;
     }
 #endif
-    step1Loop<Class, PortableKernel<typename Class::Step1Tables>>(
+    step1Loop<Class, PortableKernel<Step1TablesOf<Class>>>(
         feed, options, shard, leader, out);
 }
 
@@ -748,40 +637,25 @@ runStep1Sharded(Step1Kernel kernel, trace::TraceSource &profile_trace,
 }
 
 /**
- * Step 2 for one class: options.iterations replays of the profile
- * trace, each testing the selector's next assignment on one variable
- * length path predictor. @p branches sizes the miss map.
+ * One step-2 pass for one class: one variable length path predictor
+ * (N hash functions, one shared table) over the whole trace, with the
+ * per-slot @p lengths, counting misses per slot.
  */
 template <typename Class>
 void
-runStep2Iterations(trace::TraceSource &profile_trace,
-                   const ProfileOptions &options,
-                   CandidateSelector &selector, std::size_t branches)
+step2Loop(ReplayFeed &feed, unsigned index_bits,
+          const PathHistoryOptions &history, const std::uint8_t *lengths,
+          std::uint64_t *misses)
 {
-    // One miss map reused across iterations, sized for the worst case
-    // (every profiled branch mispredicts at least once), so the hot
-    // counting loop never rehashes or reallocates.
-    std::unordered_map<std::uint64_t, std::uint64_t> misses;
-    misses.reserve(branches);
-    for (unsigned iteration = 0; iteration < options.iterations;
-         ++iteration) {
-        const HashAssignment assignment = selector.nextAssignment();
-        typename Class::Predictor predictor(options.indexBits, assignment,
-                                            historyFor(options));
-        misses.clear();
-
-        profile_trace.reset();
-        trace::BranchRecord record;
-        while (profile_trace.next(record)) {
-            if (Class::profiled(record)) {
-                if (Class::missed(predictor.predict(record), record))
-                    ++misses[record.pc];
-                predictor.update(record);
-            }
-            predictor.observe(record);
-        }
-        selector.recordResults(assignment, misses);
-    }
+    PathIndexBank bank(index_bits, history);
+    typename Class::Table table = Class::table(index_bits);
+    feed.replay<Class>(
+        [&](const trace::BranchRecord &record, std::uint32_t slot) {
+            misses[slot] += !Class::access(
+                table, static_cast<std::size_t>(bank.index(lengths[slot])),
+                record);
+        },
+        [&](const trace::BranchRecord &record) { bank.observe(record); });
 }
 
 } // anonymous namespace
@@ -817,6 +691,39 @@ runStep1(Step1Kernel kernel, bool indirect,
     });
 }
 
+Step2Replay::Step2Replay(trace::TraceSource &profile_trace,
+                         const ProfileOptions &options, bool indirect,
+                         std::vector<std::uint64_t> branches)
+    : feed_(profile_trace, std::move(branches)), options_(options),
+      indirect_(indirect)
+{
+}
+
+std::unordered_map<std::uint64_t, std::uint64_t>
+Step2Replay::pass(const HashAssignment &tested)
+{
+    const PathHistoryOptions history = historyFor(options_);
+    const std::vector<std::uint8_t> lengths =
+        slotLengths(feed_, tested, history.depth);
+    std::vector<std::uint64_t> misses(feed_.slotCount(), 0);
+    withClass(indirect_, [&](auto policy) {
+        step2Loop<decltype(policy)>(feed_, options_.indexBits, history,
+                                    lengths.data(), misses.data());
+    });
+
+    // Fold the slots (edges of a resident trace) into their branches.
+    const std::vector<std::uint64_t> &branches = feed_.branches();
+    std::vector<std::uint64_t> byBranch(branches.size() + 1, 0);
+    for (std::size_t slot = 0; slot < misses.size(); ++slot)
+        byBranch[feed_.branchOf(slot)] += misses[slot];
+    std::unordered_map<std::uint64_t, std::uint64_t> result;
+    for (std::size_t b = 0; b < branches.size(); ++b) {
+        if (byBranch[b] != 0)
+            result.emplace(branches[b], byBranch[b]);
+    }
+    return result;
+}
+
 } // namespace detail
 
 Profiler::Profiler(ProfileOptions options, bool indirect)
@@ -846,10 +753,17 @@ Profiler::runStep2(trace::TraceSource &profile_trace)
         util::fatal("profiler step 2 requires step 1 to have run");
     CandidateSelector selector(profiles_, sweep_, options_.candidates,
                                options_.maxLength);
-    withClass(indirect_, [&](auto policy) {
-        runStep2Iterations<decltype(policy)>(profile_trace, options_,
-                                             selector, profiles_.size());
-    });
+    std::vector<std::uint64_t> branches;
+    branches.reserve(profiles_.size());
+    for (const auto &[pc, profile] : profiles_)
+        branches.push_back(pc);
+    detail::Step2Replay replay(profile_trace, options_, indirect_,
+                               std::move(branches));
+    for (unsigned iteration = 0; iteration < options_.iterations;
+         ++iteration) {
+        const HashAssignment tested = selector.nextAssignment();
+        selector.recordResults(tested, replay.pass(tested));
+    }
     return selector.finalAssignment();
 }
 

@@ -27,8 +27,8 @@
  *
  * One Profiler runs both steps for either branch class. The classes
  * differ only in the table entry (2-bit counter or 32-bit target
- * register), the record filter and the miss test, which a private
- * per-class policy in profiler.cc supplies.
+ * register, each with its hit test) and the record filter, which a
+ * per-class policy in core/replay_feed.h supplies.
  */
 
 #ifndef VLPSIM_CORE_PROFILER_H

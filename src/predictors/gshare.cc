@@ -5,8 +5,6 @@
 
 #include "predictors/gshare.h"
 
-#include "util/bits.h"
-
 namespace vlp {
 namespace pred {
 
@@ -43,16 +41,6 @@ GsharePredictor::GsharePredictor(unsigned index_bits,
 {
 }
 
-std::size_t
-GsharePredictor::index(std::uint64_t pc) const
-{
-    // Branch addresses are word aligned; drop the always-zero bits
-    // before folding so they don't waste index entropy.
-    const std::uint64_t address = util::xorFold(pc >> 2, indexBits_);
-    return static_cast<std::size_t>(
-        util::truncate(address ^ history_.value(), indexBits_));
-}
-
 bool
 GsharePredictor::predict(const trace::BranchRecord &branch)
 {
@@ -63,13 +51,6 @@ void
 GsharePredictor::update(const trace::BranchRecord &branch)
 {
     table_.update(index(branch.pc), branch.taken);
-}
-
-void
-GsharePredictor::observe(const trace::BranchRecord &record)
-{
-    if (record.isConditional())
-        history_.push(record.taken);
 }
 
 std::size_t

@@ -8,6 +8,7 @@
 #define VLPSIM_PREDICTORS_GSHARE_H
 
 #include "predictors/predictor.h"
+#include "util/bits.h"
 #include "util/history_register.h"
 #include "util/packed_counter_table.h"
 
@@ -22,7 +23,7 @@ namespace pred {
  * history captured for a given table budget (the classic
  * configuration).
  */
-class GsharePredictor : public ConditionalPredictor
+class GsharePredictor final : public ConditionalPredictor
 {
   public:
     /**
@@ -36,7 +37,23 @@ class GsharePredictor : public ConditionalPredictor
 
     void update(const trace::BranchRecord &branch) override;
 
-    void observe(const trace::BranchRecord &record) override;
+    /**
+     * predict() then update() with the table index computed once: the
+     * prediction made before training. The comparison replay's
+     * per-record call.
+     */
+    bool
+    predictAndUpdate(const trace::BranchRecord &branch)
+    {
+        return table_.predictThenUpdate(index(branch.pc), branch.taken);
+    }
+
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        if (record.isConditional())
+            history_.push(record.taken);
+    }
 
     // speculate() is inherited: pushing the *predicted* outcome is
     // exactly observe() of a record carrying it.
@@ -59,7 +76,15 @@ class GsharePredictor : public ConditionalPredictor
 
   private:
     /** Table index for @p pc under the current history. */
-    std::size_t index(std::uint64_t pc) const;
+    std::size_t
+    index(std::uint64_t pc) const
+    {
+        // Branch addresses are word aligned; drop the always-zero bits
+        // before folding so they don't waste index entropy.
+        const std::uint64_t address = util::xorFold(pc >> 2, indexBits_);
+        return static_cast<std::size_t>(
+            util::truncate(address ^ history_.value(), indexBits_));
+    }
 
     unsigned indexBits_;
     util::BitHistoryRegister history_;

@@ -3,12 +3,16 @@
  * Predictor interfaces shared by the baselines (this library) and the
  * paper's fixed/variable length path predictors (src/core).
  *
- * Simulation protocol, enforced by sim::Simulator, per trace record:
+ * Simulation protocol, per trace record:
  *   1. if the record is a conditional branch, each conditional
  *      predictor's predict() is called, then its update();
  *   2. if the record is an indirect branch (jump or call, not return),
  *      each indirect predictor's predict() is called, then update();
  *   3. every predictor's observe() is called with the record.
+ * sim::Simulator enforces it through these virtual calls and is the
+ * reference. The comparison replay (sim/replay.h) and the profiler's
+ * step-2 loop follow the same protocol on concrete types: a fused
+ * predict-and-update per table, then one history advance per record.
  *
  * predict()/update() touch only the predictor *tables*; observe()
  * maintains *history* (branch history registers, target history

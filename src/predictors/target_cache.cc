@@ -5,8 +5,6 @@
 
 #include "predictors/target_cache.h"
 
-#include "util/bits.h"
-
 namespace vlp {
 namespace pred {
 
@@ -16,14 +14,6 @@ PatternTargetCache::PatternTargetCache(unsigned index_bits,
       history_(history_bits == 0 ? index_bits : history_bits),
       table_(std::size_t{1} << index_bits, 0)
 {
-}
-
-std::size_t
-PatternTargetCache::index(std::uint64_t pc) const
-{
-    const std::uint64_t address = util::xorFold(pc >> 2, indexBits_);
-    return static_cast<std::size_t>(
-        util::truncate(address ^ history_.value(), indexBits_));
 }
 
 std::uint64_t
@@ -37,13 +27,6 @@ PatternTargetCache::update(const trace::BranchRecord &branch)
 {
     table_[index(branch.pc)] =
         static_cast<std::uint32_t>(branch.nextPc);
-}
-
-void
-PatternTargetCache::observe(const trace::BranchRecord &record)
-{
-    if (record.isConditional())
-        history_.push(record.taken);
 }
 
 std::size_t
@@ -60,14 +43,6 @@ PathTargetCache::PathTargetCache(unsigned index_bits,
 {
 }
 
-std::size_t
-PathTargetCache::index(std::uint64_t pc) const
-{
-    const std::uint64_t address = util::xorFold(pc >> 2, indexBits_);
-    return static_cast<std::size_t>(
-        util::truncate(address ^ history_.value(), indexBits_));
-}
-
 std::uint64_t
 PathTargetCache::predict(const trace::BranchRecord &branch)
 {
@@ -79,16 +54,6 @@ PathTargetCache::update(const trace::BranchRecord &branch)
 {
     table_[index(branch.pc)] =
         static_cast<std::uint32_t>(branch.nextPc);
-}
-
-void
-PathTargetCache::observe(const trace::BranchRecord &record)
-{
-    // The path history records targets of indirect branches (the
-    // "history of targets" organization of Chang, Hao & Patt). Word
-    // alignment is dropped so the chunk bits carry information.
-    if (record.isIndirect())
-        history_.push(record.nextPc >> 2);
 }
 
 std::size_t

@@ -19,13 +19,14 @@
 #include <vector>
 
 #include "predictors/predictor.h"
+#include "util/bits.h"
 #include "util/history_register.h"
 
 namespace vlp {
 namespace pred {
 
 /** Pattern-based (conditional-outcome history) tagless target cache. */
-class PatternTargetCache : public IndirectPredictor
+class PatternTargetCache final : public IndirectPredictor
 {
   public:
     /**
@@ -39,7 +40,26 @@ class PatternTargetCache : public IndirectPredictor
 
     void update(const trace::BranchRecord &branch) override;
 
-    void observe(const trace::BranchRecord &record) override;
+    /**
+     * predict() then update() with the table index computed once: the
+     * target predicted before training. The comparison replay's
+     * per-record call.
+     */
+    std::uint64_t
+    predictAndUpdate(const trace::BranchRecord &branch)
+    {
+        std::uint32_t &entry = table_[index(branch.pc)];
+        const std::uint64_t predicted = widenTarget(entry, branch.pc);
+        entry = static_cast<std::uint32_t>(branch.nextPc);
+        return predicted;
+    }
+
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        if (record.isConditional())
+            history_.push(record.taken);
+    }
 
     std::string name() const override
     {
@@ -49,7 +69,13 @@ class PatternTargetCache : public IndirectPredictor
     std::size_t sizeBytes() const override;
 
   private:
-    std::size_t index(std::uint64_t pc) const;
+    std::size_t
+    index(std::uint64_t pc) const
+    {
+        const std::uint64_t address = util::xorFold(pc >> 2, indexBits_);
+        return static_cast<std::size_t>(
+            util::truncate(address ^ history_.value(), indexBits_));
+    }
 
     unsigned indexBits_;
     util::BitHistoryRegister history_;
@@ -57,7 +83,7 @@ class PatternTargetCache : public IndirectPredictor
 };
 
 /** Path-based (compressed-target history) tagless target cache. */
-class PathTargetCache : public IndirectPredictor
+class PathTargetCache final : public IndirectPredictor
 {
   public:
     /**
@@ -72,7 +98,30 @@ class PathTargetCache : public IndirectPredictor
 
     void update(const trace::BranchRecord &branch) override;
 
-    void observe(const trace::BranchRecord &record) override;
+    /**
+     * predict() then update() with the table index computed once: the
+     * target predicted before training. The comparison replay's
+     * per-record call.
+     */
+    std::uint64_t
+    predictAndUpdate(const trace::BranchRecord &branch)
+    {
+        std::uint32_t &entry = table_[index(branch.pc)];
+        const std::uint64_t predicted = widenTarget(entry, branch.pc);
+        entry = static_cast<std::uint32_t>(branch.nextPc);
+        return predicted;
+    }
+
+    void
+    observe(const trace::BranchRecord &record) override
+    {
+        // The path history records targets of indirect branches (the
+        // "history of targets" organization of Chang, Hao & Patt).
+        // Word alignment is dropped so the chunk bits carry
+        // information.
+        if (record.isIndirect())
+            history_.push(record.nextPc >> 2);
+    }
 
     std::string name() const override
     {
@@ -82,7 +131,13 @@ class PathTargetCache : public IndirectPredictor
     std::size_t sizeBytes() const override;
 
   private:
-    std::size_t index(std::uint64_t pc) const;
+    std::size_t
+    index(std::uint64_t pc) const
+    {
+        const std::uint64_t address = util::xorFold(pc >> 2, indexBits_);
+        return static_cast<std::size_t>(
+            util::truncate(address ^ history_.value(), indexBits_));
+    }
 
     unsigned indexBits_;
     util::ChunkHistoryRegister history_;

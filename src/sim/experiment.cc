@@ -7,13 +7,10 @@
 
 #include <algorithm>
 #include <optional>
-#include <type_traits>
 
-#include "core/path_predictor.h"
 #include "predictors/budget.h"
-#include "predictors/gshare.h"
+#include "sim/replay.h"
 #include "sim/report.h"
-#include "predictors/target_cache.h"
 #include "store/artifact_store.h"
 #include "store/cache_key.h"
 #include "store/serialize.h"
@@ -522,17 +519,6 @@ ExperimentContext::row(const std::string &key,
 
 namespace {
 
-RateEntry
-toRateEntry(const PredictorResult &result)
-{
-    RateEntry entry;
-    entry.predictor = result.name;
-    entry.branches = result.branches;
-    entry.mispredictions = result.mispredictions;
-    entry.rate = result.rate();
-    return entry;
-}
-
 /** Fetch a cached comparison row, or nullopt on miss/corruption. */
 std::optional<ComparisonRow>
 fetchComparisonRow(store::ArtifactStore *store,
@@ -551,77 +537,6 @@ fetchComparisonRow(store::ArtifactStore *store,
                    + error.what());
         return std::nullopt;
     }
-}
-
-/**
- * Register @p predictors (the class's baselines), then fixed length
- * path at @p global_length, optionally the tuned fixed length, and
- * variable length path; replay @p eval_trace and assemble the row.
- */
-template <typename PathPredictor, typename Baseline>
-ComparisonRow
-replay(const std::string &name, trace::TraceSource &eval_trace,
-       std::vector<Baseline *> predictors, unsigned index_bits,
-       unsigned global_length, unsigned tuned_length,
-       const core::HashAssignment &assignment, bool include_tuned)
-{
-    const std::size_t tuned_column = predictors.size() + 1;
-    PathPredictor flp(index_bits, global_length);
-    PathPredictor flp_tuned(index_bits, tuned_length);
-    PathPredictor vlp(index_bits, assignment);
-    predictors.push_back(&flp);
-    if (include_tuned)
-        predictors.push_back(&flp_tuned);
-    predictors.push_back(&vlp);
-
-    constexpr bool indirect =
-        std::is_same_v<Baseline, pred::IndirectPredictor>;
-    Simulator simulator;
-    for (Baseline *predictor : predictors) {
-        if constexpr (indirect)
-            simulator.addIndirect(predictor);
-        else
-            simulator.addConditional(predictor);
-    }
-    eval_trace.reset();
-    simulator.run(eval_trace);
-
-    ComparisonRow row;
-    row.benchmark = name;
-    for (const auto &result : indirect ? simulator.indirectResults()
-                                       : simulator.conditionalResults())
-        row.entries.push_back(toRateEntry(result));
-    if (include_tuned)
-        row.entries[tuned_column].predictor = names::flpTuned;
-    return row;
-}
-
-/**
- * The predictor set a comparison of the class @p indirect selects
- * replays: gshare for conditional branches, the Chang-Hao-Patt path
- * and pattern target caches for indirect ones, then the path
- * predictors (see replay()).
- */
-ComparisonRow
-replayComparison(const std::string &name, trace::TraceSource &eval_trace,
-                 bool indirect, unsigned index_bits,
-                 unsigned global_length, unsigned tuned_length,
-                 const core::HashAssignment &assignment,
-                 bool include_tuned)
-{
-    if (indirect) {
-        pred::PathTargetCache chp_path(index_bits);
-        pred::PatternTargetCache chp_pattern(index_bits);
-        return replay<core::PathIndirectPredictor,
-                      pred::IndirectPredictor>(
-            name, eval_trace, {&chp_path, &chp_pattern}, index_bits,
-            global_length, tuned_length, assignment, include_tuned);
-    }
-    pred::GsharePredictor gshare(index_bits);
-    return replay<core::PathConditionalPredictor,
-                  pred::ConditionalPredictor>(
-        name, eval_trace, {&gshare}, index_bits, global_length,
-        tuned_length, assignment, include_tuned);
 }
 
 /**

@@ -61,15 +61,21 @@ MmapByteFile::MmapByteFile(const std::string &path,
     : path_(path),
       windowBytes_(std::max<std::size_t>(window_bytes, pageSize()))
 {
-    // O_NONBLOCK so a FIFO without a writer is classified instead of
-    // blocking the open; regular files ignore the flag entirely.
-    fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
-    if (fd_ < 0) {
-        if (errno == ENXIO)
-            throw MmapUnsupported("not mmap-able: " + path);
-        throwErrno("cannot open trace file", path_);
-    }
+    // Classify the path before opening it. Opening a FIFO, even
+    // O_NONBLOCK, pairs it with a writer already waiting in open();
+    // that writer's bytes would then be discarded with the descriptor,
+    // and the stdio fallback's own open would wait for a writer that
+    // is gone.
     struct stat info;
+    if (::stat(path.c_str(), &info) != 0)
+        throwErrno("cannot open trace file", path_);
+    if (!S_ISREG(info.st_mode))
+        throw MmapUnsupported("not a regular file: " + path);
+    // O_NONBLOCK so a path swapped for a FIFO since the stat cannot
+    // block the open; regular files ignore the flag entirely.
+    fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd_ < 0)
+        throwErrno("cannot open trace file", path_);
     if (::fstat(fd_, &info) != 0) {
         ::close(fd_);
         fd_ = -1;

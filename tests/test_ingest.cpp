@@ -10,9 +10,15 @@
  * honest train-vs-test numbers instead of self-evaluation.
  */
 
+#include <fcntl.h>
+#include <pthread.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -1388,6 +1394,103 @@ TEST_F(IngestHarness, FifoFallsBackToStdioUnderAutoMode)
     // And asking for mmap explicitly must throw, not fall back
     // silently to a broken mapping.
     EXPECT_THROW(trace::MmapByteFile{fifo}, trace::MmapUnsupported);
+}
+
+/**
+ * A thread waiting in a blocking open() of @p fifo for writing, which
+ * then writes @p payload and closes. A write after the reader is gone
+ * fails with EPIPE instead of raising SIGPIPE.
+ */
+std::thread
+fifoWriter(const std::string &fifo, const std::string &payload,
+           std::atomic<bool> &opened)
+{
+    return std::thread([&fifo, &payload, &opened] {
+        sigset_t pipe_signal;
+        sigemptyset(&pipe_signal);
+        sigaddset(&pipe_signal, SIGPIPE);
+        pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
+        const int fd = ::open(fifo.c_str(), O_WRONLY);
+        opened = true;
+        if (fd >= 0) {
+            [[maybe_unused]] const ssize_t written =
+                ::write(fd, payload.data(), payload.size());
+            ::close(fd);
+        }
+    });
+}
+
+/** Release a fifoWriter() still waiting in open(), then join it. */
+void
+joinFifoWriter(const std::string &fifo, std::thread &writer)
+{
+    const int release = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    writer.join();
+    if (release >= 0)
+        ::close(release);
+}
+
+TEST_F(IngestHarness, FifoWriterWaitingInOpenIsReadWholeUnderAutoMode)
+{
+    // Classifying a FIFO by opening it, even O_NONBLOCK, pairs it with
+    // a writer already waiting in open(). That writer then writes and
+    // closes, its bytes die with the pipe once the classifying
+    // descriptor closes, and the stdio fallback's reopen waits for a
+    // writer that is gone. So refusing the path must leave the writer
+    // waiting.
+    const std::string payload = "fifo bytes reach the reader";
+    const std::string refused = path("refused.fifo");
+    ASSERT_EQ(::mkfifo(refused.c_str(), 0600), 0);
+    std::atomic<bool> released{false};
+    std::thread waiting = fifoWriter(refused, payload, released);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_THROW(trace::MmapByteFile{refused}, trace::MmapUnsupported);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(released) << "classifying the FIFO opened it";
+    joinFifoWriter(refused, waiting);
+
+    // And the whole Auto-mode open reads every byte. Should the reopen
+    // wait for a lost writer, a watchdog stands in for it after a
+    // deadline, so the failure is missing bytes, not a hung suite.
+    const std::string fifo = path("waiting.fifo");
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    std::atomic<bool> writer_opened{false};
+    std::thread writer = fifoWriter(fifo, payload, writer_opened);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::mutex mutex;
+    std::condition_variable opened_cv;
+    bool opened = false;
+    std::thread watchdog([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (opened_cv.wait_for(lock, std::chrono::seconds(5),
+                               [&] { return opened; }))
+            return;
+        const int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+        if (fd >= 0)
+            ::close(fd);
+    });
+    std::unique_ptr<trace::ByteFile> file;
+    try {
+        file = trace::openByteFileFast(fifo, trace::ReadMode::Auto);
+    } catch (const std::exception &error) {
+        ADD_FAILURE() << error.what();
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        opened = true;
+    }
+    opened_cv.notify_all();
+    watchdog.join();
+    std::string got;
+    char buffer[64];
+    while (file) {
+        const std::size_t n = file->read(buffer, sizeof(buffer));
+        if (n == 0)
+            break;
+        got.append(buffer, n);
+    }
+    joinFifoWriter(fifo, writer);
+    EXPECT_EQ(got, payload);
 }
 
 TEST_F(IngestHarness, StreamBufServesIdenticalTextOverBothBackends)
