@@ -29,8 +29,8 @@ constexpr std::size_t budgetBytes = 16384;
 
 /** Evaluate a conditional VLP configuration on gcc's test input. */
 double
-evaluateVlp(trace::VectorTraceSource &profile_trace,
-            trace::VectorTraceSource &test_trace,
+evaluateVlp(trace::TraceSource &profile_trace,
+            trace::TraceSource &test_trace,
             core::ProfileOptions options,
             const std::vector<unsigned> *allowed_lengths = nullptr,
             std::uint64_t *branches_out = nullptr)
@@ -188,8 +188,8 @@ main(int argc, char **argv)
             context.trace(spec, workload::InputKind::Profile);
         const auto test_ptr =
             context.trace(spec, workload::InputKind::Test);
-        trace::VectorTraceSource &profile_trace = *profile_ptr;
-        trace::VectorTraceSource &test_trace = *test_ptr;
+        trace::TraceSource &profile_trace = *profile_ptr;
+        trace::TraceSource &test_trace = *test_ptr;
         core::Profiler profiler(base, false);
         profile_trace.reset();
         const core::HashAssignment assignment =

@@ -16,8 +16,8 @@
 #include "core/profiler.h"
 #include "predictors/budget.h"
 #include "predictors/gshare.h"
+#include "sim/frontend.h"
 #include "sim/simulator.h"
-#include "sim/timing.h"
 #include "workload/benchmarks.h"
 
 int

@@ -20,6 +20,7 @@
 #include "core/path_predictor.h"
 #include "predictors/gshare.h"
 #include "sim/simulator.h"
+#include "trace/streaming.h"
 #include "trace/trace_io.h"
 #include "trace/trace_stats.h"
 #include "util/stats.h"
@@ -58,9 +59,9 @@ main(int argc, char **argv)
         writeDemoTrace(path);
     }
 
-    // Streaming statistics: TraceReader never holds the whole trace.
+    // Streaming statistics: the reader never holds the whole trace.
     {
-        trace::TraceReader reader(path);
+        trace::StreamingTraceReader reader(path);
         trace::TraceStats stats;
         stats.observeAll(reader);
         std::cout << "\ntrace statistics for " << path << ":\n"

@@ -567,34 +567,23 @@ runStep1Sharded(Step1Kernel kernel, trace::TraceSource &profile_trace,
         options.minLength, options.maxLength, options.jobs);
     std::vector<ShardResult> results(shards.size());
 
-    const auto *vector_source =
-        dynamic_cast<const trace::VectorTraceSource *>(&profile_trace);
-    const auto *compact_source =
-        dynamic_cast<const trace::CompactTraceCursor *>(&profile_trace);
-
     // Several shards need independent, read-only passes over the
-    // records: borrow an in-memory or resident trace, otherwise
-    // materialize the stream once (a documented memory/speed trade:
-    // intra-trace sharding buys wall-clock at the cost of holding the
-    // records). A single shard makes exactly one pass, so it consumes
-    // a streaming source (e.g. a .vbt reader) in place — peak
-    // trace-buffer memory stays whatever the source buffers, not the
-    // whole trace.
-    const std::vector<trace::BranchRecord> *records =
-        vector_source != nullptr ? &vector_source->records() : nullptr;
-    std::vector<trace::BranchRecord> materialized;
-    if (shards.size() > 1 && records == nullptr
-        && compact_source == nullptr) {
-        trace::BranchRecord record;
-        while (profile_trace.next(record))
-            materialized.push_back(record);
-        records = &materialized;
-    }
+    // records: borrow a resident trace, otherwise intern the stream
+    // once (a documented memory/speed trade: intra-trace sharding buys
+    // wall-clock at the cost of holding the records, ~4 B each). A
+    // single shard makes exactly one pass, so it consumes a streaming
+    // source (e.g. a .vbt reader) in place — peak trace-buffer memory
+    // stays whatever the source buffers, not the whole trace.
+    const auto *cursor =
+        dynamic_cast<const trace::CompactTraceCursor *>(&profile_trace);
+    std::shared_ptr<const trace::CompactTrace> interned;
+    if (shards.size() > 1 && cursor == nullptr)
+        interned = trace::CompactTrace::intern(profile_trace);
+    const trace::CompactTrace *compact =
+        cursor != nullptr ? &cursor->trace() : interned.get();
     const auto feed = [&] {
-        return records != nullptr ? RecordFeed(*records)
-            : compact_source != nullptr
-            ? RecordFeed(compact_source->trace())
-            : RecordFeed(profile_trace);
+        return compact != nullptr ? RecordFeed(*compact)
+                                  : RecordFeed(profile_trace);
     };
 
     if (shards.size() == 1) {

@@ -33,20 +33,15 @@ ReplayFeed::ReplayFeed(trace::TraceSource &source,
                        std::vector<std::uint64_t> branches)
     : branches_(std::move(branches)), slots_(branches_)
 {
-    if (const auto *vector =
-            dynamic_cast<const trace::VectorTraceSource *>(&source)) {
-        records_ = &vector->records();
-    } else if (const auto *cursor =
-                   dynamic_cast<const trace::CompactTraceCursor *>(
-                       &source)) {
+    if (const auto *cursor =
+            dynamic_cast<const trace::CompactTraceCursor *>(&source)) {
         compact_ = &cursor->trace();
         branchOf_.reserve(compact_->edges().size());
         for (const trace::BranchRecord &edge : compact_->edges())
             branchOf_.push_back(slots_.find(edge.pc));
         return;
-    } else {
-        source_ = &source;
     }
+    source_ = &source;
     branchOf_.resize(branches_.size() + 1);
     for (std::uint32_t slot = 0; slot < branchOf_.size(); ++slot)
         branchOf_[slot] = slot;

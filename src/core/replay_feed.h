@@ -15,10 +15,11 @@
  * dense slots instead of pc hash maps. A resident trace::CompactTrace
  * gets one slot per edge, so the loop indexes its per-slot tables by
  * the record's edge id and never looks anything up; which branch owns
- * each edge is worked out once per feed. Any other source
- * (a generated VectorTraceSource, a streamed .vbt reader) gets one slot
- * per branch plus one shared by every other pc, found by one flat probe
- * per profiled record.
+ * each edge is worked out once per feed. Generated traces are resident
+ * too (sim::ExperimentContext::trace() interns them). Any other source
+ * (a streamed .vbt reader, a VectorTraceSource handed straight to the
+ * profiler) gets one slot per branch plus one shared by every other pc,
+ * found by one flat probe per profiled record.
  */
 
 #ifndef VLPSIM_CORE_REPLAY_FEED_H
@@ -43,18 +44,13 @@ namespace core {
 namespace detail {
 
 /**
- * A trace's records as spans: an in-memory trace as one span, a
- * resident trace expanded chunk by chunk from its edge ids, any other
- * source through a bounded buffer filled from next().
+ * A trace's records as spans: a resident trace expanded chunk by chunk
+ * from its edge ids, any other source through a bounded buffer filled
+ * from next().
  */
 class RecordFeed
 {
   public:
-    explicit RecordFeed(const std::vector<trace::BranchRecord> &records)
-        : whole_(records)
-    {
-    }
-
     explicit RecordFeed(const trace::CompactTrace &compact)
         : compact_(&compact), buffer_(chunkRecords)
     {
@@ -82,8 +78,6 @@ class RecordFeed
             position_ += count;
             return {buffer_.data(), count};
         }
-        if (source_ == nullptr)
-            return std::exchange(whole_, {});
         std::size_t count = 0;
         while (count < buffer_.size() && source_->next(buffer_[count]))
             ++count;
@@ -93,7 +87,6 @@ class RecordFeed
   private:
     static constexpr std::size_t chunkRecords = 4096;
 
-    std::span<const trace::BranchRecord> whole_;
     const trace::CompactTrace *compact_ = nullptr;
     std::size_t position_ = 0;
     trace::TraceSource *source_ = nullptr;
@@ -269,10 +262,8 @@ class ReplayFeed
             }
             return;
         }
-        if (source_ != nullptr)
-            source_->reset();
-        RecordFeed feed = records_ != nullptr ? RecordFeed(*records_)
-                                              : RecordFeed(*source_);
+        source_->reset();
+        RecordFeed feed(*source_);
         for (auto records = feed.next(); !records.empty();
              records = feed.next()) {
             for (const trace::BranchRecord &record : records) {
@@ -288,7 +279,6 @@ class ReplayFeed
     BranchSlots slots_;
     std::vector<std::uint32_t> branchOf_;
     const trace::CompactTrace *compact_ = nullptr;
-    const std::vector<trace::BranchRecord> *records_ = nullptr;
     trace::TraceSource *source_ = nullptr;
 };
 

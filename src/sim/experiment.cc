@@ -156,89 +156,26 @@ ComparisonRow::entry(const std::string &predictor) const
     util::fatal("no such predictor in comparison: " + predictor);
 }
 
-ExperimentContext::ExperimentContext(util::ThreadPool *pool)
-    : pool_(pool),
-      traceCapacity_(traceCacheCapacity * (pool ? pool->size() : 1))
-{}
-
-void
-ExperimentContext::pinTrace(const std::string &key, TraceEntry &entry)
-{
-    if (entry.pinned) {
-        traceLru_.splice(traceLru_.begin(), traceLru_, entry.lru);
-    } else {
-        entry.pinned = entry.records.lock();
-        traceLru_.push_front(key);
-        entry.lru = traceLru_.begin();
-    }
-
-    // The bound is on what the cache alone keeps alive. A trace some
-    // cursor holds costs nothing extra to keep, and evicting it would
-    // only invite a regeneration once its holders let go, so drop the
-    // least recently used traces nobody else holds until at most
-    // traceCapacity_ remain, counting the one just requested (whose
-    // cursor the caller may drop at once).
-    const auto unheld = [&](const std::string &name) {
-        return name != key && traces_.at(name).pinned.use_count() == 1;
-    };
-    std::size_t count = 1;
-    for (const std::string &name : traceLru_)
-        count += unheld(name) ? 1 : 0;
-    for (auto it = traceLru_.end();
-         count > traceCapacity_ && it != traceLru_.begin();) {
-        --it;
-        if (!unheld(*it))
-            continue;
-        traces_.at(*it).pinned.reset();
-        it = traceLru_.erase(it);
-        --count;
-    }
-}
-
-std::shared_ptr<trace::VectorTraceSource>
+std::shared_ptr<trace::TraceSource>
 ExperimentContext::trace(const workload::BenchmarkSpec &spec,
                          workload::InputKind kind)
 {
-    const std::string key = spec.name
-        + (kind == workload::InputKind::Profile ? "/profile" : "/test");
-    std::unique_lock<std::mutex> lock(mutex_);
-    TraceEntry &entry = traces_[key];
-    if (entry.generating) {
-        // Another thread is generating this trace: wait for it, and
-        // share its failure rather than retrying behind its back.
-        const std::uint64_t failures = entry.failures;
-        traceReady_.wait(lock, [&] {
-            return !entry.generating || entry.failures != failures;
-        });
-        if (entry.failures != failures)
-            std::rethrow_exception(entry.error);
+    TraceEntry *entry;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        entry = &traces_[spec.name
+                         + (kind == workload::InputKind::Profile
+                                ? "/profile"
+                                : "/test")];
     }
-    if (auto records = entry.records.lock()) {
-        pinTrace(key, entry);
-        return std::make_shared<trace::VectorTraceSource>(
-            std::move(records));
-    }
-
-    entry.generating = true;
-    lock.unlock();
-    std::shared_ptr<const Records> records;
-    try {
-        records = workload::generateTrace(spec, kind).shared();
-    } catch (...) {
-        lock.lock();
-        entry.generating = false;
-        entry.error = std::current_exception();
-        ++entry.failures;
-        traceReady_.notify_all();
-        throw;
-    }
-    traceGenerations_.fetch_add(1, std::memory_order_relaxed);
-    lock.lock();
-    entry.generating = false;
-    entry.records = records;
-    pinTrace(key, entry);
-    traceReady_.notify_all();
-    return std::make_shared<trace::VectorTraceSource>(std::move(records));
+    entry->once.call([&] {
+        throwIfCancelled();
+        trace::VectorTraceSource generated =
+            workload::generateTrace(spec, kind);
+        entry->trace = trace::CompactTrace::intern(generated);
+        traceGenerations_.fetch_add(1, std::memory_order_relaxed);
+    });
+    return std::make_shared<trace::CompactTraceCursor>(entry->trace);
 }
 
 std::shared_ptr<trace::TraceSource>

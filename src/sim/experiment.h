@@ -4,8 +4,8 @@
  * regenerate the paper's tables and figures.
  *
  * ExperimentContext memoizes, within one process, the expensive
- * artifacts: generated traces (a bounded set, shared zero-copy) and
- * profiling results (step-1 sweeps, step-2 assignments, suite
+ * artifacts: generated traces (each interned once, shared zero-copy)
+ * and profiling results (step-1 sweeps, step-2 assignments, suite
  * averages and comparison rows per benchmark/size), so a bench that
  * needs the global fixed length *and* per-benchmark VLP assignments
  * profiles each benchmark exactly once, however many threads ask.
@@ -19,11 +19,8 @@
 #define VLPSIM_SIM_EXPERIMENT_H
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -138,18 +135,16 @@ class ExperimentContext
   public:
     /**
      * @param pool optional worker pool: the suite averages fan their
-     *             per-benchmark sweeps out over it, and the trace cache
-     *             is sized at traceCacheCapacity per pool worker. The
-     *             pool must outlive the context.
+     *             per-benchmark sweeps out over it. The pool must
+     *             outlive the context.
      */
-    explicit ExperimentContext(util::ThreadPool *pool = nullptr);
+    explicit ExperimentContext(util::ThreadPool *pool = nullptr)
+        : pool_(pool)
+    {
+    }
 
     ExperimentContext(const ExperimentContext &) = delete;
     ExperimentContext &operator=(const ExperimentContext &) = delete;
-
-    /** Traces the cache keeps alive per worker beyond those cursors
-     *  hold (one worker without a pool). */
-    static constexpr std::size_t traceCacheCapacity = 4;
 
     /**
      * Attach an on-disk artifact store (shared freely across contexts
@@ -203,13 +198,15 @@ class ExperimentContext
 
     /**
      * A fresh cursor over the benchmark's trace on the given input,
-     * generated on first use. Cursors share the immutable records, so
-     * a trace is never copied and every caller replays at its own
-     * position. An LRU bounds the traces the cache keeps; a trace
-     * evicted from it while some cursor still holds it is reused, not
-     * regenerated.
+     * generated and interned into a trace::CompactTrace on first use
+     * and kept for the context's lifetime. Traces come from the
+     * benchmark suite, so a context holds at most two per benchmark.
+     * Cursors share the immutable trace, so it is never copied and
+     * every caller replays at its own position.
+     * @throws util::CancelledError when the attached token has fired
+     *         before the trace was generated
      */
-    std::shared_ptr<trace::VectorTraceSource>
+    std::shared_ptr<trace::TraceSource>
     trace(const workload::BenchmarkSpec &spec, workload::InputKind kind);
 
     /** Traces this context has generated so far (cache misses). */
@@ -324,18 +321,10 @@ class ExperimentContext
         ComparisonRow row;
     };
 
-    using Records = trace::VectorTraceSource::Records;
-
     struct TraceEntry
     {
-        /** Set while some cursor (or the LRU) holds the records. */
-        std::weak_ptr<const Records> records;
-        /** The LRU's hold; null once evicted. */
-        std::shared_ptr<const Records> pinned;
-        std::list<std::string>::iterator lru;
-        bool generating = false;
-        std::uint64_t failures = 0;
-        std::exception_ptr error;
+        util::Once once;
+        std::shared_ptr<const trace::CompactTrace> trace;
     };
 
     using Key = std::string;
@@ -370,21 +359,14 @@ class ExperimentContext
     ensureAssignment(ProfilerEntry &entry, const KeyPrefix &prefix,
                      const TraceProvider &profile_trace);
 
-    /** Put @p entry's live records at the front of the LRU and trim
-     *  it; call under mutex_. */
-    void pinTrace(const std::string &key, TraceEntry &entry);
-
     util::ThreadPool *pool_;
-    std::size_t traceCapacity_;
     std::shared_ptr<const util::CancelToken> cancel_;
     unsigned step1Jobs_ = 1;
     std::shared_ptr<store::ArtifactStore> store_;
 
-    /** Guards the maps and the LRU below (never a computation). */
+    /** Guards the maps below (never a computation). */
     std::mutex mutex_;
-    std::condition_variable traceReady_;
     std::map<std::string, TraceEntry> traces_;
-    std::list<std::string> traceLru_;
     std::map<Key, ProfilerEntry> profilers_;
     std::map<Key, AverageEntry> averages_;
     std::map<Key, RowEntry> rows_;

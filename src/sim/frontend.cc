@@ -1,6 +1,6 @@
 /**
  * @file
- * FetchEngine implementation.
+ * FetchEngine and closed-form timing implementation.
  *
  * Bit-identity with the Simulator rests on one rule: per predictor,
  * every record is handled predict → update → history advance in trace
@@ -105,6 +105,48 @@ closedFormFrontend(const FrontendParameters &parameters,
     result.repredictCycles = static_cast<double>(repredict_events)
         * parameters.repredictPenaltyCycles;
     return result;
+}
+
+FrontendResult
+estimateTiming(const TimingParameters &parameters,
+               std::uint64_t branches, std::uint64_t mispredictions,
+               std::uint64_t repredict_events)
+{
+    FrontendResult estimate;
+    estimate.branches = branches;
+    estimate.mispredictions = mispredictions;
+    estimate.repredictEvents = repredict_events;
+    // Explicit zero-result semantics: an empty stream or a degenerate
+    // (zero, negative, or NaN) fetch width estimates zero cycles
+    // rather than dividing. The negated comparison keeps NaN on the
+    // zero path.
+    if (branches == 0 || !(parameters.fetchWidth > 0.0))
+        return estimate;
+    const double instructions =
+        static_cast<double>(branches) * parameters.instructionsPerBranch;
+    estimate.baseCycles = instructions / parameters.fetchWidth;
+    estimate.mispredictCycles = static_cast<double>(mispredictions)
+        * parameters.mispredictPenaltyCycles;
+    estimate.repredictCycles = static_cast<double>(repredict_events)
+        * parameters.repredictPenaltyCycles;
+    return estimate;
+}
+
+FrontendResult
+estimateTiming(const TimingParameters &parameters,
+               const PredictorResult &result,
+               std::uint64_t repredict_events)
+{
+    return estimateTiming(parameters, result.branches,
+                          result.mispredictions, repredict_events);
+}
+
+double
+speedup(const FrontendResult &slower, const FrontendResult &faster)
+{
+    const double faster_cycles = faster.totalCycles();
+    return faster_cycles > 0.0 ? slower.totalCycles() / faster_cycles
+                               : 0.0;
 }
 
 FetchEngine::FetchEngine(FrontendParameters parameters)

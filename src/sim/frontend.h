@@ -74,9 +74,8 @@ struct FrontendParameters
 
 /**
  * Cycle and bandwidth ledger for one predictor slot. Also the shape of
- * the closed-form model (sim/timing.h aliases TimingEstimate to this
- * struct), so engine-measured and estimated costs compare field for
- * field. All derived rates have explicit zero-result semantics: no
+ * the closed-form model (estimateTiming() below fills it), so
+ * engine-measured and estimated costs compare field for field. All derived rates have explicit zero-result semantics: no
  * branches or no cycles yields 0.0, never NaN or infinity.
  */
 struct FrontendResult
@@ -113,14 +112,64 @@ struct FrontendResult
 
 /**
  * Closed-form fill of a FrontendResult — the thin fallback that
- * indirect slots and sim/timing.h build on: bundles of up to m
- * branches with no conflict or speculation modelling. branches == 0 or
- * bundle_width == 0 yields the all-zero result.
+ * indirect slots build on: bundles of up to m branches with no
+ * conflict or speculation modelling. branches == 0 or bundle_width == 0
+ * yields the all-zero result.
  */
 FrontendResult closedFormFrontend(const FrontendParameters &parameters,
                                   std::uint64_t branches,
                                   std::uint64_t mispredictions,
                                   std::uint64_t repredict_events);
+
+/**
+ * Parameters of the first-order timing model (defaults shaped after a
+ * late-90s design): estimateTiming() turns misprediction counts into
+ * front-end cycles without simulating fetch bundles, so the flush cost
+ * the paper's Section 1 motivates and the §4.3 re-predict bubble
+ * compare in one number (bench_timing).
+ */
+struct TimingParameters
+{
+    /** Average instructions fetched between branches. */
+    double instructionsPerBranch = 5.0;
+    /** Instructions fetched per cycle. */
+    double fetchWidth = 4.0;
+    /** Pipeline flush penalty per misprediction, in cycles. */
+    double mispredictPenaltyCycles = 10.0;
+    /**
+     * Bubble cycles when the pipelined predictor must re-predict
+     * because the HFNT's hash function number was wrong (§4.3).
+     */
+    double repredictPenaltyCycles = 1.0;
+};
+
+/**
+ * Estimate the front-end cost of running @p branches dynamic branches
+ * with @p mispredictions of them mispredicted: the FrontendResult
+ * ledger filled closed-form (the bundle/conflict counters stay 0).
+ * branches == 0 or a non-positive (or NaN) fetchWidth yields the
+ * all-zero estimate.
+ *
+ * @param parameters       front-end parameters
+ * @param branches         dynamic branch count
+ * @param mispredictions   mispredicted branches
+ * @param repredict_events HFNT mismatches (0 for non-VLP predictors)
+ */
+FrontendResult estimateTiming(const TimingParameters &parameters,
+                              std::uint64_t branches,
+                              std::uint64_t mispredictions,
+                              std::uint64_t repredict_events = 0);
+
+/** Convenience over a simulator result row. */
+FrontendResult estimateTiming(const TimingParameters &parameters,
+                              const PredictorResult &result,
+                              std::uint64_t repredict_events = 0);
+
+/**
+ * Speedup of @p faster over @p slower (ratio of total cycles; > 1
+ * means @p faster wins).
+ */
+double speedup(const FrontendResult &slower, const FrontendResult &faster);
 
 /**
  * The fetch-bundle front end. Register predictors (borrowed, like the

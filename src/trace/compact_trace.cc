@@ -5,8 +5,11 @@
 
 #include "trace/compact_trace.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
+
+#include "util/logging.h"
 
 namespace vlp {
 namespace trace {
@@ -18,6 +21,9 @@ constexpr std::uint64_t initialSlots = 1024;
 
 /** Edges the first edge-table reservation holds. */
 constexpr std::size_t initialEdges = 256;
+
+/** Ids the first growth of an unsized id array holds. */
+constexpr std::size_t initialIds = 4096;
 
 std::uint64_t
 edgeHash(const BranchRecord &record)
@@ -57,6 +63,21 @@ void
 ResidentBudget::release(std::uint64_t bytes)
 {
     used_.fetch_sub(bytes, std::memory_order_relaxed);
+}
+
+std::shared_ptr<const CompactTrace>
+CompactTrace::intern(TraceSource &source)
+{
+    // Never refuses: the bytes are counted but bound nothing.
+    static ResidentBudget uncharged(
+        std::numeric_limits<std::uint64_t>::max());
+    Builder builder(0, uncharged);
+    BranchRecord record;
+    while (source.next(record)) {
+        if (!builder.add(record))
+            util::fatal("trace has too many distinct edges to intern");
+    }
+    return builder.finish();
 }
 
 bool
@@ -114,6 +135,23 @@ CompactTrace::Builder::growSlots()
 }
 
 bool
+CompactTrace::Builder::push(EdgeId id)
+{
+    std::vector<EdgeId> &ids = trace_->ids_;
+    if (ids.size() == ids.capacity()) {
+        const std::size_t capacity =
+            std::max(2 * ids.capacity(), initialIds);
+        if (!trace_->charge((capacity - ids.capacity()) * sizeof(EdgeId))) {
+            abandon();
+            return false;
+        }
+        ids.reserve(capacity);
+    }
+    ids.push_back(id);
+    return true;
+}
+
+bool
 CompactTrace::Builder::add(const BranchRecord &record)
 {
     if (!ok())
@@ -124,10 +162,8 @@ CompactTrace::Builder::add(const BranchRecord &record)
         const EdgeId entry = slots_[slot];
         if (entry == 0)
             break;
-        if (edges[entry - 1] == record) {
-            trace_->ids_.push_back(entry - 1);
-            return true;
-        }
+        if (edges[entry - 1] == record)
+            return push(entry - 1);
         slot = (slot + 1) & slotMask_;
     }
 
@@ -148,7 +184,8 @@ CompactTrace::Builder::add(const BranchRecord &record)
     }
     const EdgeId id = static_cast<EdgeId>(edges.size());
     edges.push_back(record);
-    trace_->ids_.push_back(id);
+    if (!push(id))
+        return false;
     if (2 * edges.size() > slots_.size()) {
         if (!growSlots()) {
             abandon();
@@ -167,6 +204,7 @@ CompactTrace::Builder::finish()
     slotMask_ = 0;
     CompactTrace &trace = *trace_;
     trace.edges_.shrink_to_fit();
+    trace.ids_.shrink_to_fit();
     const std::uint64_t held = trace.ids_.capacity() * sizeof(EdgeId)
         + trace.edges_.capacity() * sizeof(BranchRecord);
     if (held < trace.charged_) {

@@ -18,13 +18,18 @@
  * An id names an edge, not a branch: an indirect branch keeps the
  * target of every instance.
  *
- * Every byte a resident trace holds is charged against one
+ * Every byte a resident external trace holds is charged against one
  * process-wide ResidentBudget (ResidentBudget::process()), shared by
  * every suite run in the process — the CLI's and each of a serve
  * daemon's. A trace whose id array does not fit (the header's record
  * count decides), or whose edge table outgrows what is left, is not
  * kept resident: its reader streams it from the file on every pass
  * instead. Replays are record-for-record identical either way.
+ *
+ * Generated traces (sim::ExperimentContext::trace()) and step 1's
+ * multi-shard copy of a streamed source take the same form through
+ * CompactTrace::intern(), which charges no budget: neither has a
+ * streaming fallback, and the generated set is bounded by the suite.
  */
 
 #ifndef VLPSIM_TRACE_COMPACT_TRACE_H
@@ -97,6 +102,13 @@ class CompactTrace
 
     class Builder;
 
+    /**
+     * Intern every record @p source yields from its current position,
+     * charging no budget (see the file comment).
+     * @throws std::runtime_error past 2^32 - 1 distinct edges
+     */
+    static std::shared_ptr<const CompactTrace> intern(TraceSource &source);
+
     /** Returns every byte it holds to its budget. */
     ~CompactTrace() { budget_.release(charged_); }
 
@@ -137,8 +149,8 @@ class CompactTrace::Builder
   public:
     /**
      * Start interning a trace whose header promises @p records
-     * records. The id array is charged up front; ok() is false when
-     * it does not fit.
+     * records. The id array is charged up front, and again whenever
+     * more records arrive; ok() is false when it does not fit.
      */
     Builder(std::uint64_t records, ResidentBudget &budget);
 
@@ -157,6 +169,9 @@ class CompactTrace::Builder
 
     /** Double the edge-id hash table (and its charge). */
     bool growSlots();
+
+    /** Append @p id, growing (and charging) the id array when full. */
+    bool push(EdgeId id);
 
     std::unique_ptr<CompactTrace> trace_;
     /** Open-addressing table of edge id + 1 (0 = empty); its bytes

@@ -59,9 +59,8 @@ StreamingTraceReader::StreamingTraceReader(std::unique_ptr<ByteFile> file,
     }
     count_ = getU64(header + 4);
 
-    // Reject truncated or torn files up front, exactly like the
-    // materializing TraceReader: the record stream must hold the bytes
-    // the header promises.
+    // Reject truncated or torn files up front: the record stream must
+    // hold the bytes the header promises.
     const std::uint64_t expected =
         headerBytes_ + count_ * recordBytes;
     const std::uint64_t actual = file_->size();

@@ -11,10 +11,10 @@
  * peak trace-buffer memory at chunkRecords * 18 bytes regardless of
  * file size — the property the external-trace suite runner relies on.
  *
- * Validation matches trace_io.h's TraceReader: magic and header-vs-
- * file-size checks at open (truncated files fail before any record is
- * served), per-record kind/taken checks, and — for VBT2 — a
- * stream checksum verified at the end of the stream (when the final
+ * It is the one .vbt decoder: loadTrace() and `vlpsim stats` read
+ * through it too. Validation: magic and header-vs-file-size checks at
+ * open (truncated files fail before any record is served), per-record
+ * kind/taken checks, and — for VBT2 — a stream checksum verified at the end of the stream (when the final
  * record is consumed, or at the first next() of an empty trace). The
  * checksum is accumulated per refilled chunk (same bytes, same order,
  * same digest as the historical per-record accumulation); when the

@@ -6,8 +6,9 @@
  *     <kind> <pc-hex> <nextpc-hex> <T|N>
  *
  * where <kind> is one of cond, jump, call, ijump, icall, ret (the
- * names branchKindName() prints). Lines starting with '#' and blank
- * lines are ignored. Example:
+ * names branchKindName() prints), or the reduced form
+ * `<pc-hex> <nextpc-hex> <T|N|1|0>` of a conditional branch. Lines
+ * starting with '#' and blank lines are ignored. Example:
  *
  *     # extracted from a ChampSim trace
  *     cond  40001c 400080 T
@@ -29,8 +30,10 @@ namespace vlp {
 namespace trace {
 
 /**
- * Parse a text trace from @p in.
- * @throws std::runtime_error on malformed lines (with line number)
+ * Parse a text trace from @p in, in the grammar readTextTraceLenient()
+ * accepts.
+ * @throws std::runtime_error at the first line the lenient parser
+ *         would skip, with its "line N: why" message
  */
 VectorTraceSource readTextTrace(std::istream &in);
 

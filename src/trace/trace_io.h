@@ -13,9 +13,10 @@
  *     uint64 nextPc
  *
  * Version-1 files ("VBT1" magic, no checksum field) are still read.
- * The reader validates the file size against the header's record count
- * at open — a truncated or torn file fails immediately with a clear
- * error instead of a partial read — and, for VBT2 files, verifies the
+ * The one decoder is trace/streaming.h's StreamingTraceReader: it
+ * validates the file size against the header's record count at open —
+ * a truncated or torn file fails immediately with a clear error
+ * instead of a partial read — and, for VBT2 files, verifies the
  * checksum at the end of the stream (once the last record has been
  * consumed, or on the first next() of an empty trace), so bit flips
  * anywhere in the record stream or its checksum are detected.
@@ -71,54 +72,11 @@ class TraceWriter
     util::Fnv1a checksum_;
 };
 
-/** Reads .vbt trace files as a TraceSource. */
-class TraceReader : public TraceSource
-{
-  public:
-    /**
-     * Open @p path and validate the header, including that the file
-     * holds exactly the record bytes the header promises.
-     * @throws std::runtime_error on missing file, bad magic, or a
-     *         truncated/oversized record stream
-     */
-    explicit TraceReader(const std::string &path);
-
-    ~TraceReader() override;
-
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
-
-    /**
-     * @throws std::runtime_error on a corrupt record, or — at the end
-     *         of a VBT2 stream — on a checksum mismatch
-     */
-    bool next(BranchRecord &record) override;
-
-    void reset() override;
-
-    /** Total records according to the header. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * The file's .vbt format version: 1 (VBT1, no checksum field —
-     * the record stream starts right after the count, and corruption
-     * inside records goes undetected) or 2 (VBT2, checksummed).
-     * Callers ingesting third-party traces warn on version 1.
-     */
-    unsigned formatVersion() const { return hasChecksum_ ? 2u : 1u; }
-
-  private:
-    std::FILE *file_ = nullptr;
-    std::uint64_t count_ = 0;
-    std::uint64_t read_ = 0;
-    /** Expected record-stream checksum; 0 for VBT1 (not verified). */
-    std::uint64_t expectedChecksum_ = 0;
-    bool hasChecksum_ = false;
-    long headerBytes_ = 0;
-    util::Fnv1a checksum_;
-};
-
-/** Convenience: read an entire trace file into memory. */
+/**
+ * Convenience: read an entire trace file into memory through
+ * StreamingTraceReader.
+ * @throws std::runtime_error on a missing, malformed or corrupt file
+ */
 VectorTraceSource loadTrace(const std::string &path);
 
 /** Convenience: write an entire in-memory trace to @p path. */

@@ -11,7 +11,7 @@
 #define VLPSIM_TRACE_TRACE_SOURCE_H
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "trace/branch_record.h"
@@ -44,81 +44,45 @@ class TraceSource
 };
 
 /**
- * A trace held entirely in memory. This is the workhorse source: the
- * workload engine materializes its branch stream into one of these,
- * which is then replayed across all predictors and profiling passes.
- *
- * The records live behind a shared_ptr, so a copy (or a source built
- * from shared()) is a second cursor over the same records, never a
- * copy of them: each cursor keeps its own position, so several threads
- * can replay one trace at once. append() detaches a shared source
- * first (copy on write), so building never disturbs another cursor.
+ * A trace held entirely in memory, as plain records: what the workload
+ * engine and the file loaders produce. Replays that run many times
+ * (the experiment memo, step 1's shards) intern it into a
+ * trace::CompactTrace instead.
  */
 class VectorTraceSource : public TraceSource
 {
   public:
     using Records = std::vector<BranchRecord>;
 
-    VectorTraceSource()
-    {
-        auto records = std::make_shared<Records>();
-        writable_ = records.get();
-        records_ = std::move(records);
-    }
+    VectorTraceSource() = default;
 
     /** Construct over an existing record vector (takes ownership). */
     explicit VectorTraceSource(Records records)
-    {
-        auto owned = std::make_shared<Records>(std::move(records));
-        writable_ = owned.get();
-        records_ = std::move(owned);
-    }
-
-    /** A cursor over records shared with other sources. */
-    explicit VectorTraceSource(std::shared_ptr<const Records> records)
         : records_(std::move(records))
     {}
 
     bool
     next(BranchRecord &record) override
     {
-        if (position_ >= records_->size())
+        if (position_ >= records_.size())
             return false;
-        record = (*records_)[position_++];
+        record = records_[position_++];
         return true;
     }
 
     void reset() override { position_ = 0; }
 
     /** Append a record (used while building a trace). */
-    void
-    append(const BranchRecord &record)
-    {
-        if (writable_ == nullptr || records_.use_count() != 1) {
-            auto copy = std::make_shared<Records>(*records_);
-            writable_ = copy.get();
-            records_ = std::move(copy);
-        }
-        writable_->push_back(record);
-    }
+    void append(const BranchRecord &record) { records_.push_back(record); }
 
     /** Number of records in the trace. */
-    std::size_t size() const { return records_->size(); }
+    std::size_t size() const { return records_.size(); }
 
     /** Direct access to the underlying records. */
-    const Records &records() const { return *records_; }
-
-    /** The records, for building further cursors over them. */
-    const std::shared_ptr<const Records> &shared() const
-    {
-        return records_;
-    }
+    const Records &records() const { return records_; }
 
   private:
-    std::shared_ptr<const Records> records_;
-    /** records_ when a source of this lineage allocated it, else
-     *  null; append() writes through it only while unshared. */
-    Records *writable_ = nullptr;
+    Records records_;
     std::size_t position_ = 0;
 };
 

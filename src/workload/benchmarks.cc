@@ -14,6 +14,8 @@
 #include "workload/benchmarks.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
 #include "util/logging.h"
 #include "workload/behavior.h"
@@ -24,8 +26,15 @@ namespace workload {
 std::uint64_t
 BenchmarkSpec::dynamicBudget(double extra) const
 {
+    // Casting NaN, infinity or anything past 2^64 to an integer is
+    // undefined, and NaN would slip past the floor below.
+    if (!std::isfinite(extra) || extra <= 0.0)
+        util::fatal("trace scale must be finite and positive, got "
+                    + std::to_string(extra));
     const double scaled = static_cast<double>(paperDynamicCond)
         * baseScale * util::workloadScale() * extra;
+    if (!(scaled < 0x1p64))
+        util::fatal("trace scale is too large: " + std::to_string(extra));
     return scaled < 1000.0 ? 1000 : static_cast<std::uint64_t>(scaled);
 }
 

@@ -53,7 +53,10 @@ struct BenchmarkSpec
 
     /**
      * Dynamic conditional-branch budget for one run: the paper count
-     * scaled by baseScale (1/20) times VLPSIM_SCALE times @p extra.
+     * scaled by baseScale (1/20) times VLPSIM_SCALE times @p extra,
+     * at least 1000.
+     * @throws std::runtime_error unless @p extra is finite and
+     *         positive, and the budget fits in 64 bits
      */
     std::uint64_t dynamicBudget(double extra = 1.0) const;
 };

@@ -4,9 +4,11 @@
  * determinism, static-count targets, and input-set separation.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <set>
+#include <stdexcept>
 
 #include "trace/trace_stats.h"
 #include "workload/benchmarks.h"
@@ -85,6 +87,12 @@ TEST(BenchmarkSuite, DynamicBudgetScales)
     setenv("VLPSIM_SCALE", "0.5", 1);
     EXPECT_EQ(spec.dynamicBudget(), base / 2);
     unsetenv("VLPSIM_SCALE");
+    // A tiny scale hits the floor; a scale that is not a finite
+    // positive number is refused, never cast.
+    EXPECT_EQ(spec.dynamicBudget(1e-9), 1000u);
+    for (const double bad :
+         {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0, 1e300})
+        EXPECT_THROW(spec.dynamicBudget(bad), std::runtime_error) << bad;
 }
 
 class BenchmarkModel : public ::testing::TestWithParam<const char *>

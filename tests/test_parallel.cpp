@@ -396,22 +396,26 @@ runFigure9Body(ParallelRunner &runner)
 
 TEST_F(ParallelHarness, Table2GeneratesEachProfileTraceOnce)
 {
-    ParallelRunner runner(4);
-    runTable2Body(runner);
-    // 16 profile traces, each shared by all nine budgets.
-    EXPECT_EQ(runner.context().traceGenerations(),
-              workload::benchmarkSuite().size());
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ParallelRunner runner(jobs);
+        runTable2Body(runner);
+        // 16 profile traces, each shared by all nine budgets.
+        EXPECT_EQ(runner.context().traceGenerations(),
+                  workload::benchmarkSuite().size());
+    }
 }
 
 TEST_F(ParallelHarness, Figure9GeneratesEachTraceOnce)
 {
-    // Five workers keep 20 traces, more than the 17 Figure 9 touches
-    // (16 profile traces plus gcc's test trace), so nothing is evicted
-    // and nothing is generated twice.
-    ParallelRunner runner(5);
-    runFigure9Body(runner);
-    EXPECT_EQ(runner.context().traceGenerations(),
-              workload::benchmarkSuite().size() + 1);
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ParallelRunner runner(jobs);
+        runFigure9Body(runner);
+        // 16 profile traces plus gcc's test trace.
+        EXPECT_EQ(runner.context().traceGenerations(),
+                  workload::benchmarkSuite().size() + 1);
+    }
 }
 
 TEST_F(ParallelHarness, StoreTrafficAndPredictionsIdenticalAcrossJobs)

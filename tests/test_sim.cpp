@@ -3,16 +3,21 @@
  * Tests for the simulator and the experiment harness.
  */
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "predictors/bimodal.h"
 #include "predictors/gshare.h"
 #include "predictors/target_cache.h"
 #include "sim/experiment.h"
+#include "sim/frontend.h"
 #include "sim/simulator.h"
-#include "sim/timing.h"
+#include "util/cancel.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -226,7 +231,7 @@ TEST(Timing, RatesNeverProduceNanOrInfinity)
     EXPECT_DOUBLE_EQ(estimate.ipc(std::nan("")), 0.0);
     EXPECT_TRUE(std::isfinite(estimate.branchesPerCycle()));
 
-    TimingEstimate blank;
+    FrontendResult blank;
     EXPECT_DOUBLE_EQ(blank.totalCycles(), 0.0);
     EXPECT_DOUBLE_EQ(blank.ipc(5000.0), 0.0);
     EXPECT_DOUBLE_EQ(blank.branchesPerCycle(), 0.0);
@@ -356,76 +361,63 @@ TEST_F(ExperimentHarness, HistoryOptionsKeyedSeparately)
               without_rotation.mispredictions[15]);
 }
 
-TEST_F(ExperimentHarness, TraceCacheSurvivesEviction)
+/** Every record @p source yields from its start. */
+std::vector<trace::BranchRecord>
+drain(trace::TraceSource &source)
 {
-    // A held trace outlives its eviction from the LRU and is reused,
-    // never regenerated; a released one is regenerated identically
-    // (determinism makes eviction invisible).
-    ExperimentContext context;
-    const auto &first = workload::findBenchmark("compress");
-    auto held = context.trace(first, workload::InputKind::Test);
-    auto records = held->shared();
-    EXPECT_EQ(context.traceGenerations(), 1u);
-
-    // More distinct traces than the 4-entry LRU keeps.
-    const char *others[] = {"li", "pgp", "go", "plot", "ss"};
-    for (const char *name : others) {
-        context.trace(workload::findBenchmark(name),
-                      workload::InputKind::Test);
-    }
-    EXPECT_EQ(context.traceGenerations(), 1u + std::size(others));
-    auto again = context.trace(first, workload::InputKind::Test);
-    EXPECT_EQ(again->shared(), records); // same records, not a copy
-    EXPECT_EQ(context.traceGenerations(), 1u + std::size(others));
-
-    // Once nothing holds it, eviction drops it for real.
-    const std::size_t size = records->size();
-    const trace::BranchRecord first_record = records->front();
-    held.reset();
-    again.reset();
-    records.reset();
-    for (const char *name : others) {
-        context.trace(workload::findBenchmark(name),
-                      workload::InputKind::Test);
-    }
-    const std::uint64_t before = context.traceGenerations();
-    const auto regenerated =
-        context.trace(first, workload::InputKind::Test);
-    EXPECT_EQ(context.traceGenerations(), before + 1);
-    EXPECT_EQ(regenerated->size(), size);
-    EXPECT_EQ(regenerated->records().front(), first_record);
+    source.reset();
+    std::vector<trace::BranchRecord> records;
+    trace::BranchRecord record;
+    while (source.next(record))
+        records.push_back(record);
+    return records;
 }
 
-TEST_F(ExperimentHarness, TraceReferenceSurvivesEviction)
+TEST_F(ExperimentHarness, EachTraceIsGeneratedOncePerContext)
 {
-    // Each trace() call is a fresh cursor over shared records: a
-    // held cursor stays readable across evictions, and two cursors
-    // over one trace replay independently (several workers replay one
-    // trace at once).
+    // More distinct traces than any per-worker cache would keep, each
+    // requested and dropped twice: the memo generates each once and
+    // replays exactly what the generator produces.
     ExperimentContext context;
-    const auto &first = workload::findBenchmark("compress");
-    const auto held = context.trace(first, workload::InputKind::Test);
-    const std::size_t held_size = held->size();
-    ASSERT_GT(held_size, 2u);
-
-    for (const char *name : {"li", "pgp", "go", "plot", "ss", "tex"}) {
-        context.trace(workload::findBenchmark(name),
-                      workload::InputKind::Test);
+    const char *names[] = {"compress", "li", "pgp", "go", "plot", "ss"};
+    for (int round = 0; round < 2; ++round) {
+        for (const char *name : names) {
+            context.trace(workload::findBenchmark(name),
+                          workload::InputKind::Test);
+        }
+        EXPECT_EQ(context.traceGenerations(), std::size(names));
     }
+    const auto &spec = workload::findBenchmark("compress");
+    const auto cursor = context.trace(spec, workload::InputKind::Test);
+    EXPECT_EQ(drain(*cursor),
+              workload::generateTrace(spec, workload::InputKind::Test)
+                  .records());
+    EXPECT_EQ(context.traceGenerations(), std::size(names));
+}
 
-    const auto other = context.trace(first, workload::InputKind::Test);
+TEST_F(ExperimentHarness, TraceCursorsReplayIndependently)
+{
+    // Each trace() call is a fresh cursor over one shared trace, so
+    // several workers can replay it at once.
+    ExperimentContext context;
+    const auto &spec = workload::findBenchmark("compress");
+    const auto held = context.trace(spec, workload::InputKind::Test);
+    const auto other = context.trace(spec, workload::InputKind::Test);
     EXPECT_NE(other.get(), held.get());
-    EXPECT_EQ(other->shared(), held->shared());
+    EXPECT_EQ(&dynamic_cast<trace::CompactTraceCursor &>(*other).trace(),
+              &dynamic_cast<trace::CompactTraceCursor &>(*held).trace());
+    const std::vector<trace::BranchRecord> records = drain(*held);
+    ASSERT_GT(records.size(), 2u);
 
     // Advance one cursor partway; the other still starts at record 0.
     held->reset();
     trace::BranchRecord record;
     ASSERT_TRUE(held->next(record));
     ASSERT_TRUE(held->next(record));
-    const trace::BranchRecord held_second = record;
+    EXPECT_EQ(record, records[1]);
     other->reset();
     ASSERT_TRUE(other->next(record));
-    EXPECT_EQ(record, held->records().front());
+    EXPECT_EQ(record, records[0]);
 
     // Both run to the end on their own count.
     std::size_t held_count = 2;
@@ -434,9 +426,51 @@ TEST_F(ExperimentHarness, TraceReferenceSurvivesEviction)
     std::size_t other_count = 1;
     while (other->next(record))
         ++other_count;
-    EXPECT_EQ(held_count, held_size);
-    EXPECT_EQ(other_count, held_size);
-    EXPECT_EQ(held_second, held->records()[1]);
+    EXPECT_EQ(held_count, records.size());
+    EXPECT_EQ(other_count, records.size());
+}
+
+TEST_F(ExperimentHarness, FailedTraceGenerationRethrowsAndRetries)
+{
+    // A generation that fails (here: the context is cancelled) fails
+    // every caller that asked for the trace at the same time, caches
+    // nothing, and the next call generates afresh.
+    ExperimentContext context;
+    auto token = std::make_shared<util::CancelToken>();
+    token->cancel();
+    context.setCancelToken(token);
+    const auto &spec = workload::findBenchmark("li");
+
+    constexpr int callers = 4;
+    std::atomic<int> waiting{callers};
+    std::atomic<int> cancelled{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < callers; ++i) {
+        threads.emplace_back([&] {
+            // Release every caller at once.
+            --waiting;
+            while (waiting.load() > 0) {
+            }
+            try {
+                context.trace(spec, workload::InputKind::Profile);
+            } catch (const util::CancelledError &) {
+                ++cancelled;
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(cancelled.load(), callers);
+    EXPECT_EQ(context.traceGenerations(), 0u);
+
+    context.setCancelToken(nullptr);
+    const auto cursor = context.trace(spec, workload::InputKind::Profile);
+    EXPECT_EQ(context.traceGenerations(), 1u);
+    EXPECT_EQ(drain(*cursor),
+              workload::generateTrace(spec, workload::InputKind::Profile)
+                  .records());
+    context.trace(spec, workload::InputKind::Profile);
+    EXPECT_EQ(context.traceGenerations(), 1u);
 }
 
 TEST(PredictorResultRate, ZeroBranchesIsZeroNotNan)

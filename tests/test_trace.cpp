@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "trace/branch_record.h"
+#include "trace/streaming.h"
 #include "trace/text_io.h"
 #include "trace/trace_filter.h"
 #include "trace/trace_io.h"
@@ -149,7 +150,7 @@ TEST(TraceIo, ReaderStreamsAndResets)
         }
         EXPECT_EQ(writer.count(), 10u);
     }
-    TraceReader reader(path);
+    StreamingTraceReader reader(path);
     EXPECT_EQ(reader.count(), 10u);
     BranchRecord record;
     int seen = 0;
@@ -164,7 +165,7 @@ TEST(TraceIo, ReaderStreamsAndResets)
 
 TEST(TraceIo, MissingFileFails)
 {
-    EXPECT_THROW(TraceReader("/nonexistent/trace.vbt"),
+    EXPECT_THROW(StreamingTraceReader("/nonexistent/trace.vbt"),
                  std::runtime_error);
 }
 
@@ -174,7 +175,7 @@ TEST(TraceIo, BadMagicFails)
     std::FILE *file = std::fopen(path.c_str(), "wb");
     std::fputs("NOTATRACE-HEADER", file);
     std::fclose(file);
-    EXPECT_THROW(TraceReader reader(path), std::runtime_error);
+    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
     std::remove(path.c_str());
 }
 
@@ -192,7 +193,7 @@ TEST(TraceIo, CorruptKindFails)
     std::fputc(0x7f, file);
     std::fclose(file);
 
-    TraceReader reader(path);
+    StreamingTraceReader reader(path);
     BranchRecord record;
     EXPECT_THROW(reader.next(record), std::runtime_error);
     std::remove(path.c_str());
@@ -216,8 +217,8 @@ TEST(TraceIo, TruncatedFileFailsAtOpen)
     ASSERT_EQ(truncate(path.c_str(), size - 9), 0);
 
     try {
-        TraceReader reader(path);
-        FAIL() << "expected TraceReader to reject a truncated file";
+        StreamingTraceReader reader(path);
+        FAIL() << "expected the reader to reject a truncated file";
     } catch (const std::runtime_error &error) {
         // The error must name the file and the size discrepancy.
         const std::string what = error.what();
@@ -234,7 +235,7 @@ TEST(TraceIo, ShortHeaderFailsAtOpen)
     std::FILE *file = std::fopen(path.c_str(), "wb");
     std::fputs("VBT2", file); // magic only, no count/checksum
     std::fclose(file);
-    EXPECT_THROW(TraceReader reader(path), std::runtime_error);
+    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
     std::remove(path.c_str());
 }
 
@@ -257,7 +258,7 @@ TEST(TraceIo, BitFlipFailsChecksum)
     std::fputc(original ^ 0x10, file);
     std::fclose(file);
 
-    TraceReader reader(path);
+    StreamingTraceReader reader(path);
     BranchRecord record;
     try {
         while (reader.next(record)) {
@@ -304,7 +305,7 @@ TEST(TraceIo, V1SizeMismatchFailsAtOpen)
     const std::uint64_t count = 5; // promises 5 records, provides none
     std::fwrite(&count, 8, 1, file);
     std::fclose(file);
-    EXPECT_THROW(TraceReader reader(path), std::runtime_error);
+    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
     std::remove(path.c_str());
 }
 

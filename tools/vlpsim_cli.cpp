@@ -99,6 +99,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -224,8 +225,16 @@ cmdGen(int argc, char **argv)
 
     const auto &spec = workload::findBenchmark(args[0]);
     const auto kind = parseInput(args[1]);
-    const double extra =
-        args.size() > 3 ? std::strtod(args[3].c_str(), nullptr) : 1.0;
+    double extra = 1.0;
+    if (args.size() > 3) {
+        // The range workloadScale() allows for VLPSIM_SCALE.
+        char *end = nullptr;
+        extra = std::strtod(args[3].c_str(), &end);
+        if (end == args[3].c_str() || *end != '\0'
+            || !std::isfinite(extra) || extra <= 0.0 || extra > 1000.0)
+            parser.fail("scale must be a number in (0, 1000], got '"
+                        + args[3] + "'");
+    }
     auto trace = workload::generateTrace(spec, kind, extra);
     trace::saveTrace(trace, args[2]);
     std::cout << "wrote " << util::formatScaled(trace.size())
@@ -242,7 +251,7 @@ cmdStats(int argc, char **argv)
     parser.addPositional("trace.vbt", "input trace");
     const auto args = parser.parse(argc, argv, 2);
 
-    trace::TraceReader reader(args[0]);
+    trace::StreamingTraceReader reader(args[0]);
     if (reader.formatVersion() < 2) {
         std::cerr << "warning: " << args[0]
                   << " is an unchecksummed VBT1 container; corruption "
