@@ -139,24 +139,7 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 
-void
-BM_ProfilerStep1(benchmark::State &state)
-{
-    auto trace = workload::generateTrace(
-        workload::findBenchmark("compress"),
-        workload::InputKind::Profile, 0.05);
-    core::ProfileOptions options;
-    options.indexBits = 14;
-    for (auto _ : state) {
-        core::Profiler profiler(options, false);
-        trace.reset();
-        benchmark::DoNotOptimize(profiler.runStep1(trace).branches);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfilerStep1)->Unit(benchmark::kMillisecond);
-
-/** Profile trace shared by the BM_Step1Conditional variants. */
+/** Profile trace shared by the step-1 benchmarks. */
 trace::VectorTraceSource &
 step1Trace()
 {
@@ -169,7 +152,7 @@ step1Trace()
 /**
  * The step-1 conditional profiling kernel as shipped: packed 2-bit
  * counter tables (128 KiB for the full 32-length bank at 14 index
- * bits), length-sharded across Arg(0) worker threads. Compare against
+ * bits), one pass over the trace. Compare against
  * BM_Step1ConditionalUnpacked for the kernel speedup.
  */
 void
@@ -178,7 +161,6 @@ BM_Step1Conditional(benchmark::State &state)
     auto &trace = step1Trace();
     core::ProfileOptions options;
     options.indexBits = 14;
-    options.jobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         core::Profiler profiler(options, false);
         trace.reset();
@@ -186,10 +168,7 @@ BM_Step1Conditional(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_Step1Conditional)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Step1Conditional)->Unit(benchmark::kMillisecond);
 
 /**
  * The pre-packing index bank: one partial-sum register per length
@@ -235,8 +214,7 @@ struct UnpackedBank
  * std::vector<util::SaturatingCounter> per length (~6 MB of table
  * state at 14 index bits — far past L2), the O(depth)-per-record
  * bank maintenance above, and branchy per-length tallies. This is
- * the baseline the packed/sharded kernel's speedup is measured
- * against.
+ * the baseline the packed kernel's speedup is measured against.
  */
 void
 BM_Step1ConditionalUnpacked(benchmark::State &state)

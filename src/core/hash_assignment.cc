@@ -5,8 +5,14 @@
 
 #include "core/hash_assignment.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "core/path_history.h"
 #include "util/logging.h"
@@ -63,34 +69,100 @@ HashAssignment::lengthHistogram() const
 void
 HashAssignment::save(const std::string &path) const
 {
+    std::vector<std::uint64_t> pcs;
+    pcs.reserve(table_.size());
+    for (const auto &[pc, length] : table_)
+        pcs.push_back(pc);
+    std::sort(pcs.begin(), pcs.end());
+
     std::FILE *file = std::fopen(path.c_str(), "w");
     if (file == nullptr)
         util::fatal("cannot create assignment file: " + path);
-    std::fprintf(file, "default %u\n", defaultLength_);
-    for (const auto &[pc, length] : table_)
-        std::fprintf(file, "%" PRIx64 " %u\n", pc, length);
-    std::fclose(file);
+    bool written = std::fprintf(file, "default %u\n", defaultLength_) > 0;
+    for (const std::uint64_t pc : pcs) {
+        written = written
+               && std::fprintf(file, "%" PRIx64 " %u\n", pc,
+                               table_.at(pc))
+                      > 0;
+    }
+    written = std::fclose(file) == 0 && written;
+    if (!written)
+        util::fatal("cannot write assignment file: " + path);
 }
+
+namespace {
+
+/** The two whitespace-separated fields of @p line; false unless it has
+ *  exactly two. */
+bool
+splitPair(const std::string &line, std::string &first, std::string &second)
+{
+    std::istringstream in(line);
+    std::string extra;
+    return static_cast<bool>(in >> first >> second) && !(in >> extra);
+}
+
+/** @p text as a number in @p base (hex may carry a 0x prefix), with
+ *  no sign and nothing after it. */
+bool
+parseNumber(std::string_view text, int base, std::uint64_t &value)
+{
+    if (base == 16 && text.size() > 2 && text[0] == '0'
+        && (text[1] == 'x' || text[1] == 'X'))
+        text.remove_prefix(2);
+    const char *end = text.data() + text.size();
+    const auto [stop, error] =
+        std::from_chars(text.data(), end, value, base);
+    return !text.empty() && error == std::errc() && stop == end;
+}
+
+/** @p text as a hash function number (1..32). */
+bool
+parseLength(const std::string &text, std::uint64_t &length)
+{
+    return parseNumber(text, 10, length) && length >= 1
+        && length <= maxPathLength;
+}
+
+} // anonymous namespace
 
 HashAssignment
 HashAssignment::load(const std::string &path)
 {
-    std::FILE *file = std::fopen(path.c_str(), "r");
-    if (file == nullptr)
+    std::ifstream file(path);
+    if (!file)
         util::fatal("cannot open assignment file: " + path);
 
-    unsigned default_length = 0;
-    if (std::fscanf(file, "default %u\n", &default_length) != 1) {
-        std::fclose(file);
-        util::fatal("malformed assignment file header: " + path);
-    }
-    HashAssignment assignment(default_length);
+    std::size_t number = 1;
+    const auto malformed = [&](const std::string &why) {
+        util::fatal("malformed assignment file: line "
+                    + std::to_string(number) + ": " + why + " (" + path
+                    + ")");
+    };
 
-    std::uint64_t pc = 0;
-    unsigned length = 0;
-    while (std::fscanf(file, "%" SCNx64 " %u\n", &pc, &length) == 2)
-        assignment.assign(pc, length);
-    std::fclose(file);
+    std::string line, first, second;
+    std::uint64_t length = 0;
+    if (!std::getline(file, line) || !splitPair(line, first, second)
+        || first != "default" || !parseLength(second, length)) {
+        malformed("want 'default <length>' with a length in 1..32, got '"
+                  + line + "'");
+    }
+    HashAssignment assignment(static_cast<unsigned>(length));
+
+    while (std::getline(file, line)) {
+        ++number;
+        std::uint64_t pc = 0;
+        if (!splitPair(line, first, second) || !parseNumber(first, 16, pc)
+            || !parseLength(second, length)) {
+            malformed("want '<hex pc> <length>' with a length in 1..32, "
+                      "got '" + line + "'");
+        }
+        if (assignment.contains(pc))
+            malformed("pc " + first + " is assigned twice");
+        assignment.assign(pc, static_cast<unsigned>(length));
+    }
+    if (file.bad())
+        util::fatal("cannot read assignment file: " + path);
     return assignment;
 }
 

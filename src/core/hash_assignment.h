@@ -52,14 +52,18 @@ class HashAssignment
 
     /**
      * Write to a text file: first line the default, then one
-     * "pc length" pair (hex pc) per line.
+     * "pc length" pair (hex pc) per line, in ascending pc order, so
+     * equal assignments give equal files.
      * @throws std::runtime_error on I/O failure
      */
     void save(const std::string &path) const;
 
     /**
      * Read an assignment previously written by save().
-     * @throws std::runtime_error on I/O or format errors
+     * @throws std::runtime_error on I/O errors, and with "malformed
+     *         assignment file: line N: ..." on a bad header, a line
+     *         that is not one "pc length" pair with a length in 1..32,
+     *         or a pc assigned twice
      */
     static HashAssignment load(const std::string &path);
 

@@ -24,7 +24,6 @@
 #include "core/step1_kernel.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
-#include "util/thread_pool.h"
 
 namespace vlp {
 namespace core {
@@ -91,75 +90,19 @@ historyFor(const ProfileOptions &options)
     return history;
 }
 
-/*
- * ---- Sharded step-1 kernel ------------------------------------------
- *
- * Step 1 simulates one private fixed-length predictor per path length.
- * The lengths are completely independent: length L's table is touched
- * only by hash index I_L, and I_L is a pure function of the trace
- * prefix (the partial-sum recurrence I_X = rotl(I_{X-1}, 1) ^ T only
- * ever reads shorter lengths, so a PathIndexBank of depth D produces
- * the same I_L for every L <= D regardless of D). Sharding the
- * [minLength, maxLength] range therefore yields integer counts
- * bit-identical to a serial sweep: each worker replays the trace with
- * its own bank (depth = its highest length) and its own packed
- * counter bank, and the per-length results are merged in length
- * order.
- *
- * The leader shard (the one holding minLength) also owns the
- * length-independent counts — per-branch executions and the sweep's
- * dynamic branch total — and builds the per-branch map in trace
- * order, so the merged profiles_ has exactly the insertion order the
- * serial code produces.
- */
-
-/** One contiguous range of path lengths, inclusive. */
-struct LengthShard
+/** Number of path lengths step 1 sweeps. */
+unsigned
+sweptLengths(const ProfileOptions &options)
 {
-    unsigned lo;
-    unsigned hi;
-};
-
-/** Split [min_length, max_length] into at most @p jobs even shards. */
-std::vector<LengthShard>
-makeLengthShards(unsigned min_length, unsigned max_length, unsigned jobs)
-{
-    const unsigned effective = jobs == 0
-        ? util::ThreadPool::defaultThreadCount()
-        : jobs;
-    const unsigned count = max_length - min_length + 1;
-    const unsigned shards = std::min(std::max(effective, 1u), count);
-    std::vector<LengthShard> result;
-    result.reserve(shards);
-    unsigned next = min_length;
-    for (unsigned shard = 0; shard < shards; ++shard) {
-        const unsigned width =
-            count / shards + (shard < count % shards ? 1 : 0);
-        result.push_back({next, next + width - 1});
-        next += width;
-    }
-    return result;
+    return options.maxLength - options.minLength + 1;
 }
-
-/** One shard's private output, merged on the controlling thread. */
-struct ShardResult
-{
-    /** mispredictions[L - lo]: total mispredictions at length L. */
-    std::vector<std::uint64_t> mispredictions;
-    /**
-     * Per-branch records with correct[] filled for this shard's
-     * lengths only; the leader also fills executions.
-     */
-    std::unordered_map<std::uint64_t, BranchProfile> profiles;
-    /** Dynamic profiled branches (leader shard only). */
-    std::uint64_t branches = 0;
-};
 
 /*
  * ---- Step-1 tables --------------------------------------------------
  *
- * One private table per shard length, packed back to back: length
- * lo + s owns the segment of entries starting at s << segmentBits().
+ * One private table per swept length, packed back to back: length
+ * minLength + s owns the segment of entries starting at
+ * s << segmentBits().
  * access() predicts and updates one entry (the portable kernel);
  * access8() does the same for eight entries of eight different
  * segments at once (the AVX-512 kernel). The segments never overlap,
@@ -291,9 +234,10 @@ class IndirectStep1Tables
 /*
  * ---- Step-1 kernels -------------------------------------------------
  *
- * A kernel owns one shard's tables and, per profiled record, predicts
- * and trains every shard length and tallies the outcome: hits bump the
- * branch's (saturating) correct[], misses the shard's misses[].
+ * A kernel owns the tables of the swept lengths and, per profiled
+ * record, predicts and trains every one of them and tallies the
+ * outcome: hits bump the branch's (saturating) correct[], misses the
+ * sweep's misses[].
  */
 
 /** One length at a time, reading each index from the bank. */
@@ -301,10 +245,9 @@ template <typename Tables>
 class PortableKernel
 {
   public:
-    PortableKernel(unsigned index_bits, const LengthShard &shard,
-                   const PathIndexBank &)
-        : tables_(index_bits, shard.hi - shard.lo + 1), lo_(shard.lo),
-          lengths_(shard.hi - shard.lo + 1)
+    PortableKernel(const ProfileOptions &options, const PathIndexBank &)
+        : tables_(options.indexBits, sweptLengths(options)),
+          lo_(options.minLength), lengths_(sweptLengths(options))
     {
     }
 
@@ -331,8 +274,8 @@ class PortableKernel
 
 #if VLPSIM_STEP1_AVX512
 /**
- * Eight lengths per instruction, in chunks of eight consecutive shard
- * lengths. What depends only on the shard — each chunk's segment
+ * Eight lengths per instruction, in chunks of eight consecutive swept
+ * lengths. What depends only on the options — each chunk's segment
  * bases, rotate amounts and lane mask — is computed once, in the
  * constructor. Per record, each chunk's eight past sums are one
  * contiguous load from the mirrored ring, and the tallies are
@@ -345,10 +288,10 @@ class Avx512Kernel
 {
   public:
     VLPSIM_AVX512
-    Avx512Kernel(unsigned index_bits, const LengthShard &shard,
-                 const PathIndexBank &bank)
-        : tables_(index_bits, shard.hi - shard.lo + 1), lo_(shard.lo),
-          lengths_(shard.hi - shard.lo + 1), fullChunks_(lengths_ / 8)
+    Avx512Kernel(const ProfileOptions &options, const PathIndexBank &bank)
+        : tables_(options.indexBits, sweptLengths(options)),
+          lo_(options.minLength), lengths_(sweptLengths(options)),
+          fullChunks_(lengths_ / 8)
     {
         const PathIndexBank::RawView view = bank.rawView();
         const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
@@ -389,7 +332,7 @@ class Avx512Kernel
     }
 
   private:
-    /** One chunk's shard-invariant vectors. */
+    /** One chunk's record-invariant vectors. */
     struct Chunk
     {
         __m512i segment;
@@ -467,24 +410,20 @@ using Step1TablesOf =
                        IndirectStep1Tables, ConditionalStep1Tables>;
 
 /**
- * One shard's step-1 loop, the same for both classes and both
- * kernels: each profiled record goes through the kernel, every record
- * into the bank.
+ * The step-1 loop, the same for both classes and both kernels: each
+ * profiled record goes through the kernel, every record into the bank.
  */
 template <typename Class, typename Kernel>
 [[gnu::always_inline]] inline void
 step1Loop(RecordFeed &feed, const ProfileOptions &options,
-          const LengthShard &shard, bool leader, ShardResult &out)
+          FixedLengthSweep &sweep,
+          std::unordered_map<std::uint64_t, BranchProfile> &profiles)
 {
-    PathHistoryOptions history = options.history;
-    // A shallower bank computes identical indices for every length it
-    // implements (see the sharding comment above), and a shard never
-    // reads past its own highest length.
-    history.depth = shard.hi;
-    PathIndexBank bank(options.indexBits, history);
-    Kernel kernel(options.indexBits, shard, bank);
+    PathIndexBank bank(options.indexBits, historyFor(options));
+    Kernel kernel(options, bank);
     // Room for every lane of every chunk; added to the sweep once.
     alignas(64) std::array<std::uint64_t, maxPathLength> misses{};
+    std::uint64_t branches = 0;
 
     // Direct-mapped pc -> profile cache in front of the hash map. Hot
     // branches dominate a trace, so most records hit; BranchProfile
@@ -504,126 +443,38 @@ step1Loop(RecordFeed &feed, const ProfileOptions &options,
                 CachedProfile &cached = recent[(record.pc >> 2) & 1023];
                 if (cached.pc != record.pc || cached.profile == nullptr) {
                     cached.pc = record.pc;
-                    cached.profile = &out.profiles[record.pc];
+                    cached.profile = &profiles[record.pc];
                 }
                 BranchProfile &profile = *cached.profile;
-                if (leader) {
-                    profile.addExecution();
-                    ++out.branches;
-                }
+                profile.addExecution();
+                ++branches;
                 kernel.access(bank, record,
-                              profile.correct.data() + (shard.lo - 1),
+                              profile.correct.data()
+                                  + (options.minLength - 1),
                               misses.data());
             }
             bank.observe(record);
         }
     }
-    out.mispredictions.assign(misses.begin(),
-                              misses.begin() + (shard.hi - shard.lo + 1));
+    sweep.mispredictions.assign(options.maxLength, 0);
+    std::copy(misses.begin(), misses.begin() + sweptLengths(options),
+              sweep.mispredictions.begin() + (options.minLength - 1));
+    sweep.branches = branches;
+    sweep.minLength = options.minLength;
 }
 
 #if VLPSIM_STEP1_AVX512
 /** step1Loop() with the AVX-512 kernel, compiled for AVX-512. */
 template <typename Class>
 VLPSIM_AVX512 void
-runShardAvx512(RecordFeed &feed, const ProfileOptions &options,
-               const LengthShard &shard, bool leader, ShardResult &out)
+step1LoopAvx512(RecordFeed &feed, const ProfileOptions &options,
+                FixedLengthSweep &sweep,
+                std::unordered_map<std::uint64_t, BranchProfile> &profiles)
 {
-    step1Loop<Class, Avx512Kernel<Step1TablesOf<Class>>>(
-        feed, options, shard, leader, out);
+    step1Loop<Class, Avx512Kernel<Step1TablesOf<Class>>>(feed, options,
+                                                         sweep, profiles);
 }
 #endif
-
-/** Run one shard's step 1 with @p kernel. */
-template <typename Class>
-void
-runShard(Step1Kernel kernel, RecordFeed &feed,
-         const ProfileOptions &options, const LengthShard &shard,
-         bool leader, ShardResult &out)
-{
-#if VLPSIM_STEP1_AVX512
-    if (kernel == Step1Kernel::avx512) {
-        runShardAvx512<Class>(feed, options, shard, leader, out);
-        return;
-    }
-#endif
-    step1Loop<Class, PortableKernel<Step1TablesOf<Class>>>(
-        feed, options, shard, leader, out);
-}
-
-/**
- * Run step 1 over @p profile_trace, sharding the length range across
- * options.jobs workers, and merge into @p sweep / @p profiles.
- */
-template <typename Class>
-void
-runStep1Sharded(Step1Kernel kernel, trace::TraceSource &profile_trace,
-                const ProfileOptions &options, FixedLengthSweep &sweep,
-                std::unordered_map<std::uint64_t, BranchProfile>
-                    &profiles)
-{
-    profile_trace.reset();
-    const std::vector<LengthShard> shards = makeLengthShards(
-        options.minLength, options.maxLength, options.jobs);
-    std::vector<ShardResult> results(shards.size());
-
-    // Several shards need independent, read-only passes over the
-    // records: borrow a resident trace, otherwise intern the stream
-    // once (a documented memory/speed trade: intra-trace sharding buys
-    // wall-clock at the cost of holding the records, ~4 B each). A
-    // single shard makes exactly one pass, so it consumes a streaming
-    // source (e.g. a .vbt reader) in place — peak trace-buffer memory
-    // stays whatever the source buffers, not the whole trace.
-    const auto *cursor =
-        dynamic_cast<const trace::CompactTraceCursor *>(&profile_trace);
-    std::shared_ptr<const trace::CompactTrace> interned;
-    if (shards.size() > 1 && cursor == nullptr)
-        interned = trace::CompactTrace::intern(profile_trace);
-    const trace::CompactTrace *compact =
-        cursor != nullptr ? &cursor->trace() : interned.get();
-    const auto feed = [&] {
-        return compact != nullptr ? RecordFeed(*compact)
-                                  : RecordFeed(profile_trace);
-    };
-
-    if (shards.size() == 1) {
-        RecordFeed single = feed();
-        runShard<Class>(kernel, single, options, shards[0], true,
-                        results[0]);
-    } else {
-        // The controlling thread and a transient pool claim shards;
-        // the first failure is rethrown here.
-        util::ThreadPool pool(static_cast<unsigned>(shards.size()) - 1);
-        pool.parallelFor(shards.size(), [&](std::size_t i) {
-            RecordFeed shard = feed();
-            runShard<Class>(kernel, shard, options, shards[i], i == 0,
-                            results[i]);
-        });
-    }
-
-    // Merge in length order. Every shard sees the same profiled
-    // records, so the key sets agree and merging never inserts; the
-    // leader's map (built in trace order, like the serial sweep)
-    // becomes the result.
-    sweep.mispredictions.assign(options.maxLength, 0);
-    sweep.minLength = options.minLength;
-    sweep.branches = results[0].branches;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        std::copy(results[i].mispredictions.begin(),
-                  results[i].mispredictions.end(),
-                  sweep.mispredictions.begin() + shards[i].lo - 1);
-    }
-    profiles = std::move(results[0].profiles);
-    for (std::size_t i = 1; i < shards.size(); ++i) {
-        for (const auto &[pc, shard_profile] : results[i].profiles) {
-            const auto it = profiles.find(pc);
-            assert(it != profiles.end());
-            std::copy(shard_profile.correct.begin() + shards[i].lo - 1,
-                      shard_profile.correct.begin() + shards[i].hi,
-                      it->second.correct.begin() + shards[i].lo - 1);
-        }
-    }
-}
 
 /**
  * One step-2 pass for one class: one variable length path predictor
@@ -674,9 +525,24 @@ runStep1(Step1Kernel kernel, bool indirect,
     if (kernel == Step1Kernel::avx512
         && nativeStep1Kernel() != Step1Kernel::avx512)
         util::fatal("this CPU cannot run the AVX-512 step-1 kernel");
+    profile_trace.reset();
+    // A resident trace is expanded from its edge ids; any other source
+    // (e.g. a .vbt reader) is consumed in place, in bounded chunks.
+    const auto *cursor =
+        dynamic_cast<const trace::CompactTraceCursor *>(&profile_trace);
+    RecordFeed feed = cursor != nullptr ? RecordFeed(cursor->trace())
+                                        : RecordFeed(profile_trace);
+    profiles.clear();
     withClass(indirect, [&](auto policy) {
-        runStep1Sharded<decltype(policy)>(kernel, profile_trace, options,
-                                          sweep, profiles);
+        using Class = decltype(policy);
+#if VLPSIM_STEP1_AVX512
+        if (kernel == Step1Kernel::avx512) {
+            step1LoopAvx512<Class>(feed, options, sweep, profiles);
+            return;
+        }
+#endif
+        step1Loop<Class, PortableKernel<Step1TablesOf<Class>>>(
+            feed, options, sweep, profiles);
     });
 }
 
@@ -688,29 +554,29 @@ Step2Replay::Step2Replay(trace::TraceSource &profile_trace,
 {
 }
 
-std::unordered_map<std::uint64_t, std::uint64_t>
-Step2Replay::pass(const HashAssignment &tested)
+std::vector<std::uint64_t>
+Step2Replay::pass(std::span<const std::uint8_t> lengths)
 {
     const PathHistoryOptions history = historyFor(options_);
-    const std::vector<std::uint8_t> lengths =
-        slotLengths(feed_, tested, history.depth);
+    assert(std::all_of(lengths.begin(), lengths.end(),
+                       [&](std::uint8_t length) {
+                           return length >= 1 && length <= history.depth;
+                       }));
+    const std::vector<std::uint8_t> slot_lengths =
+        slotLengths(feed_, lengths);
     std::vector<std::uint64_t> misses(feed_.slotCount(), 0);
     withClass(indirect_, [&](auto policy) {
         step2Loop<decltype(policy)>(feed_, options_.indexBits, history,
-                                    lengths.data(), misses.data());
+                                    slot_lengths.data(), misses.data());
     });
 
-    // Fold the slots (edges of a resident trace) into their branches.
-    const std::vector<std::uint64_t> &branches = feed_.branches();
-    std::vector<std::uint64_t> byBranch(branches.size() + 1, 0);
+    // Fold the slots (edges of a resident trace) into their branches;
+    // the last entry, every pc outside the list, is dropped.
+    std::vector<std::uint64_t> byBranch(feed_.branches().size() + 1, 0);
     for (std::size_t slot = 0; slot < misses.size(); ++slot)
         byBranch[feed_.branchOf(slot)] += misses[slot];
-    std::unordered_map<std::uint64_t, std::uint64_t> result;
-    for (std::size_t b = 0; b < branches.size(); ++b) {
-        if (byBranch[b] != 0)
-            result.emplace(branches[b], byBranch[b]);
-    }
-    return result;
+    byBranch.pop_back();
+    return byBranch;
 }
 
 } // namespace detail
@@ -725,12 +591,10 @@ const FixedLengthSweep &
 Profiler::runStep1(trace::TraceSource &profile_trace)
 {
     // One private table per hash function (step 1 of Section 3.5),
-    // packed and length-sharded; see the kernel comment above.
-    FixedLengthSweep sweep;
-    profiles_.clear();
+    // packed; see the kernel comment above.
+    step1Done_ = false;
     detail::runStep1(detail::nativeStep1Kernel(), indirect_,
-                     profile_trace, options_, sweep, profiles_);
-    sweep_ = std::move(sweep);
+                     profile_trace, options_, sweep_, profiles_);
     step1Done_ = true;
     return sweep_;
 }
@@ -742,17 +606,11 @@ Profiler::runStep2(trace::TraceSource &profile_trace)
         util::fatal("profiler step 2 requires step 1 to have run");
     CandidateSelector selector(profiles_, sweep_, options_.candidates,
                                options_.maxLength);
-    std::vector<std::uint64_t> branches;
-    branches.reserve(profiles_.size());
-    for (const auto &[pc, profile] : profiles_)
-        branches.push_back(pc);
     detail::Step2Replay replay(profile_trace, options_, indirect_,
-                               std::move(branches));
+                               selector.branches());
     for (unsigned iteration = 0; iteration < options_.iterations;
-         ++iteration) {
-        const HashAssignment tested = selector.nextAssignment();
-        selector.recordResults(tested, replay.pass(tested));
-    }
+         ++iteration)
+        selector.recordResults(replay.pass(selector.nextLengths()));
     return selector.finalAssignment();
 }
 
@@ -782,15 +640,18 @@ CandidateSelector::CandidateSelector(
         const std::unordered_map<std::uint64_t, BranchProfile> &profiles,
         const FixedLengthSweep &sweep, unsigned candidates,
         unsigned max_length)
-    : defaultLength_(sweep.bestLength())
+    : keep_(std::min(candidates, max_length - sweep.minLength + 1)),
+      defaultLength_(sweep.bestLength())
 {
+    branches_.reserve(profiles.size());
+    candidates_.reserve(profiles.size() * keep_);
+    std::vector<unsigned> order;
     for (const auto &[pc, profile] : profiles) {
         // Rank the swept lengths by step-1 correct count, descending;
         // ties go to the shorter (cheaper-to-train) length. Lengths
         // below the sweep's minLength were never simulated and are
         // not candidates.
-        std::vector<unsigned> order;
-        order.reserve(max_length - sweep.minLength + 1);
+        order.clear();
         for (unsigned length = sweep.minLength; length <= max_length;
              ++length) {
             order.push_back(length);
@@ -802,76 +663,69 @@ CandidateSelector::CandidateSelector(
                          > profile.correct[b - 1];
                 return a < b;
             });
-
-        Entry entry;
-        const unsigned keep = std::min<unsigned>(
-            candidates, static_cast<unsigned>(order.size()));
-        entry.lengths.assign(order.begin(), order.begin() + keep);
-        entry.recorded.assign(keep, untested);
-        entries_.emplace(pc, std::move(entry));
+        branches_.push_back(pc);
+        for (unsigned i = 0; i < keep_; ++i)
+            candidates_.push_back(static_cast<std::uint8_t>(order[i]));
     }
+    recorded_.assign(candidates_.size(), untested);
+    chosen_.assign(branches_.size(), 0);
+    lengths_.assign(branches_.size() + 1,
+                    static_cast<std::uint8_t>(defaultLength_));
 }
 
 std::size_t
-CandidateSelector::chooseCandidate(const Entry &entry) const
+CandidateSelector::chooseCandidate(std::size_t branch) const
 {
     // Untested candidates (recorded as "never mispredicted") are
     // always chosen before tested ones; among tested ones, take the
     // fewest mispredictions.
+    const std::uint64_t *recorded = recorded_.data() + branch * keep_;
     std::size_t best = 0;
-    for (std::size_t i = 0; i < entry.recorded.size(); ++i) {
-        if (entry.recorded[i] == untested)
+    for (std::size_t i = 0; i < keep_; ++i) {
+        if (recorded[i] == untested)
             return i;
-        if (entry.recorded[i] < entry.recorded[best])
+        if (recorded[i] < recorded[best])
             best = i;
     }
     return best;
 }
 
-HashAssignment
-CandidateSelector::nextAssignment() const
+const std::vector<std::uint8_t> &
+CandidateSelector::nextLengths()
 {
-    HashAssignment assignment(defaultLength_);
-    for (const auto &[pc, entry] : entries_)
-        assignment.assign(pc, entry.lengths[chooseCandidate(entry)]);
-    return assignment;
+    for (std::size_t b = 0; b < branches_.size(); ++b) {
+        chosen_[b] = static_cast<std::uint8_t>(chooseCandidate(b));
+        lengths_[b] = candidates_[b * keep_ + chosen_[b]];
+    }
+    return lengths_;
 }
 
 void
 CandidateSelector::recordResults(
-        const HashAssignment &tested,
-        const std::unordered_map<std::uint64_t, std::uint64_t>
-            &mispredictions)
+        std::span<const std::uint64_t> mispredictions)
 {
-    for (auto &[pc, entry] : entries_) {
-        const unsigned used = tested.lookup(pc);
-        const auto pos = std::find(entry.lengths.begin(),
-                                   entry.lengths.end(), used);
-        if (pos == entry.lengths.end())
-            continue; // not one of this branch's candidates
-        const std::size_t idx =
-            static_cast<std::size_t>(pos - entry.lengths.begin());
-        const auto it = mispredictions.find(pc);
-        entry.recorded[idx] =
-            it == mispredictions.end() ? 0 : it->second;
-    }
+    if (mispredictions.size() != branches_.size())
+        util::fatal("step-2 results do not cover the profiled branches");
+    for (std::size_t b = 0; b < branches_.size(); ++b)
+        recorded_[b * keep_ + chosen_[b]] = mispredictions[b];
 }
 
 HashAssignment
 CandidateSelector::finalAssignment() const
 {
     HashAssignment assignment(defaultLength_);
-    for (const auto &[pc, entry] : entries_) {
+    for (std::size_t b = 0; b < branches_.size(); ++b) {
+        const std::uint64_t *recorded = recorded_.data() + b * keep_;
         std::size_t best = 0;
-        for (std::size_t i = 1; i < entry.recorded.size(); ++i) {
-            const std::uint64_t a = entry.recorded[i];
-            const std::uint64_t b = entry.recorded[best];
+        for (std::size_t i = 1; i < keep_; ++i) {
             // An untested candidate (possible when iterations <
             // candidates) never wins over a tested one.
-            if (a != untested && (b == untested || a < b))
+            if (recorded[i] != untested
+                && (recorded[best] == untested
+                    || recorded[i] < recorded[best]))
                 best = i;
         }
-        assignment.assign(pc, entry.lengths[best]);
+        assignment.assign(branches_[b], candidates_[b * keep_ + best]);
     }
     return assignment;
 }

@@ -36,6 +36,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -66,16 +67,6 @@ struct ProfileOptions
     unsigned candidates = 3;
     /** Step-2 iterations (must be >= 1; the paper uses 7). */
     unsigned iterations = 7;
-    /**
-     * Worker threads for the step-1 fixed-length sweep: the
-     * [minLength, maxLength] range is sharded across this many
-     * workers, each replaying the trace with its own PathIndexBank
-     * and private tables (per-length results are independent, so the
-     * merged output is bit-identical to a serial sweep). 1 runs the
-     * sweep inline; 0 means one worker per hardware thread. Not part
-     * of any cache key — it never changes results, only wall-clock.
-     */
-    unsigned jobs = 1;
     /** Path history construction options (depth is forced to
      *  maxLength). */
     PathHistoryOptions history = {};
@@ -153,11 +144,10 @@ class Profiler
     Profiler(ProfileOptions options, bool indirect);
 
     /**
-     * Step 1: simulate the N fixed-length predictors, populating the
-     * per-branch records and the aggregate sweep (also retrievable
-     * later via step1Sweep()). With options().jobs != 1 the length
-     * range is sharded across a thread pool; the result is
-     * bit-identical to a serial run.
+     * Step 1: simulate the N fixed-length predictors in one pass over
+     * @p profile_trace (one path history, one packed table per
+     * length), populating the per-branch records and the aggregate
+     * sweep (also retrievable later via step1Sweep()).
      */
     const FixedLengthSweep &runStep1(trace::TraceSource &profile_trace);
 
@@ -230,10 +220,13 @@ class IndirectProfiler : public Profiler
 
 /**
  * Step 2's bookkeeping: turn step-1 per-branch records into candidate
- * lists, pick each iteration's assignment, record its per-branch
- * results, and assemble the final assignment.
+ * lists, pick each iteration's per-branch lengths, record their
+ * per-branch results, and assemble the final assignment.
  *
- * Exposed for white-box testing; regular users call
+ * Every per-branch vector it takes or returns is in the order of
+ * branches(), which is also the branch order of the detail::Step2Replay
+ * feed Profiler::runStep2() builds, so an iteration involves no pc
+ * lookup. Exposed for white-box testing; regular users call
  * Profiler::profile().
  */
 class CandidateSelector
@@ -250,21 +243,27 @@ class CandidateSelector
         const FixedLengthSweep &sweep, unsigned candidates,
         unsigned max_length);
 
-    /**
-     * The assignment to test in the next step-2 iteration: per branch
-     * the candidate with the fewest recorded mispredictions, untested
-     * candidates first.
-     */
-    HashAssignment nextAssignment() const;
+    /** The profiled branches, in the order of every per-branch
+     *  vector. */
+    const std::vector<std::uint64_t> &branches() const { return branches_; }
 
     /**
-     * Record the result of testing @p tested: per-branch misprediction
-     * counts observed with that assignment.
+     * The lengths to test in the next step-2 iteration: per branch the
+     * candidate with the fewest recorded mispredictions, untested
+     * candidates first, then one more entry, the default length, for
+     * every other pc. The selector remembers each branch's choice for
+     * recordResults().
      */
-    void recordResults(
-        const HashAssignment &tested,
-        const std::unordered_map<std::uint64_t, std::uint64_t>
-            &mispredictions);
+    const std::vector<std::uint8_t> &nextLengths();
+
+    /**
+     * Record the per-branch misprediction counts (one per branch)
+     * observed with the lengths the last nextLengths() chose; before
+     * the first call, each branch's first candidate.
+     * @throws std::runtime_error if the count of entries is not
+     *         branches().size()
+     */
+    void recordResults(std::span<const std::uint64_t> mispredictions);
 
     /** Final assignment after all iterations. */
     HashAssignment finalAssignment() const;
@@ -276,19 +275,23 @@ class CandidateSelector
     static constexpr std::uint64_t untested =
         ~std::uint64_t{0};
 
-    struct Entry
-    {
-        /** Candidate hash numbers, best step-1 accuracy first. */
-        std::vector<unsigned> lengths;
-        /** Recorded mispredictions per candidate (untested marker). */
-        std::vector<std::uint64_t> recorded;
-    };
+    /** Index of the candidate nextLengths() picks for branch
+     *  @p branch. */
+    std::size_t chooseCandidate(std::size_t branch) const;
 
-    /** Index of the candidate nextAssignment() picks for @p entry. */
-    std::size_t chooseCandidate(const Entry &entry) const;
-
-    std::unordered_map<std::uint64_t, Entry> entries_;
+    /** Candidates per branch. */
+    unsigned keep_;
     unsigned defaultLength_;
+    std::vector<std::uint64_t> branches_;
+    /** keep_ candidate hash numbers per branch, best step-1 accuracy
+     *  first. */
+    std::vector<std::uint8_t> candidates_;
+    /** Recorded mispredictions per candidate (untested marker). */
+    std::vector<std::uint64_t> recorded_;
+    /** Each branch's candidate in the last nextLengths(). */
+    std::vector<std::uint8_t> chosen_;
+    /** nextLengths()'s result. */
+    std::vector<std::uint8_t> lengths_;
 };
 
 } // namespace core

@@ -7,6 +7,8 @@
 
 #include <bit>
 
+#include "util/logging.h"
+
 namespace vlp {
 namespace core {
 namespace detail {
@@ -48,20 +50,14 @@ ReplayFeed::ReplayFeed(trace::TraceSource &source,
 }
 
 std::vector<std::uint8_t>
-slotLengths(const ReplayFeed &feed, const HashAssignment &assignment,
-            unsigned depth)
+slotLengths(const ReplayFeed &feed,
+            std::span<const std::uint8_t> branch_lengths)
 {
-    const std::vector<std::uint64_t> &branches = feed.branches();
-    std::vector<std::uint8_t> byBranch(branches.size() + 1);
-    for (std::size_t b = 0; b < branches.size(); ++b)
-        byBranch[b] = static_cast<std::uint8_t>(
-            std::min(assignment.lookup(branches[b]), depth));
-    byBranch.back() = static_cast<std::uint8_t>(
-        std::min(assignment.defaultLength(), depth));
-
+    if (branch_lengths.size() != feed.branches().size() + 1)
+        util::fatal("per-branch lengths do not match the replay feed");
     std::vector<std::uint8_t> lengths(feed.slotCount());
     for (std::size_t slot = 0; slot < lengths.size(); ++slot)
-        lengths[slot] = byBranch[feed.branchOf(slot)];
+        lengths[slot] = branch_lengths[feed.branchOf(slot)];
     return lengths;
 }
 

@@ -28,11 +28,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/hash_assignment.h"
 #include "core/profiler.h"
 #include "predictors/predictor.h"
 #include "trace/compact_trace.h"
@@ -283,12 +281,13 @@ class ReplayFeed
 };
 
 /**
- * Per-slot path lengths of @p assignment, clamped to @p depth as the
- * path predictors clamp them.
+ * Per-slot path lengths from per-branch ones: @p branch_lengths holds
+ * one length per entry of feed.branches(), then one for every other
+ * pc.
  */
-std::vector<std::uint8_t> slotLengths(const ReplayFeed &feed,
-                                      const HashAssignment &assignment,
-                                      unsigned depth);
+std::vector<std::uint8_t>
+slotLengths(const ReplayFeed &feed,
+            std::span<const std::uint8_t> branch_lengths);
 
 /**
  * Step 2's passes over one profile trace: the replay feed is built
@@ -308,13 +307,12 @@ class Step2Replay
                 std::vector<std::uint64_t> branches);
 
     /**
-     * Replay the trace with per-branch lengths from @p tested: the
-     * misses per branch of the list, each branch with at least one
-     * (a pc outside the list is predicted with the default length
-     * and its misses are not reported).
+     * Replay the trace with @p lengths (one per branch of the list,
+     * then one for every other pc, each in [1, maxLength]): the misses
+     * per branch of the list, in its order (the other pcs' misses are
+     * not reported).
      */
-    std::unordered_map<std::uint64_t, std::uint64_t>
-    pass(const HashAssignment &tested);
+    std::vector<std::uint64_t> pass(std::span<const std::uint8_t> lengths);
 
   private:
     ReplayFeed feed_;

@@ -219,7 +219,6 @@ ExperimentContext::profilerEntry(const std::string &name,
     if (inserted) {
         core::ProfileOptions options;
         options.indexBits = index_bits;
-        options.jobs = step1Jobs_;
         options.history = history;
         it->second.profiler =
             std::make_unique<core::Profiler>(options, indirect);

@@ -120,8 +120,8 @@ struct ExternalTrace
  * waiting on the in-flight computation. A computation that fails or is
  * cancelled leaves its key unset (the next request recomputes it), and
  * every waiter rethrows its error. The configuration setters
- * (setStore(), setCancelToken(), setStep1Jobs()) are not synchronized:
- * call them before sharing the context.
+ * (setStore(), setCancelToken()) are not synchronized: call them
+ * before sharing the context.
  *
  * With an attached ArtifactStore (setStore()), profiling results are
  * additionally persisted on disk: step-1 sweeps, step-2 assignments,
@@ -183,18 +183,6 @@ class ExperimentContext
         if (cancel_)
             cancel_->throwIfCancelled();
     }
-
-    /**
-     * Worker threads for step-1 fixed-length sweeps (see
-     * core::ProfileOptions::jobs; 0 = one per hardware thread,
-     * default 1 = serial). Sharding never changes results, so cached
-     * and stored artifacts are shared across settings; applies to
-     * profilers constructed after the call.
-     */
-    void setStep1Jobs(unsigned jobs) { step1Jobs_ = jobs; }
-
-    /** Configured step-1 worker-thread count. */
-    unsigned step1Jobs() const { return step1Jobs_; }
 
     /**
      * A fresh cursor over the benchmark's trace on the given input,
@@ -361,7 +349,6 @@ class ExperimentContext
 
     util::ThreadPool *pool_;
     std::shared_ptr<const util::CancelToken> cancel_;
-    unsigned step1Jobs_ = 1;
     std::shared_ptr<store::ArtifactStore> store_;
 
     /** Guards the maps below (never a computation). */

@@ -80,19 +80,29 @@ replayRow(const std::string &name, trace::TraceSource &eval_trace,
           unsigned tuned_length, const core::HashAssignment &assignment,
           bool include_tuned, const core::PathHistoryOptions &history)
 {
-    std::vector<std::uint64_t> branches;
-    branches.reserve(assignment.size());
-    for (const auto &[pc, length] : assignment.table())
-        branches.push_back(pc);
-    core::detail::ReplayFeed feed(eval_trace, std::move(branches));
-
     // One history for the three path predictors; each length clamped
     // to its depth, as the standalone predictors clamp it.
     core::PathIndexBank bank(index_bits, history);
-    const unsigned flp_length = std::min(global_length, bank.depth());
-    const unsigned tuned = std::min(tuned_length, bank.depth());
+    const auto clamp = [&](unsigned length) {
+        return static_cast<std::uint8_t>(std::min(length, bank.depth()));
+    };
+    const unsigned flp_length = clamp(global_length);
+    const unsigned tuned = clamp(tuned_length);
+
+    // The assignment as per-branch lengths, then the default for every
+    // other pc.
+    std::vector<std::uint64_t> branches;
+    std::vector<std::uint8_t> branch_lengths;
+    branches.reserve(assignment.size());
+    branch_lengths.reserve(assignment.size() + 1);
+    for (const auto &[pc, length] : assignment.table()) {
+        branches.push_back(pc);
+        branch_lengths.push_back(clamp(length));
+    }
+    branch_lengths.push_back(clamp(assignment.defaultLength()));
+    core::detail::ReplayFeed feed(eval_trace, std::move(branches));
     const std::vector<std::uint8_t> lengths =
-        core::detail::slotLengths(feed, assignment, bank.depth());
+        core::detail::slotLengths(feed, branch_lengths);
 
     Baselines baselines(index_bits);
     typename Class::Table flp = Class::table(index_bits);

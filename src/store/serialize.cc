@@ -187,8 +187,14 @@ decodeStep1Profile(
         util::fatal("artifact profile count exceeds payload size");
     profiles.clear();
     profiles.reserve(count);
+    std::uint64_t last = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t pc = decoder.u64();
+        // The encoder writes pcs strictly ascending (sortedPcs()); a
+        // repeated pc would otherwise vanish without an error.
+        if (i != 0 && pc <= last)
+            util::fatal("artifact profile pcs are not strictly ascending");
+        last = pc;
         core::BranchProfile profile;
         profile.executions = decoder.u32();
         for (std::uint32_t &correct : profile.correct)
@@ -219,8 +225,13 @@ decodeAssignment(const std::vector<std::uint8_t> &payload)
     const std::uint64_t count = decoder.u64();
     if (count > decoder.remaining() / 12)
         util::fatal("artifact assignment count exceeds payload size");
+    std::uint64_t last = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t pc = decoder.u64();
+        if (i != 0 && pc <= last)
+            util::fatal("artifact assignment pcs are not strictly "
+                        "ascending");
+        last = pc;
         assignment.assign(pc, decoder.u32());
     }
     decoder.expectEnd();

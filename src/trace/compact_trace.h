@@ -26,10 +26,10 @@
  * kept resident: its reader streams it from the file on every pass
  * instead. Replays are record-for-record identical either way.
  *
- * Generated traces (sim::ExperimentContext::trace()) and step 1's
- * multi-shard copy of a streamed source take the same form through
- * CompactTrace::intern(), which charges no budget: neither has a
- * streaming fallback, and the generated set is bounded by the suite.
+ * Generated traces (sim::ExperimentContext::trace()) take the same
+ * form through CompactTrace::intern(), which charges no budget: they
+ * have no streaming fallback, and the generated set is bounded by the
+ * suite.
  */
 
 #ifndef VLPSIM_TRACE_COMPACT_TRACE_H

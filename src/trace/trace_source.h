@@ -46,8 +46,7 @@ class TraceSource
 /**
  * A trace held entirely in memory, as plain records: what the workload
  * engine and the file loaders produce. Replays that run many times
- * (the experiment memo, step 1's shards) intern it into a
- * trace::CompactTrace instead.
+ * (the experiment memo) intern it into a trace::CompactTrace instead.
  */
 class VectorTraceSource : public TraceSource
 {

@@ -5,8 +5,12 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/hash_assignment.h"
 #include "core/hfnt.h"
@@ -334,6 +338,21 @@ TEST(HashAssignment, LengthHistogram)
     EXPECT_EQ(histogram.total(), 3u);
 }
 
+/** The whole of the text file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream file(path);
+    return std::string(std::istreambuf_iterator<char>(file), {});
+}
+
+/** Write @p text to @p path. */
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream(path) << text;
+}
+
 TEST(HashAssignment, SaveLoadRoundTrip)
 {
     const std::string path = testing::TempDir() + "/assignment.txt";
@@ -348,18 +367,87 @@ TEST(HashAssignment, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.lookup(0x400000), 3u);
     EXPECT_EQ(loaded.lookup(0x400abc), 17u);
     EXPECT_EQ(loaded.lookup(0x999999), 5u);
+
+    // The same entries inserted in two orders give the same file, its
+    // pcs in ascending order.
+    const std::uint64_t pcs[] = {0x400010, 0x7fff0000, 0x400000, 0x10,
+                                 0x400abc, 0xffffffffffull, 0x400004,
+                                 0x8000};
+    HashAssignment forward(7);
+    HashAssignment backward(7);
+    for (std::size_t i = 0; i < 8; ++i) {
+        forward.assign(pcs[i], static_cast<unsigned>(i + 1));
+        backward.assign(pcs[7 - i], static_cast<unsigned>(8 - i));
+    }
+    forward.save(path);
+    const std::string forward_text = readFile(path);
+    backward.save(path);
+    EXPECT_EQ(readFile(path), forward_text);
+    EXPECT_EQ(forward_text,
+              "default 7\n10 4\n8000 8\n400000 3\n400004 7\n"
+              "400010 1\n400abc 5\n7fff0000 2\nffffffffff 6\n");
+    const HashAssignment reloaded = HashAssignment::load(path);
+    EXPECT_EQ(reloaded.table(), forward.table());
+    EXPECT_EQ(reloaded.defaultLength(), 7u);
+
+    // A file that cannot be written is an error.
+    EXPECT_THROW(forward.save("/no/such/dir/assignment.txt"),
+                 std::runtime_error);
+    if (std::FILE *full = std::fopen("/dev/full", "w")) {
+        std::fclose(full);
+        EXPECT_THROW(forward.save("/dev/full"), std::runtime_error);
+    }
     std::remove(path.c_str());
 }
 
 TEST(HashAssignment, LoadRejectsMalformedFiles)
 {
     const std::string path = testing::TempDir() + "/bad_assignment.txt";
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    std::fputs("not an assignment file\n", file);
-    std::fclose(file);
-    EXPECT_THROW(HashAssignment::load(path), std::runtime_error);
     EXPECT_THROW(HashAssignment::load("/no/such/file"),
                  std::runtime_error);
+
+    // Each file is rejected with the number of its first bad line.
+    const std::pair<const char *, const char *> cases[] = {
+        {"not an assignment file\n", "line 1:"},
+        {"", "line 1:"},
+        {"default 0\n", "line 1:"},
+        {"default 33\n", "line 1:"},
+        {"default 5 extra\n", "line 1:"},
+        {"default 5\n400000 7\nzzz\n400010 3\n", "line 3:"},
+        {"default 5\n400000 7\n400010 3\n400000 4\n", "line 4:"},
+        {"default 5\n400000 7\n400000 7\n", "line 3:"},
+        {"default 5\n400000\n", "line 2:"},
+        {"default 5\n400000 7 9\n", "line 2:"},
+        {"default 5\n400000 0\n", "line 2:"},
+        {"default 5\n400000 33\n", "line 2:"},
+        {"default 5\n400000 -1\n", "line 2:"},
+        {"default 5\n-400000 7\n", "line 2:"},
+        {"default 5\n400000 7x\n", "line 2:"},
+        {"default 5\n10000000000000000 7\n", "line 2:"},
+        {"default 5\n400000 7\n\n", "line 3:"},
+    };
+    for (const auto &[text, line] : cases) {
+        SCOPED_TRACE(text);
+        writeFile(path, text);
+        try {
+            HashAssignment::load(path);
+            ADD_FAILURE() << "loaded a malformed file";
+        } catch (const std::runtime_error &error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find(std::string("malformed assignment file: ")
+                                   + line),
+                      std::string::npos)
+                << message;
+        }
+    }
+
+    // Tabs, a 0x prefix, CRLF line ends and a missing final newline
+    // still parse.
+    writeFile(path, "default 5\r\n0x400000\t7\r\n400010 3");
+    const HashAssignment loaded = HashAssignment::load(path);
+    EXPECT_EQ(loaded.size(), 2u);
+    EXPECT_EQ(loaded.lookup(0x400000), 7u);
+    EXPECT_EQ(loaded.lookup(0x400010), 3u);
     std::remove(path.c_str());
 }
 

@@ -2140,32 +2140,28 @@ TEST_F(CompactTraceHarness, ConcurrentBuildsNeverOverdrawTheBudget)
 
 TEST_F(CompactTraceHarness, Step1OverResidentTraceMatchesStream)
 {
-    // Step 1 expands resident chunks straight from the id array, on a
-    // single shard and on several; both must see the stream's records.
+    // Step 1 expands resident chunks straight from the id array; it
+    // must see the stream's records.
     trace::saveTrace(makeTrace(91, 10000), path("t.vbt"));
     trace::ResidentBudget budget(trace::residentTraceBudgetBytes);
     const auto resident = internFile(path("t.vbt"), budget);
     ASSERT_TRUE(resident);
     for (const bool indirect : {false, true}) {
-        for (const unsigned jobs : {1u, 3u}) {
-            SCOPED_TRACE(std::string(indirect ? "indirect" : "conditional")
-                         + " jobs=" + std::to_string(jobs));
-            core::ProfileOptions options;
-            options.indexBits = 10;
-            options.jobs = jobs;
-            core::Profiler streamed(options, indirect);
-            trace::StreamingTraceReader reader(path("t.vbt"));
-            const core::HashAssignment expected = streamed.profile(reader);
+        SCOPED_TRACE(indirect ? "indirect" : "conditional");
+        core::ProfileOptions options;
+        options.indexBits = 10;
+        core::Profiler streamed(options, indirect);
+        trace::StreamingTraceReader reader(path("t.vbt"));
+        const core::HashAssignment expected = streamed.profile(reader);
 
-            core::Profiler replayed(options, indirect);
-            trace::CompactTraceCursor cursor(resident);
-            const core::HashAssignment got = replayed.profile(cursor);
-            EXPECT_EQ(replayed.step1Sweep().branches,
-                      streamed.step1Sweep().branches);
-            EXPECT_EQ(replayed.step1Sweep().mispredictions,
-                      streamed.step1Sweep().mispredictions);
-            EXPECT_EQ(got.table(), expected.table());
-        }
+        core::Profiler replayed(options, indirect);
+        trace::CompactTraceCursor cursor(resident);
+        const core::HashAssignment got = replayed.profile(cursor);
+        EXPECT_EQ(replayed.step1Sweep().branches,
+                  streamed.step1Sweep().branches);
+        EXPECT_EQ(replayed.step1Sweep().mispredictions,
+                  streamed.step1Sweep().mispredictions);
+        EXPECT_EQ(got.table(), expected.table());
     }
 }
 

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/profiler.h"
 #include "predictors/budget.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
@@ -273,94 +272,6 @@ TEST_F(ParallelHarness, AverageSweepBitIdenticalAcrossJobs)
     ASSERT_EQ(serial_sweep.size(), parallel_sweep.size());
     for (std::size_t i = 0; i < serial_sweep.size(); ++i)
         EXPECT_EQ(serial_sweep[i], parallel_sweep[i]);
-}
-
-/**
- * The step-1 length-sharding determinism contract: profiling with any
- * --jobs value must reproduce the serial profiler bit for bit — the
- * aggregate sweep, every per-branch record, and the final assignment.
- */
-TEST_F(ParallelHarness, Step1ShardingBitIdenticalAcrossJobs)
-{
-    auto profile_trace = workload::generateTrace(
-        workload::findBenchmark("compress"),
-        workload::InputKind::Profile, 0.02);
-
-    // 4 workers over the full 32 lengths and 5 over a ragged
-    // 10-length range: even and uneven shard splits must both merge
-    // identically.
-    for (unsigned jobs : {4u, 5u}) {
-        core::ProfileOptions options;
-        options.indexBits = 12;
-        options.jobs = jobs;
-        if (jobs == 5) {
-            options.minLength = 3;
-            options.maxLength = 12;
-        }
-
-        core::ProfileOptions reference_options = options;
-        reference_options.jobs = 1;
-        core::Profiler reference(reference_options, false);
-        profile_trace.reset();
-        reference.runStep1(profile_trace);
-
-        core::Profiler sharded(options, false);
-        profile_trace.reset();
-        sharded.runStep1(profile_trace);
-
-        const auto &expect_sweep = reference.step1Sweep();
-        const auto &actual_sweep = sharded.step1Sweep();
-        EXPECT_EQ(actual_sweep.branches, expect_sweep.branches);
-        EXPECT_EQ(actual_sweep.minLength, expect_sweep.minLength);
-        ASSERT_EQ(actual_sweep.mispredictions,
-                  expect_sweep.mispredictions);
-
-        const auto &expect_profiles = reference.branchProfiles();
-        const auto &actual_profiles = sharded.branchProfiles();
-        ASSERT_EQ(actual_profiles.size(), expect_profiles.size());
-        for (const auto &[pc, expected] : expect_profiles) {
-            const auto found = actual_profiles.find(pc);
-            ASSERT_NE(found, actual_profiles.end());
-            EXPECT_EQ(found->second.executions, expected.executions);
-            EXPECT_EQ(found->second.correct, expected.correct);
-        }
-    }
-}
-
-TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
-{
-    auto profile_trace = workload::generateTrace(
-        workload::findBenchmark("li"), workload::InputKind::Profile,
-        0.02);
-
-    core::ProfileOptions options;
-    options.indexBits = 12;
-    core::Profiler serial(options, false);
-    profile_trace.reset();
-    const core::HashAssignment serial_assignment =
-        serial.profile(profile_trace);
-
-    options.jobs = 4;
-    core::Profiler sharded(options, false);
-    profile_trace.reset();
-    const core::HashAssignment sharded_assignment =
-        sharded.profile(profile_trace);
-
-    EXPECT_EQ(sharded_assignment.defaultLength(),
-              serial_assignment.defaultLength());
-    ASSERT_EQ(sharded_assignment.table(), serial_assignment.table());
-
-    // The indirect profiler shares the sharded sweep machinery.
-    core::Profiler indirect_serial(options, true);
-    profile_trace.reset();
-    indirect_serial.runStep1(profile_trace);
-    core::Profiler indirect_sharded(options, true);
-    profile_trace.reset();
-    indirect_sharded.runStep1(profile_trace);
-    EXPECT_EQ(indirect_sharded.step1Sweep().mispredictions,
-              indirect_serial.step1Sweep().mispredictions);
-    EXPECT_EQ(indirect_sharded.step1Sweep().branches,
-              indirect_serial.step1Sweep().branches);
 }
 
 /** Table 2's body (bench::buildTable2): the suite averages it prints. */

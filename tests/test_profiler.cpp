@@ -5,6 +5,7 @@
  * assignment quality on crafted traces.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <map>
@@ -13,6 +14,7 @@
 #include "core/path_predictor.h"
 #include "core/profiler.h"
 #include "core/step1_kernel.h"
+#include "trace/compact_trace.h"
 #include "util/rng.h"
 #include "workload/benchmarks.h"
 
@@ -352,14 +354,22 @@ flatSweep(unsigned lengths, unsigned best)
     return sweep;
 }
 
+/** Per-branch results for the selector's one branch. */
+std::vector<std::uint64_t>
+misses(std::uint64_t count)
+{
+    return {count};
+}
+
 TEST(CandidateSelector, RanksCandidatesByStep1Accuracy)
 {
     const auto profiles =
         singleBranchProfile(0x400000, {10, 90, 50, 80});
     CandidateSelector selector(profiles, flatSweep(4, 1), 3, 4);
-    // Best candidate first: length 2 (90 correct).
-    const HashAssignment first = selector.nextAssignment();
-    EXPECT_EQ(first.lookup(0x400000), 2u);
+    EXPECT_EQ(selector.branches(), std::vector<std::uint64_t>{0x400000});
+    // Best candidate first: length 2 (90 correct); then the default
+    // for every other pc.
+    EXPECT_EQ(selector.nextLengths(), (std::vector<std::uint8_t>{2, 1}));
     EXPECT_EQ(selector.defaultLength(), 1u);
 }
 
@@ -388,8 +398,7 @@ TEST(CandidateSelector, SaturatedCountsStillRankSanely)
         0x400000, {BranchProfile::saturated - 7, 1000,
                    BranchProfile::saturated, BranchProfile::saturated});
     CandidateSelector selector(profiles, flatSweep(4, 2), 3, 4);
-    const HashAssignment first = selector.nextAssignment();
-    EXPECT_EQ(first.lookup(0x400000), 3u);
+    EXPECT_EQ(selector.nextLengths()[0], 3u);
 }
 
 TEST(CandidateSelector, UntestedCandidatesTriedFirst)
@@ -399,36 +408,43 @@ TEST(CandidateSelector, UntestedCandidatesTriedFirst)
     CandidateSelector selector(profiles, flatSweep(4, 1), 3, 4);
 
     // Iteration 1 tests length 2 (rank 1); pretend it did terribly.
-    HashAssignment tested = selector.nextAssignment();
-    EXPECT_EQ(tested.lookup(0x400000), 2u);
-    selector.recordResults(tested, {{0x400000, 500}});
+    EXPECT_EQ(selector.nextLengths()[0], 2u);
+    selector.recordResults(misses(500));
 
     // Iteration 2 must try the next untested candidate (length 4,
     // rank 2) even though 500 mispredictions are on record elsewhere.
-    tested = selector.nextAssignment();
-    EXPECT_EQ(tested.lookup(0x400000), 4u);
-    selector.recordResults(tested, {{0x400000, 50}});
+    EXPECT_EQ(selector.nextLengths()[0], 4u);
+    selector.recordResults(misses(50));
 
     // Iteration 3: last untested candidate (length 3).
-    tested = selector.nextAssignment();
-    EXPECT_EQ(tested.lookup(0x400000), 3u);
-    selector.recordResults(tested, {{0x400000, 200}});
+    EXPECT_EQ(selector.nextLengths()[0], 3u);
+    selector.recordResults(misses(200));
 
     // All tested: the final choice is the minimum (length 4).
-    EXPECT_EQ(selector.finalAssignment().lookup(0x400000), 4u);
-    // And the next assignment would also pick it.
-    EXPECT_EQ(selector.nextAssignment().lookup(0x400000), 4u);
+    const HashAssignment final_assignment = selector.finalAssignment();
+    EXPECT_EQ(final_assignment.lookup(0x400000), 4u);
+    EXPECT_EQ(final_assignment.defaultLength(), 1u);
+    // And the next iteration would also pick it.
+    EXPECT_EQ(selector.nextLengths()[0], 4u);
 }
 
 TEST(CandidateSelector, MissingMispredictionCountsAsZero)
 {
     const auto profiles = singleBranchProfile(0x400000, {10, 90, 50});
     CandidateSelector selector(profiles, flatSweep(3, 2), 3, 3);
-    HashAssignment tested = selector.nextAssignment();
-    // No entry for the pc in the results: recorded as 0 misses.
-    selector.recordResults(tested, {});
-    EXPECT_EQ(selector.finalAssignment().lookup(0x400000),
-              tested.lookup(0x400000));
+    const unsigned tested = selector.nextLengths()[0];
+    // A branch that never mispredicted: recorded as 0 misses, so no
+    // later candidate can beat it.
+    selector.recordResults(misses(0));
+    for (int i = 0; i < 2; ++i) {
+        selector.nextLengths();
+        selector.recordResults(misses(1));
+    }
+    EXPECT_EQ(selector.finalAssignment().lookup(0x400000), tested);
+    // Results must cover every branch, no more and no fewer.
+    EXPECT_THROW(selector.recordResults({}), std::runtime_error);
+    EXPECT_THROW(selector.recordResults(std::vector<std::uint64_t>(2, 0)),
+                 std::runtime_error);
 }
 
 TEST(CandidateSelector, FewerIterationsThanCandidates)
@@ -436,18 +452,17 @@ TEST(CandidateSelector, FewerIterationsThanCandidates)
     const auto profiles =
         singleBranchProfile(0x400000, {10, 90, 50, 80});
     CandidateSelector selector(profiles, flatSweep(4, 1), 3, 4);
-    HashAssignment tested = selector.nextAssignment();
-    selector.recordResults(tested, {{0x400000, 7}});
+    const unsigned tested = selector.nextLengths()[0];
+    selector.recordResults(misses(7));
     // Only one candidate tested: it wins over untested ones.
-    EXPECT_EQ(selector.finalAssignment().lookup(0x400000),
-              tested.lookup(0x400000));
+    EXPECT_EQ(selector.finalAssignment().lookup(0x400000), tested);
 }
 
 // --- Step-1 oracle ----------------------------------------------------
 //
 // Step 1 must report, for every swept length L, exactly what a
 // standalone fixed length path predictor of length L reports over the
-// same trace — whatever the kernel, the sharding or the source.
+// same trace — whatever the kernel or the source.
 
 /** One standalone predictor's mispredictions and per-branch hits. */
 struct StandaloneResult
@@ -537,61 +552,67 @@ expectStep1MatchesStandalone(detail::Step1Kernel kernel, bool indirect)
     const std::vector<BranchRecord> &records = vector_source.records();
     ASSERT_GT(records.size(), 3 * 4096u);
     StreamingSource streaming_source(records);
+    trace::CompactTraceCursor resident_source(
+        trace::CompactTrace::intern(vector_source));
+    const std::pair<const char *, trace::TraceSource *> feeds[] = {
+        {"vector", &vector_source},
+        {"streaming", &streaming_source},
+        {"resident", &resident_source}};
+    const std::uint64_t profiled = static_cast<std::uint64_t>(
+        std::count_if(records.begin(), records.end(),
+                      [&](const BranchRecord &record) {
+                          return indirect ? record.isIndirect()
+                                          : record.isConditional();
+                      }));
 
     // k = 3 packs several lengths' counters into one table word.
     for (const unsigned k : {3u, 12u, 20u}) {
         std::map<unsigned, StandaloneResult> standalone;
         for (const auto [lo, hi] : {std::pair{3u, 29u}, std::pair{1u, 1u},
                                     std::pair{32u, 32u}}) {
-            for (const unsigned jobs : {1u, 3u}) {
-                for (const bool streaming : {false, true}) {
-                    SCOPED_TRACE("k=" + std::to_string(k) + " lengths "
-                                 + std::to_string(lo) + ".."
-                                 + std::to_string(hi) + " jobs="
-                                 + std::to_string(jobs)
-                                 + (streaming ? " streaming" : " vector"));
-                    ProfileOptions options;
-                    options.indexBits = k;
-                    options.minLength = lo;
-                    options.maxLength = hi;
-                    options.jobs = jobs;
-                    FixedLengthSweep sweep;
-                    std::unordered_map<std::uint64_t, BranchProfile>
-                        profiles;
-                    trace::TraceSource &source = streaming
-                        ? static_cast<trace::TraceSource &>(
-                              streaming_source)
-                        : vector_source;
-                    detail::runStep1(kernel, indirect, source, options,
-                                     sweep, profiles);
-                    ASSERT_EQ(sweep.mispredictions.size(), hi);
-                    for (unsigned length = 1; length < lo; ++length)
-                        EXPECT_EQ(sweep.mispredictions[length - 1], 0u);
-                    for (unsigned length = lo; length <= hi; ++length) {
-                        auto found = standalone.find(length);
-                        if (found == standalone.end())
-                            found = standalone
-                                        .emplace(length,
-                                                 replayStandalone(
-                                                     records, indirect, k,
-                                                     length))
-                                        .first;
-                        const StandaloneResult &expected = found->second;
-                        EXPECT_EQ(sweep.mispredictions[length - 1],
-                                  expected.mispredictions)
-                            << "length " << length;
-                        unsigned wrong = 0;
-                        for (const auto &[pc, profile] : profiles) {
-                            const auto hits = expected.hits.find(pc);
-                            wrong += profile.correct[length - 1]
-                                  != (hits == expected.hits.end()
-                                          ? 0u
-                                          : hits->second);
-                        }
-                        EXPECT_EQ(wrong, 0u)
-                            << "branches with wrong hits at length "
-                            << length;
+            for (const auto &[feed_name, source] : feeds) {
+                SCOPED_TRACE("k=" + std::to_string(k) + " lengths "
+                             + std::to_string(lo) + ".."
+                             + std::to_string(hi) + " " + feed_name);
+                ProfileOptions options;
+                options.indexBits = k;
+                options.minLength = lo;
+                options.maxLength = hi;
+                FixedLengthSweep sweep;
+                std::unordered_map<std::uint64_t, BranchProfile> profiles;
+                detail::runStep1(kernel, indirect, *source, options, sweep,
+                                 profiles);
+                EXPECT_EQ(sweep.branches, profiled);
+                std::uint64_t executions = 0;
+                for (const auto &[pc, profile] : profiles)
+                    executions += profile.executions;
+                EXPECT_EQ(executions, profiled);
+                ASSERT_EQ(sweep.mispredictions.size(), hi);
+                for (unsigned length = 1; length < lo; ++length)
+                    EXPECT_EQ(sweep.mispredictions[length - 1], 0u);
+                for (unsigned length = lo; length <= hi; ++length) {
+                    auto found = standalone.find(length);
+                    if (found == standalone.end())
+                        found = standalone
+                                    .emplace(length,
+                                             replayStandalone(records,
+                                                              indirect, k,
+                                                              length))
+                                    .first;
+                    const StandaloneResult &expected = found->second;
+                    EXPECT_EQ(sweep.mispredictions[length - 1],
+                              expected.mispredictions)
+                        << "length " << length;
+                    unsigned wrong = 0;
+                    for (const auto &[pc, profile] : profiles) {
+                        const auto hits = expected.hits.find(pc);
+                        wrong += profile.correct[length - 1]
+                              != (hits == expected.hits.end()
+                                      ? 0u
+                                      : hits->second);
                     }
+                    EXPECT_EQ(wrong, 0u)
+                        << "branches with wrong hits at length " << length;
                 }
             }
         }

@@ -5,10 +5,10 @@
  * monomorphic loops over dense per-branch slots; these tests hold them
  * equal to the reference they replaced — the virtual-predictor step-2
  * loop, kept here, and sim::Simulator over the virtual predictors — for
- * both branch classes, the history ablations, every feed (an in-memory
- * trace, a resident CompactTrace, a streamed source) and step-1 jobs 1
- * and 4. The traces hold pcs that own several edges: an indirect
- * branch with many targets and conditional branches taken both ways.
+ * both branch classes, the history ablations and every feed (an
+ * in-memory trace, a resident CompactTrace, a streamed source). The
+ * traces hold pcs that own several edges: an indirect branch with many
+ * targets and conditional branches taken both ways.
  */
 
 #include <algorithm>
@@ -328,10 +328,10 @@ oracleTraces()
 }
 
 /**
- * Step 2 against the reference: every iteration's per-pc misses from
- * Step2Replay::pass() equal the old loop's for the same tested
- * assignment, and Profiler::runStep2()'s final assignment equals the
- * one the reference iterations select.
+ * Step 2 against the reference: every iteration's per-branch misses
+ * from Step2Replay::pass() equal the old loop's for the same tested
+ * lengths, and Profiler::runStep2()'s final assignment equals the one
+ * the reference iterations select.
  */
 void
 expectStep2MatchesReference(bool indirect)
@@ -347,41 +347,46 @@ expectStep2MatchesReference(bool indirect)
         EXPECT_GE(edges, indirect ? 8u : 2u) << trace_name;
 
         for (const auto &[history_name, history] : historyVariants()) {
-            for (const unsigned jobs : {1u, 4u}) {
-                for (const auto &[feed_name, source] : feeds.all()) {
-                    SCOPED_TRACE(trace_name + ", " + history_name + ", jobs "
-                                 + std::to_string(jobs) + ", " + feed_name);
-                    ProfileOptions options;
-                    options.indexBits = trace_name == "perl" ? 12 : 6;
-                    options.jobs = jobs;
-                    options.history = history;
-                    core::Profiler profiler(options, indirect);
-                    profiler.runStep1(*source);
+            for (const auto &[feed_name, source] : feeds.all()) {
+                SCOPED_TRACE(trace_name + ", " + history_name + ", "
+                             + feed_name);
+                ProfileOptions options;
+                options.indexBits = trace_name == "perl" ? 12 : 6;
+                options.history = history;
+                core::Profiler profiler(options, indirect);
+                profiler.runStep1(*source);
 
-                    core::CandidateSelector selector(
-                        profiler.branchProfiles(), profiler.step1Sweep(),
-                        options.candidates, options.maxLength);
-                    std::vector<std::uint64_t> branches;
-                    for (const auto &[pc, profile] :
-                         profiler.branchProfiles())
-                        branches.push_back(pc);
-                    core::detail::Step2Replay replay(*source, options,
-                                                     indirect, branches);
-                    for (unsigned i = 0; i < options.iterations; ++i) {
-                        const HashAssignment tested =
-                            selector.nextAssignment();
-                        const MissMap expected =
-                            referencePass(records, options, indirect, tested);
-                        EXPECT_EQ(replay.pass(tested), expected)
-                            << "iteration " << i;
-                        selector.recordResults(tested, expected);
+                core::CandidateSelector selector(
+                    profiler.branchProfiles(), profiler.step1Sweep(),
+                    options.candidates, options.maxLength);
+                const std::vector<std::uint64_t> &branches =
+                    selector.branches();
+                core::detail::Step2Replay replay(*source, options, indirect,
+                                                 branches);
+                for (unsigned i = 0; i < options.iterations; ++i) {
+                    // The tested lengths as the reference's assignment,
+                    // and its per-pc misses in the selector's order.
+                    const std::vector<std::uint8_t> lengths =
+                        selector.nextLengths();
+                    HashAssignment tested(lengths.back());
+                    for (std::size_t b = 0; b < branches.size(); ++b)
+                        tested.assign(branches[b], lengths[b]);
+                    const MissMap missed =
+                        referencePass(records, options, indirect, tested);
+                    std::vector<std::uint64_t> expected(branches.size(), 0);
+                    for (std::size_t b = 0; b < branches.size(); ++b) {
+                        const auto found = missed.find(branches[b]);
+                        if (found != missed.end())
+                            expected[b] = found->second;
                     }
-                    const HashAssignment expected =
-                        selector.finalAssignment();
-                    const HashAssignment got = profiler.runStep2(*source);
-                    EXPECT_EQ(got.defaultLength(), expected.defaultLength());
-                    EXPECT_EQ(got.table(), expected.table());
+                    EXPECT_EQ(replay.pass(lengths), expected)
+                        << "iteration " << i;
+                    selector.recordResults(expected);
                 }
+                const HashAssignment expected = selector.finalAssignment();
+                const HashAssignment got = profiler.runStep2(*source);
+                EXPECT_EQ(got.defaultLength(), expected.defaultLength());
+                EXPECT_EQ(got.table(), expected.table());
             }
         }
     }
@@ -449,8 +454,8 @@ TEST(ReplayOracle, ComparisonIndirectMatchesSimulator)
  * An external profile/test pair through the suite runner's path —
  * verified by TracePrefetcher::openTrace(), then profiled and compared
  * by compareExternal() — resident and streamed at a zero resident
- * budget, at step-1 jobs 1 and 4, equals a Profiler plus Simulator
- * reference over the same records in memory.
+ * budget equals a Profiler plus Simulator reference over the same
+ * records in memory.
  */
 TEST(ReplayOracle, ExternalPairMatchesReferenceResidentAndStreamed)
 {
@@ -482,39 +487,35 @@ TEST(ReplayOracle, ExternalPairMatchesReferenceResidentAndStreamed)
             profiler.step1Sweep().bestLength(), assignment, true, {});
 
         for (const bool resident : {true, false}) {
-            for (const unsigned jobs : {1u, 4u}) {
-                SCOPED_TRACE(std::string(indirect ? "indirect" : "conditional")
-                             + (resident ? ", resident" : ", streamed")
-                             + ", jobs " + std::to_string(jobs));
-                std::optional<trace::ScopedResidentCapacity> zero;
-                if (!resident)
-                    zero.emplace(0);
-                const auto open = [&](const std::string &name,
-                                      const std::string &path) {
-                    trace::PrefetchedTrace opened =
-                        trace::TracePrefetcher::openTrace(path, {});
-                    EXPECT_FALSE(opened.error);
-                    EXPECT_EQ(opened.resident != nullptr, resident);
-                    sim::ExternalTrace external;
-                    external.name = name;
-                    external.path = path;
-                    external.contentHash = opened.contentHash;
-                    external.resident = opened.resident;
-                    external.session = opened.session;
-                    return external;
-                };
-                const sim::ExternalTrace profile =
-                    open("pair.profile", profile_path);
-                const sim::ExternalTrace test = open("pair.test", test_path);
-                sim::ExperimentContext context;
-                context.setStep1Jobs(jobs);
-                expectRowsEqual(sim::compareExternal(context, profile, test,
-                                                     bytes, 7, indirect),
-                                expected);
-                EXPECT_EQ(context.externalAssignment(profile, k, indirect)
-                              .table(),
-                          assignment.table());
-            }
+            SCOPED_TRACE(std::string(indirect ? "indirect" : "conditional")
+                         + (resident ? ", resident" : ", streamed"));
+            std::optional<trace::ScopedResidentCapacity> zero;
+            if (!resident)
+                zero.emplace(0);
+            const auto open = [&](const std::string &name,
+                                  const std::string &path) {
+                trace::PrefetchedTrace opened =
+                    trace::TracePrefetcher::openTrace(path, {});
+                EXPECT_FALSE(opened.error);
+                EXPECT_EQ(opened.resident != nullptr, resident);
+                sim::ExternalTrace external;
+                external.name = name;
+                external.path = path;
+                external.contentHash = opened.contentHash;
+                external.resident = opened.resident;
+                external.session = opened.session;
+                return external;
+            };
+            const sim::ExternalTrace profile =
+                open("pair.profile", profile_path);
+            const sim::ExternalTrace test = open("pair.test", test_path);
+            sim::ExperimentContext context;
+            expectRowsEqual(sim::compareExternal(context, profile, test,
+                                                 bytes, 7, indirect),
+                            expected);
+            EXPECT_EQ(context.externalAssignment(profile, k, indirect)
+                          .table(),
+                      assignment.table());
         }
     }
     fs::remove_all(directory);

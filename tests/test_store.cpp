@@ -13,7 +13,9 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/profiler.h"
@@ -24,6 +26,7 @@
 #include "store/serialize.h"
 #include "trace/streaming.h"
 #include "trace/trace_io.h"
+#include "util/checksum.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -256,6 +259,53 @@ TEST(SerializeTest, DecodersRejectDamage)
     std::unordered_map<std::uint64_t, core::BranchProfile> profiles;
     EXPECT_THROW(decodeStep1Profile(hostile, sweep, profiles),
                  std::runtime_error);
+
+    // The encoders write pcs in strictly ascending order; a repeated
+    // or descending pc is damage, not a second entry to merge or drop.
+    // Copies the first pc over the second, or swaps them: @p first
+    // and @p stride locate the pcs in @p payload.
+    const auto patched = [](std::vector<std::uint8_t> payload,
+                            std::size_t first, std::size_t stride,
+                            bool swap) {
+        const auto a = payload.begin() + static_cast<std::ptrdiff_t>(first);
+        const auto b = a + static_cast<std::ptrdiff_t>(stride);
+        if (swap)
+            std::swap_ranges(a, a + 8, b);
+        else
+            std::copy(a, a + 8, b);
+        return payload;
+    };
+    assignment.assign(0x400010, 4);
+    payload = encodeAssignment(assignment);
+    EXPECT_EQ(decodeAssignment(payload).table(), assignment.table());
+    for (const bool swap : {false, true}) {
+        // default (4 bytes), count (8), then (pc 8, length 4) pairs.
+        EXPECT_THROW(decodeAssignment(patched(payload, 12, 12, swap)),
+                     std::runtime_error);
+    }
+
+    sweep.minLength = 1;
+    sweep.mispredictions.assign(core::maxPathLength, 3);
+    sweep.branches = 100;
+    profiles = {{0x400000, core::BranchProfile{}},
+                {0x400010, core::BranchProfile{}}};
+    profiles[0x400010].executions = 9;
+    const auto profile_payload = encodeStep1Profile(sweep, profiles);
+    // Each profile is its pc (8 bytes), executions (4) and 32 counts
+    // (4 each), at the end of the payload.
+    constexpr std::size_t profileBytes = 8 + 4 + core::maxPathLength * 4;
+    const std::size_t first = profile_payload.size() - 2 * profileBytes;
+    core::FixedLengthSweep decoded_sweep;
+    std::unordered_map<std::uint64_t, core::BranchProfile> decoded;
+    decodeStep1Profile(profile_payload, decoded_sweep, decoded);
+    ASSERT_EQ(decoded.size(), 2u);
+    EXPECT_EQ(decoded.at(0x400010).executions, 9u);
+    for (const bool swap : {false, true}) {
+        EXPECT_THROW(decodeStep1Profile(patched(profile_payload, first,
+                                                profileBytes, swap),
+                                        decoded_sweep, decoded),
+                     std::runtime_error);
+    }
 }
 
 TEST_F(StoreHarness, MissThenInsertThenHit)
@@ -647,31 +697,44 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
         sim::compareExternal(context, profile, test, 512, 3, true);
     }
 
-    std::vector<std::string> names;
-    for (const fs::path &file : entryFiles())
-        names.push_back(file.stem().string());
-    std::sort(names.begin(), names.end());
-    const std::vector<std::string> expected = {
-        "04546b9e069105b92b98f75afceb3053",
-        "08c282dc882d8cb6b68b11ae3135e228",
-        "1dc3f08489939c25872b1845230e0bc7",
-        "26891e99a10963233a40205fa2cf5d79",
-        "383a266c12686745d88708cd228a276b",
-        "43daac20626eae2ad1bed851b76b3be0",
-        "47c569e8cd3aaddd80b0f185b2340773",
-        "48bb6afdb1b3db873526515f23ee0b11",
-        "54168ca6a35b7a42f02d0da50f145590",
-        "70fcfff09a4400194ca1cb92a3993e83",
-        "7fc6b4506d3353ecce1f85e16e4d3726",
-        "88af9ee32da12ad57e23214957302f77",
-        "967ab10ad4ee60e626f4179662c31dcc",
-        "a2fe9167c48d70c9e885b609609cd337",
-        "a7ddcc3030adf583fa3ad35db3455f71",
-        "b772830d6d0e530a0d65e702c52e7454",
-        "d5f04193ca80466f24ddc7c998ed1175",
-        "fd235e20b93724c9613d8f4bdb7c3bf3",
+    // Each entry's name (its key) and an FNV-1a digest of its file
+    // (the key and the payload): a change to step 1 or step 2 that
+    // alters a stored profile, assignment or row fails here.
+    std::vector<std::pair<std::string, std::uint64_t>> entries;
+    for (const fs::path &file : entryFiles()) {
+        std::ifstream in(file, std::ios::binary);
+        const std::string bytes(std::istreambuf_iterator<char>(in), {});
+        entries.emplace_back(file.stem().string(),
+                             util::fnv1a(bytes.data(), bytes.size()));
+    }
+    std::sort(entries.begin(), entries.end());
+    const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+        {"04546b9e069105b92b98f75afceb3053", 0x25b97ff44ce4ae19ull},
+        {"08c282dc882d8cb6b68b11ae3135e228", 0xa10200ec9eba1536ull},
+        {"1dc3f08489939c25872b1845230e0bc7", 0x2c3eae2e5699046bull},
+        {"26891e99a10963233a40205fa2cf5d79", 0xb3ded5a4f641b4e0ull},
+        {"383a266c12686745d88708cd228a276b", 0xc69778ae4ea30ad0ull},
+        {"43daac20626eae2ad1bed851b76b3be0", 0x72ae378617085a3full},
+        {"47c569e8cd3aaddd80b0f185b2340773", 0xcaf5b4f7f5f17413ull},
+        {"48bb6afdb1b3db873526515f23ee0b11", 0x9ae615b16eb16ae3ull},
+        {"54168ca6a35b7a42f02d0da50f145590", 0xe1320849aebde5a7ull},
+        {"70fcfff09a4400194ca1cb92a3993e83", 0x74b60effcbbec4bbull},
+        {"7fc6b4506d3353ecce1f85e16e4d3726", 0xb3182a36beee4798ull},
+        {"88af9ee32da12ad57e23214957302f77", 0x3d5e2b8a8773c255ull},
+        {"967ab10ad4ee60e626f4179662c31dcc", 0x9fe754fbfd3ce3dcull},
+        {"a2fe9167c48d70c9e885b609609cd337", 0x6d4501fbb91d7229ull},
+        {"a7ddcc3030adf583fa3ad35db3455f71", 0xdb1502d749af3ecbull},
+        {"b772830d6d0e530a0d65e702c52e7454", 0x3a62a826610ae0dull},
+        {"d5f04193ca80466f24ddc7c998ed1175", 0x50e11e74c84e253full},
+        {"fd235e20b93724c9613d8f4bdb7c3bf3", 0xd78935f7d80c5284ull},
     };
-    EXPECT_EQ(names, expected);
+    ASSERT_EQ(entries.size(), expected.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        EXPECT_EQ(entries[i].first, expected[i].first);
+        EXPECT_EQ(entries[i].second, expected[i].second)
+            << entries[i].first << ": 0x" << std::hex
+            << entries[i].second << "ull";
+    }
 }
 
 } // anonymous namespace

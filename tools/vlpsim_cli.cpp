@@ -9,15 +9,13 @@
  *       Generate a synthetic branch trace and write it as a .vbt file.
  *   stats <trace.vbt>
  *       Print Table-1-style statistics for a trace file.
- *   profile <trace.vbt> <bytes> <cond|ind> <out.assignment> [--jobs N]
+ *   profile <trace.vbt> <bytes> <cond|ind> <out.assignment>
  *       Run the paper's two-step profiling heuristic over a trace and
- *       save the per-branch hash-number assignment. The trace streams
- *       in bounded-memory chunks (zero-copy when it maps; --read-mode
- *       auto|mmap|stdio picks the backend). --jobs N shards the
- *       step-1 length sweep across N worker threads (0 = one per
- *       hardware thread; default serial) with bit-identical output.
- *       The summary goes through the report model, so --format
- *       csv|json exports it machine-readably.
+ *       save the per-branch hash-number assignment (one line per pc,
+ *       in ascending pc order). The trace streams in bounded-memory
+ *       chunks (zero-copy when it maps; --read-mode auto|mmap|stdio
+ *       picks the backend). The summary goes through the report
+ *       model, so --format csv|json exports it machine-readably.
  *   eval <trace.vbt> <bytes> <cond|ind> [assignment]
  *       Evaluate predictors on a trace: the paper's baselines plus
  *       fixed length path, and — when an assignment file is given —
@@ -274,11 +272,6 @@ cmdProfile(int argc, char **argv)
     parser.addPositional("cond|ind", "branch class");
     parser.addPositional("out.assignment",
                          "output per-branch hash assignment");
-    std::uint64_t jobs = 1;
-    parser.addUint("--jobs", "N",
-                   "worker threads for the step-1 length sweep "
-                   "(0 = one per hardware thread; default 1)",
-                   &jobs, 4096);
     trace::ReadMode read_mode = trace::ReadMode::Auto;
     addReadModeFlag(parser, &read_mode);
     sim::OutputOptions output;
@@ -295,9 +288,6 @@ cmdProfile(int argc, char **argv)
     const bool indirect = parseIndirect(args[2]);
 
     core::ProfileOptions options;
-    // The length-sharded step-1 sweep is bit-identical at any worker
-    // count, so --jobs only changes wall-clock (default: serial).
-    options.jobs = static_cast<unsigned>(jobs);
     options.indexBits = indirect ? pred::indirectIndexBits(bytes)
                                  : pred::conditionalIndexBits(bytes);
     const core::HashAssignment assignment =
@@ -780,8 +770,7 @@ const cli::Command commandTable[] = {
     {"stats", "<trace.vbt>",
      "print Table-1-style statistics for a trace file", cmdStats},
     {"profile",
-     "<trace.vbt> <bytes> <cond|ind> <out.asgn> [--jobs N] "
-     "[--read-mode M]",
+     "<trace.vbt> <bytes> <cond|ind> <out.asgn> [--read-mode M]",
      "run the paper's two-step profiling heuristic over a trace",
      cmdProfile},
     {"eval", "<trace.vbt> <bytes> <cond|ind> [assignment]",
