@@ -600,7 +600,7 @@ Profiler::runStep1(trace::TraceSource &profile_trace)
 }
 
 HashAssignment
-Profiler::runStep2(trace::TraceSource &profile_trace)
+Profiler::runStep2(trace::TraceSource &profile_trace) const
 {
     if (!step1Done_)
         util::fatal("profiler step 2 requires step 1 to have run");

@@ -153,9 +153,11 @@ class Profiler
 
     /**
      * Step 2: iterate candidate selection. Requires runStep1() first.
+     * Leaves the profiler unchanged, so one step-1 result may serve
+     * several step-2 runs at once.
      * @return the final per-branch assignment
      */
-    HashAssignment runStep2(trace::TraceSource &profile_trace);
+    HashAssignment runStep2(trace::TraceSource &profile_trace) const;
 
     /**
      * Run both steps over @p profile_trace (reset before each pass)

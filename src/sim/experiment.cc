@@ -48,6 +48,18 @@ workloadKey(const std::string &kind,
     return builder;
 }
 
+/** Memo key of a generated trace: the workload key plus the input. */
+std::string
+traceKey(const workload::BenchmarkSpec &spec, workload::InputKind kind)
+{
+    store::KeyBuilder builder = workloadKey("trace", spec);
+    builder.field("input",
+                  std::string(kind == workload::InputKind::Profile
+                                  ? "profile"
+                                  : "test"));
+    return builder.build().text();
+}
+
 /**
  * Cache-key prefix identifying an external trace: its content hash
  * alone. Generator version and scale are irrelevant to bytes read
@@ -160,20 +172,19 @@ std::shared_ptr<trace::TraceSource>
 ExperimentContext::trace(const workload::BenchmarkSpec &spec,
                          workload::InputKind kind)
 {
+    const std::string key = traceKey(spec, kind);
     TraceEntry *entry;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        entry = &traces_[spec.name
-                         + (kind == workload::InputKind::Profile
-                                ? "/profile"
-                                : "/test")];
+        entry = &traces_[key];
     }
     entry->once.call([&] {
         throwIfCancelled();
-        trace::VectorTraceSource generated =
-            workload::generateTrace(spec, kind);
-        entry->trace = trace::CompactTrace::intern(generated);
-        traceGenerations_.fetch_add(1, std::memory_order_relaxed);
+        entry->trace = memo_.trace(key, cancel_.get(), [&] {
+            trace::VectorTraceSource generated =
+                workload::generateTrace(spec, kind);
+            return trace::CompactTrace::intern(generated);
+        });
     });
     return std::make_shared<trace::CompactTraceCursor>(entry->trace);
 }
@@ -194,59 +205,51 @@ ExperimentContext::openExternal(const ExternalTrace &trace) const
         std::move(file), trace.chunkRecords);
 }
 
-ExperimentContext::Key
-ExperimentContext::makeKey(const std::string &name, unsigned index_bits,
-                           bool indirect,
-                           core::PathHistoryOptions history)
-{
-    return name + "/" + std::to_string(index_bits)
-         + (indirect ? "/i" : "/c")
-         + (history.rotateTargets ? "/r1" : "/r0")
-         + (history.includeReturns ? "/ret1" : "/ret0")
-         + (history.historyStack ? "/hs1" : "/hs0")
-         + "/d" + std::to_string(history.depth);
-}
-
 ExperimentContext::ProfilerEntry &
-ExperimentContext::profilerEntry(const std::string &name,
+ExperimentContext::profilerEntry(const KeyPrefix &prefix,
                                  unsigned index_bits, bool indirect,
-                                 core::PathHistoryOptions history)
+                                 core::PathHistoryOptions history,
+                                 bool shared)
 {
-    const Key key = makeKey(name, index_bits, indirect, history);
+    core::ProfileOptions options;
+    options.indexBits = index_bits;
+    options.history = history;
+    store::CacheKey profile_key =
+        profileKey(prefix("profile"), options, indirect);
     std::lock_guard<std::mutex> lock(mutex_);
     // std::map nodes never move, so the entry outlives the lock.
-    auto [it, inserted] = profilers_.try_emplace(key);
+    auto [it, inserted] = profilers_.try_emplace(profile_key.text());
     if (inserted) {
-        core::ProfileOptions options;
-        options.indexBits = index_bits;
-        options.history = history;
-        it->second.profiler =
-            std::make_unique<core::Profiler>(options, indirect);
+        ProfilerEntry &entry = it->second;
+        entry.options = options;
+        entry.indirect = indirect;
+        entry.shared = shared;
+        entry.profileKey = std::move(profile_key);
+        entry.assignmentKey =
+            assignmentKey(prefix("assignment"), options, indirect);
     }
     return it->second;
 }
 
 const core::FixedLengthSweep &
 ExperimentContext::ensureStep1(ProfilerEntry &entry,
-                               const KeyPrefix &prefix,
                                const TraceProvider &profile_trace)
 {
-    core::Profiler &profiler = *entry.profiler;
     entry.step1.call([&] {
         throwIfCancelled();
-        std::optional<store::CacheKey> key;
         if (store_) {
-            key = profileKey(prefix("profile"), profiler.options(),
-                             profiler.indirect());
-            if (const auto payload = store_->fetch(*key)) {
+            if (const auto payload = store_->fetch(entry.profileKey)) {
                 try {
                     core::FixedLengthSweep sweep;
                     std::unordered_map<std::uint64_t,
                                        core::BranchProfile>
                         profiles;
                     store::decodeStep1Profile(*payload, sweep, profiles);
-                    profiler.restoreStep1(std::move(sweep),
-                                          std::move(profiles));
+                    auto profiler = std::make_shared<core::Profiler>(
+                        entry.options, entry.indirect);
+                    profiler->restoreStep1(std::move(sweep),
+                                           std::move(profiles));
+                    entry.profiler = std::move(profiler);
                     return;
                 } catch (const std::exception &error) {
                     util::warn(std::string("discarding unusable cached "
@@ -256,34 +259,41 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
             }
         }
 
-        const auto source = profile_trace();
-        source->reset();
-        profiler.runStep1(*source);
-        if (key) {
-            store_->insert(*key,
+        const auto run = [&] {
+            auto profiler = std::make_shared<core::Profiler>(
+                entry.options, entry.indirect);
+            const auto source = profile_trace();
+            // Generating the trace may have taken a while: check
+            // again before the pass.
+            throwIfCancelled();
+            source->reset();
+            profiler->runStep1(*source);
+            return std::shared_ptr<const core::Profiler>(
+                std::move(profiler));
+        };
+        entry.profiler = entry.shared
+            ? memo_.step1(entry.profileKey.text(), cancel_.get(), run)
+            : run();
+        if (store_) {
+            store_->insert(entry.profileKey,
                            store::encodeStep1Profile(
-                               profiler.step1Sweep(),
-                               profiler.branchProfiles()));
+                               entry.profiler->step1Sweep(),
+                               entry.profiler->branchProfiles()));
         }
     });
-    return profiler.step1Sweep();
+    return entry.profiler->step1Sweep();
 }
 
 const core::HashAssignment &
 ExperimentContext::ensureAssignment(ProfilerEntry &entry,
-                                    const KeyPrefix &prefix,
                                     const TraceProvider &profile_trace)
 {
-    core::Profiler &profiler = *entry.profiler;
     entry.step2.call([&] {
         throwIfCancelled();
         // A cached assignment short-circuits both profiling steps;
         // only probe step 1 (and possibly recompute it) on a miss.
-        std::optional<store::CacheKey> key;
         if (store_) {
-            key = assignmentKey(prefix("assignment"), profiler.options(),
-                                profiler.indirect());
-            if (const auto payload = store_->fetch(*key)) {
+            if (const auto payload = store_->fetch(entry.assignmentKey)) {
                 try {
                     entry.assignment = store::decodeAssignment(*payload);
                     return;
@@ -295,12 +305,12 @@ ExperimentContext::ensureAssignment(ProfilerEntry &entry,
             }
         }
 
-        ensureStep1(entry, prefix, profile_trace);
+        ensureStep1(entry, profile_trace);
         const auto source = profile_trace();
         source->reset();
-        entry.assignment = profiler.runStep2(*source);
-        if (key) {
-            store_->insert(*key,
+        entry.assignment = entry.profiler->runStep2(*source);
+        if (store_) {
+            store_->insert(entry.assignmentKey,
                            store::encodeAssignment(*entry.assignment));
         }
     });
@@ -312,9 +322,11 @@ ExperimentContext::sweep(const workload::BenchmarkSpec &spec,
                          unsigned index_bits, bool indirect,
                          core::PathHistoryOptions history)
 {
+    const auto prefix = [&](const char *kind) {
+        return workloadKey(kind, spec);
+    };
     return ensureStep1(
-        profilerEntry(spec.name, index_bits, indirect, history),
-        [&](const char *kind) { return workloadKey(kind, spec); },
+        profilerEntry(prefix, index_bits, indirect, history, true),
         [&] { return trace(spec, workload::InputKind::Profile); });
 }
 
@@ -323,9 +335,11 @@ ExperimentContext::assignment(const workload::BenchmarkSpec &spec,
                               unsigned index_bits, bool indirect,
                               core::PathHistoryOptions history)
 {
+    const auto prefix = [&](const char *kind) {
+        return workloadKey(kind, spec);
+    };
     return ensureAssignment(
-        profilerEntry(spec.name, index_bits, indirect, history),
-        [&](const char *kind) { return workloadKey(kind, spec); },
+        profilerEntry(prefix, index_bits, indirect, history, true),
         [&] { return trace(spec, workload::InputKind::Profile); });
 }
 
@@ -333,11 +347,13 @@ const core::FixedLengthSweep &
 ExperimentContext::externalSweep(const ExternalTrace &ext,
                                  unsigned index_bits, bool indirect)
 {
-    // "ext:" + hash cannot collide with a benchmark name, so external
-    // profilers share the in-process map with synthetic ones.
+    // External step-1 results stay in this context (and the store,
+    // under the trace's content hash), never in the SharedMemo.
+    const auto prefix = [&](const char *kind) {
+        return externalKey(kind, ext);
+    };
     return ensureStep1(
-        profilerEntry("ext:" + ext.contentHash, index_bits, indirect, {}),
-        [&](const char *kind) { return externalKey(kind, ext); },
+        profilerEntry(prefix, index_bits, indirect, {}, false),
         [&]() -> std::shared_ptr<trace::TraceSource> {
             return openExternal(ext);
         });
@@ -348,9 +364,11 @@ ExperimentContext::externalAssignment(const ExternalTrace &ext,
                                       unsigned index_bits,
                                       bool indirect)
 {
+    const auto prefix = [&](const char *kind) {
+        return externalKey(kind, ext);
+    };
     return ensureAssignment(
-        profilerEntry("ext:" + ext.contentHash, index_bits, indirect, {}),
-        [&](const char *kind) { return externalKey(kind, ext); },
+        profilerEntry(prefix, index_bits, indirect, {}, false),
         [&]() -> std::shared_ptr<trace::TraceSource> {
             return openExternal(ext);
         });

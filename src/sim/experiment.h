@@ -3,12 +3,14 @@
  * High-level experiment harness: everything the bench binaries need to
  * regenerate the paper's tables and figures.
  *
- * ExperimentContext memoizes, within one process, the expensive
- * artifacts: generated traces (each interned once, shared zero-copy)
- * and profiling results (step-1 sweeps, step-2 assignments, suite
- * averages and comparison rows per benchmark/size), so a bench that
- * needs the global fixed length *and* per-benchmark VLP assignments
- * profiles each benchmark exactly once, however many threads ask.
+ * ExperimentContext memoizes the expensive artifacts: generated
+ * traces (each interned once, shared zero-copy) and profiling results
+ * (step-1 sweeps, step-2 assignments, suite averages and comparison
+ * rows per benchmark/size), so a bench that needs the global fixed
+ * length *and* per-benchmark VLP assignments profiles each benchmark
+ * exactly once, however many threads ask. Generated traces and
+ * synthetic step-1 results also go through the process-wide
+ * SharedMemo, so a second context in the same process reuses them.
  *
  * Both branch classes share every accessor and comparison: a
  * `bool indirect` argument selects the class, as it does in the cache
@@ -18,7 +20,6 @@
 #ifndef VLPSIM_SIM_EXPERIMENT_H
 #define VLPSIM_SIM_EXPERIMENT_H
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -30,7 +31,9 @@
 
 #include "core/path_history.h"
 #include "core/profiler.h"
+#include "sim/shared_memo.h"
 #include "sim/simulator.h"
+#include "store/cache_key.h"
 #include "trace/compact_trace.h"
 #include "trace/streaming.h"
 #include "util/cancel.h"
@@ -40,7 +43,6 @@
 namespace vlp {
 namespace store {
 class ArtifactStore;
-class KeyBuilder;
 } // namespace store
 
 namespace util {
@@ -111,17 +113,18 @@ struct ExternalTrace
 };
 
 /**
- * Process-level memo of traces and profiling artifacts.
+ * Memo of traces and profiling artifacts for one runner (or one
+ * request), layered over the process-wide SharedMemo.
  *
  * Every accessor is a pure function of its arguments, memoized behind
  * a latch, so one context may be shared by any number of threads: each
- * trace is generated once and each profile, assignment, suite average
- * and comparison row computed once per key, with concurrent requesters
- * waiting on the in-flight computation. A computation that fails or is
- * cancelled leaves its key unset (the next request recomputes it), and
- * every waiter rethrows its error. The configuration setters
- * (setStore(), setCancelToken()) are not synchronized: call them
- * before sharing the context.
+ * trace and each profile, assignment, suite average and comparison row
+ * is obtained once per key, with concurrent requesters waiting on the
+ * in-flight computation. A computation that fails or is cancelled
+ * leaves its key unset (the next request recomputes it), and every
+ * waiter rethrows its error. The configuration setters (setStore(),
+ * setCancelToken()) are not synchronized: call them before sharing the
+ * context.
  *
  * With an attached ArtifactStore (setStore()), profiling results are
  * additionally persisted on disk: step-1 sweeps, step-2 assignments,
@@ -129,6 +132,13 @@ struct ExternalTrace
  * written back after being computed, so a warm rerun skips the
  * fixed-length sweeps entirely while producing bit-identical results
  * (the serialized artifacts carry the exact integer counters).
+ *
+ * Generated traces, and step-1 results of synthetic workloads that the
+ * store does not hold, come from the SharedMemo: a context that misses
+ * its store takes them from there, and only the memo generates a trace
+ * or runs a step-1 pass, once per process. The store still sees every
+ * fetch, miss and insert it would see without the memo. External
+ * traces, their sweeps and every other artifact stay in the context.
  */
 class ExperimentContext
 {
@@ -137,9 +147,12 @@ class ExperimentContext
      * @param pool optional worker pool: the suite averages fan their
      *             per-benchmark sweeps out over it. The pool must
      *             outlive the context.
+     * @param memo the memo shared with other contexts; tests pass a
+     *             fresh one. It must outlive the context.
      */
-    explicit ExperimentContext(util::ThreadPool *pool = nullptr)
-        : pool_(pool)
+    explicit ExperimentContext(util::ThreadPool *pool = nullptr,
+                               SharedMemo &memo = SharedMemo::process())
+        : pool_(pool), memo_(memo)
     {
     }
 
@@ -186,22 +199,17 @@ class ExperimentContext
 
     /**
      * A fresh cursor over the benchmark's trace on the given input,
-     * generated and interned into a trace::CompactTrace on first use
-     * and kept for the context's lifetime. Traces come from the
-     * benchmark suite, so a context holds at most two per benchmark.
-     * Cursors share the immutable trace, so it is never copied and
-     * every caller replays at its own position.
+     * interned into a trace::CompactTrace. The SharedMemo generates
+     * each trace once per process and keeps it while its byte cap has
+     * room; a trace over it is generated for this context and kept
+     * for the context's lifetime. Cursors share the immutable
+     * trace, so it is never copied and every caller replays at its own
+     * position.
      * @throws util::CancelledError when the attached token has fired
-     *         before the trace was generated
+     *         before the trace was obtained
      */
     std::shared_ptr<trace::TraceSource>
     trace(const workload::BenchmarkSpec &spec, workload::InputKind kind);
-
-    /** Traces this context has generated so far (cache misses). */
-    std::uint64_t traceGenerations() const
-    {
-        return traceGenerations_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Step-1 sweep for the branch class @p indirect selects, of
@@ -291,8 +299,19 @@ class ExperimentContext
   private:
     struct ProfilerEntry
     {
-        std::unique_ptr<core::Profiler> profiler;
+        core::ProfileOptions options;
+        bool indirect = false;
+        /** Synthetic workloads share step 1 through the SharedMemo.
+         *  External ones do not: their keys name whatever corpus a
+         *  request brings and seldom recur, and a memo that never
+         *  evicts keeps its room for the suite's keys, which do. */
+        bool shared = false;
+        store::CacheKey profileKey;
+        store::CacheKey assignmentKey;
         util::Once step1;
+        /** Step 1 done: restored from the store, from the memo, or
+         *  run for this context. */
+        std::shared_ptr<const core::Profiler> profiler;
         util::Once step2;
         std::optional<core::HashAssignment> assignment;
     };
@@ -315,8 +334,6 @@ class ExperimentContext
         std::shared_ptr<const trace::CompactTrace> trace;
     };
 
-    using Key = std::string;
-
     /** Produces a fresh (reset) profile-input trace on demand. */
     using TraceProvider =
         std::function<std::shared_ptr<trace::TraceSource>()>;
@@ -325,39 +342,43 @@ class ExperimentContext
      *  "assignment") for the profiled trace. */
     using KeyPrefix = std::function<store::KeyBuilder(const char *kind)>;
 
-    static Key makeKey(const std::string &name, unsigned index_bits,
-                       bool indirect, core::PathHistoryOptions history);
-
-    ProfilerEntry &profilerEntry(const std::string &name,
+    /**
+     * The entry for one profiled trace and configuration, keyed by the
+     * text of its profile store key.
+     * @param shared whether step 1 goes through the SharedMemo
+     */
+    ProfilerEntry &profilerEntry(const KeyPrefix &prefix,
                                  unsigned index_bits, bool indirect,
-                                 core::PathHistoryOptions history);
+                                 core::PathHistoryOptions history,
+                                 bool shared);
 
     /**
      * Ensure step 1 has run for @p entry: restore it from the store
-     * (under the "profile" key of @p prefix) when possible, otherwise
-     * replay the trace from @p profile_trace (and persist the result).
+     * when possible, otherwise take it from the SharedMemo (a shared
+     * entry) or replay the trace from @p profile_trace, and persist
+     * the result.
      */
     const core::FixedLengthSweep &
-    ensureStep1(ProfilerEntry &entry, const KeyPrefix &prefix,
-                const TraceProvider &profile_trace);
+    ensureStep1(ProfilerEntry &entry, const TraceProvider &profile_trace);
 
     /** Shared body of the two assignment accessors: the stored
      *  assignment, else step 1 (ensureStep1()) then step 2. */
     const core::HashAssignment &
-    ensureAssignment(ProfilerEntry &entry, const KeyPrefix &prefix,
+    ensureAssignment(ProfilerEntry &entry,
                      const TraceProvider &profile_trace);
 
     util::ThreadPool *pool_;
+    SharedMemo &memo_;
     std::shared_ptr<const util::CancelToken> cancel_;
     std::shared_ptr<store::ArtifactStore> store_;
 
-    /** Guards the maps below (never a computation). */
+    /** Guards the maps below (never a computation). Traces and
+     *  profilers are keyed by store key text. */
     std::mutex mutex_;
     std::map<std::string, TraceEntry> traces_;
-    std::map<Key, ProfilerEntry> profilers_;
-    std::map<Key, AverageEntry> averages_;
-    std::map<Key, RowEntry> rows_;
-    std::atomic<std::uint64_t> traceGenerations_{0};
+    std::map<std::string, ProfilerEntry> profilers_;
+    std::map<std::string, AverageEntry> averages_;
+    std::map<std::string, RowEntry> rows_;
 };
 
 /** Indirect sweeps with fewer branches stay out of suite averages: a

@@ -11,11 +11,11 @@
 namespace vlp {
 namespace sim {
 
-ParallelRunner::ParallelRunner(unsigned jobs)
+ParallelRunner::ParallelRunner(unsigned jobs, SharedMemo &memo)
     : jobs_(jobs == 0 ? util::ThreadPool::defaultThreadCount() : jobs),
       pool_(jobs_ > 1 ? std::make_unique<util::ThreadPool>(jobs_)
                       : nullptr),
-      context_(pool_.get())
+      context_(pool_.get(), memo)
 {}
 
 void

@@ -7,9 +7,15 @@
  * embarrassingly parallel across benchmarks. ParallelRunner spreads
  * that grid over a fixed thread pool (util::ThreadPool), with idle
  * workers claiming the next item, and gives all of them one shared
- * ExperimentContext: a thread-safe memo in which every trace is
- * generated once and every profile computed once, whichever worker
- * asks first. Results come back in index order.
+ * ExperimentContext: a thread-safe memo in which every profile and row
+ * is computed once, whichever worker asks first. Below it, every
+ * runner in the process shares one SharedMemo (SharedMemo::process()
+ * unless the constructor is given another): each generated trace and
+ * each synthetic step-1 pass its store misses is computed once per
+ * process, so Figure 9's runner reuses what Table 2's runner made. The
+ * memo keeps at most its own byte cap (sharedMemoBudgetBytes); what
+ * does not fit stays with the runner that made it, as if there were no
+ * memo. Results come back in index order.
  *
  * Determinism contract: trace generation, profiling, and simulation
  * are all pure functions of the benchmark spec (the xoshiro RNG is
@@ -56,8 +62,11 @@ class ParallelRunner
      * @param jobs worker count; 0 means "one per hardware thread".
      *             jobs == 1 runs everything inline on the calling
      *             thread with no pool — the exact serial path.
+     * @param memo the memo shared with other runners; tests pass a
+     *             fresh one. It must outlive the runner.
      */
-    explicit ParallelRunner(unsigned jobs = 0);
+    explicit ParallelRunner(unsigned jobs = 0,
+                            SharedMemo &memo = SharedMemo::process());
 
     ParallelRunner(const ParallelRunner &) = delete;
     ParallelRunner &operator=(const ParallelRunner &) = delete;

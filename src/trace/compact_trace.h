@@ -27,9 +27,12 @@
  * instead. Replays are record-for-record identical either way.
  *
  * Generated traces (sim::ExperimentContext::trace()) take the same
- * form through CompactTrace::intern(), which charges no budget: they
- * have no streaming fallback, and the generated set is bounded by the
- * suite.
+ * form through CompactTrace::intern(), which charges no budget: a
+ * generated trace has no streaming fallback. The process-wide memo
+ * that shares generated traces across contexts (sim::SharedMemo)
+ * bounds what it keeps by a byte cap of its own, apart from this
+ * budget, so generated traces never take room a resident external
+ * trace could use.
  */
 
 #ifndef VLPSIM_TRACE_COMPACT_TRACE_H

@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "core/profiler.h"
+#include "sim/experiment.h"
+#include "sim/shared_memo.h"
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
 #include "store/checkpoint.h"
@@ -49,6 +51,7 @@
 #include "util/checksum.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "workload/benchmarks.h"
 
 namespace {
 
@@ -2192,6 +2195,39 @@ TEST_F(SuiteHarness, ZeroResidentBudgetMatchesResidentRun)
             << "jobs=" << jobs << ": the zero budget kept a trace resident";
     }
     EXPECT_EQ(trace::ResidentBudget::process().used(), 0u);
+}
+
+TEST_F(SuiteHarness, SyntheticRunLeavesTheResidentBudgetToTraces)
+{
+    // The process memo keeps generated traces and step-1 results under
+    // a cap of its own. After a synthetic sweep has filled it, the
+    // resident budget is as it was, and a trace suite run with no more
+    // budget than the memo holds still keeps every trace resident: it
+    // reads each file exactly as often as it does with nothing before.
+    const auto counted_run = [&](CountingOpener &counting) {
+        auto options = baseOptions();
+        options.opener = counting.opener();
+        return runWithFreshStore(std::move(options), path("cache"));
+    };
+    CountingOpener before(trace::fastOpener(trace::ReadMode::Auto));
+    const StoreRun alone = counted_run(before);
+
+    const std::uint64_t used = trace::ResidentBudget::process().used();
+    setenv("VLPSIM_SCALE", "0.05", 1);
+    {
+        sim::ExperimentContext context;
+        context.sweep(workload::findBenchmark("gcc"), 12, false);
+    }
+    unsetenv("VLPSIM_SCALE");
+    const std::uint64_t held = sim::SharedMemo::process().heldBytes();
+    ASSERT_GT(held, 0u);
+    EXPECT_EQ(trace::ResidentBudget::process().used(), used);
+
+    const trace::ScopedResidentCapacity as_much_as_the_memo(held);
+    CountingOpener after(trace::fastOpener(trace::ReadMode::Auto));
+    expectSameRun(alone, counted_run(after), 1);
+    EXPECT_EQ(after.served(), before.served());
+    EXPECT_EQ(after.opens(), before.opens());
 }
 
 TEST_F(SuiteHarness, CorruptTracesKeepTheirQuarantineCauses)

@@ -6,19 +6,29 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/profiler.h"
 #include "predictors/budget.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
+#include "sim/shared_memo.h"
 #include "store/artifact_store.h"
+#include "trace/compact_trace.h"
+#include "util/cancel.h"
 #include "util/thread_pool.h"
 #include "workload/benchmarks.h"
 
@@ -236,8 +246,11 @@ expectIdenticalRows(const std::vector<ComparisonRow> &serial,
 TEST_F(ParallelHarness, ConditionalRowsBitIdenticalAcrossJobs)
 {
     const auto specs = testSpecs();
-    ParallelRunner serial(1);
-    ParallelRunner parallel(4);
+    // A memo each, so the --jobs 4 run computes from scratch too.
+    SharedMemo serial_memo;
+    SharedMemo parallel_memo;
+    ParallelRunner serial(1, serial_memo);
+    ParallelRunner parallel(4, parallel_memo);
     const unsigned serial_length =
         serial.globalLength(4096, false);
     const unsigned parallel_length =
@@ -251,8 +264,11 @@ TEST_F(ParallelHarness, ConditionalRowsBitIdenticalAcrossJobs)
 TEST_F(ParallelHarness, IndirectRowsBitIdenticalAcrossJobs)
 {
     const auto specs = testSpecs();
-    ParallelRunner serial(1);
-    ParallelRunner parallel(4);
+    // A memo each, so the --jobs 4 run computes from scratch too.
+    SharedMemo serial_memo;
+    SharedMemo parallel_memo;
+    ParallelRunner serial(1, serial_memo);
+    ParallelRunner parallel(4, parallel_memo);
     const unsigned serial_length = serial.globalLength(512, true);
     const unsigned parallel_length =
         parallel.globalLength(512, true);
@@ -264,8 +280,11 @@ TEST_F(ParallelHarness, IndirectRowsBitIdenticalAcrossJobs)
 
 TEST_F(ParallelHarness, AverageSweepBitIdenticalAcrossJobs)
 {
-    ParallelRunner serial(1);
-    ParallelRunner parallel(4);
+    // A memo each, so the --jobs 4 run computes from scratch too.
+    SharedMemo serial_memo;
+    SharedMemo parallel_memo;
+    ParallelRunner serial(1, serial_memo);
+    ParallelRunner parallel(4, parallel_memo);
     const auto serial_sweep = serial.averageSweep(4096, false);
     const auto parallel_sweep =
         parallel.averageSweep(4096, false);
@@ -286,80 +305,137 @@ runTable2Body(ParallelRunner &runner)
 
 /** Figure 9's body (bench_fig9): one item per budget, each needing
  *  its own suite average plus a gcc comparison. */
-void
+std::vector<ComparisonRow>
 runFigure9Body(ParallelRunner &runner)
 {
     const auto &gcc = workload::findBenchmark("gcc");
     const std::vector<std::size_t> sizes = {1024, 4096, 16384, 65536,
                                             262144};
-    runner.map<int>(sizes.size(), [&](ExperimentContext &context,
-                                      std::size_t i) {
-        const unsigned global_length =
-            context.globalLength(sizes[i], false);
-        context.sweep(gcc, pred::conditionalIndexBits(sizes[i]), false);
-        const auto row = compare(context, gcc, sizes[i], global_length,
-                                 false, true);
-        for (const auto &entry : row.entries)
-            runner.addPredictions(entry.branches);
-        return 0;
-    });
+    return runner.map<ComparisonRow>(
+        sizes.size(), [&](ExperimentContext &context, std::size_t i) {
+            const unsigned global_length =
+                context.globalLength(sizes[i], false);
+            context.sweep(gcc, pred::conditionalIndexBits(sizes[i]),
+                          false);
+            const auto row = compare(context, gcc, sizes[i],
+                                     global_length, false, true);
+            for (const auto &entry : row.entries)
+                runner.addPredictions(entry.branches);
+            return row;
+        });
 }
+
+/** Budgets Table 2 sweeps: five conditional, four indirect. */
+constexpr std::size_t table2Budgets = 9;
+
+/** Budgets Figure 9 sweeps, all conditional. */
+constexpr std::size_t figure9Budgets = 5;
 
 TEST_F(ParallelHarness, Table2GeneratesEachProfileTraceOnce)
 {
+    const std::size_t suite = workload::benchmarkSuite().size();
     for (const unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
-        ParallelRunner runner(jobs);
+        SharedMemo memo;
+        ParallelRunner runner(jobs, memo);
         runTable2Body(runner);
         // 16 profile traces, each shared by all nine budgets.
-        EXPECT_EQ(runner.context().traceGenerations(),
-                  workload::benchmarkSuite().size());
+        EXPECT_EQ(memo.traceGenerations(), suite);
+        EXPECT_EQ(memo.step1Passes(), table2Budgets * suite);
     }
 }
 
 TEST_F(ParallelHarness, Figure9GeneratesEachTraceOnce)
 {
+    const std::size_t suite = workload::benchmarkSuite().size();
     for (const unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));
-        ParallelRunner runner(jobs);
+        SharedMemo memo;
+        ParallelRunner runner(jobs, memo);
         runFigure9Body(runner);
         // 16 profile traces plus gcc's test trace.
-        EXPECT_EQ(runner.context().traceGenerations(),
-                  workload::benchmarkSuite().size() + 1);
+        EXPECT_EQ(memo.traceGenerations(), suite + 1);
+        EXPECT_EQ(memo.step1Passes(), figure9Budgets * suite);
     }
+}
+
+/** One runner's store traffic and predictions, and the bytes of every
+ *  entry it left in its store, by file name. */
+struct Traffic
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t inserts = 0;
+    std::uint64_t predictions = 0;
+    std::map<std::string, std::string> entries;
+};
+
+/** Run @p body on a fresh runner over @p memo and an empty store in
+ *  @p directory. */
+template <typename Body>
+Traffic
+runWithStore(unsigned jobs, SharedMemo &memo, const std::string &directory,
+             Body &&body)
+{
+    namespace fs = std::filesystem;
+    fs::remove_all(directory);
+    store::StoreOptions options;
+    options.directory = directory;
+    const auto store = std::make_shared<store::ArtifactStore>(options);
+    Traffic traffic;
+    {
+        ParallelRunner runner(jobs, memo);
+        runner.setStore(store);
+        body(runner);
+        traffic.predictions = runner.predictions();
+    }
+    const store::StoreCounters counters = store->counters();
+    traffic.hits = counters.hits;
+    traffic.misses = counters.misses;
+    traffic.inserts = counters.inserts;
+    for (const auto &file :
+         fs::recursive_directory_iterator(directory + "/objects")) {
+        if (!file.is_regular_file())
+            continue;
+        std::ifstream in(file.path(), std::ios::binary);
+        traffic.entries[file.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    fs::remove_all(directory);
+    return traffic;
+}
+
+void
+expectSameTraffic(const Traffic &expected, const Traffic &actual)
+{
+    EXPECT_EQ(actual.hits, expected.hits);
+    EXPECT_EQ(actual.misses, expected.misses);
+    EXPECT_EQ(actual.inserts, expected.inserts);
+    EXPECT_EQ(actual.predictions, expected.predictions);
+    EXPECT_TRUE(actual.entries == expected.entries)
+        << "stored entries differ";
 }
 
 TEST_F(ParallelHarness, StoreTrafficAndPredictionsIdenticalAcrossJobs)
 {
     // Every artifact key is fetched and inserted exactly once per
-    // runner, whichever worker gets to it first.
-    const std::string directory = testing::TempDir() + "/vlpsim_jobs_store";
-    struct Traffic
-    {
-        std::uint64_t hits, misses, inserts, predictions;
-    };
-    const auto run = [&](unsigned jobs) {
-        std::filesystem::remove_all(directory);
-        store::StoreOptions options;
-        options.directory = directory;
-        const auto store = std::make_shared<store::ArtifactStore>(options);
-        ParallelRunner runner(jobs);
-        runner.setStore(store);
-        runFigure9Body(runner);
-        const unsigned global_length = runner.globalLength(2048, true);
-        runner.compareSuite(testSpecs(), 2048, global_length, true);
-        const store::StoreCounters counters = store->counters();
-        return Traffic{counters.hits, counters.misses, counters.inserts,
-                       runner.predictions()};
+    // runner, whichever worker gets to it first. A memo per runner, so
+    // the --jobs 4 run computes from scratch too.
+    const auto run = [](unsigned jobs) {
+        SharedMemo memo;
+        return runWithStore(
+            jobs, memo, testing::TempDir() + "/vlpsim_jobs_store",
+            [](ParallelRunner &runner) {
+                runFigure9Body(runner);
+                const unsigned global_length =
+                    runner.globalLength(2048, true);
+                runner.compareSuite(testSpecs(), 2048, global_length,
+                                    true);
+            });
     };
     const Traffic serial = run(1);
-    const Traffic parallel = run(4);
-    std::filesystem::remove_all(directory);
     EXPECT_GT(serial.inserts, 0u);
-    EXPECT_EQ(parallel.hits, serial.hits);
-    EXPECT_EQ(parallel.misses, serial.misses);
-    EXPECT_EQ(parallel.inserts, serial.inserts);
-    EXPECT_EQ(parallel.predictions, serial.predictions);
+    expectSameTraffic(serial, run(4));
 }
 
 TEST_F(ParallelHarness, SerialRunnerMatchesPlainContext)
@@ -373,6 +449,186 @@ TEST_F(ParallelHarness, SerialRunnerMatchesPlainContext)
         runner.compareSuite({spec}, 4096, 4, false);
     ASSERT_EQ(via_runner.size(), 1u);
     expectIdenticalRows({direct}, via_runner);
+}
+
+/** The shared memo's tests, at the parallel harness's scale. */
+class SharedMemoHarness : public ParallelHarness
+{
+};
+
+TEST_F(SharedMemoHarness, Figure9ReusesWhatTable2Computed)
+{
+    // Table 2's runner and then Figure 9's, in one process with
+    // separate stores: Figure 9's global lengths come from the very
+    // sweeps Table 2 ran, so its runner generates only gcc's test
+    // trace and runs no step-1 pass. Its store still sees what it
+    // would see over a fresh memo, byte for byte.
+    const std::size_t suite = workload::benchmarkSuite().size();
+    const std::string directory = testing::TempDir() + "/vlpsim_memo_";
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        SharedMemo memo;
+        runWithStore(jobs, memo, directory + "table2", runTable2Body);
+        EXPECT_EQ(memo.traceGenerations(), suite);
+        EXPECT_EQ(memo.step1Passes(), table2Budgets * suite);
+        EXPECT_GT(memo.heldBytes(), 0u);
+
+        const Traffic after_table2 = runWithStore(
+            jobs, memo, directory + "fig9", runFigure9Body);
+        EXPECT_EQ(memo.traceGenerations(), suite + 1);
+        EXPECT_EQ(memo.step1Passes(), table2Budgets * suite);
+
+        SharedMemo fresh;
+        const Traffic alone = runWithStore(
+            jobs, fresh, directory + "alone", runFigure9Body);
+        EXPECT_EQ(fresh.traceGenerations(), suite + 1);
+        EXPECT_EQ(fresh.step1Passes(), figure9Budgets * suite);
+        EXPECT_GT(alone.inserts, 0u);
+        expectSameTraffic(alone, after_table2);
+    }
+}
+
+TEST_F(SharedMemoHarness, OverBudgetEntriesStayPrivate)
+{
+    // A memo with no room keeps nothing: each runner generates and
+    // sweeps for itself, as if there were no memo, and the rows are
+    // the same. The resident budget is never touched.
+    std::vector<ComparisonRow> shared_rows;
+    {
+        SharedMemo memo;
+        ParallelRunner table2(4, memo);
+        runTable2Body(table2);
+        ParallelRunner figure9(4, memo);
+        shared_rows = runFigure9Body(figure9);
+    }
+
+    const std::size_t suite = workload::benchmarkSuite().size();
+    const std::uint64_t used = trace::ResidentBudget::process().used();
+    SharedMemo memo(0);
+    {
+        ParallelRunner table2(4, memo);
+        runTable2Body(table2);
+    }
+    EXPECT_EQ(memo.heldBytes(), 0u);
+    // Within one runner each entry is still obtained once.
+    EXPECT_EQ(memo.traceGenerations(), suite);
+    EXPECT_EQ(memo.step1Passes(), table2Budgets * suite);
+
+    ParallelRunner figure9(4, memo);
+    expectIdenticalRows(shared_rows, runFigure9Body(figure9));
+    EXPECT_EQ(memo.heldBytes(), 0u);
+    EXPECT_EQ(memo.traceGenerations(), 2 * suite + 1);
+    EXPECT_EQ(memo.step1Passes(), (table2Budgets + figure9Budgets) * suite);
+    EXPECT_EQ(trace::ResidentBudget::process().used(), used);
+}
+
+/** The conditional step-1 result of @p spec at 10 index bits, run
+ *  from scratch. */
+std::shared_ptr<const core::Profiler>
+step1From(const workload::BenchmarkSpec &spec)
+{
+    core::ProfileOptions options;
+    options.indexBits = 10;
+    auto profiler = std::make_shared<core::Profiler>(options, false);
+    trace::VectorTraceSource source =
+        workload::generateTrace(spec, workload::InputKind::Profile);
+    profiler->runStep1(source);
+    return profiler;
+}
+
+TEST_F(SharedMemoHarness, CancelledRequesterLeavesItsWaiterToRecompute)
+{
+    // Requester A is cancelled inside the shared computation while B
+    // waits on the same entry: A sees its CancelledError, B computes
+    // the entry itself and gets the from-scratch result.
+    SharedMemo memo;
+    const auto &li = workload::findBenchmark("li");
+    const auto expected = step1From(li);
+    const auto cancel_a = std::make_shared<util::CancelToken>();
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::thread a([&] {
+        EXPECT_THROW(memo.step1("li", cancel_a.get(),
+                                [&]() -> std::shared_ptr<const core::Profiler> {
+                                    entered.set_value();
+                                    released.wait();
+                                    cancel_a->throwIfCancelled();
+                                    return nullptr;
+                                }),
+                     util::CancelledError);
+    });
+    entered.get_future().wait();
+
+    std::shared_ptr<const core::Profiler> b_result;
+    bool b_cancelled = false;
+    std::thread b([&] {
+        try {
+            b_result = memo.step1("li", nullptr,
+                                  [&] { return step1From(li); });
+        } catch (const util::CancelledError &) {
+            b_cancelled = true;
+        }
+    });
+    // Give B time to block on A's computation.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancel_a->cancel();
+    release.set_value();
+    a.join();
+    b.join();
+
+    EXPECT_FALSE(b_cancelled);
+    ASSERT_TRUE(b_result);
+    EXPECT_EQ(b_result->step1Sweep().mispredictions,
+              expected->step1Sweep().mispredictions);
+    EXPECT_EQ(memo.step1Passes(), 1u);
+    // The entry is now shared: a later requester computes nothing.
+    EXPECT_EQ(memo.step1("li", nullptr, [&] { return step1From(li); }),
+              b_result);
+    EXPECT_EQ(memo.step1Passes(), 1u);
+}
+
+TEST_F(SharedMemoHarness, CancellingOneContextLeavesAnotherContextsSweep)
+{
+    // Context A starts a sweep and is cancelled while it generates the
+    // profile trace (m88ksim's takes the longest) inside the shared
+    // step-1 computation, with context B waiting on that computation.
+    // A unwinds cancelled, or finishes if the timing let it past the
+    // check; B always gets the from-scratch sweep.
+    const auto &m88ksim = workload::findBenchmark("m88ksim");
+    const core::FixedLengthSweep expected = step1From(m88ksim)->step1Sweep();
+    for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        SharedMemo memo;
+        ExperimentContext a(nullptr, memo);
+        ExperimentContext b(nullptr, memo);
+        const auto cancel_a = std::make_shared<util::CancelToken>();
+        a.setCancelToken(cancel_a);
+        std::thread ta([&] {
+            try {
+                EXPECT_EQ(a.sweep(m88ksim, 10, false).mispredictions,
+                          expected.mispredictions);
+            } catch (const util::CancelledError &) {
+            }
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        core::FixedLengthSweep b_sweep;
+        bool b_cancelled = false;
+        std::thread tb([&] {
+            try {
+                b_sweep = b.sweep(m88ksim, 10, false);
+            } catch (const util::CancelledError &) {
+                b_cancelled = true;
+            }
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        cancel_a->cancel();
+        ta.join();
+        tb.join();
+        EXPECT_FALSE(b_cancelled);
+        EXPECT_EQ(b_sweep.mispredictions, expected.mispredictions);
+        EXPECT_EQ(b_sweep.branches, expected.branches);
+    }
 }
 
 } // anonymous namespace

@@ -11,11 +11,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/profiler.h"
 #include "predictors/bimodal.h"
 #include "predictors/gshare.h"
 #include "predictors/target_cache.h"
 #include "sim/experiment.h"
 #include "sim/frontend.h"
+#include "sim/shared_memo.h"
 #include "sim/simulator.h"
 #include "util/cancel.h"
 #include "workload/benchmarks.h"
@@ -361,6 +363,41 @@ TEST_F(ExperimentHarness, HistoryOptionsKeyedSeparately)
               without_rotation.mispredictions[15]);
 }
 
+TEST_F(ExperimentHarness, HistoryStackDepthKeyedSeparately)
+{
+    // Two sweeps with the history stack on that differ only in its
+    // depth are different artifacts: through one context, each must
+    // equal a direct profiler run at its own depth. (m88ksim's calls
+    // nest deeper than 4 but, at this scale, never deeper than 8.)
+    ExperimentContext context;
+    const auto &spec = workload::findBenchmark("m88ksim");
+    const auto direct = [&](unsigned depth) {
+        core::ProfileOptions options;
+        options.indexBits = 10;
+        options.history.historyStack = true;
+        options.history.historyStackDepth = depth;
+        core::Profiler profiler(options, false);
+        trace::VectorTraceSource source =
+            workload::generateTrace(spec, workload::InputKind::Profile);
+        return profiler.runStep1(source);
+    };
+    const core::FixedLengthSweep shallow = direct(4);
+    const core::FixedLengthSweep deep = direct(64);
+    ASSERT_NE(shallow.mispredictions, deep.mispredictions);
+    for (const unsigned depth : {4u, 64u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        core::PathHistoryOptions history;
+        history.historyStack = true;
+        history.historyStackDepth = depth;
+        const core::FixedLengthSweep &swept =
+            context.sweep(spec, 10, false, history);
+        const core::FixedLengthSweep &expected =
+            depth == 4 ? shallow : deep;
+        EXPECT_EQ(swept.mispredictions, expected.mispredictions);
+        EXPECT_EQ(swept.branches, expected.branches);
+    }
+}
+
 /** Every record @p source yields from its start. */
 std::vector<trace::BranchRecord>
 drain(trace::TraceSource &source)
@@ -377,22 +414,24 @@ TEST_F(ExperimentHarness, EachTraceIsGeneratedOncePerContext)
 {
     // More distinct traces than any per-worker cache would keep, each
     // requested and dropped twice: the memo generates each once and
-    // replays exactly what the generator produces.
-    ExperimentContext context;
+    // replays exactly what the generator produces. A fresh memo, so
+    // no trace comes from an earlier test in this process.
+    SharedMemo memo;
+    ExperimentContext context(nullptr, memo);
     const char *names[] = {"compress", "li", "pgp", "go", "plot", "ss"};
     for (int round = 0; round < 2; ++round) {
         for (const char *name : names) {
             context.trace(workload::findBenchmark(name),
                           workload::InputKind::Test);
         }
-        EXPECT_EQ(context.traceGenerations(), std::size(names));
+        EXPECT_EQ(memo.traceGenerations(), std::size(names));
     }
     const auto &spec = workload::findBenchmark("compress");
     const auto cursor = context.trace(spec, workload::InputKind::Test);
     EXPECT_EQ(drain(*cursor),
               workload::generateTrace(spec, workload::InputKind::Test)
                   .records());
-    EXPECT_EQ(context.traceGenerations(), std::size(names));
+    EXPECT_EQ(memo.traceGenerations(), std::size(names));
 }
 
 TEST_F(ExperimentHarness, TraceCursorsReplayIndependently)
@@ -435,7 +474,8 @@ TEST_F(ExperimentHarness, FailedTraceGenerationRethrowsAndRetries)
     // A generation that fails (here: the context is cancelled) fails
     // every caller that asked for the trace at the same time, caches
     // nothing, and the next call generates afresh.
-    ExperimentContext context;
+    SharedMemo memo;
+    ExperimentContext context(nullptr, memo);
     auto token = std::make_shared<util::CancelToken>();
     token->cancel();
     context.setCancelToken(token);
@@ -461,16 +501,16 @@ TEST_F(ExperimentHarness, FailedTraceGenerationRethrowsAndRetries)
     for (std::thread &thread : threads)
         thread.join();
     EXPECT_EQ(cancelled.load(), callers);
-    EXPECT_EQ(context.traceGenerations(), 0u);
+    EXPECT_EQ(memo.traceGenerations(), 0u);
 
     context.setCancelToken(nullptr);
     const auto cursor = context.trace(spec, workload::InputKind::Profile);
-    EXPECT_EQ(context.traceGenerations(), 1u);
+    EXPECT_EQ(memo.traceGenerations(), 1u);
     EXPECT_EQ(drain(*cursor),
               workload::generateTrace(spec, workload::InputKind::Profile)
                   .records());
     context.trace(spec, workload::InputKind::Profile);
-    EXPECT_EQ(context.traceGenerations(), 1u);
+    EXPECT_EQ(memo.traceGenerations(), 1u);
 }
 
 TEST(PredictorResultRate, ZeroBranchesIsZeroNotNan)
