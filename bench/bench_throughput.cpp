@@ -12,7 +12,6 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
@@ -24,9 +23,7 @@
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "store/artifact_store.h"
-#include "util/bits.h"
 #include "util/rng.h"
-#include "util/saturating_counter.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -152,8 +149,7 @@ step1Trace()
 /**
  * The step-1 conditional profiling kernel as shipped: packed 2-bit
  * counter tables (128 KiB for the full 32-length bank at 14 index
- * bits), one pass over the trace. Compare against
- * BM_Step1ConditionalUnpacked for the kernel speedup.
+ * bits), one pass over the trace.
  */
 void
 BM_Step1Conditional(benchmark::State &state)
@@ -169,93 +165,6 @@ BM_Step1Conditional(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Step1Conditional)->Unit(benchmark::kMillisecond);
-
-/**
- * The pre-packing index bank: one partial-sum register per length
- * updated with an O(depth) rotate loop, plus an O(depth) THB shift —
- * the maintenance cost every record used to pay before the running-sum
- * reformulation in PathIndexBank. Depth and index width are runtime
- * state, as they were in the original (separately compiled) bank, so
- * the replica keeps its codegen rather than constant-folding into
- * something the shipped code never was.
- */
-struct UnpackedBank
-{
-    unsigned depth;
-    unsigned indexBits;
-    std::vector<std::uint64_t> indices;
-    std::vector<std::uint64_t> thb;
-
-    UnpackedBank(unsigned depth_, unsigned index_bits)
-        : depth(depth_), indexBits(index_bits), indices(depth_, 0),
-          thb(depth_, 0)
-    {
-    }
-
-    void
-    observe(const trace::BranchRecord &record)
-    {
-        if (!record.entersPathHistory(false))
-            return;
-        const std::uint64_t compressed =
-            util::truncate(record.nextPc >> 2, indexBits);
-        for (unsigned x = depth; x-- > 1;)
-            indices[x] =
-                util::rotl(indices[x - 1], 1, indexBits) ^ compressed;
-        indices[0] = compressed;
-        for (unsigned i = depth; i-- > 1;)
-            thb[i] = thb[i - 1];
-        thb[0] = compressed;
-    }
-};
-
-/**
- * Faithful replica of the earlier serial step-1 kernel: one
- * std::vector<util::SaturatingCounter> per length (~6 MB of table
- * state at 14 index bits — far past L2), the O(depth)-per-record
- * bank maintenance above, and branchy per-length tallies. This is
- * the baseline the packed kernel's speedup is measured against.
- */
-void
-BM_Step1ConditionalUnpacked(benchmark::State &state)
-{
-    auto &trace = step1Trace();
-    const unsigned index_bits = 14;
-    const unsigned num_lengths = core::maxPathLength;
-    const std::size_t table_size = std::size_t{1} << index_bits;
-    for (auto _ : state) {
-        UnpackedBank bank(num_lengths, index_bits);
-        std::vector<std::vector<util::SaturatingCounter>> tables(
-            num_lengths,
-            std::vector<util::SaturatingCounter>(
-                table_size, util::SaturatingCounter(2)));
-        std::vector<std::uint64_t> mispredictions(num_lengths, 0);
-        std::unordered_map<std::uint64_t, core::BranchProfile>
-            profiles;
-        for (const auto &record : trace.records()) {
-            if (record.isConditional()) {
-                core::BranchProfile &profile = profiles[record.pc];
-                ++profile.executions;
-                for (unsigned length = 1; length <= num_lengths;
-                     ++length) {
-                    util::SaturatingCounter &counter =
-                        tables[length - 1][static_cast<std::size_t>(
-                            bank.indices[length - 1])];
-                    if (counter.predictTaken() == record.taken)
-                        ++profile.correct[length - 1];
-                    else
-                        ++mispredictions[length - 1];
-                    counter.update(record.taken);
-                }
-            }
-            bank.observe(record);
-        }
-        benchmark::DoNotOptimize(mispredictions.data());
-        benchmark::DoNotOptimize(profiles.size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Step1ConditionalUnpacked)->Unit(benchmark::kMillisecond);
 
 /**
  * The parallel experiment engine end to end: simulate gshare over four

@@ -52,9 +52,9 @@ FixedLengthSweep::bestLength() const
 }
 
 using detail::ConditionalClass;
+using detail::EdgeChunk;
+using detail::EdgeFeed;
 using detail::IndirectClass;
-using detail::RecordFeed;
-using detail::ReplayFeed;
 using detail::Step1Kernel;
 using detail::withClass;
 
@@ -88,6 +88,16 @@ historyFor(const ProfileOptions &options)
     PathHistoryOptions history = options.history;
     history.depth = options.maxLength;
     return history;
+}
+
+/** Each of @p pcs mapped to its index in the list. */
+std::unordered_map<std::uint64_t, std::uint32_t>
+indexOf(const std::vector<std::uint64_t> &pcs)
+{
+    std::unordered_map<std::uint64_t, std::uint32_t> index;
+    for (std::uint32_t i = 0; i < pcs.size(); ++i)
+        index.emplace(pcs[i], i);
+    return index;
 }
 
 /** Number of path lengths step 1 sweeps. */
@@ -411,41 +421,29 @@ using Step1TablesOf =
 
 /**
  * The step-1 loop, the same for both classes and both kernels: each
- * profiled record goes through the kernel, every record into the bank.
+ * profiled record goes through the kernel and tallies into the
+ * profile of its edge's slot, every record goes into the bank.
  */
 template <typename Class, typename Kernel>
 [[gnu::always_inline]] inline void
-step1Loop(RecordFeed &feed, const ProfileOptions &options,
-          FixedLengthSweep &sweep,
-          std::unordered_map<std::uint64_t, BranchProfile> &profiles)
+step1Loop(EdgeFeed &feed, const ProfileOptions &options,
+          FixedLengthSweep &sweep, std::vector<BranchProfile> &profiles)
 {
     PathIndexBank bank(options.indexBits, historyFor(options));
     Kernel kernel(options, bank);
     // Room for every lane of every chunk; added to the sweep once.
     alignas(64) std::array<std::uint64_t, maxPathLength> misses{};
     std::uint64_t branches = 0;
-
-    // Direct-mapped pc -> profile cache in front of the hash map. Hot
-    // branches dominate a trace, so most records hit; BranchProfile
-    // references are stable across unordered_map inserts, making the
-    // cached pointers safe.
-    struct CachedProfile
-    {
-        std::uint64_t pc = 0;
-        BranchProfile *profile = nullptr;
-    };
-    std::array<CachedProfile, 1024> recent{};
-
-    for (auto records = feed.next(); !records.empty();
-         records = feed.next()) {
-        for (const trace::BranchRecord &record : records) {
+    for (EdgeChunk chunk = feed.next(); !chunk.ids.empty();
+         chunk = feed.next()) {
+        const trace::BranchRecord *edges = chunk.edges.data();
+        const std::uint32_t *slots = chunk.slots.data();
+        // next() may have added slots, and so moved the profiles.
+        BranchProfile *slot_profiles = profiles.data();
+        for (const trace::CompactTrace::EdgeId id : chunk.ids) {
+            const trace::BranchRecord &record = edges[id];
             if (Class::profiled(record)) {
-                CachedProfile &cached = recent[(record.pc >> 2) & 1023];
-                if (cached.pc != record.pc || cached.profile == nullptr) {
-                    cached.pc = record.pc;
-                    cached.profile = &profiles[record.pc];
-                }
-                BranchProfile &profile = *cached.profile;
+                BranchProfile &profile = slot_profiles[slots[id]];
                 profile.addExecution();
                 ++branches;
                 kernel.access(bank, record,
@@ -467,9 +465,9 @@ step1Loop(RecordFeed &feed, const ProfileOptions &options,
 /** step1Loop() with the AVX-512 kernel, compiled for AVX-512. */
 template <typename Class>
 VLPSIM_AVX512 void
-step1LoopAvx512(RecordFeed &feed, const ProfileOptions &options,
+step1LoopAvx512(EdgeFeed &feed, const ProfileOptions &options,
                 FixedLengthSweep &sweep,
-                std::unordered_map<std::uint64_t, BranchProfile> &profiles)
+                std::vector<BranchProfile> &profiles)
 {
     step1Loop<Class, Avx512Kernel<Step1TablesOf<Class>>>(feed, options,
                                                          sweep, profiles);
@@ -479,23 +477,39 @@ step1LoopAvx512(RecordFeed &feed, const ProfileOptions &options,
 /**
  * One step-2 pass for one class: one variable length path predictor
  * (N hash functions, one shared table) over the whole trace, with the
- * per-slot @p lengths, counting misses per slot.
+ * per-branch @p branch_lengths (the last for every other pc), adding
+ * each branch's misses to @p branch_misses. Per chunk, the lengths go
+ * out to the edges and the edges' misses come back to the branches.
  */
 template <typename Class>
 void
-step2Loop(ReplayFeed &feed, unsigned index_bits,
-          const PathHistoryOptions &history, const std::uint8_t *lengths,
-          std::uint64_t *misses)
+step2Loop(EdgeFeed &feed, unsigned index_bits,
+          const PathHistoryOptions &history,
+          std::span<const std::uint8_t> branch_lengths,
+          std::vector<std::uint64_t> &branch_misses)
 {
     PathIndexBank bank(index_bits, history);
     typename Class::Table table = Class::table(index_bits);
-    feed.replay<Class>(
-        [&](const trace::BranchRecord &record, std::uint32_t slot) {
-            misses[slot] += !Class::access(
-                table, static_cast<std::size_t>(bank.index(lengths[slot])),
-                record);
-        },
-        [&](const trace::BranchRecord &record) { bank.observe(record); });
+    std::vector<std::uint8_t> lengths;
+    std::vector<std::uint64_t> misses;
+    for (EdgeChunk chunk = feed.next(); !chunk.ids.empty();
+         chunk = feed.next()) {
+        const std::size_t edge_count = chunk.edges.size();
+        lengths.resize(edge_count);
+        misses.assign(edge_count, 0);
+        for (std::size_t edge = 0; edge < edge_count; ++edge)
+            lengths[edge] = branch_lengths[chunk.slots[edge]];
+        for (const trace::CompactTrace::EdgeId id : chunk.ids) {
+            const trace::BranchRecord &record = chunk.edges[id];
+            if (Class::profiled(record))
+                misses[id] += !Class::access(
+                    table, static_cast<std::size_t>(bank.index(lengths[id])),
+                    record);
+            bank.observe(record);
+        }
+        for (std::size_t edge = 0; edge < edge_count; ++edge)
+            branch_misses[chunk.slots[edge]] += misses[edge];
+    }
 }
 
 } // anonymous namespace
@@ -525,31 +539,50 @@ runStep1(Step1Kernel kernel, bool indirect,
     if (kernel == Step1Kernel::avx512
         && nativeStep1Kernel() != Step1Kernel::avx512)
         util::fatal("this CPU cannot run the AVX-512 step-1 kernel");
-    profile_trace.reset();
-    // A resident trace is expanded from its edge ids; any other source
-    // (e.g. a .vbt reader) is consumed in place, in bounded chunks.
-    const auto *cursor =
-        dynamic_cast<const trace::CompactTraceCursor *>(&profile_trace);
-    RecordFeed feed = cursor != nullptr ? RecordFeed(cursor->trace())
-                                        : RecordFeed(profile_trace);
-    profiles.clear();
+    // Profiled branches take dense slots in order of first appearance.
+    std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
+    std::vector<std::uint64_t> pcs;
+    std::vector<BranchProfile> slot_profiles;
     withClass(indirect, [&](auto policy) {
         using Class = decltype(policy);
+        EdgeFeed feed(profile_trace, [&](const trace::BranchRecord &edge) {
+            if (!Class::profiled(edge))
+                return std::uint32_t{0}; // never read
+            const auto [slot, added] = slot_of.try_emplace(
+                edge.pc, static_cast<std::uint32_t>(pcs.size()));
+            if (added) {
+                pcs.push_back(edge.pc);
+                slot_profiles.emplace_back();
+            }
+            return slot->second;
+        });
 #if VLPSIM_STEP1_AVX512
         if (kernel == Step1Kernel::avx512) {
-            step1LoopAvx512<Class>(feed, options, sweep, profiles);
+            step1LoopAvx512<Class>(feed, options, sweep, slot_profiles);
             return;
         }
 #endif
         step1Loop<Class, PortableKernel<Step1TablesOf<Class>>>(
-            feed, options, sweep, profiles);
+            feed, options, sweep, slot_profiles);
     });
+    // Inserted in first-appearance order, as a per-record insert would
+    // have been, so the map iterates in the same order.
+    profiles.clear();
+    for (std::size_t slot = 0; slot < pcs.size(); ++slot)
+        profiles[pcs[slot]] = slot_profiles[slot];
 }
 
 Step2Replay::Step2Replay(trace::TraceSource &profile_trace,
                          const ProfileOptions &options, bool indirect,
-                         std::vector<std::uint64_t> branches)
-    : feed_(profile_trace, std::move(branches)), options_(options),
+                         const std::vector<std::uint64_t> &branches)
+    : feed_(profile_trace,
+            [index = indexOf(branches),
+             other = static_cast<std::uint32_t>(branches.size())](
+                const trace::BranchRecord &edge) {
+                const auto found = index.find(edge.pc);
+                return found == index.end() ? other : found->second;
+            }),
+      branchCount_(branches.size()), options_(options),
       indirect_(indirect)
 {
 }
@@ -562,21 +595,16 @@ Step2Replay::pass(std::span<const std::uint8_t> lengths)
                        [&](std::uint8_t length) {
                            return length >= 1 && length <= history.depth;
                        }));
-    const std::vector<std::uint8_t> slot_lengths =
-        slotLengths(feed_, lengths);
-    std::vector<std::uint64_t> misses(feed_.slotCount(), 0);
+    if (lengths.size() != branchCount_ + 1)
+        util::fatal("step-2 lengths do not match the profiled branches");
+    std::vector<std::uint64_t> misses(lengths.size(), 0);
     withClass(indirect_, [&](auto policy) {
         step2Loop<decltype(policy)>(feed_, options_.indexBits, history,
-                                    slot_lengths.data(), misses.data());
+                                    lengths, misses);
     });
-
-    // Fold the slots (edges of a resident trace) into their branches;
-    // the last entry, every pc outside the list, is dropped.
-    std::vector<std::uint64_t> byBranch(feed_.branches().size() + 1, 0);
-    for (std::size_t slot = 0; slot < misses.size(); ++slot)
-        byBranch[feed_.branchOf(slot)] += misses[slot];
-    byBranch.pop_back();
-    return byBranch;
+    // Every pc outside the list shares the last entry; not reported.
+    misses.pop_back();
+    return misses;
 }
 
 } // namespace detail

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "core/replay_feed.h"
 #include "predictors/gshare.h"
@@ -84,25 +83,16 @@ replayRow(const std::string &name, trace::TraceSource &eval_trace,
     // to its depth, as the standalone predictors clamp it.
     core::PathIndexBank bank(index_bits, history);
     const auto clamp = [&](unsigned length) {
-        return static_cast<std::uint8_t>(std::min(length, bank.depth()));
+        return std::min(length, bank.depth());
     };
     const unsigned flp_length = clamp(global_length);
     const unsigned tuned = clamp(tuned_length);
 
-    // The assignment as per-branch lengths, then the default for every
-    // other pc.
-    std::vector<std::uint64_t> branches;
-    std::vector<std::uint8_t> branch_lengths;
-    branches.reserve(assignment.size());
-    branch_lengths.reserve(assignment.size() + 1);
-    for (const auto &[pc, length] : assignment.table()) {
-        branches.push_back(pc);
-        branch_lengths.push_back(clamp(length));
-    }
-    branch_lengths.push_back(clamp(assignment.defaultLength()));
-    core::detail::ReplayFeed feed(eval_trace, std::move(branches));
-    const std::vector<std::uint8_t> lengths =
-        core::detail::slotLengths(feed, branch_lengths);
+    // Each edge's slot is the length the assignment gives its pc.
+    core::detail::EdgeFeed feed(
+        eval_trace, [&](const trace::BranchRecord &edge) -> std::uint32_t {
+            return clamp(assignment.lookup(edge.pc));
+        });
 
     Baselines baselines(index_bits);
     typename Class::Table flp = Class::table(index_bits);
@@ -113,22 +103,25 @@ replayRow(const std::string &name, trace::TraceSource &eval_trace,
     constexpr std::size_t path = Baselines::names.size();
     std::array<std::uint64_t, path + 3> misses{};
     std::uint64_t branches_seen = 0;
-    feed.replay<Class>(
-        [&](const trace::BranchRecord &record, std::uint32_t slot) {
-            ++branches_seen;
-            baselines.access(record, misses.data());
-            misses[path] +=
-                !Class::access(flp, bank.index(flp_length), record);
-            if (include_tuned)
-                misses[path + 1] +=
-                    !Class::access(flp_tuned, bank.index(tuned), record);
-            misses[path + 2] +=
-                !Class::access(vlp, bank.index(lengths[slot]), record);
-        },
-        [&](const trace::BranchRecord &record) {
+    for (core::detail::EdgeChunk chunk = feed.next(); !chunk.ids.empty();
+         chunk = feed.next()) {
+        for (const trace::CompactTrace::EdgeId id : chunk.ids) {
+            const trace::BranchRecord &record = chunk.edges[id];
+            if (Class::profiled(record)) {
+                ++branches_seen;
+                baselines.access(record, misses.data());
+                misses[path] +=
+                    !Class::access(flp, bank.index(flp_length), record);
+                if (include_tuned)
+                    misses[path + 1] += !Class::access(
+                        flp_tuned, bank.index(tuned), record);
+                misses[path + 2] += !Class::access(
+                    vlp, bank.index(chunk.slots[id]), record);
+            }
             baselines.observe(record);
             bank.observe(record);
-        });
+        }
+    }
 
     ComparisonRow row;
     row.benchmark = name;

@@ -10,8 +10,8 @@
  * their path histories are equal: they share one PathIndexBank,
  * observed once per record, and each reads its own length from it. The
  * baselines are called on their concrete types with a fused
- * predict-and-update, and VLP's per-branch lengths sit in dense slots
- * (core/replay_feed.h).
+ * predict-and-update, and VLP reads each record's length from its edge's
+ * slot (core/replay_feed.h).
  *
  * sim::Simulator runs the same predictors through the virtual
  * predict/update/observe protocol (predictors/predictor.h) and stays

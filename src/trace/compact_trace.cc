@@ -66,14 +66,14 @@ ResidentBudget::release(std::uint64_t bytes)
 }
 
 std::shared_ptr<const CompactTrace>
-CompactTrace::intern(TraceSource &source)
+CompactTrace::intern(TraceSource &source, std::size_t limit)
 {
     // Never refuses: the bytes are counted but bound nothing.
     static ResidentBudget uncharged(
         std::numeric_limits<std::uint64_t>::max());
     Builder builder(0, uncharged);
     BranchRecord record;
-    while (source.next(record)) {
+    for (std::size_t i = 0; i < limit && source.next(record); ++i) {
         if (!builder.add(record))
             util::fatal("trace has too many distinct edges to intern");
     }

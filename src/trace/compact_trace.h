@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -106,11 +107,14 @@ class CompactTrace
     class Builder;
 
     /**
-     * Intern every record @p source yields from its current position,
-     * charging no budget (see the file comment).
+     * Intern the records @p source yields from its current position,
+     * at most @p limit of them, charging no budget (see the file
+     * comment).
      * @throws std::runtime_error past 2^32 - 1 distinct edges
      */
-    static std::shared_ptr<const CompactTrace> intern(TraceSource &source);
+    static std::shared_ptr<const CompactTrace>
+    intern(TraceSource &source,
+           std::size_t limit = std::numeric_limits<std::size_t>::max());
 
     /** Returns every byte it holds to its budget. */
     ~CompactTrace() { budget_.release(charged_); }

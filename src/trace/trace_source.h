@@ -85,6 +85,58 @@ class VectorTraceSource : public TraceSource
     std::size_t position_ = 0;
 };
 
+/**
+ * A [skip, skip+take) window over another source, counted in records.
+ * Useful to drop warmup or to simulate a sample of a long trace.
+ */
+class WindowTraceSource : public TraceSource
+{
+  public:
+    /**
+     * @param inner source to window (borrowed; must outlive this)
+     * @param skip  records to discard from the start
+     * @param take  records to pass through (0 = unlimited)
+     */
+    WindowTraceSource(TraceSource &inner, std::uint64_t skip,
+                      std::uint64_t take = 0)
+        : inner_(inner), skip_(skip), take_(take)
+    {
+    }
+
+    bool
+    next(BranchRecord &record) override
+    {
+        if (!skipped_) {
+            BranchRecord discard;
+            std::uint64_t skipped = 0;
+            while (skipped < skip_ && inner_.next(discard))
+                ++skipped;
+            skipped_ = true;
+        }
+        if (take_ != 0 && delivered_ >= take_)
+            return false;
+        if (!inner_.next(record))
+            return false;
+        ++delivered_;
+        return true;
+    }
+
+    void
+    reset() override
+    {
+        inner_.reset();
+        skipped_ = false;
+        delivered_ = 0;
+    }
+
+  private:
+    TraceSource &inner_;
+    std::uint64_t skip_;
+    std::uint64_t take_;
+    std::uint64_t delivered_ = 0;
+    bool skipped_ = false;
+};
+
 } // namespace trace
 } // namespace vlp
 

@@ -37,7 +37,6 @@
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
 #include "store/checkpoint.h"
-#include "store/fault_injection.h"
 #include "trace/byte_file.h"
 #include "trace/compact_trace.h"
 #include "trace/content_hash.h"
@@ -394,56 +393,6 @@ TEST_F(IngestHarness, RefusedViewsFallBackToBufferedReads)
         ASSERT_EQ(got, want);
     }
     EXPECT_GT(injector.counters().shortViews, 0u);
-}
-
-// --- on-disk corpus corruption ---------------------------------------
-
-TEST_F(IngestHarness, FaultyDirIsDeterministicAndCoversAllFaults)
-{
-    const auto populate = [&](const std::string &sub) {
-        fs::create_directories(path(sub));
-        for (int i = 0; i < 12; ++i) {
-            trace::saveTrace(makeTrace(100 + i, 50),
-                             path(sub) + "/t" + std::to_string(i)
-                                 + ".vbt");
-        }
-    };
-    populate("one");
-    populate("two");
-
-    store::FaultyDir first(path("one"), 99);
-    store::FaultyDir second(path("two"), 99);
-    const auto applied_one = first.corrupt(0.75, ".vbt");
-    const auto applied_two = second.corrupt(0.75, ".vbt");
-
-    ASSERT_EQ(applied_one.size(), applied_two.size());
-    ASSERT_FALSE(applied_one.empty());
-    bool saw[3] = {false, false, false};
-    for (std::size_t i = 0; i < applied_one.size(); ++i) {
-        EXPECT_EQ(fs::path(applied_one[i].path).filename(),
-                  fs::path(applied_two[i].path).filename());
-        EXPECT_EQ(applied_one[i].fault, applied_two[i].fault);
-        saw[static_cast<int>(applied_one[i].fault)] = true;
-    }
-    // Seed 99 over 12 files draws every fault kind at least once.
-    EXPECT_TRUE(saw[0]);
-    EXPECT_TRUE(saw[1]);
-    EXPECT_TRUE(saw[2]);
-
-    // Every corrupted trace now fails loudly somewhere in the
-    // pipeline: open, read, or checksum.
-    for (const auto &applied : applied_one) {
-        EXPECT_THROW(
-            {
-                trace::StreamingTraceReader reader(applied.path, 8);
-                trace::BranchRecord record;
-                while (reader.next(record)) {
-                }
-            },
-            std::runtime_error)
-            << applied.path << " ("
-            << store::FaultyDir::faultName(applied.fault) << ")";
-    }
 }
 
 // --- lenient text conversion -----------------------------------------

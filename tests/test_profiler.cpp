@@ -17,6 +17,7 @@
 #include "trace/compact_trace.h"
 #include "util/rng.h"
 #include "workload/benchmarks.h"
+#include "wide_indirect_trace.h"
 
 namespace {
 
@@ -533,21 +534,12 @@ class StreamingSource : public trace::TraceSource
     std::size_t position_ = 0;
 };
 
+/** Step 1 over @p generated, on every feed, against standalone
+ *  replays. */
 void
-expectStep1MatchesStandalone(detail::Step1Kernel kernel, bool indirect)
+expectStep1MatchesStandaloneOn(detail::Step1Kernel kernel, bool indirect,
+                               std::vector<BranchRecord> generated)
 {
-    // perl has both classes in quantity; > 4096 records so a streamed
-    // source spans several buffers. A third of its indirect branches
-    // jump into another 4 GiB half, where a 32-bit target register
-    // never hits (pred::widenTarget).
-    std::vector<BranchRecord> generated =
-        workload::generateTrace(workload::findBenchmark("perl"),
-                                workload::InputKind::Profile, 0.01)
-            .records();
-    for (BranchRecord &record : generated) {
-        if (record.isIndirect() && (record.pc >> 2) % 3 == 0)
-            record.nextPc += std::uint64_t{1} << 32;
-    }
     trace::VectorTraceSource vector_source(std::move(generated));
     const std::vector<BranchRecord> &records = vector_source.records();
     ASSERT_GT(records.size(), 3 * 4096u);
@@ -617,6 +609,30 @@ expectStep1MatchesStandalone(detail::Step1Kernel kernel, bool indirect)
             }
         }
     }
+}
+
+void
+expectStep1MatchesStandalone(detail::Step1Kernel kernel, bool indirect)
+{
+    // perl has both classes in quantity; > 4096 records so a streamed
+    // source spans several chunks. A third of its indirect branches
+    // jump into another 4 GiB half, where a 32-bit target register
+    // never hits (pred::widenTarget).
+    std::vector<BranchRecord> perl =
+        workload::generateTrace(workload::findBenchmark("perl"),
+                                workload::InputKind::Profile, 0.01)
+            .records();
+    for (BranchRecord &record : perl) {
+        if (record.isIndirect() && (record.pc >> 2) % 3 == 0)
+            record.nextPc += std::uint64_t{1} << 32;
+    }
+    {
+        SCOPED_TRACE("perl");
+        expectStep1MatchesStandaloneOn(kernel, indirect, std::move(perl));
+    }
+    SCOPED_TRACE("wide indirect");
+    expectStep1MatchesStandaloneOn(kernel, indirect,
+                                   testing_traces::makeWideIndirectTrace());
 }
 
 TEST(Step1Oracle, ConditionalPortableKernel)

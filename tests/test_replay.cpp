@@ -1,14 +1,15 @@
 /**
  * @file
  * The replay oracle. Step 2 (Profiler::runStep2() and its passes) and
- * the comparison replay (sim::replayComparison()) run span-fed,
- * monomorphic loops over dense per-branch slots; these tests hold them
- * equal to the reference they replaced — the virtual-predictor step-2
+ * the comparison replay (sim::replayComparison()) run monomorphic
+ * loops over edge-id chunks; these tests hold them equal to the
+ * reference they replaced — the virtual-predictor step-2
  * loop, kept here, and sim::Simulator over the virtual predictors — for
  * both branch classes, the history ablations and every feed (an
  * in-memory trace, a resident CompactTrace, a streamed source). The
  * traces hold pcs that own several edges: an indirect branch with many
- * targets and conditional branches taken both ways.
+ * targets and conditional branches taken both ways, and one trace
+ * runs a streamed source through full chunks of distinct edges.
  */
 
 #include <algorithm>
@@ -35,6 +36,7 @@
 #include "trace/trace_io.h"
 #include "util/rng.h"
 #include "workload/benchmarks.h"
+#include "wide_indirect_trace.h"
 
 namespace {
 
@@ -324,7 +326,8 @@ std::vector<std::pair<std::string, std::vector<BranchRecord>>>
 oracleTraces()
 {
     return {{"multi-edge", makeMultiEdgeTrace(17, 20000)},
-            {"perl", perlTrace()}};
+            {"perl", perlTrace()},
+            {"wide indirect", testing_traces::makeWideIndirectTrace()}};
 }
 
 /**

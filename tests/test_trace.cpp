@@ -14,7 +14,6 @@
 #include "trace/branch_record.h"
 #include "trace/streaming.h"
 #include "trace/text_io.h"
-#include "trace/trace_filter.h"
 #include "trace/trace_io.h"
 #include "trace/trace_source.h"
 #include "trace/trace_stats.h"
@@ -171,12 +170,30 @@ TEST(TraceIo, MissingFileFails)
 
 TEST(TraceIo, BadMagicFails)
 {
-    const std::string path = tempPath("badmagic.vbt");
-    std::FILE *file = std::fopen(path.c_str(), "wb");
+    // A file that is no trace at all, and a trace whose first eight
+    // header bytes (the magic and half the count) were zeroed.
+    const std::string text = tempPath("badmagic.vbt");
+    std::FILE *file = std::fopen(text.c_str(), "wb");
     std::fputs("NOTATRACE-HEADER", file);
     std::fclose(file);
-    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
-    std::remove(path.c_str());
+    const std::string zeroed = tempPath("zeroedheader.vbt");
+    {
+        TraceWriter writer(zeroed);
+        for (int i = 0; i < 8; ++i) {
+            writer.write(make(4 * i, 4 * i + 4, true,
+                              BranchKind::Conditional));
+        }
+    }
+    file = std::fopen(zeroed.c_str(), "rb+");
+    const std::uint8_t zeros[8] = {};
+    std::fwrite(zeros, 1, sizeof zeros, file);
+    std::fclose(file);
+
+    for (const std::string &path : {text, zeroed}) {
+        EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error)
+            << path;
+        std::remove(path.c_str());
+    }
 }
 
 TEST(TraceIo, CorruptKindFails)
@@ -436,31 +453,6 @@ TEST(WindowTraceSource, ZeroTakeIsUnlimited)
     while (window.next(record))
         ++seen;
     EXPECT_EQ(seen, 3);
-}
-
-TEST(FilterTraceSource, PassesMatchingRecordsOnly)
-{
-    VectorTraceSource inner;
-    inner.append(make(4, 8, true, BranchKind::Conditional));
-    inner.append(make(8, 16, true, BranchKind::IndirectJump));
-    inner.append(make(16, 20, false, BranchKind::Conditional));
-    inner.append(make(20, 24, true, BranchKind::Return));
-
-    FilterTraceSource filtered(
-        inner,
-        [](const BranchRecord &record) {
-            return record.isConditional();
-        });
-    BranchRecord record;
-    int seen = 0;
-    while (filtered.next(record)) {
-        EXPECT_TRUE(record.isConditional());
-        ++seen;
-    }
-    EXPECT_EQ(seen, 2);
-    filtered.reset();
-    EXPECT_TRUE(filtered.next(record));
-    EXPECT_EQ(record.pc, 4u);
 }
 
 TEST(TraceStats, CountsPerKind)
