@@ -650,15 +650,23 @@ Profiler::profile(trace::TraceSource &profile_trace)
 }
 
 void
+checkRestoredSweep(const ProfileOptions &options,
+                   const FixedLengthSweep &sweep)
+{
+    validateOptions(options);
+    if (sweep.mispredictions.size() != options.maxLength
+        || sweep.minLength != options.minLength) {
+        util::fatal("restored step-1 sweep does not match the "
+                    "profiler's configured length range");
+    }
+}
+
+void
 Profiler::restoreStep1(
         FixedLengthSweep sweep,
         std::unordered_map<std::uint64_t, BranchProfile> profiles)
 {
-    if (sweep.mispredictions.size() != options_.maxLength
-        || sweep.minLength != options_.minLength) {
-        util::fatal("restored step-1 sweep does not match the "
-                    "profiler's configured length range");
-    }
+    checkRestoredSweep(options_, sweep);
     sweep_ = std::move(sweep);
     profiles_ = std::move(profiles);
     step1Done_ = true;

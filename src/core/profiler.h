@@ -95,6 +95,16 @@ struct FixedLengthSweep
     unsigned bestLength() const;
 };
 
+/**
+ * Throw unless @p sweep can be the step-1 result of a profiler built
+ * with @p options: the options must be valid and the sweep must cover
+ * exactly their length range. Profiler::restoreStep1() applies it to
+ * every restored sweep; a caller that keeps only a stored sweep
+ * applies it too.
+ */
+void checkRestoredSweep(const ProfileOptions &options,
+                        const FixedLengthSweep &sweep);
+
 /** Per-static-branch step-1 profile record. */
 struct BranchProfile
 {
@@ -178,7 +188,7 @@ class Profiler
     /**
      * Adopt step-1 results computed earlier (e.g. loaded from the
      * artifact store) instead of running runStep1(). The sweep must
-     * match this profiler's configured length range.
+     * pass checkRestoredSweep() for this profiler's options.
      */
     void restoreStep1(
         FixedLengthSweep sweep,

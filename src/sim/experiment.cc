@@ -238,18 +238,16 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
     entry.step1.call([&] {
         throwIfCancelled();
         if (store_) {
-            if (const auto payload = store_->fetch(entry.profileKey)) {
+            if (auto payload = store_->fetch(entry.profileKey)) {
                 try {
-                    core::FixedLengthSweep sweep;
-                    std::unordered_map<std::uint64_t,
-                                       core::BranchProfile>
-                        profiles;
-                    store::decodeStep1Profile(*payload, sweep, profiles);
-                    auto profiler = std::make_shared<core::Profiler>(
-                        entry.options, entry.indirect);
-                    profiler->restoreStep1(std::move(sweep),
-                                           std::move(profiles));
-                    entry.profiler = std::move(profiler);
+                    // Every check a full restore makes, without
+                    // building the per-branch map: step 2 restores
+                    // it from the held payload if it ever runs.
+                    core::FixedLengthSweep sweep =
+                        store::decodeStep1Sweep(*payload);
+                    core::checkRestoredSweep(entry.options, sweep);
+                    entry.sweep = std::move(sweep);
+                    entry.payload = std::move(*payload);
                     return;
                 } catch (const std::exception &error) {
                     util::warn(std::string("discarding unusable cached "
@@ -274,14 +272,15 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
         entry.profiler = entry.shared
             ? memo_.step1(entry.profileKey.text(), cancel_.get(), run)
             : run();
+        entry.sweep = entry.profiler->step1Sweep();
         if (store_) {
             store_->insert(entry.profileKey,
                            store::encodeStep1Profile(
-                               entry.profiler->step1Sweep(),
+                               entry.sweep,
                                entry.profiler->branchProfiles()));
         }
     });
-    return entry.profiler->step1Sweep();
+    return entry.sweep;
 }
 
 const core::HashAssignment &
@@ -306,6 +305,19 @@ ExperimentContext::ensureAssignment(ProfilerEntry &entry,
         }
 
         ensureStep1(entry, profile_trace);
+        if (!entry.profiler) {
+            // Step 1 was a store hit: its payload already passed
+            // every check, so this decode cannot fail on its bytes.
+            core::FixedLengthSweep sweep;
+            std::unordered_map<std::uint64_t, core::BranchProfile>
+                profiles;
+            store::decodeStep1Profile(entry.payload, sweep, profiles);
+            auto profiler = std::make_shared<core::Profiler>(
+                entry.options, entry.indirect);
+            profiler->restoreStep1(std::move(sweep), std::move(profiles));
+            entry.profiler = std::move(profiler);
+            std::vector<std::uint8_t>().swap(entry.payload);
+        }
         const auto source = profile_trace();
         source->reset();
         entry.assignment = entry.profiler->runStep2(*source);

@@ -309,10 +309,21 @@ class ExperimentContext
         store::CacheKey profileKey;
         store::CacheKey assignmentKey;
         util::Once step1;
-        /** Step 1 done: restored from the store, from the memo, or
-         *  run for this context. */
-        std::shared_ptr<const core::Profiler> profiler;
+        /** Step 1's aggregate, by value on every path: decoded from a
+         *  store hit, copied from the memo's or this context's
+         *  profiler. Written under step1 only. */
+        core::FixedLengthSweep sweep;
+        /** On a store hit, the verified profile payload (checksum,
+         *  key and every structural check passed), held so step 2
+         *  can restore the per-branch records without a second fetch.
+         *  Emptied once restored. */
+        std::vector<std::uint8_t> payload;
         util::Once step2;
+        /** The per-branch records for step 2: the profiler step 1
+         *  ran or took from the memo (set under step1), or, after a
+         *  store hit, one restored from payload under step2 when the
+         *  assignment misses. Read only under step2. */
+        std::shared_ptr<const core::Profiler> profiler;
         std::optional<core::HashAssignment> assignment;
     };
 
@@ -353,16 +364,19 @@ class ExperimentContext
                                  bool shared);
 
     /**
-     * Ensure step 1 has run for @p entry: restore it from the store
-     * when possible, otherwise take it from the SharedMemo (a shared
-     * entry) or replay the trace from @p profile_trace, and persist
-     * the result.
+     * Ensure step 1 has run for @p entry: take its sweep from the
+     * store when possible (the per-branch records are checked but
+     * left in the held payload), otherwise take step 1 from the
+     * SharedMemo (a shared entry) or replay the trace from
+     * @p profile_trace, and persist the result.
      */
     const core::FixedLengthSweep &
     ensureStep1(ProfilerEntry &entry, const TraceProvider &profile_trace);
 
     /** Shared body of the two assignment accessors: the stored
-     *  assignment, else step 1 (ensureStep1()) then step 2. */
+     *  assignment, else step 1 (ensureStep1()), the profiler restored
+     *  from a held profile payload if step 1 was a store hit, then
+     *  step 2. */
     const core::HashAssignment &
     ensureAssignment(ProfilerEntry &entry,
                      const TraceProvider &profile_trace);

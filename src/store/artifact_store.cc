@@ -6,12 +6,15 @@
 #include "store/artifact_store.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/chaos.h"
@@ -100,15 +103,28 @@ std::optional<ParsedEntry>
 readEntry(const fs::path &path, bool &corrupt)
 {
     corrupt = false;
-    std::FILE *file = std::fopen(path.string().c_str(), "rb");
-    if (file == nullptr)
+    const int fd = ::open(path.string().c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return std::nullopt;
+    // One read into a buffer sized from the file; once checked, the
+    // payload is shifted down in place and the buffer becomes it.
     std::vector<std::uint8_t> raw;
-    std::uint8_t buffer[1 << 16];
-    std::size_t read;
-    while ((read = std::fread(buffer, 1, sizeof(buffer), file)) > 0)
-        raw.insert(raw.end(), buffer, buffer + read);
-    std::fclose(file);
+    struct stat info;
+    if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+        raw.resize(static_cast<std::size_t>(info.st_size));
+        std::size_t done = 0;
+        while (done < raw.size()) {
+            const ssize_t got =
+                ::read(fd, raw.data() + done, raw.size() - done);
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got <= 0)
+                break;
+            done += static_cast<std::size_t>(got);
+        }
+        raw.resize(done);
+    }
+    ::close(fd);
 
     if (raw.size() < headerBytes
         || !std::equal(std::begin(entryMagic), std::end(entryMagic),
@@ -128,19 +144,19 @@ readEntry(const fs::path &path, bool &corrupt)
     entry.key.assign(
         reinterpret_cast<const char *>(raw.data() + headerBytes),
         key_size);
+    const std::size_t payload_offset = headerBytes + key_size + 16;
     const std::uint8_t *cursor = raw.data() + headerBytes + key_size;
     const std::uint64_t payload_size = getU64(cursor);
     const std::uint64_t checksum = getU64(cursor + 8);
-    if (raw.size() != headerBytes + key_size + 16 + payload_size) {
+    if (raw.size() - payload_offset != payload_size
+        || util::fnv1a(raw.data() + payload_offset, payload_size)
+               != checksum) {
         corrupt = true;
         return std::nullopt;
     }
-    entry.payload.assign(cursor + 16, cursor + 16 + payload_size);
-    if (util::fnv1a(entry.payload.data(), entry.payload.size())
-        != checksum) {
-        corrupt = true;
-        return std::nullopt;
-    }
+    raw.erase(raw.begin(),
+              raw.begin() + static_cast<std::ptrdiff_t>(payload_offset));
+    entry.payload = std::move(raw);
     return entry;
 }
 

@@ -150,6 +150,46 @@ sortedPcs(const Map &map)
     return pcs;
 }
 
+/** The step-1 decoder: the sweep, then every per-branch record,
+ *  checked, and inserted into @p profiles unless it is null. */
+core::FixedLengthSweep
+decodeStep1(const std::vector<std::uint8_t> &payload,
+            std::unordered_map<std::uint64_t, core::BranchProfile>
+                *profiles)
+{
+    Decoder decoder(payload);
+    core::FixedLengthSweep sweep = decodeSweep(decoder);
+    const std::uint64_t count = decoder.u64();
+    constexpr std::size_t countBytes = core::maxPathLength * 4;
+    constexpr std::size_t entryBytes = 8 + 4 + countBytes;
+    if (count > decoder.remaining() / entryBytes)
+        util::fatal("artifact profile count exceeds payload size");
+    if (profiles) {
+        profiles->clear();
+        profiles->reserve(count);
+    }
+    std::uint64_t last = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const std::uint64_t pc = decoder.u64();
+        // The encoder writes pcs strictly ascending (sortedPcs()); a
+        // repeated pc would otherwise vanish without an error.
+        if (i != 0 && pc <= last)
+            util::fatal("artifact profile pcs are not strictly ascending");
+        last = pc;
+        if (!profiles) {
+            decoder.skip(4 + countBytes);
+            continue;
+        }
+        core::BranchProfile profile;
+        profile.executions = decoder.u32();
+        for (std::uint32_t &correct : profile.correct)
+            correct = decoder.u32();
+        profiles->emplace(pc, profile);
+    }
+    decoder.expectEnd();
+    return sweep;
+}
+
 } // anonymous namespace
 
 std::vector<std::uint8_t>
@@ -178,30 +218,13 @@ decodeStep1Profile(
         std::unordered_map<std::uint64_t, core::BranchProfile>
             &profiles)
 {
-    Decoder decoder(payload);
-    sweep = decodeSweep(decoder);
-    const std::uint64_t count = decoder.u64();
-    constexpr std::size_t entryBytes =
-        8 + 4 + core::maxPathLength * 4;
-    if (count > decoder.remaining() / entryBytes)
-        util::fatal("artifact profile count exceeds payload size");
-    profiles.clear();
-    profiles.reserve(count);
-    std::uint64_t last = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t pc = decoder.u64();
-        // The encoder writes pcs strictly ascending (sortedPcs()); a
-        // repeated pc would otherwise vanish without an error.
-        if (i != 0 && pc <= last)
-            util::fatal("artifact profile pcs are not strictly ascending");
-        last = pc;
-        core::BranchProfile profile;
-        profile.executions = decoder.u32();
-        for (std::uint32_t &correct : profile.correct)
-            correct = decoder.u32();
-        profiles.emplace(pc, profile);
-    }
-    decoder.expectEnd();
+    sweep = decodeStep1(payload, &profiles);
+}
+
+core::FixedLengthSweep
+decodeStep1Sweep(const std::vector<std::uint8_t> &payload)
+{
+    return decodeStep1(payload, nullptr);
 }
 
 std::vector<std::uint8_t>
@@ -260,6 +283,9 @@ decodeComparisonRow(const std::vector<std::uint8_t> &payload)
     sim::ComparisonRow row;
     row.benchmark = decoder.str();
     const std::uint32_t entries = decoder.u32();
+    // Each entry is at least a name length, two counts and a rate.
+    if (entries > decoder.remaining() / (4 + 8 + 8 + 8))
+        util::fatal("artifact row entry count exceeds payload size");
     row.entries.reserve(entries);
     for (std::uint32_t i = 0; i < entries; ++i) {
         sim::RateEntry entry;

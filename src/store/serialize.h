@@ -62,6 +62,9 @@ class Decoder
     double f64();
     std::string str();
 
+    /** Step over @p size bytes; throws like a read on truncation. */
+    void skip(std::size_t size) { need(size); }
+
     /** Bytes left to read. */
     std::size_t remaining() const { return buffer_.size() - offset_; }
 
@@ -78,6 +81,14 @@ class Decoder
 /**
  * Step-1 profiling result: the aggregate sweep plus the per-branch
  * records — everything restoreStep1() needs.
+ *
+ * decodeStep1Profile() and decodeStep1Sweep() are one decoder: both
+ * read the sweep and run every structural check on the per-branch
+ * section (a count the payload can hold, strictly ascending pcs, no
+ * trailing bytes), so they reject exactly the same payloads.
+ * decodeStep1Profile() also builds the per-branch map;
+ * decodeStep1Sweep() steps over each record's counts, for callers
+ * that need only the sweep (a warm globalLength()).
  */
 std::vector<std::uint8_t> encodeStep1Profile(
     const core::FixedLengthSweep &sweep,
@@ -87,6 +98,8 @@ void decodeStep1Profile(
     const std::vector<std::uint8_t> &payload,
     core::FixedLengthSweep &sweep,
     std::unordered_map<std::uint64_t, core::BranchProfile> &profiles);
+core::FixedLengthSweep
+decodeStep1Sweep(const std::vector<std::uint8_t> &payload);
 
 /** Step-2 result: the per-branch hash-number assignment. */
 std::vector<std::uint8_t>

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "core/profiler.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
+#include "sim/service.h"
 #include "store/artifact_store.h"
 #include "store/cache_key.h"
 #include "store/serialize.h"
@@ -259,6 +261,10 @@ TEST(SerializeTest, DecodersRejectDamage)
     std::unordered_map<std::uint64_t, core::BranchProfile> profiles;
     EXPECT_THROW(decodeStep1Profile(hostile, sweep, profiles),
                  std::runtime_error);
+    // A row's benchmark name (empty here), then 0xffffffff entries.
+    const std::vector<std::uint8_t> hostile_row = {0,    0,    0,    0,
+                                                   0xff, 0xff, 0xff, 0xff};
+    EXPECT_THROW(decodeComparisonRow(hostile_row), std::runtime_error);
 
     // The encoders write pcs in strictly ascending order; a repeated
     // or descending pc is damage, not a second entry to merge or drop.
@@ -306,6 +312,94 @@ TEST(SerializeTest, DecodersRejectDamage)
                                         decoded_sweep, decoded),
                      std::runtime_error);
     }
+}
+
+/**
+ * decodeStep1Sweep() is decodeStep1Profile() without the per-branch
+ * map: on every damaged payload both throw, and on every intact one
+ * both return the same sweep.
+ */
+TEST(SerializeTest, Step1SweepDecodeRejectsWhatTheFullDecodeRejects)
+{
+    core::FixedLengthSweep sweep;
+    sweep.minLength = 1;
+    for (unsigned length = 1; length <= core::maxPathLength; ++length)
+        sweep.mispredictions.push_back(1000 - 7 * length);
+    sweep.branches = 4321;
+    std::unordered_map<std::uint64_t, core::BranchProfile> profiles;
+    for (const std::uint64_t pc : {0x400000ull, 0x400010ull, 0x400020ull}) {
+        core::BranchProfile &profile = profiles[pc];
+        profile.executions = static_cast<std::uint32_t>(pc >> 4);
+        for (unsigned i = 0; i < core::maxPathLength; ++i)
+            profile.correct[i] = static_cast<std::uint32_t>(pc + 3 * i);
+    }
+    const auto payload = encodeStep1Profile(sweep, profiles);
+    const auto empty_payload = encodeStep1Profile(sweep, {});
+
+    const auto full = [](const std::vector<std::uint8_t> &bytes) {
+        core::FixedLengthSweep decoded;
+        std::unordered_map<std::uint64_t, core::BranchProfile> records;
+        decodeStep1Profile(bytes, decoded, records);
+        return decoded;
+    };
+    const auto expectSame = [&](const std::vector<std::uint8_t> &bytes) {
+        const core::FixedLengthSweep a = full(bytes);
+        const core::FixedLengthSweep b = decodeStep1Sweep(bytes);
+        EXPECT_EQ(a.minLength, b.minLength);
+        EXPECT_EQ(a.mispredictions, b.mispredictions);
+        EXPECT_EQ(a.branches, b.branches);
+    };
+    const auto expectBothReject =
+        [&](const std::vector<std::uint8_t> &bytes, const char *what) {
+            EXPECT_THROW(full(bytes), std::runtime_error) << what;
+            EXPECT_THROW(decodeStep1Sweep(bytes), std::runtime_error)
+                << what;
+        };
+
+    expectSame(payload);
+    expectSame(empty_payload);
+    EXPECT_EQ(decodeStep1Sweep(payload).mispredictions,
+              sweep.mispredictions);
+
+    // Every truncation, and one trailing byte.
+    for (std::size_t size = 0; size < payload.size(); ++size) {
+        expectBothReject(
+            std::vector<std::uint8_t>(payload.begin(),
+                                      payload.begin()
+                                          + static_cast<std::ptrdiff_t>(
+                                              size)),
+            "truncated");
+    }
+    auto trailing = payload;
+    trailing.push_back(0);
+    expectBothReject(trailing, "trailing byte");
+
+    // A record count the payload cannot hold: the count is the last
+    // field of a payload with no records.
+    auto hostile = empty_payload;
+    std::fill(hostile.end() - 8, hostile.end(), 0xff);
+    expectBothReject(hostile, "hostile count");
+
+    // A repeated pc and two swapped pcs. Each record is its pc (8
+    // bytes), executions (4) and 32 counts (4 each), at the end.
+    constexpr std::size_t recordBytes = 8 + 4 + core::maxPathLength * 4;
+    const auto first = static_cast<std::ptrdiff_t>(
+        payload.size() - profiles.size() * recordBytes);
+    constexpr auto stride = static_cast<std::ptrdiff_t>(recordBytes);
+    auto repeated = payload;
+    std::copy(repeated.begin() + first, repeated.begin() + first + 8,
+              repeated.begin() + first + stride);
+    expectBothReject(repeated, "repeated pc");
+    auto swapped = payload;
+    std::swap_ranges(swapped.begin() + first, swapped.begin() + first + 8,
+                     swapped.begin() + first + stride);
+    expectBothReject(swapped, "swapped pcs");
+
+    // More swept lengths than there are path lengths: the u32 after
+    // minLength.
+    auto too_long = payload;
+    too_long[4] = static_cast<std::uint8_t>(core::maxPathLength + 1);
+    expectBothReject(too_long, "too many lengths");
 }
 
 TEST_F(StoreHarness, MissThenInsertThenHit)
@@ -504,6 +598,83 @@ class CachedExperimentHarness : public StoreHarness
                 workload::findBenchmark("go"),
                 workload::findBenchmark("ijpeg")};
     }
+
+    /** Every entry file's bytes, by path. */
+    std::map<fs::path, std::vector<std::uint8_t>> entryBytes() const
+    {
+        std::map<fs::path, std::vector<std::uint8_t>> entries;
+        for (const fs::path &file : entryFiles()) {
+            std::ifstream in(file, std::ios::binary);
+            entries[file] =
+                std::vector<std::uint8_t>(
+                    std::istreambuf_iterator<char>(in), {});
+        }
+        return entries;
+    }
+
+    // An entry file is its magic (8 bytes), format version (4), key
+    // length (4), key text, payload size (8), payload checksum (8) and
+    // payload.
+    static constexpr std::size_t keyOffset = 16;
+
+    static std::size_t keySize(const std::vector<std::uint8_t> &entry)
+    {
+        std::size_t size = 0;
+        for (int i = 0; i < 4; ++i)
+            size |= std::size_t{entry[12 + i]} << (8 * i);
+        return size;
+    }
+
+    /** The kind field that opens an entry's key text. */
+    static std::string keyKind(const std::vector<std::uint8_t> &entry)
+    {
+        const std::string key(entry.begin() + keyOffset,
+                              entry.begin() + keyOffset
+                                  + static_cast<std::ptrdiff_t>(
+                                      keySize(entry)));
+        const std::string prefix = "kind=";
+        return key.substr(prefix.size(),
+                          key.find(';') - prefix.size());
+    }
+
+    static std::vector<std::uint8_t>
+    payloadOf(const std::vector<std::uint8_t> &entry)
+    {
+        return std::vector<std::uint8_t>(
+            entry.begin()
+                + static_cast<std::ptrdiff_t>(keyOffset + keySize(entry)
+                                              + 16),
+            entry.end());
+    }
+
+    /** @p entry with @p payload in place of its own, under a matching
+     *  size and checksum: an entry every store check accepts. */
+    static std::vector<std::uint8_t>
+    withPayload(const std::vector<std::uint8_t> &entry,
+                const std::vector<std::uint8_t> &payload)
+    {
+        std::vector<std::uint8_t> patched(
+            entry.begin(),
+            entry.begin()
+                + static_cast<std::ptrdiff_t>(keyOffset + keySize(entry)));
+        const auto put = [&](std::uint64_t value) {
+            for (int i = 0; i < 8; ++i)
+                patched.push_back(
+                    static_cast<std::uint8_t>(value >> (8 * i)));
+        };
+        put(payload.size());
+        put(util::fnv1a(payload.data(), payload.size()));
+        patched.insert(patched.end(), payload.begin(), payload.end());
+        return patched;
+    }
+
+    static void writeFile(const fs::path &file,
+                          const std::vector<std::uint8_t> &bytes)
+    {
+        std::ofstream out(file, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
 };
 
 void
@@ -652,6 +823,164 @@ TEST_F(CachedExperimentHarness, WarmRunSkipsStepOneSweeps)
     warm.assignment(spec, 12, false);
     EXPECT_EQ(store->counters().hits, 1u);
     EXPECT_EQ(store->counters().misses, 0u);
+}
+
+/**
+ * A profile hit keeps only its sweep, but it still runs every check a
+ * full restore runs: a payload that passes the store's checksum yet
+ * has the wrong length range or a malformed per-branch section is
+ * discarded and step 1's result is stored again, exactly as before.
+ */
+TEST_F(CachedExperimentHarness, UnusableCachedProfileIsDiscardedOnHit)
+{
+    const auto &spec = workload::findBenchmark("compress");
+    core::FixedLengthSweep cold;
+    {
+        sim::ExperimentContext context;
+        context.setStore(openShared());
+        cold = context.sweep(spec, 12, false);
+    }
+    ASSERT_EQ(entryFiles().size(), 1u);
+    const auto [file, original] = *entryBytes().begin();
+    ASSERT_EQ(keyKind(original), "profile");
+    const std::vector<std::uint8_t> payload = payloadOf(original);
+
+    core::FixedLengthSweep sweep;
+    std::unordered_map<std::uint64_t, core::BranchProfile> profiles;
+    decodeStep1Profile(payload, sweep, profiles);
+    ASSERT_GE(profiles.size(), 2u);
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> damaged;
+    {
+        core::FixedLengthSweep shifted = sweep;
+        shifted.minLength = 2;
+        damaged.emplace_back("minLength 2",
+                             encodeStep1Profile(shifted, profiles));
+        core::FixedLengthSweep shorter = sweep;
+        shorter.mispredictions.pop_back();
+        damaged.emplace_back("31 lengths",
+                             encodeStep1Profile(shorter, profiles));
+    }
+    {
+        auto trailing = payload;
+        trailing.push_back(0);
+        damaged.emplace_back("trailing byte", std::move(trailing));
+        // The last record's pc copied over by the one before it.
+        constexpr std::size_t recordBytes =
+            8 + 4 + core::maxPathLength * 4;
+        auto repeated = payload;
+        const auto last = repeated.end()
+            - static_cast<std::ptrdiff_t>(recordBytes);
+        std::copy(last - static_cast<std::ptrdiff_t>(recordBytes),
+                  last - static_cast<std::ptrdiff_t>(recordBytes) + 8,
+                  last);
+        damaged.emplace_back("repeated pc", std::move(repeated));
+    }
+
+    for (const auto &[what, bad] : damaged) {
+        SCOPED_TRACE(what);
+        writeFile(file, withPayload(original, bad));
+        sim::ExperimentContext warm;
+        const auto store = openShared();
+        warm.setStore(store);
+        const core::FixedLengthSweep &again = warm.sweep(spec, 12, false);
+        EXPECT_EQ(again.minLength, cold.minLength);
+        EXPECT_EQ(again.mispredictions, cold.mispredictions);
+        EXPECT_EQ(again.branches, cold.branches);
+        const StoreCounters counters = store->counters();
+        EXPECT_EQ(counters.hits, 1u);
+        EXPECT_EQ(counters.misses, 0u);
+        EXPECT_EQ(counters.inserts, 1u);
+        EXPECT_EQ(entryBytes().begin()->second, original);
+    }
+}
+
+/**
+ * A profile hit holds its verified payload; when the assignment then
+ * misses, step 2 restores the per-branch records from it without a
+ * second fetch, and stores the same assignment and row as a cold run.
+ */
+TEST_F(CachedExperimentHarness, AssignmentMissRestoresTheHeldProfile)
+{
+    const auto suite = specs();
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        fs::remove_all(directory_);
+        std::vector<sim::ComparisonRow> cold;
+        {
+            sim::ParallelRunner runner(jobs);
+            runner.setStore(openShared());
+            cold = runner.compareSuite(suite, 4096, 5, false);
+        }
+        const auto filled = entryBytes();
+        ASSERT_EQ(filled.size(), 3 * suite.size());
+        // Delete the assignments, and the rows, which would otherwise
+        // answer without them.
+        for (const auto &[file, bytes] : filled) {
+            const std::string kind = keyKind(bytes);
+            if (kind == "assignment" || kind == "comparison")
+                fs::remove(file);
+        }
+        ASSERT_EQ(entryBytes().size(), suite.size());
+
+        sim::ParallelRunner runner(jobs);
+        const auto store = openShared();
+        runner.setStore(store);
+        expectIdenticalRows(cold,
+                            runner.compareSuite(suite, 4096, 5, false));
+        // Per benchmark: a row miss, one profile hit, an assignment
+        // miss and two inserts; the restore fetched nothing.
+        const StoreCounters counters = store->counters();
+        EXPECT_EQ(counters.hits, suite.size());
+        EXPECT_EQ(counters.misses, 2 * suite.size());
+        EXPECT_EQ(counters.inserts, 2 * suite.size());
+        EXPECT_EQ(counters.corrupt, 0u);
+        // The re-inserted assignments and rows are the cold bytes.
+        EXPECT_EQ(entryBytes(), filled);
+    }
+}
+
+/**
+ * The fetches of a sweep request, cold and warm. Per budget the global
+ * length reads all 16 step-1 profiles and the comparison reads all 16
+ * rows; a cold run also misses the 16 assignments. A change that adds
+ * or drops a fetch fails here.
+ */
+TEST_F(CachedExperimentHarness, SweepRequestFetchesArePinned)
+{
+    sim::SweepSpec spec;
+    spec.budgets = {1024, 4096};
+    spec.jobs = 2;
+    const std::uint64_t perBudget = workload::benchmarkSuite().size();
+    ASSERT_EQ(perBudget, 16u);
+    const auto cold_store = openShared();
+    const sim::ServiceResult cold = sim::runSweep(spec, cold_store);
+    EXPECT_EQ(cold_store->counters().hits, 0u);
+    EXPECT_EQ(cold_store->counters().misses, 2 * 3 * perBudget);
+    EXPECT_EQ(cold_store->counters().inserts, 2 * 3 * perBudget);
+
+    for (const unsigned jobs : {1u, 4u}) {
+        spec.jobs = jobs;
+        const auto store = openShared();
+        const sim::ServiceResult warm = sim::runSweep(spec, store);
+        ASSERT_EQ(warm.report.sections.size(),
+                  cold.report.sections.size());
+        for (std::size_t i = 0; i < cold.report.sections.size(); ++i) {
+            const sim::Section &a = cold.report.sections[i];
+            const sim::Section &b = warm.report.sections[i];
+            EXPECT_EQ(a.caption, b.caption);
+            ASSERT_EQ(a.rows.size(), b.rows.size());
+            for (std::size_t r = 0; r < a.rows.size(); ++r) {
+                ASSERT_EQ(a.rows[r].cells.size(), b.rows[r].cells.size());
+                for (std::size_t c = 0; c < a.rows[r].cells.size(); ++c)
+                    EXPECT_EQ(a.rows[r].cells[c].ascii(),
+                              b.rows[r].cells[c].ascii());
+            }
+        }
+        const StoreCounters counters = store->counters();
+        EXPECT_EQ(counters.hits, 2 * 2 * perBudget);
+        EXPECT_EQ(counters.misses, 0u);
+        EXPECT_EQ(counters.inserts, 0u);
+    }
 }
 
 /**
