@@ -5,83 +5,66 @@
 
 #include "core/dynamic_path.h"
 
-#include <algorithm>
-
 #include "util/bits.h"
 #include "util/logging.h"
 
 namespace vlp {
 namespace core {
 
-namespace {
-
-void
-validateCandidates(const std::vector<unsigned> &candidates,
-                   unsigned depth)
+template <typename Class>
+DynamicPathPredictor<Class>::DynamicPathPredictor(
+        unsigned index_bits, std::vector<unsigned> candidates)
+    : bank_(index_bits),
+      candidates_(std::move(candidates)),
+      table_(Class::table(index_bits)),
+      scores_((std::size_t{1} << scoreIndexBits) * candidates_.size(),
+              scoreBits)
 {
-    if (candidates.empty())
+    if (candidates_.empty())
         util::fatal("dynamic path predictor needs candidates");
-    for (unsigned length : candidates) {
-        if (length < 1 || length > depth)
+    for (unsigned length : candidates_) {
+        if (length < 1 || length > bank_.depth())
             util::fatal("candidate hash number out of range");
     }
 }
 
-} // anonymous namespace
-
-DynamicPathConditionalPredictor::DynamicPathConditionalPredictor(
-        unsigned index_bits, std::vector<unsigned> candidates,
-        unsigned score_index_bits, unsigned score_bits)
-    : bank_(index_bits),
-      candidates_(std::move(candidates)),
-      scoreIndexBits_(score_index_bits),
-      table_(std::size_t{1} << index_bits, util::SaturatingCounter(2)),
-      scores_((std::size_t{1} << score_index_bits)
-                  * candidates_.size(),
-              util::SaturatingCounter(score_bits))
-{
-    validateCandidates(candidates_, bank_.depth());
-}
-
+template <typename Class>
 std::size_t
-DynamicPathConditionalPredictor::scoreIndex(std::uint64_t pc) const
+DynamicPathPredictor<Class>::scoreIndex(std::uint64_t pc) const
 {
-    return static_cast<std::size_t>(
-               util::truncate(pc >> 2, scoreIndexBits_))
+    return static_cast<std::size_t>(util::truncate(pc >> 2, scoreIndexBits))
          * candidates_.size();
 }
 
+template <typename Class>
 std::size_t
-DynamicPathConditionalPredictor::selectedCandidate(
-        std::uint64_t pc) const
+DynamicPathPredictor<Class>::selectedCandidate(std::uint64_t pc) const
 {
     const std::size_t base = scoreIndex(pc);
     std::size_t best = 0;
     for (std::size_t c = 1; c < candidates_.size(); ++c) {
-        if (scores_[base + c].value() > scores_[base + best].value())
+        if (scores_.value(base + c) > scores_.value(base + best))
             best = c;
     }
     return best;
 }
 
-bool
-DynamicPathConditionalPredictor::predict(
-        const trace::BranchRecord &branch)
+template <typename Class>
+typename Class::Prediction
+DynamicPathPredictor<Class>::predict(const trace::BranchRecord &branch)
 {
-    const unsigned length =
-        candidates_[selectedCandidate(branch.pc)];
-    return table_[bank_.index(length)].predictTaken();
+    const unsigned length = candidates_[selectedCandidate(branch.pc)];
+    return Class::predict(table_, bank_.index(length), branch);
 }
 
+template <typename Class>
 void
-DynamicPathConditionalPredictor::update(
-        const trace::BranchRecord &branch)
+DynamicPathPredictor<Class>::update(const trace::BranchRecord &branch)
 {
     const std::size_t base = scoreIndex(branch.pc);
-    const std::size_t selected = selectedCandidate(branch.pc);
-    const bool selected_correct =
-        table_[bank_.index(candidates_[selected])].predictTaken()
-        == branch.taken;
+    const unsigned selected = candidates_[selectedCandidate(branch.pc)];
+    const bool selected_correct = Class::hit(
+        Class::predict(table_, bank_.index(selected), branch), branch);
 
     // Tournament scoring (the §3.4 accuracy-recording structures): a
     // challenger's score moves only when its correctness *differs*
@@ -92,108 +75,29 @@ DynamicPathConditionalPredictor::update(
     // describes: no profiling or ISA support, but extra table
     // pressure and score storage.
     for (std::size_t c = 0; c < candidates_.size(); ++c) {
-        util::SaturatingCounter &counter =
-            table_[bank_.index(candidates_[c])];
-        const bool correct = counter.predictTaken() == branch.taken;
-        if (correct != selected_correct)
-            scores_[base + c].update(correct);
-        counter.update(branch.taken);
-    }
-}
-
-void
-DynamicPathConditionalPredictor::observe(
-        const trace::BranchRecord &record)
-{
-    bank_.observe(record);
-}
-
-std::size_t
-DynamicPathConditionalPredictor::sizeBytes() const
-{
-    // The predictor table; the paper compares equal table budgets and
-    // reports selector structures as overhead. Score storage is
-    // scoreBytes() below... kept simple: counted here so honest
-    // comparisons are possible.
-    const std::size_t score_bits = scores_.size() * 4;
-    return table_.size() / 4 + (score_bits + 7) / 8;
-}
-
-DynamicPathIndirectPredictor::DynamicPathIndirectPredictor(
-        unsigned index_bits, std::vector<unsigned> candidates,
-        unsigned score_index_bits, unsigned score_bits)
-    : bank_(index_bits),
-      candidates_(std::move(candidates)),
-      scoreIndexBits_(score_index_bits),
-      table_(std::size_t{1} << index_bits, 0),
-      scores_((std::size_t{1} << score_index_bits)
-                  * candidates_.size(),
-              util::SaturatingCounter(score_bits))
-{
-    validateCandidates(candidates_, bank_.depth());
-}
-
-std::size_t
-DynamicPathIndirectPredictor::scoreIndex(std::uint64_t pc) const
-{
-    return static_cast<std::size_t>(
-               util::truncate(pc >> 2, scoreIndexBits_))
-         * candidates_.size();
-}
-
-std::size_t
-DynamicPathIndirectPredictor::selectedCandidate(std::uint64_t pc) const
-{
-    const std::size_t base = scoreIndex(pc);
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < candidates_.size(); ++c) {
-        if (scores_[base + c].value() > scores_[base + best].value())
-            best = c;
-    }
-    return best;
-}
-
-std::uint64_t
-DynamicPathIndirectPredictor::predict(const trace::BranchRecord &branch)
-{
-    const unsigned length =
-        candidates_[selectedCandidate(branch.pc)];
-    return pred::widenTarget(table_[bank_.index(length)], branch.pc);
-}
-
-void
-DynamicPathIndirectPredictor::update(const trace::BranchRecord &branch)
-{
-    const std::size_t base = scoreIndex(branch.pc);
-    const std::size_t selected = selectedCandidate(branch.pc);
-    const bool selected_correct =
-        pred::widenTarget(table_[bank_.index(candidates_[selected])],
-                          branch.pc)
-        == branch.nextPc;
-
-    for (std::size_t c = 0; c < candidates_.size(); ++c) {
-        std::uint32_t &entry = table_[bank_.index(candidates_[c])];
         const bool correct =
-            pred::widenTarget(entry, branch.pc) == branch.nextPc;
+            Class::access(table_, bank_.index(candidates_[c]), branch);
         if (correct != selected_correct)
-            scores_[base + c].update(correct);
-        entry = static_cast<std::uint32_t>(branch.nextPc);
+            scores_.update(base + c, correct);
     }
 }
 
+template <typename Class>
 void
-DynamicPathIndirectPredictor::observe(const trace::BranchRecord &record)
+DynamicPathPredictor<Class>::observe(const trace::BranchRecord &record)
 {
     bank_.observe(record);
 }
 
+template <typename Class>
 std::size_t
-DynamicPathIndirectPredictor::sizeBytes() const
+DynamicPathPredictor<Class>::sizeBytes() const
 {
-    const std::size_t score_bits = scores_.size() * 4;
-    return table_.size() * sizeof(std::uint32_t)
-         + (score_bits + 7) / 8;
+    return Class::tableBytes(table_) + scores_.sizeBytes();
 }
+
+template class DynamicPathPredictor<ConditionalClass>;
+template class DynamicPathPredictor<IndirectClass>;
 
 } // namespace core
 } // namespace vlp

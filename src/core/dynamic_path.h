@@ -15,42 +15,49 @@
  * Organization: a per-branch-set score table (indexed by low PC bits)
  * holds one small saturating score per candidate hash function.
  * Predictions use the candidate with the highest score; at update,
- * every candidate's would-be prediction is scored against the outcome,
- * and only the selected candidate's predictor-table entry is trained
- * (limiting cross-length table pollution).
+ * every candidate's would-be prediction is scored against the outcome
+ * and every candidate's predictor-table entry is trained. The branch
+ * class (core/branch_class.h) supplies the predictor table.
  */
 
 #ifndef VLPSIM_CORE_DYNAMIC_PATH_H
 #define VLPSIM_CORE_DYNAMIC_PATH_H
 
+#include <type_traits>
 #include <vector>
 
+#include "core/branch_class.h"
 #include "core/path_history.h"
 #include "predictors/predictor.h"
-#include "util/saturating_counter.h"
+#include "util/packed_counter_table.h"
 
 namespace vlp {
 namespace core {
 
-/** Conditional VLP with hardware (score-table) length selection. */
-class DynamicPathConditionalPredictor
-    : public pred::ConditionalPredictor
+/** VLP of the branch class @p Class with score-table length selection. */
+template <typename Class>
+class DynamicPathPredictor : public Class::Predictor
 {
   public:
-    /**
-     * @param index_bits       log2 of the counter-table size
-     * @param candidates       hash function numbers the hardware
-     *        implements and scores (default {1,2,4,8,16,32}, the
-     *        subset Section 3.1 suggests)
-     * @param score_index_bits log2 of the score-table size
-     * @param score_bits       width of each score counter
-     */
-    explicit DynamicPathConditionalPredictor(
-        unsigned index_bits,
-        std::vector<unsigned> candidates = {1, 2, 4, 8, 16, 32},
-        unsigned score_index_bits = 10, unsigned score_bits = 4);
+    /** log2 of the score-table size (the branch sets scored apart). */
+    static constexpr unsigned scoreIndexBits =
+        std::is_same_v<Class, IndirectClass> ? 8 : 10;
 
-    bool predict(const trace::BranchRecord &branch) override;
+    /** Width of each score counter. */
+    static constexpr unsigned scoreBits = 4;
+
+    /**
+     * @param index_bits log2 of the predictor-table size
+     * @param candidates hash function numbers the hardware implements
+     *        and scores (default {1,2,4,8,16,32}, the subset Section
+     *        3.1 suggests)
+     */
+    explicit DynamicPathPredictor(
+        unsigned index_bits,
+        std::vector<unsigned> candidates = {1, 2, 4, 8, 16, 32});
+
+    typename Class::Prediction
+    predict(const trace::BranchRecord &branch) override;
 
     void update(const trace::BranchRecord &branch) override;
 
@@ -61,6 +68,7 @@ class DynamicPathConditionalPredictor
         return "dynamic variable length path";
     }
 
+    /** The predictor table plus the score table. */
     std::size_t sizeBytes() const override;
 
     /** Selected candidate index for @p pc (for tests). */
@@ -77,48 +85,18 @@ class DynamicPathConditionalPredictor
 
     PathIndexBank bank_;
     std::vector<unsigned> candidates_;
-    unsigned scoreIndexBits_;
-    std::vector<util::SaturatingCounter> table_;
-    /** scores_[slot * candidates + c]: accuracy score of candidate
-     *  c for branch set slot. */
-    std::vector<util::SaturatingCounter> scores_;
+    typename Class::Table table_;
+    /** Entry slot * candidates + c: the accuracy score of candidate c
+     *  for branch set slot. */
+    util::PackedCounterTable scores_;
 };
 
-/** Indirect VLP with hardware (score-table) length selection. */
-class DynamicPathIndirectPredictor : public pred::IndirectPredictor
-{
-  public:
-    /** @copydoc DynamicPathConditionalPredictor */
-    explicit DynamicPathIndirectPredictor(
-        unsigned index_bits,
-        std::vector<unsigned> candidates = {1, 2, 4, 8, 16, 32},
-        unsigned score_index_bits = 8, unsigned score_bits = 4);
+extern template class DynamicPathPredictor<ConditionalClass>;
+extern template class DynamicPathPredictor<IndirectClass>;
 
-    std::uint64_t predict(const trace::BranchRecord &branch) override;
-
-    void update(const trace::BranchRecord &branch) override;
-
-    void observe(const trace::BranchRecord &record) override;
-
-    std::string name() const override
-    {
-        return "dynamic variable length path";
-    }
-
-    std::size_t sizeBytes() const override;
-
-    /** Selected candidate index for @p pc (for tests). */
-    std::size_t selectedCandidate(std::uint64_t pc) const;
-
-  private:
-    std::size_t scoreIndex(std::uint64_t pc) const;
-
-    PathIndexBank bank_;
-    std::vector<unsigned> candidates_;
-    unsigned scoreIndexBits_;
-    std::vector<std::uint32_t> table_;
-    std::vector<util::SaturatingCounter> scores_;
-};
+using DynamicPathConditionalPredictor =
+    DynamicPathPredictor<ConditionalClass>;
+using DynamicPathIndirectPredictor = DynamicPathPredictor<IndirectClass>;
 
 } // namespace core
 } // namespace vlp

@@ -1,6 +1,6 @@
 /**
  * @file
- * FLP/VLP predictor implementations.
+ * FLP/VLP predictor implementation.
  */
 
 #include "core/path_predictor.h"
@@ -14,46 +14,39 @@ namespace core {
 
 namespace {
 
-/** Shared checkpoint type: the first-level history snapshot. */
+/** The checkpoint: the first-level history snapshot. */
 struct PathCheckpoint final : pred::Checkpoint
 {
     PathIndexBank::HistoryCheckpoint history;
 };
 
-/** Validate a bank count against a table of @p table_size entries. */
-void
-validateBanks(unsigned banks, std::size_t table_size)
-{
-    if (banks != 0
-        && ((banks & (banks - 1)) != 0 || banks > table_size))
-        util::fatal("predictor bank count must be 0 or a power of two "
-                    "no larger than the table size");
-}
-
 } // anonymous namespace
 
-PathConditionalPredictor::PathConditionalPredictor(
-        unsigned index_bits, unsigned fixed_length,
-        PathHistoryOptions options)
+template <typename Class>
+PathPredictor<Class>::PathPredictor(unsigned index_bits,
+                                    unsigned fixed_length,
+                                    PathHistoryOptions options)
     : bank_(index_bits, options),
       assignment_(fixed_length),
       variable_(false),
-      table_(std::size_t{1} << index_bits, 2)
+      table_(Class::table(index_bits))
 {
 }
 
-PathConditionalPredictor::PathConditionalPredictor(
-        unsigned index_bits, HashAssignment assignment,
-        PathHistoryOptions options)
+template <typename Class>
+PathPredictor<Class>::PathPredictor(unsigned index_bits,
+                                    HashAssignment assignment,
+                                    PathHistoryOptions options)
     : bank_(index_bits, options),
       assignment_(std::move(assignment)),
       variable_(true),
-      table_(std::size_t{1} << index_bits, 2)
+      table_(Class::table(index_bits))
 {
 }
 
+template <typename Class>
 std::size_t
-PathConditionalPredictor::tableIndex(std::uint64_t pc) const
+PathPredictor<Class>::tableIndex(std::uint64_t pc) const
 {
     unsigned length = assignment_.lookup(pc);
     if (length > bank_.depth())
@@ -61,155 +54,80 @@ PathConditionalPredictor::tableIndex(std::uint64_t pc) const
     return static_cast<std::size_t>(bank_.index(length));
 }
 
-bool
-PathConditionalPredictor::predict(const trace::BranchRecord &branch)
+template <typename Class>
+typename Class::Prediction
+PathPredictor<Class>::predict(const trace::BranchRecord &branch)
 {
-    return table_.predictTaken(tableIndex(branch.pc));
+    return Class::predict(table_, tableIndex(branch.pc), branch);
 }
 
+template <typename Class>
 void
-PathConditionalPredictor::update(const trace::BranchRecord &branch)
+PathPredictor<Class>::update(const trace::BranchRecord &branch)
 {
-    table_.update(tableIndex(branch.pc), branch.taken);
+    Class::update(table_, tableIndex(branch.pc), branch);
 }
 
+template <typename Class>
 void
-PathConditionalPredictor::observe(const trace::BranchRecord &record)
+PathPredictor<Class>::observe(const trace::BranchRecord &record)
 {
     bank_.observe(record);
 }
 
+template <typename Class>
 pred::CheckpointPtr
-PathConditionalPredictor::checkpoint() const
+PathPredictor<Class>::checkpoint() const
 {
     auto snapshot = std::make_unique<PathCheckpoint>();
     snapshot->history = bank_.checkpoint();
     return snapshot;
 }
 
+template <typename Class>
 void
-PathConditionalPredictor::restore(const pred::Checkpoint &checkpoint)
+PathPredictor<Class>::restore(const pred::Checkpoint &checkpoint)
 {
     bank_.restore(
         dynamic_cast<const PathCheckpoint &>(checkpoint).history);
 }
 
+template <typename Class>
 void
-PathConditionalPredictor::setBanks(unsigned banks)
+PathPredictor<Class>::setBanks(unsigned banks)
 {
-    validateBanks(banks, table_.size());
+    if (banks != 0
+        && ((banks & (banks - 1)) != 0 || banks > table_.size()))
+        util::fatal("predictor bank count must be 0 or a power of two "
+                    "no larger than the table size");
     banks_ = banks;
 }
 
+template <typename Class>
 unsigned
-PathConditionalPredictor::bankOf(const trace::BranchRecord &record) const
+PathPredictor<Class>::bankOf(const trace::BranchRecord &record) const
 {
     return banks_ == 0
         ? 0
         : static_cast<unsigned>(tableIndex(record.pc)) & (banks_ - 1);
 }
 
+template <typename Class>
 std::string
-PathConditionalPredictor::name() const
+PathPredictor<Class>::name() const
 {
     return variable_ ? "variable length path" : "fixed length path";
 }
 
+template <typename Class>
 std::size_t
-PathConditionalPredictor::sizeBytes() const
+PathPredictor<Class>::sizeBytes() const
 {
-    return table_.sizeBytes();
+    return Class::tableBytes(table_);
 }
 
-PathIndirectPredictor::PathIndirectPredictor(unsigned index_bits,
-                                             unsigned fixed_length,
-                                             PathHistoryOptions options)
-    : bank_(index_bits, options),
-      assignment_(fixed_length),
-      variable_(false),
-      table_(std::size_t{1} << index_bits, 0)
-{
-}
-
-PathIndirectPredictor::PathIndirectPredictor(unsigned index_bits,
-                                             HashAssignment assignment,
-                                             PathHistoryOptions options)
-    : bank_(index_bits, options),
-      assignment_(std::move(assignment)),
-      variable_(true),
-      table_(std::size_t{1} << index_bits, 0)
-{
-}
-
-std::size_t
-PathIndirectPredictor::tableIndex(std::uint64_t pc) const
-{
-    unsigned length = assignment_.lookup(pc);
-    if (length > bank_.depth())
-        length = bank_.depth();
-    return static_cast<std::size_t>(bank_.index(length));
-}
-
-std::uint64_t
-PathIndirectPredictor::predict(const trace::BranchRecord &branch)
-{
-    return pred::widenTarget(table_[tableIndex(branch.pc)], branch.pc);
-}
-
-void
-PathIndirectPredictor::update(const trace::BranchRecord &branch)
-{
-    table_[tableIndex(branch.pc)] =
-        static_cast<std::uint32_t>(branch.nextPc);
-}
-
-void
-PathIndirectPredictor::observe(const trace::BranchRecord &record)
-{
-    bank_.observe(record);
-}
-
-pred::CheckpointPtr
-PathIndirectPredictor::checkpoint() const
-{
-    auto snapshot = std::make_unique<PathCheckpoint>();
-    snapshot->history = bank_.checkpoint();
-    return snapshot;
-}
-
-void
-PathIndirectPredictor::restore(const pred::Checkpoint &checkpoint)
-{
-    bank_.restore(
-        dynamic_cast<const PathCheckpoint &>(checkpoint).history);
-}
-
-void
-PathIndirectPredictor::setBanks(unsigned banks)
-{
-    validateBanks(banks, table_.size());
-    banks_ = banks;
-}
-
-unsigned
-PathIndirectPredictor::bankOf(const trace::BranchRecord &record) const
-{
-    return banks_ == 0
-        ? 0
-        : static_cast<unsigned>(tableIndex(record.pc)) & (banks_ - 1);
-}
-
-std::string
-PathIndirectPredictor::name() const
-{
-    return variable_ ? "variable length path" : "fixed length path";
-}
-
-std::size_t
-PathIndirectPredictor::sizeBytes() const
-{
-    return table_.size() * sizeof(std::uint32_t);
-}
+template class PathPredictor<ConditionalClass>;
+template class PathPredictor<IndirectClass>;
 
 } // namespace core
 } // namespace vlp

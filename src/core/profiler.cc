@@ -20,6 +20,7 @@
 #define VLPSIM_STEP1_AVX512 0
 #endif
 
+#include "core/branch_class.h"
 #include "core/replay_feed.h"
 #include "core/step1_kernel.h"
 #include "util/logging.h"
@@ -51,12 +52,9 @@ FixedLengthSweep::bestLength() const
     return best;
 }
 
-using detail::ConditionalClass;
 using detail::EdgeChunk;
 using detail::EdgeFeed;
-using detail::IndirectClass;
 using detail::Step1Kernel;
-using detail::withClass;
 
 namespace {
 

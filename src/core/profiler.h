@@ -28,7 +28,7 @@
  * One Profiler runs both steps for either branch class. The classes
  * differ only in the table entry (2-bit counter or 32-bit target
  * register, each with its hit test) and the record filter, which a
- * per-class policy in core/replay_feed.h supplies.
+ * per-class policy in core/branch_class.h supplies.
  */
 
 #ifndef VLPSIM_CORE_PROFILER_H

@@ -6,8 +6,8 @@
  * Step 1 (the sweep), step 2 (Profiler::runStep2()) and the comparison
  * replay (sim::replayComparison()) each replay a whole trace through
  * path predictors in one monomorphic loop per chunk of records, and
- * the class policy below supplies the table and the record filter at
- * compile time.
+ * the class policy (core/branch_class.h) supplies the table and the
+ * record filter at compile time.
  *
  * Every one of them reads the trace through an EdgeFeed, in chunks of
  * three arrays: an edge table (each distinct record once, in order of
@@ -34,10 +34,8 @@
 #include <vector>
 
 #include "core/profiler.h"
-#include "predictors/predictor.h"
 #include "trace/compact_trace.h"
 #include "trace/trace_source.h"
-#include "util/packed_counter_table.h"
 
 namespace vlp {
 namespace core {
@@ -90,85 +88,6 @@ class EdgeFeed
     std::vector<std::uint32_t> slots_;
     bool inPass_ = false;
 };
-
-/*
- * ---- Per-class policy -----------------------------------------------
- *
- * What the loops do differently for the two branch classes: the record
- * filter (profiled()) and one path predictor table with a fused
- * predict-then-train access(). The loops are templates over a policy,
- * and withClass() picks the policy once per pass, so the per-record
- * loops stay monomorphic.
- */
-
-/** Conditional branches: 2-bit counters. */
-struct ConditionalClass
-{
-    using Table = util::PackedCounterTable;
-
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isConditional();
-    }
-
-    /** A table of 2^@p index_bits counters, weakly not taken. */
-    static Table
-    table(unsigned index_bits)
-    {
-        return Table(std::size_t{1} << index_bits, 2);
-    }
-
-    /** Predict, then train, counter @p index: true on a hit. */
-    static bool
-    access(Table &table, std::size_t index,
-           const trace::BranchRecord &record)
-    {
-        return table.predictThenUpdate(index, record.taken)
-            == record.taken;
-    }
-};
-
-/** Indirect branches (jumps and calls): 32-bit target registers. */
-struct IndirectClass
-{
-    using Table = std::vector<std::uint32_t>;
-
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isIndirect();
-    }
-
-    /** A table of 2^@p index_bits zeroed target registers. */
-    static Table
-    table(unsigned index_bits)
-    {
-        return Table(std::size_t{1} << index_bits, 0);
-    }
-
-    /** Predict, then overwrite, target register @p index. */
-    static bool
-    access(Table &table, std::size_t index,
-           const trace::BranchRecord &record)
-    {
-        std::uint32_t &target = table[index];
-        const bool hit =
-            pred::widenTarget(target, record.pc) == record.nextPc;
-        target = static_cast<std::uint32_t>(record.nextPc);
-        return hit;
-    }
-};
-
-/** body(policy) with the policy of the class @p indirect selects. */
-template <typename Body>
-decltype(auto)
-withClass(bool indirect, Body &&body)
-{
-    if (indirect)
-        return body(IndirectClass{});
-    return body(ConditionalClass{});
-}
 
 /**
  * Step 2's passes over one profile trace: the edge feed is built once,

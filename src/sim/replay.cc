@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 
+#include "core/branch_class.h"
 #include "core/replay_feed.h"
 #include "predictors/gshare.h"
 #include "predictors/target_cache.h"
@@ -19,9 +20,6 @@ namespace vlp {
 namespace sim {
 
 namespace {
-
-using core::detail::ConditionalClass;
-using core::detail::IndirectClass;
 
 /** A conditional row's baseline: gshare. */
 struct ConditionalBaselines
@@ -156,11 +154,11 @@ replayComparison(const std::string &name, trace::TraceSource &eval_trace,
             util::fatal("comparison path length out of range");
     }
     if (indirect) {
-        return replayRow<IndirectClass, IndirectBaselines>(
+        return replayRow<core::IndirectClass, IndirectBaselines>(
             name, eval_trace, index_bits, global_length, tuned_length,
             assignment, include_tuned, history);
     }
-    return replayRow<ConditionalClass, ConditionalBaselines>(
+    return replayRow<core::ConditionalClass, ConditionalBaselines>(
         name, eval_trace, index_bits, global_length, tuned_length,
         assignment, include_tuned, history);
 }

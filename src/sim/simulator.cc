@@ -7,6 +7,7 @@
 
 #include <cassert>
 
+#include "core/branch_class.h"
 #include "util/stats.h"
 
 namespace vlp {
@@ -18,20 +19,69 @@ PredictorResult::rate() const
     return util::percent(mispredictions, branches);
 }
 
+namespace {
+
+/**
+ * Predict and train each of @p registered, the predictors of the class
+ * @p Class, on @p record.
+ */
+template <typename Class, typename Registered>
+void
+step(std::vector<Registered> &registered, const trace::BranchRecord &record,
+     bool track_per_branch)
+{
+    for (Registered &entry : registered) {
+        const bool miss =
+            !Class::hit(entry.predictor->predict(record), record);
+        ++entry.branches;
+        entry.mispredictions += miss ? 1 : 0;
+        if (track_per_branch) {
+            BranchAccuracy &accuracy = entry.perBranch[record.pc];
+            ++accuracy.executions;
+            accuracy.mispredictions += miss ? 1 : 0;
+        }
+        entry.predictor->update(record);
+    }
+}
+
+template <typename Registered>
+std::vector<PredictorResult>
+results(const std::vector<Registered> &registered)
+{
+    std::vector<PredictorResult> results;
+    for (const Registered &entry : registered) {
+        PredictorResult result;
+        result.name = entry.predictor->name();
+        result.sizeBytes = entry.predictor->sizeBytes();
+        result.branches = entry.branches;
+        result.mispredictions = entry.mispredictions;
+        results.push_back(std::move(result));
+    }
+    return results;
+}
+
+template <typename Registered>
+const std::unordered_map<std::uint64_t, BranchAccuracy> &
+perBranch(const std::vector<Registered> &registered, std::size_t index)
+{
+    assert(index < registered.size());
+    return registered[index].perBranch;
+}
+
+} // anonymous namespace
+
 void
 Simulator::addConditional(pred::ConditionalPredictor *predictor)
 {
     assert(predictor != nullptr);
-    conditional_.push_back(predictor);
-    conditionalSlots_.emplace_back();
+    conditional_.emplace_back(predictor);
 }
 
 void
 Simulator::addIndirect(pred::IndirectPredictor *predictor)
 {
     assert(predictor != nullptr);
-    indirect_.push_back(predictor);
-    indirectSlots_.emplace_back();
+    indirect_.emplace_back(predictor);
 }
 
 void
@@ -39,37 +89,11 @@ Simulator::run(trace::TraceSource &source)
 {
     trace::BranchRecord record;
     while (source.next(record)) {
-        if (record.isConditional()) {
-            for (std::size_t i = 0; i < conditional_.size(); ++i) {
-                pred::ConditionalPredictor *predictor = conditional_[i];
-                Slot &slot = conditionalSlots_[i];
-                const bool predicted = predictor->predict(record);
-                const bool miss = predicted != record.taken;
-                ++slot.branches;
-                slot.mispredictions += miss ? 1 : 0;
-                if (trackPerBranch_) {
-                    BranchAccuracy &accuracy = slot.perBranch[record.pc];
-                    ++accuracy.executions;
-                    accuracy.mispredictions += miss ? 1 : 0;
-                }
-                predictor->update(record);
-            }
-        } else if (record.isIndirect()) {
-            for (std::size_t i = 0; i < indirect_.size(); ++i) {
-                pred::IndirectPredictor *predictor = indirect_[i];
-                Slot &slot = indirectSlots_[i];
-                const std::uint64_t predicted =
-                    predictor->predict(record);
-                const bool miss = predicted != record.nextPc;
-                ++slot.branches;
-                slot.mispredictions += miss ? 1 : 0;
-                if (trackPerBranch_) {
-                    BranchAccuracy &accuracy = slot.perBranch[record.pc];
-                    ++accuracy.executions;
-                    accuracy.mispredictions += miss ? 1 : 0;
-                }
-                predictor->update(record);
-            }
+        if (core::ConditionalClass::profiled(record)) {
+            step<core::ConditionalClass>(conditional_, record,
+                                         trackPerBranch_);
+        } else if (core::IndirectClass::profiled(record)) {
+            step<core::IndirectClass>(indirect_, record, trackPerBranch_);
         } else if (record.isReturn()) {
             ++returns_;
             if (ras_.predictAndPop() != record.nextPc)
@@ -79,41 +103,23 @@ Simulator::run(trace::TraceSource &source)
         if (record.isCall())
             ras_.push(record.pc + trace::instructionBytes);
 
-        for (pred::ConditionalPredictor *predictor : conditional_)
-            predictor->observe(record);
-        for (pred::IndirectPredictor *predictor : indirect_)
-            predictor->observe(record);
+        for (const auto &entry : conditional_)
+            entry.predictor->observe(record);
+        for (const auto &entry : indirect_)
+            entry.predictor->observe(record);
     }
 }
 
 std::vector<PredictorResult>
 Simulator::conditionalResults() const
 {
-    std::vector<PredictorResult> results;
-    for (std::size_t i = 0; i < conditional_.size(); ++i) {
-        PredictorResult result;
-        result.name = conditional_[i]->name();
-        result.sizeBytes = conditional_[i]->sizeBytes();
-        result.branches = conditionalSlots_[i].branches;
-        result.mispredictions = conditionalSlots_[i].mispredictions;
-        results.push_back(std::move(result));
-    }
-    return results;
+    return results(conditional_);
 }
 
 std::vector<PredictorResult>
 Simulator::indirectResults() const
 {
-    std::vector<PredictorResult> results;
-    for (std::size_t i = 0; i < indirect_.size(); ++i) {
-        PredictorResult result;
-        result.name = indirect_[i]->name();
-        result.sizeBytes = indirect_[i]->sizeBytes();
-        result.branches = indirectSlots_[i].branches;
-        result.mispredictions = indirectSlots_[i].mispredictions;
-        results.push_back(std::move(result));
-    }
-    return results;
+    return results(indirect_);
 }
 
 PredictorResult
@@ -130,15 +136,13 @@ Simulator::rasResult() const
 const std::unordered_map<std::uint64_t, BranchAccuracy> &
 Simulator::conditionalPerBranch(std::size_t index) const
 {
-    assert(index < conditionalSlots_.size());
-    return conditionalSlots_[index].perBranch;
+    return perBranch(conditional_, index);
 }
 
 const std::unordered_map<std::uint64_t, BranchAccuracy> &
 Simulator::indirectPerBranch(std::size_t index) const
 {
-    assert(index < indirectSlots_.size());
-    return indirectSlots_[index].perBranch;
+    return perBranch(indirect_, index);
 }
 
 } // namespace sim

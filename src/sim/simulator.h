@@ -93,17 +93,20 @@ class Simulator
     indirectPerBranch(std::size_t index) const;
 
   private:
-    struct Slot
+    /** A registered predictor of either class and its statistics. */
+    template <typename Predictor>
+    struct Registered
     {
+        explicit Registered(Predictor *registered) : predictor(registered) {}
+
+        Predictor *predictor;
         std::uint64_t branches = 0;
         std::uint64_t mispredictions = 0;
         std::unordered_map<std::uint64_t, BranchAccuracy> perBranch;
     };
 
-    std::vector<pred::ConditionalPredictor *> conditional_;
-    std::vector<pred::IndirectPredictor *> indirect_;
-    std::vector<Slot> conditionalSlots_;
-    std::vector<Slot> indirectSlots_;
+    std::vector<Registered<pred::ConditionalPredictor>> conditional_;
+    std::vector<Registered<pred::IndirectPredictor>> indirect_;
 
     pred::ReturnAddressStack ras_;
     std::uint64_t returns_ = 0;

@@ -34,7 +34,6 @@
 #include "trace/streaming.h"
 #include "util/chaos.h"
 #include "util/logging.h"
-#include "util/retry.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -51,30 +50,6 @@ constexpr const char *defaultManifestName = "pairs.txt";
 /** Name-convention suffixes for the profile/test split. */
 constexpr const char *profileSuffix = ".profile.vbt";
 constexpr const char *testSuffix = ".test.vbt";
-
-/** The suite's retry schedule as the shared policy (util/retry.h) —
- *  the prefetcher applies the same schedule on read-ahead threads. */
-util::RetryPolicy
-retryPolicy(const TraceSuiteOptions &options)
-{
-    util::RetryPolicy policy;
-    policy.maxAttempts = options.maxAttempts;
-    policy.backoffBaseMs = options.backoffBaseMs;
-    policy.backoffMaxMs = options.backoffMaxMs;
-    policy.jitterSeed = options.retryJitterSeed;
-    policy.sleeper = options.sleeper;
-    policy.cancel = options.cancel;
-    return policy;
-}
-
-/** Run @p fn under the options' transient-retry schedule. */
-template <typename Fn>
-auto
-retryTransient(const TraceSuiteOptions &options, Fn &&fn)
-{
-    return util::retryTransient(retryPolicy(options),
-                                std::forward<Fn>(fn));
-}
 
 /** Per-pair working state threaded through the phases. */
 struct TraceWork
@@ -194,9 +169,10 @@ obtainSweep(const TraceSuiteOptions &options,
     if (auto cached = journalFetch(journal, key, decodeSweepCell))
         return *cached;
 
-    const core::FixedLengthSweep sweep = retryTransient(options, [&] {
-        return context.externalSweep(ext, index_bits, indirect);
-    });
+    const core::FixedLengthSweep sweep =
+        util::retryTransient(options.retry, [&] {
+            return context.externalSweep(ext, index_bits, indirect);
+        });
     if (journal != nullptr)
         journal->record(key, encodeSweepCell(sweep));
     return sweep;
@@ -221,9 +197,9 @@ obtainRow(const TraceSuiteOptions &options,
         return *cached;
     }
 
-    const ComparisonRow row = retryTransient(options, [&] {
-        return compareExternal(context, profile, eval, bytes,
-                               global_length, indirect);
+    const ComparisonRow row = util::retryTransient(options.retry, [&] {
+        return compareExternal(context, profile, eval, bytes, global_length,
+                               indirect);
     });
     if (journal != nullptr)
         journal->record(key, store::encodeComparisonRow(row));
@@ -586,6 +562,7 @@ SuiteReport::print(std::ostream &out) const
 TraceSuiteRunner::TraceSuiteRunner(TraceSuiteOptions options)
     : options_(std::move(options))
 {
+    options_.retry.cancel = options_.cancel;
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -826,7 +803,7 @@ TraceSuiteRunner::run()
         ? options_.prefetchWindow
         : 2 * static_cast<std::size_t>(jobs) + 2;
     prefetch_options.threads = jobs;
-    prefetch_options.retry = retryPolicy(options_);
+    prefetch_options.retry = options_.retry;
     prefetch_options.cancel = options_.cancel;
     trace::TracePrefetcher prefetch(prefetch_paths, prefetch_options);
 
@@ -925,7 +902,7 @@ TraceSuiteRunner::run()
             quarantine(item,
                        std::string("transient failure persisted after ")
                            + std::to_string(
-                                 std::max(options_.maxAttempts, 1u))
+                                 std::max(options_.retry.maxAttempts, 1u))
                            + " attempts: " + error.what());
         } catch (const std::exception &error) {
             quarantine(item, error.what());
@@ -1034,7 +1011,7 @@ TraceSuiteRunner::run()
             quarantine(item,
                        std::string("transient failure persisted after ")
                            + std::to_string(
-                                 std::max(options_.maxAttempts, 1u))
+                                 std::max(options_.retry.maxAttempts, 1u))
                            + " attempts: " + error.what());
         } catch (const std::exception &error) {
             quarantine(item, error.what());

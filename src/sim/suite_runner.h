@@ -24,8 +24,8 @@
  * Unlike the synthetic pipeline it must survive hostile inputs:
  *
  *  - transient IO failures are retried with exponential backoff
- *    (util::TransientError is the retry signal), clamped to
- *    TraceSuiteOptions::backoffMaxMs;
+ *    (util::TransientError is the retry signal) under
+ *    TraceSuiteOptions::retry;
  *  - traces that stay unreadable — truncated files, checksum
  *    mismatches, malformed records — are quarantined with a structured
  *    cause and the run continues; the exit status is only nonzero when
@@ -85,6 +85,7 @@
 #include "sim/report.h"
 #include "trace/byte_file.h"
 #include "trace/mmap_file.h"
+#include "util/retry.h"
 
 namespace vlp {
 namespace store {
@@ -113,17 +114,11 @@ struct TraceSuiteOptions
      * convention with self-eval fallback.
      */
     std::string manifest;
-    /** Total attempts per trace operation (1 = no retries). */
-    unsigned maxAttempts = 4;
-    /** Backoff before retry r (0-based) is backoffBaseMs << r,
-     *  clamped to backoffMaxMs. */
-    unsigned backoffBaseMs = 10;
-    /** Ceiling on any single backoff delay; also keeps the shift
-     *  above well-defined for arbitrary maxAttempts. */
-    unsigned backoffMaxMs = 10'000;
-    /** Full-jitter seed for retry backoff (util::RetryPolicy
-     *  ::jitterSeed); 0 keeps the exact exponential schedule. */
-    std::uint64_t retryJitterSeed = 0;
+    /**
+     * How transient failures of a trace operation are retried (its
+     * cancel token is ignored: the runner sets it from cancel below).
+     */
+    util::RetryPolicy retry;
     /** Records per chunk of the verifying pass and of streamed
      *  (over-budget) replays. */
     std::size_t chunkRecords =
@@ -152,11 +147,6 @@ struct TraceSuiteOptions
      */
     std::optional<unsigned> forceGlobalConditionalLength;
     std::optional<unsigned> forceGlobalIndirectLength;
-    /**
-     * Backoff sleep hook (milliseconds); empty = real sleep. Tests
-     * replace it to observe retries without wall-clock delays.
-     */
-    std::function<void(unsigned)> sleeper;
     /**
      * Cooperative cancellation token; null = never cancelled. Once it
      * fires the run unwinds with util::CancelledError at the next

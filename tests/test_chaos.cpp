@@ -246,8 +246,8 @@ class ChaosSuiteTest : public ChaosTest
         options.directory = corpus_;
         options.bytes = 1024;
         options.jobs = jobs;
-        options.backoffBaseMs = 0;
-        options.sleeper = [](unsigned) {};
+        options.retry.backoffBaseMs = 0;
+        options.retry.sleeper = [](unsigned) {};
         return options;
     }
 

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "core/hash_assignment.h"
@@ -559,16 +560,41 @@ TEST(PathConditionalPredictor, VariableAssignmentSelectsPerBranch)
     EXPECT_LT(misses, 10u);
 }
 
-TEST(PathConditionalPredictor, NamesAndSizes)
+// --- Both classes -----------------------------------------------------
+
+template <typename Class>
+class PathPredictorClass : public ::testing::Test
 {
-    PathConditionalPredictor flp(14, 4);
+  protected:
+    /** A branch of the class at @p pc. */
+    static BranchRecord
+    branch(std::uint64_t pc)
+    {
+        return record(std::is_same_v<Class, IndirectClass>
+                          ? BranchKind::IndirectJump
+                          : BranchKind::Conditional,
+                      pc, pc + 0x40);
+    }
+};
+using BranchClasses = ::testing::Types<ConditionalClass, IndirectClass>;
+TYPED_TEST_SUITE(PathPredictorClass, BranchClasses);
+
+TYPED_TEST(PathPredictorClass, NamesAndSizes)
+{
+    PathPredictor<TypeParam> flp(14, 4);
     EXPECT_EQ(flp.name(), "fixed length path");
-    EXPECT_EQ(flp.sizeBytes(), 4096u);
+    // 16K 2-bit counters or 16K 32-bit target registers.
+    constexpr bool indirect = std::is_same_v<TypeParam, IndirectClass>;
+    EXPECT_EQ(flp.sizeBytes(), indirect ? 65536u : 4096u);
     EXPECT_EQ(flp.assignment().defaultLength(), 4u);
     EXPECT_GT(flp.historyBytes(), 0u);
+
+    PathPredictor<TypeParam> vlp(14, HashAssignment(4));
+    EXPECT_EQ(vlp.name(), "variable length path");
+    EXPECT_EQ(vlp.sizeBytes(), flp.sizeBytes());
 }
 
-TEST(PathConditionalPredictor, AssignmentLengthsClampToDepth)
+TYPED_TEST(PathPredictorClass, AssignmentLengthsClampToDepth)
 {
     // An assignment built for a 32-deep THB must still work on a
     // predictor configured with a shallower history.
@@ -576,12 +602,48 @@ TEST(PathConditionalPredictor, AssignmentLengthsClampToDepth)
     options.depth = 8;
     HashAssignment assignment(1);
     assignment.assign(0x400000, 32);
-    PathConditionalPredictor predictor(10, assignment, options);
-    // Must not crash; uses length 8 instead.
-    const BranchRecord branch =
-        record(BranchKind::Conditional, 0x400000, 0x400040);
-    predictor.predict(branch);
-    predictor.update(branch);
+    PathPredictor<TypeParam> predictor(10, assignment, options);
+    // Must not crash; uses length 8 instead, as a fixed length 8 does
+    // (with one bank per entry, bankOf() is the whole table index).
+    PathPredictor<TypeParam> eight(10, 8, options);
+    predictor.setBanks(1024);
+    eight.setBanks(1024);
+    util::Rng rng(3);
+    for (int i = 0; i < 40; ++i) {
+        const BranchRecord branch = this->branch(0x400000);
+        predictor.predict(branch);
+        predictor.update(branch);
+        ASSERT_EQ(predictor.bankOf(branch), eight.bankOf(branch));
+        const BranchRecord noise = record(
+            BranchKind::Conditional, 0x401000 + 4 * rng.nextBelow(64),
+            0x402000 + 4 * rng.nextBelow(64));
+        predictor.observe(noise);
+        eight.observe(noise);
+    }
+}
+
+TYPED_TEST(PathPredictorClass, SetBanksValidatesAndBankOfIsIndexLowBits)
+{
+    PathPredictor<TypeParam> predictor(4, 3); // 16 entries
+    // Not a power of two, or more banks than entries.
+    EXPECT_THROW(predictor.setBanks(3), std::runtime_error);
+    EXPECT_THROW(predictor.setBanks(32), std::runtime_error);
+    EXPECT_EQ(predictor.bankCount(), 0u);
+
+    util::Rng rng(5);
+    for (const unsigned banks : {0u, 1u, 4u, 16u}) {
+        predictor.setBanks(banks);
+        EXPECT_EQ(predictor.bankCount(), banks);
+        for (int i = 0; i < 20; ++i) {
+            const BranchRecord branch =
+                this->branch(0x400000 + 4 * rng.nextBelow(16));
+            const unsigned index =
+                static_cast<unsigned>(predictor.bank().index(3));
+            ASSERT_EQ(predictor.bankOf(branch),
+                      banks == 0 ? 0u : index & (banks - 1));
+            predictor.observe(branch);
+        }
+    }
 }
 
 TEST(PathIndirectPredictor, LearnsPathDependentTargets)

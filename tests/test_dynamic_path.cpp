@@ -45,14 +45,20 @@ feed(Predictor &predictor, const BranchRecord &branch, bool *correct)
     predictor.observe(branch);
 }
 
-TEST(DynamicPath, RejectsBadCandidates)
+template <typename Class>
+class DynamicPathClass : public ::testing::Test
 {
-    EXPECT_THROW(DynamicPathConditionalPredictor(10, {}),
-                 std::runtime_error);
-    EXPECT_THROW(DynamicPathConditionalPredictor(10, {0}),
-                 std::runtime_error);
-    EXPECT_THROW(DynamicPathConditionalPredictor(10, {40}),
-                 std::runtime_error);
+};
+using BranchClasses = ::testing::Types<ConditionalClass, IndirectClass>;
+TYPED_TEST_SUITE(DynamicPathClass, BranchClasses);
+
+TYPED_TEST(DynamicPathClass, RejectsBadCandidates)
+{
+    using Predictor = DynamicPathPredictor<TypeParam>;
+    EXPECT_THROW(Predictor(10, {}), std::runtime_error);
+    EXPECT_THROW(Predictor(10, {0}), std::runtime_error);
+    EXPECT_THROW(Predictor(10, {40}), std::runtime_error);
+    EXPECT_NO_THROW(Predictor(10, {1, maxPathLength}));
 }
 
 TEST(DynamicPath, LearnsDistanceFourWithoutProfiling)
@@ -136,10 +142,11 @@ TEST(DynamicPath, IndirectLearnsPathDependentTargets)
 
 TEST(DynamicPath, SizeIncludesScoreTables)
 {
-    DynamicPathConditionalPredictor predictor(12, {1, 2, 4, 8}, 10, 4);
+    DynamicPathConditionalPredictor predictor(12, {1, 2, 4, 8});
     // 4K counters/4 + 1024 slots * 4 candidates * 4 bits / 8.
     EXPECT_EQ(predictor.sizeBytes(), 1024u + 2048u);
-    DynamicPathIndirectPredictor indirect(9, {1, 2}, 8, 4);
+    // 512 targets * 4 + 256 slots * 2 candidates * 4 bits / 8.
+    DynamicPathIndirectPredictor indirect(9, {1, 2});
     EXPECT_EQ(indirect.sizeBytes(), 2048u + 256u);
 }
 

@@ -541,8 +541,8 @@ class SuiteHarness : public IngestHarness
         options.directory = corpus_;
         options.bytes = 1024;
         options.jobs = 1;
-        options.backoffBaseMs = 0;
-        options.sleeper = [](unsigned) {};
+        options.retry.backoffBaseMs = 0;
+        options.retry.sleeper = [](unsigned) {};
         return options;
     }
 
@@ -641,7 +641,7 @@ TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccess)
     auto options = baseOptions();
     options.opener = injector.opener();
     std::uint64_t naps = 0;
-    options.sleeper = [&naps](unsigned) { ++naps; };
+    options.retry.sleeper = [&naps](unsigned) { ++naps; };
     sim::TraceSuiteRunner faulty(std::move(options));
     const std::string faulty_report = render(faulty.run());
 
@@ -661,7 +661,7 @@ TEST_F(SuiteHarness, PersistentTransientFaultsQuarantine)
 
     auto options = baseOptions();
     options.opener = injector.opener();
-    options.maxAttempts = 3;
+    options.retry.maxAttempts = 3;
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
 
@@ -716,7 +716,7 @@ TEST_F(IngestHarness, SuiteWithNoUsableTracesFails)
     sim::TraceSuiteOptions options;
     options.directory = path("empty_corpus");
     options.bytes = 1024;
-    options.sleeper = [](unsigned) {};
+    options.retry.sleeper = [](unsigned) {};
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
     EXPECT_TRUE(report.allFailed());
@@ -731,7 +731,7 @@ TEST_F(IngestHarness, EmptyCorpusIsDistinctFromAllFailed)
     sim::TraceSuiteOptions options;
     options.directory = path("no_traces");
     options.bytes = 1024;
-    options.sleeper = [](unsigned) {};
+    options.retry.sleeper = [](unsigned) {};
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
     // "no .vbt traces found" must not read as "every trace failed":
@@ -868,7 +868,7 @@ TEST_F(IngestHarness, ManifestNamingMissingTraceQuarantinesThatPair)
     sim::TraceSuiteOptions options;
     options.directory = path("corpus");
     options.bytes = 1024;
-    options.sleeper = [](unsigned) {};
+    options.retry.sleeper = [](unsigned) {};
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
 
@@ -895,7 +895,7 @@ TEST_F(IngestHarness, PairedRunReportsTrainAndTestFromDistinctTraces)
     sim::TraceSuiteOptions options;
     options.directory = path("corpus");
     options.bytes = 1024;
-    options.sleeper = [](unsigned) {};
+    options.retry.sleeper = [](unsigned) {};
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
 
@@ -944,7 +944,7 @@ TEST_F(IngestHarness, PairedArtifactsAreCachedUnderProfileHash)
         options.directory = path("corpus");
         options.bytes = 1024;
         options.store = store;
-        options.sleeper = [](unsigned) {};
+        options.retry.sleeper = [](unsigned) {};
         sim::TraceSuiteRunner runner(std::move(options));
         std::ostringstream out;
         runner.run().print(out);
@@ -1096,11 +1096,11 @@ TEST_F(IngestHarness, BackoffDelayIsClampedForHugeAttemptBudgets)
     options.directory = path("corpus");
     options.bytes = 1024;
     options.opener = injector.opener();
-    options.maxAttempts = 40;
-    options.backoffBaseMs = 3;
-    options.backoffMaxMs = 24;
+    options.retry.maxAttempts = 40;
+    options.retry.backoffBaseMs = 3;
+    options.retry.backoffMaxMs = 24;
     std::vector<unsigned> delays;
-    options.sleeper = [&delays](unsigned ms) { delays.push_back(ms); };
+    options.retry.sleeper = [&delays](unsigned ms) { delays.push_back(ms); };
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
 

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/branch_class.h"
 #include "core/path_predictor.h"
 #include "core/profiler.h"
 #include "core/replay_feed.h"
@@ -343,9 +344,9 @@ expectStep2MatchesReference(bool indirect)
         Feeds feeds(records);
         // The traces must exercise the per-edge fold.
         const std::size_t edges = indirect
-            ? maxEdgesPerPc<core::detail::IndirectClass>(
+            ? maxEdgesPerPc<core::IndirectClass>(
                   feeds.compact->trace())
-            : maxEdgesPerPc<core::detail::ConditionalClass>(
+            : maxEdgesPerPc<core::ConditionalClass>(
                   feeds.compact->trace());
         EXPECT_GE(edges, indirect ? 8u : 2u) << trace_name;
 

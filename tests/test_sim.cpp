@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/dynamic_path.h"
+#include "core/path_predictor.h"
 #include "core/profiler.h"
 #include "predictors/bimodal.h"
 #include "predictors/gshare.h"
@@ -138,6 +140,85 @@ TEST(Simulator, PerBranchTracking)
     // The always-taken branch warms up from weakly-not-taken: at
     // most a couple of early misses, none later.
     EXPECT_LE(per_branch.at(0x400000).mispredictions, 2u);
+}
+
+TEST(Simulator, PathPredictorMissCountsArePinned)
+{
+    // FLP, VLP and dynamic VLP of both classes over one fixed trace,
+    // with small tables so that aliasing matters. The counts are
+    // pinned: one changed prediction of any of the six fails here.
+    setenv("VLPSIM_SCALE", "0.02", 1);
+    trace::VectorTraceSource trace = workload::generateTrace(
+        workload::findBenchmark("perl"), workload::InputKind::Test);
+    unsetenv("VLPSIM_SCALE");
+    // Every static branch gets a length from its pc.
+    core::HashAssignment assignment(3);
+    for (trace::BranchRecord record; trace.next(record);)
+        assignment.assign(record.pc, 1 + (record.pc >> 2) % 12);
+    trace.reset();
+    core::PathConditionalPredictor cond_flp(8, 5);
+    core::PathConditionalPredictor cond_vlp(8, assignment);
+    core::DynamicPathConditionalPredictor cond_dynamic(8);
+    core::PathIndirectPredictor ind_flp(8, 5);
+    core::PathIndirectPredictor ind_vlp(8, assignment);
+    core::DynamicPathIndirectPredictor ind_dynamic(8);
+
+    Simulator simulator;
+    simulator.setTrackPerBranch(true);
+    simulator.addConditional(&cond_flp);
+    simulator.addConditional(&cond_vlp);
+    simulator.addConditional(&cond_dynamic);
+    simulator.addIndirect(&ind_flp);
+    simulator.addIndirect(&ind_vlp);
+    simulator.addIndirect(&ind_dynamic);
+    simulator.run(trace);
+
+    struct Expected
+    {
+        const char *name;
+        std::size_t sizeBytes;
+        std::uint64_t branches;
+        std::uint64_t mispredictions;
+    };
+    const auto check = [](const std::vector<PredictorResult> &results,
+                          const std::vector<Expected> &expected) {
+        ASSERT_EQ(results.size(), expected.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(results[i].name, expected[i].name);
+            EXPECT_EQ(results[i].sizeBytes, expected[i].sizeBytes);
+            EXPECT_EQ(results[i].branches, expected[i].branches);
+            EXPECT_EQ(results[i].mispredictions,
+                      expected[i].mispredictions);
+        }
+    };
+    check(simulator.conditionalResults(),
+          {{"fixed length path", 64, 21400, 2343},
+           {"variable length path", 64, 21400, 2551},
+           {"dynamic variable length path", 3136, 21400, 1845}});
+    check(simulator.indirectResults(),
+          {{"fixed length path", 1024, 2041, 358},
+           {"variable length path", 1024, 2041, 380},
+           {"dynamic variable length path", 1792, 2041, 538}});
+
+    // The per-branch tallies add up to the totals.
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (const bool indirect : {false, true}) {
+            const auto &per_branch = indirect
+                ? simulator.indirectPerBranch(i)
+                : simulator.conditionalPerBranch(i);
+            const PredictorResult total = indirect
+                ? simulator.indirectResults()[i]
+                : simulator.conditionalResults()[i];
+            BranchAccuracy sum;
+            for (const auto &[pc, accuracy] : per_branch) {
+                sum.executions += accuracy.executions;
+                sum.mispredictions += accuracy.mispredictions;
+            }
+            EXPECT_EQ(sum.executions, total.branches);
+            EXPECT_EQ(sum.mispredictions, total.mispredictions);
+        }
+    }
 }
 
 TEST(PredictorResult, RateComputation)

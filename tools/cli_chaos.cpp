@@ -201,7 +201,7 @@ runSuiteOnce(const ChaosArgs &args, const fs::path &store_dir,
     options.bytes = args.bytes;
     options.jobs = args.jobs;
     options.checkpoint = checkpoint.string();
-    options.retryJitterSeed = args.seed;
+    options.retry.jitterSeed = args.seed;
     options.store = std::make_shared<store::ArtifactStore>(store_options);
     options.forceGlobalConditionalLength = force_cond;
     options.forceGlobalIndirectLength = force_ind;

@@ -337,54 +337,47 @@ cmdEval(int argc, char **argv)
     const bool indirect = parseIndirect(args[2]);
     const bool have_assignment = args.size() > 3;
 
-    sim::Simulator simulator;
+    const core::HashAssignment assignment =
+        have_assignment ? core::HashAssignment::load(args[3])
+                        : core::HashAssignment(5);
 
+    sim::Simulator simulator;
+    std::vector<sim::PredictorResult> results;
     if (indirect) {
         const unsigned k = pred::indirectIndexBits(bytes);
         pred::BtbPredictor btb(k);
         pred::PathTargetCache chp_path(k);
         pred::PatternTargetCache chp_pattern(k);
         core::PathIndirectPredictor flp(k, 5);
+        core::PathIndirectPredictor vlp(k, assignment);
         simulator.addIndirect(&btb);
         simulator.addIndirect(&chp_path);
         simulator.addIndirect(&chp_pattern);
         simulator.addIndirect(&flp);
-        core::PathIndirectPredictor vlp(
-            k, have_assignment
-                   ? core::HashAssignment::load(args[3])
-                   : core::HashAssignment(5));
         if (have_assignment)
             simulator.addIndirect(&vlp);
         simulator.run(trace);
-        util::TablePrinter table(
-            {"predictor", "size (bytes)", "mispredict (%)"});
-        for (const auto &result : simulator.indirectResults()) {
-            table.addRow({result.name,
-                          std::to_string(result.sizeBytes),
-                          util::formatDouble(result.rate(), 2)});
-        }
-        table.print(std::cout);
+        results = simulator.indirectResults();
     } else {
         const unsigned k = pred::conditionalIndexBits(bytes);
         pred::GsharePredictor gshare(k);
         core::PathConditionalPredictor flp(k, 5);
+        core::PathConditionalPredictor vlp(k, assignment);
         simulator.addConditional(&gshare);
         simulator.addConditional(&flp);
-        core::PathConditionalPredictor vlp(
-            k, have_assignment
-                   ? core::HashAssignment::load(args[3])
-                   : core::HashAssignment(5));
         if (have_assignment)
             simulator.addConditional(&vlp);
         simulator.run(trace);
-        util::TablePrinter table(
-            {"predictor", "size (bytes)", "mispredict (%)"});
-        for (const auto &result : simulator.conditionalResults()) {
-            table.addRow({result.name,
-                          std::to_string(result.sizeBytes),
-                          util::formatDouble(result.rate(), 2)});
-        }
-        table.print(std::cout);
+        results = simulator.conditionalResults();
+    }
+    util::TablePrinter table(
+        {"predictor", "size (bytes)", "mispredict (%)"});
+    for (const auto &result : results) {
+        table.addRow({result.name, std::to_string(result.sizeBytes),
+                      util::formatDouble(result.rate(), 2)});
+    }
+    table.print(std::cout);
+    if (!indirect) {
         const auto ras = simulator.rasResult();
         std::cout << "returns (RAS): "
                   << util::formatDouble(ras.rate(), 2) << "% of "
