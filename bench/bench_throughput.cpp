@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * predictor lookup/update, the incremental path-index bank, trace
- * generation, and one full profiling step. These quantify simulation
- * throughput, not prediction accuracy.
+ * generation, one full profiling step, and the artifact-store entry
+ * checksum. These quantify simulation throughput, not prediction
+ * accuracy.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,7 @@
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "store/artifact_store.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 #include "workload/benchmarks.h"
 
@@ -165,6 +167,32 @@ BM_Step1Conditional(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Step1Conditional)->Unit(benchmark::kMillisecond);
+
+/**
+ * The artifact-store entry checksum over a 1 MiB payload, against the
+ * byte-serial FNV-1a it replaced: a warm hit verifies its whole
+ * payload, so bytes/s here bounds a served request. CI requires XXH64
+ * to stay at least 4x FNV-1a.
+ */
+template <std::uint64_t (*Hash)(const void *, std::size_t, std::uint64_t),
+          std::uint64_t Seed>
+void
+BM_EntryChecksum(benchmark::State &state)
+{
+    std::vector<std::uint8_t> payload(std::size_t{1} << 20);
+    util::Rng rng(17);
+    for (std::uint8_t &byte : payload)
+        byte = static_cast<std::uint8_t>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(Hash(payload.data(), payload.size(), Seed));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations())
+                            * static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK_TEMPLATE(BM_EntryChecksum, util::fnv1a,
+                   util::Fnv1a::offsetBasis)
+    ->Name("BM_EntryChecksum/fnv1a");
+BENCHMARK_TEMPLATE(BM_EntryChecksum, util::xxh64, 0)
+    ->Name("BM_EntryChecksum/xxh64");
 
 /**
  * The parallel experiment engine end to end: simulate gshare over four

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -28,9 +29,20 @@ namespace store {
 
 namespace {
 
-constexpr char entryMagic[8] = {'V', 'L', 'P', 'S', 'T', 'O', 'R', '1'};
+// VLPSTOR1 entries checksummed their payload with FNV-1a; this build
+// cannot read them, so they evict and recompute like any other bad
+// entry.
+constexpr char entryMagic[8] = {'V', 'L', 'P', 'S', 'T', 'O', 'R', '2'};
 constexpr const char *entrySuffix = ".vlpa";
 constexpr const char *statsLogName = "stats.log";
+
+/**
+ * A hit rewrites its entry's mtime (the GC's LRU clock) only when that
+ * mtime is at least this old, so a warm hit normally costs no metadata
+ * write. An mtime may thus trail the entry's last use by up to this
+ * interval, which is the resolution of the GC's LRU order.
+ */
+constexpr std::chrono::seconds lruRefreshInterval{60};
 
 void
 putU32(std::uint8_t *buffer, std::uint32_t value)
@@ -83,7 +95,7 @@ buildEntry(const CacheKey &key, const std::vector<std::uint8_t> &payload)
     cursor += key.text().size();
     putU64(cursor, payload.size());
     cursor += 8;
-    putU64(cursor, util::fnv1a(payload.data(), payload.size()));
+    putU64(cursor, util::xxh64(payload.data(), payload.size()));
     cursor += 8;
     std::copy(payload.begin(), payload.end(), cursor);
     return entry;
@@ -93,6 +105,8 @@ struct ParsedEntry
 {
     std::string key;
     std::vector<std::uint8_t> payload;
+    /** The file's mtime when it was read. */
+    std::chrono::system_clock::time_point modified;
 };
 
 /**
@@ -109,7 +123,7 @@ readEntry(const fs::path &path, bool &corrupt)
     // One read into a buffer sized from the file; once checked, the
     // payload is shifted down in place and the buffer becomes it.
     std::vector<std::uint8_t> raw;
-    struct stat info;
+    struct stat info = {};
     if (::fstat(fd, &info) == 0 && info.st_size > 0) {
         raw.resize(static_cast<std::size_t>(info.st_size));
         std::size_t done = 0;
@@ -149,7 +163,7 @@ readEntry(const fs::path &path, bool &corrupt)
     const std::uint64_t payload_size = getU64(cursor);
     const std::uint64_t checksum = getU64(cursor + 8);
     if (raw.size() - payload_offset != payload_size
-        || util::fnv1a(raw.data() + payload_offset, payload_size)
+        || util::xxh64(raw.data() + payload_offset, payload_size)
                != checksum) {
         corrupt = true;
         return std::nullopt;
@@ -157,6 +171,10 @@ readEntry(const fs::path &path, bool &corrupt)
     raw.erase(raw.begin(),
               raw.begin() + static_cast<std::ptrdiff_t>(payload_offset));
     entry.payload = std::move(raw);
+    entry.modified = std::chrono::system_clock::time_point(
+        std::chrono::duration_cast<std::chrono::system_clock::duration>(
+            std::chrono::seconds(info.st_mtim.tv_sec)
+            + std::chrono::nanoseconds(info.st_mtim.tv_nsec)));
     return entry;
 }
 
@@ -249,9 +267,10 @@ ArtifactStore::fetch(const CacheKey &key)
         return std::nullopt;
     }
     ++counters_.hits;
-    // Refresh the LRU clock; best effort only.
-    std::error_code error;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), error);
+    // Refresh a stale LRU clock to now; best effort only.
+    if (std::chrono::system_clock::now() - entry->modified
+        >= lruRefreshInterval)
+        ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
     return std::move(entry->payload);
 }
 

@@ -9,18 +9,20 @@
  *   stats.log                             append-only counter lines
  *
  * Each entry file is magic + format version + the full canonical key
- * string + a checksummed payload. Entries are written to a temp file
- * in the same directory and atomically renamed into place, so
- * concurrent ParallelRunner workers and parallel CLI invocations never
- * observe torn entries — a reader sees either the complete entry or
- * none. Any validation failure on read (bad magic, version skew, key
- * mismatch, checksum mismatch, truncation) counts as corruption: the
- * entry is evicted and the caller recomputes, so a damaged cache can
- * slow a run down but never break it or change its output.
+ * string + an XXH64-checksummed payload (docs/FORMATS.md). Entries are
+ * written to a temp file in the same directory and atomically renamed
+ * into place, so concurrent ParallelRunner workers and parallel CLI
+ * invocations never observe torn entries — a reader sees either the
+ * complete entry or none. Any validation failure on read (bad magic,
+ * version skew, key mismatch, checksum mismatch, truncation) counts as
+ * corruption: the entry is evicted and the caller recomputes, so a
+ * damaged cache can slow a run down but never break it or change its
+ * output.
  *
  * An LRU-style garbage collector bounds the cache: when maxBytes is
- * set, inserts evict the least-recently-used entries (file mtime,
- * refreshed on every hit) until the total fits.
+ * set, inserts evict the least-recently-used entries (file mtime) until
+ * the total fits. A hit refreshes the mtime only when it is a minute or
+ * more old, so the LRU order has that resolution.
  */
 
 #ifndef VLPSIM_STORE_ARTIFACT_STORE_H

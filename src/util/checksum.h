@@ -1,10 +1,18 @@
 /**
  * @file
- * FNV-1a content checksums, shared by the binary trace format (torn /
- * bit-flipped file detection) and the artifact store (entry integrity
- * and cache-key hashing).
+ * Content checksums.
  *
- * FNV-1a is not cryptographic; it detects accidental corruption —
+ * FNV-1a is the on-disk contract of everything that hashes as it
+ * streams or that older files already carry: the binary trace format
+ * (its record checksum and content identity), artifact-store key
+ * hashing, the checkpoint journal and chaos seeding. It mixes one byte
+ * per multiply, so it runs at well under a byte per cycle.
+ *
+ * XXH64 checks artifact-store entries, which are verified whole on
+ * every warm hit: it mixes four independent 64-bit lanes per 32-byte
+ * stripe and so runs at memory speed.
+ *
+ * Neither is cryptographic; both detect accidental corruption —
  * truncation, bit flips, torn writes — which is the only threat model
  * a local result cache has.
  */
@@ -51,6 +59,14 @@ std::uint64_t fnv1a(const void *data, std::size_t size,
 /** One-shot hash of a string's bytes. */
 std::uint64_t fnv1a(const std::string &text,
                     std::uint64_t seed = Fnv1a::offsetBasis);
+
+/**
+ * One-shot XXH64 of a byte range: the published four-lane construction
+ * over little-endian 64-bit words, so the value is the same on every
+ * host and matches the reference implementation for any @p seed.
+ */
+std::uint64_t xxh64(const void *data, std::size_t size,
+                    std::uint64_t seed = 0);
 
 } // namespace util
 } // namespace vlp

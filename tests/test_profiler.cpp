@@ -560,8 +560,8 @@ expectStep1MatchesStandaloneOn(detail::Step1Kernel kernel, bool indirect,
     // k = 3 packs several lengths' counters into one table word.
     for (const unsigned k : {3u, 12u, 20u}) {
         std::map<unsigned, StandaloneResult> standalone;
-        for (const auto [lo, hi] : {std::pair{3u, 29u}, std::pair{1u, 1u},
-                                    std::pair{32u, 32u}}) {
+        for (const auto &[lo, hi] : {std::pair{3u, 29u}, std::pair{1u, 1u},
+                                     std::pair{32u, 32u}}) {
             for (const auto &[feed_name, source] : feeds) {
                 SCOPED_TRACE("k=" + std::to_string(k) + " lengths "
                              + std::to_string(lo) + ".."

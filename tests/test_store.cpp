@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -527,6 +528,120 @@ TEST_F(StoreHarness, GarbageCollectorEvictsLeastRecentlyUsed)
     EXPECT_GE(store.counters().evicted, 1u);
 }
 
+TEST_F(StoreHarness, HitRefreshesOnlyAStaleLruClock)
+{
+    ArtifactStore store = open();
+    const CacheKey stale = sampleKey("stale");
+    const CacheKey fresh = sampleKey("fresh");
+    store.insert(stale, samplePayload());
+    store.insert(fresh, samplePayload());
+    const fs::path stale_file = fs::path(directory_)
+        / stale.relativePath();
+    const fs::path fresh_file = fs::path(directory_)
+        / fresh.relativePath();
+
+    // An entry last used 100 s ago moves to now on a hit.
+    fs::last_write_time(stale_file, fs::file_time_type::clock::now()
+                                        - std::chrono::seconds(100));
+    ASSERT_TRUE(store.fetch(stale).has_value());
+    const auto age =
+        fs::file_time_type::clock::now() - fs::last_write_time(stale_file);
+    EXPECT_LT(age, std::chrono::seconds(5));
+    EXPECT_GT(age, -std::chrono::seconds(5));
+
+    // A just-written entry's clock is recent enough: no write.
+    const auto written = fs::last_write_time(fresh_file);
+    ASSERT_TRUE(store.fetch(fresh).has_value());
+    EXPECT_EQ(fs::last_write_time(fresh_file), written);
+}
+
+/** Every single-bit flip and every truncation of an entry file is an
+ *  evict-and-miss: magic, version, key length, key text, payload
+ *  length, checksum and payload are each checked. */
+TEST_F(StoreHarness, EveryBitFlipAndTruncationIsCorrupt)
+{
+    ArtifactStore store = open();
+    const CacheKey key = sampleKey();
+    store.insert(key, samplePayload(48));
+    const fs::path file = fs::path(directory_) / key.relativePath();
+    std::vector<char> original;
+    {
+        std::ifstream in(file, std::ios::binary);
+        original.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(original.size(), 48u);
+    const auto expectCorrupt = [&](const std::vector<char> &bytes,
+                                   const std::string &what) {
+        {
+            std::ofstream out(file, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        const std::uint64_t corrupt = store.counters().corrupt;
+        EXPECT_FALSE(store.fetch(key).has_value()) << what;
+        EXPECT_EQ(store.counters().corrupt, corrupt + 1) << what;
+        EXPECT_FALSE(fs::exists(file)) << what;
+    };
+
+    for (std::size_t bit = 0; bit < 8 * original.size(); ++bit) {
+        std::vector<char> flipped = original;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8]
+                                             ^ (1 << (bit % 8)));
+        expectCorrupt(flipped, "bit " + std::to_string(bit));
+    }
+    for (std::size_t size = 0; size < original.size(); ++size) {
+        expectCorrupt(std::vector<char>(original.begin(),
+                                        original.begin()
+                                            + static_cast<std::ptrdiff_t>(
+                                                size)),
+                      "truncated to " + std::to_string(size));
+    }
+    EXPECT_EQ(store.counters().hits, 0u);
+}
+
+/** A VLPSTOR1 entry (FNV-1a payload checksum) is not read: it is
+ *  evicted and counted corrupt, and the next insert rewrites it. */
+TEST_F(StoreHarness, PreviousContainerIsEvictedAndRewritten)
+{
+    const CacheKey key = sampleKey();
+    const auto payload = samplePayload();
+    std::vector<std::uint8_t> entry = {'V', 'L', 'P', 'S',
+                                       'T', 'O', 'R', '1'};
+    const auto put = [&](std::uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            entry.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    };
+    put(artifactFormatVersion, 4);
+    put(key.text().size(), 4);
+    entry.insert(entry.end(), key.text().begin(), key.text().end());
+    put(payload.size(), 8);
+    put(util::fnv1a(payload.data(), payload.size()), 8);
+    entry.insert(entry.end(), payload.begin(), payload.end());
+
+    ArtifactStore store = open();
+    const fs::path file = fs::path(directory_) / key.relativePath();
+    fs::create_directories(file.parent_path());
+    {
+        std::ofstream out(file, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(entry.data()),
+                  static_cast<std::streamsize>(entry.size()));
+    }
+    EXPECT_FALSE(store.fetch(key).has_value());
+    EXPECT_EQ(store.counters().corrupt, 1u);
+    EXPECT_EQ(store.counters().misses, 1u);
+    EXPECT_FALSE(fs::exists(file));
+
+    store.insert(key, payload);
+    const auto fetched = store.fetch(key);
+    ASSERT_TRUE(fetched.has_value());
+    EXPECT_EQ(*fetched, payload);
+    EXPECT_EQ(store.counters().corrupt, 1u);
+    std::ifstream in(file, std::ios::binary);
+    char magic[8] = {};
+    in.read(magic, sizeof(magic));
+    EXPECT_EQ(std::string(magic, sizeof(magic)), "VLPSTOR2");
+}
+
 TEST_F(StoreHarness, SummarizeVerifyAndClear)
 {
     {
@@ -663,7 +778,7 @@ class CachedExperimentHarness : public StoreHarness
                     static_cast<std::uint8_t>(value >> (8 * i)));
         };
         put(payload.size());
-        put(util::fnv1a(payload.data(), payload.size()));
+        put(util::xxh64(payload.data(), payload.size()));
         patched.insert(patched.end(), payload.begin(), payload.end());
         return patched;
     }
@@ -1026,43 +1141,77 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
         sim::compareExternal(context, profile, test, 512, 3, true);
     }
 
-    // Each entry's name (its key) and an FNV-1a digest of its file
-    // (the key and the payload): a change to step 1 or step 2 that
-    // alters a stored profile, assignment or row fails here.
-    std::vector<std::pair<std::string, std::uint64_t>> entries;
-    for (const fs::path &file : entryFiles()) {
-        std::ifstream in(file, std::ios::binary);
-        const std::string bytes(std::istreambuf_iterator<char>(in), {});
-        entries.emplace_back(file.stem().string(),
-                             util::fnv1a(bytes.data(), bytes.size()));
+    // Each entry's name (its key), an FNV-1a digest of its whole file
+    // (container and payload) and an FNV-1a digest of its payload
+    // alone. The payload digests were taken before the entry container
+    // last changed (VLPSTOR1 to VLPSTOR2), so they show that no stored
+    // profile, assignment or row moved with it; a change to step 1 or
+    // step 2 that alters one fails here.
+    struct Pinned
+    {
+        std::string name;
+        std::uint64_t file;
+        std::uint64_t payload;
+        bool operator<(const Pinned &other) const
+        {
+            return name < other.name;
+        }
+    };
+    std::vector<Pinned> entries;
+    for (const auto &[file, bytes] : entryBytes()) {
+        const auto payload = payloadOf(bytes);
+        entries.push_back({file.stem().string(),
+                           util::fnv1a(bytes.data(), bytes.size()),
+                           util::fnv1a(payload.data(), payload.size())});
     }
     std::sort(entries.begin(), entries.end());
-    const std::vector<std::pair<std::string, std::uint64_t>> expected = {
-        {"04546b9e069105b92b98f75afceb3053", 0x25b97ff44ce4ae19ull},
-        {"08c282dc882d8cb6b68b11ae3135e228", 0xa10200ec9eba1536ull},
-        {"1dc3f08489939c25872b1845230e0bc7", 0x2c3eae2e5699046bull},
-        {"26891e99a10963233a40205fa2cf5d79", 0xb3ded5a4f641b4e0ull},
-        {"383a266c12686745d88708cd228a276b", 0xc69778ae4ea30ad0ull},
-        {"43daac20626eae2ad1bed851b76b3be0", 0x72ae378617085a3full},
-        {"47c569e8cd3aaddd80b0f185b2340773", 0xcaf5b4f7f5f17413ull},
-        {"48bb6afdb1b3db873526515f23ee0b11", 0x9ae615b16eb16ae3ull},
-        {"54168ca6a35b7a42f02d0da50f145590", 0xe1320849aebde5a7ull},
-        {"70fcfff09a4400194ca1cb92a3993e83", 0x74b60effcbbec4bbull},
-        {"7fc6b4506d3353ecce1f85e16e4d3726", 0xb3182a36beee4798ull},
-        {"88af9ee32da12ad57e23214957302f77", 0x3d5e2b8a8773c255ull},
-        {"967ab10ad4ee60e626f4179662c31dcc", 0x9fe754fbfd3ce3dcull},
-        {"a2fe9167c48d70c9e885b609609cd337", 0x6d4501fbb91d7229ull},
-        {"a7ddcc3030adf583fa3ad35db3455f71", 0xdb1502d749af3ecbull},
-        {"b772830d6d0e530a0d65e702c52e7454", 0x3a62a826610ae0dull},
-        {"d5f04193ca80466f24ddc7c998ed1175", 0x50e11e74c84e253full},
-        {"fd235e20b93724c9613d8f4bdb7c3bf3", 0xd78935f7d80c5284ull},
+    const std::vector<Pinned> expected = {
+        {"04546b9e069105b92b98f75afceb3053",
+         0xc6baa25c54b2caf0ull, 0xad3d006d86519be7ull},
+        {"08c282dc882d8cb6b68b11ae3135e228",
+         0x3e5aa2cc1ee59edcull, 0x293aa5da7014251ull},
+        {"1dc3f08489939c25872b1845230e0bc7",
+         0xb266ecfc3539318dull, 0xe9239d1b7194c1daull},
+        {"26891e99a10963233a40205fa2cf5d79",
+         0xf8c0f3ecdcdf5316ull, 0xe33fa51434dd357aull},
+        {"383a266c12686745d88708cd228a276b",
+         0xbd7cd1f23300e82dull, 0x4d24d31a848ecc1aull},
+        {"43daac20626eae2ad1bed851b76b3be0",
+         0x405b693f61dba2edull, 0xd2e1c226cd6e49a8ull},
+        {"47c569e8cd3aaddd80b0f185b2340773",
+         0xc26f408f839adb61ull, 0x6737990e90ef2520ull},
+        {"48bb6afdb1b3db873526515f23ee0b11",
+         0xd8f18e4c6061ae5eull, 0x58ab576e87d3ca04ull},
+        {"54168ca6a35b7a42f02d0da50f145590",
+         0x1a2e04f660954807ull, 0x7502e6c9dec7a4caull},
+        {"70fcfff09a4400194ca1cb92a3993e83",
+         0xa9a1d15526b7a1ebull, 0xea577c2fe1fc7150ull},
+        {"7fc6b4506d3353ecce1f85e16e4d3726",
+         0xdc6abf926bd973c7ull, 0x7e73c4830f640dedull},
+        {"88af9ee32da12ad57e23214957302f77",
+         0x8c5f36edadefc73bull, 0x6737990e90ef2520ull},
+        {"967ab10ad4ee60e626f4179662c31dcc",
+         0x21800bdd5bfa09ceull, 0x293aa5da7014251ull},
+        {"a2fe9167c48d70c9e885b609609cd337",
+         0xcc77100e695778d1ull, 0xea577c2fe1fc7150ull},
+        {"a7ddcc3030adf583fa3ad35db3455f71",
+         0xff5bf6add1c034caull, 0x37c90a0006b76c50ull},
+        {"b772830d6d0e530a0d65e702c52e7454",
+         0xf664f76f05abc99dull, 0x7502e6c9dec7a4caull},
+        {"d5f04193ca80466f24ddc7c998ed1175",
+         0x7b42c6e5f891e528ull, 0x114248851ce12428ull},
+        {"fd235e20b93724c9613d8f4bdb7c3bf3",
+         0xe6c0ccc48d0d1193ull, 0x8bb533829c366e9bull},
     };
     ASSERT_EQ(entries.size(), expected.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
-        EXPECT_EQ(entries[i].first, expected[i].first);
-        EXPECT_EQ(entries[i].second, expected[i].second)
-            << entries[i].first << ": 0x" << std::hex
-            << entries[i].second << "ull";
+        EXPECT_EQ(entries[i].name, expected[i].name);
+        EXPECT_EQ(entries[i].file, expected[i].file)
+            << entries[i].name << " file: 0x" << std::hex
+            << entries[i].file << "ull";
+        EXPECT_EQ(entries[i].payload, expected[i].payload)
+            << entries[i].name << " payload: 0x" << std::hex
+            << entries[i].payload << "ull";
     }
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests for counters, history registers, RNG, statistics, tables,
- * the retry policy (exponential schedule and seeded full jitter), and
- * logging helpers.
+ * the retry policy (exponential schedule and seeded full jitter),
+ * logging helpers and the XXH64 entry checksum.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "util/args.h"
+#include "util/checksum.h"
 #include "util/history_register.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
@@ -398,6 +400,46 @@ TEST(PackedCounterTable, MatchesSaturatingCounterAtEveryWidth)
                       reference[index].predictTaken());
             ASSERT_EQ(packed.confidence(index),
                       reference[index].confidence());
+        }
+    }
+}
+
+TEST(Xxh64, MatchesPublishedVectors)
+{
+    const auto hash = [](const std::string &text, std::uint64_t seed) {
+        return xxh64(text.data(), text.size(), seed);
+    };
+    EXPECT_EQ(hash("", 0), 0xef46db3751d8e999ull);
+    EXPECT_EQ(hash("a", 0), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(hash("abc", 0), 0x44bc2cf5ad770999ull);
+    EXPECT_EQ(hash("xxhash", 0), 0x32dd38952c4bc720ull);
+    EXPECT_EQ(hash("xxhash", 20141025), 0xb559b98d844e0635ull);
+    // 39 bytes: one four-lane stripe, then a word, a half word and
+    // three single bytes.
+    EXPECT_EQ(hash("Nobody inspects the spammish repetition", 0),
+              0xfbcea83c8a378bf1ull);
+}
+
+TEST(Xxh64, EveryByteOfEveryShortLengthMatters)
+{
+    // Lengths 0-100 take every tail branch (words, half word, single
+    // bytes) with and without the >= 32-byte lane loop in front.
+    std::vector<unsigned char> bytes(100);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+    std::vector<std::uint64_t> seen;
+    for (std::size_t size = 0; size <= bytes.size(); ++size) {
+        const std::uint64_t hash = xxh64(bytes.data(), size);
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), hash), 0)
+            << "size " << size;
+        seen.push_back(hash);
+        EXPECT_NE(xxh64(bytes.data(), size, 1), hash) << "size " << size;
+        for (std::size_t at = 0; at < size; ++at) {
+            std::vector<unsigned char> changed(bytes.begin(),
+                                               bytes.begin() + size);
+            changed[at] ^= 0x80;
+            EXPECT_NE(xxh64(changed.data(), size), hash)
+                << "size " << size << " byte " << at;
         }
     }
 }
