@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * predictor lookup/update, the incremental path-index bank, trace
- * generation, one full profiling step, and the artifact-store entry
- * checksum. These quantify simulation throughput, not prediction
- * accuracy.
+ * generation, one full profiling step, the artifact-store entry
+ * checksum and the JSON report render. These quantify simulation
+ * throughput, not prediction accuracy.
  */
 
 #include <benchmark/benchmark.h>
@@ -22,9 +22,12 @@
 #include "predictors/gshare.h"
 #include "predictors/target_cache.h"
 #include "sim/parallel.h"
+#include "sim/report.h"
+#include "sim/service.h"
 #include "sim/simulator.h"
 #include "store/artifact_store.h"
 #include "util/checksum.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "workload/benchmarks.h"
 
@@ -193,6 +196,33 @@ BENCHMARK_TEMPLATE(BM_EntryChecksum, util::fnv1a,
     ->Name("BM_EntryChecksum/fnv1a");
 BENCHMARK_TEMPLATE(BM_EntryChecksum, util::xxh64, 0)
     ->Name("BM_EntryChecksum/xxh64");
+
+/**
+ * Rendering a finished report as JSON: the 3-budget conditional sweep
+ * (48 percent rows) through JsonReportSink, the last step of a warm
+ * served request. The sweep runs once, at VLPSIM_SCALE, through the
+ * --cache-dir store when one is given.
+ */
+void
+BM_ReportJson(benchmark::State &state)
+{
+    static const sim::Report report = [] {
+        sim::SweepSpec spec;
+        spec.budgets = {1024, 4096, 16384};
+        spec.jobs = 0;
+        return sim::runSweep(spec, throughputStore()).report;
+    }();
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        util::JsonWriter writer(util::JsonWriter::Style::Compact);
+        sim::JsonReportSink().write(report, writer);
+        bytes += writer.str().size();
+        benchmark::DoNotOptimize(writer.str().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ReportJson)->Unit(benchmark::kMicrosecond);
 
 /**
  * The parallel experiment engine end to end: simulate gshare over four

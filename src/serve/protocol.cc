@@ -307,7 +307,7 @@ heartbeatFrame(std::uint64_t id, std::uint64_t sequence)
 }
 
 std::string
-resultFrame(std::uint64_t id, const util::Json &report_json,
+resultFrame(std::uint64_t id, const sim::Report &report,
             std::uint64_t cache_hits, std::uint64_t cache_misses,
             std::uint64_t cache_inserts, bool cache_hit,
             std::uint64_t predictions)
@@ -323,7 +323,7 @@ resultFrame(std::uint64_t id, const util::Json &report_json,
     writer.member("cacheHit", cache_hit);
     writer.member("predictions", predictions);
     writer.key("report");
-    writeJson(writer, report_json);
+    sim::JsonReportSink().write(report, writer);
     writer.endObject();
     return writer.str();
 }

@@ -119,12 +119,13 @@ std::string progressFrame(std::uint64_t id, const std::string &stage,
 std::string heartbeatFrame(std::uint64_t id, std::uint64_t sequence);
 
 /**
- * Final success frame. @p report_json is the full vlpsim-report
- * document (as produced by JsonReportSink) embedded as an object.
+ * Final success frame. @p report is rendered once, by JsonReportSink
+ * straight into the frame, as the embedded vlpsim-report object: the
+ * compact form of the document `--format json` exports.
  * Cache counters are this request's own store activity; cache_hit is
  * the warm-answer flag (every artifact came from the store).
  */
-std::string resultFrame(std::uint64_t id, const util::Json &report_json,
+std::string resultFrame(std::uint64_t id, const sim::Report &report,
                         std::uint64_t cache_hits,
                         std::uint64_t cache_misses,
                         std::uint64_t cache_inserts, bool cache_hit,

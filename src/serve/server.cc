@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -747,16 +746,15 @@ ExperimentServer::execute(const std::shared_ptr<Request> &request)
         // report is byte-identical to `vlpsim suite --format json`.
         sim::stampBuildInfo(report);
 
-        std::ostringstream json;
-        sim::JsonReportSink sink;
-        sink.write(report, json);
-        const util::Json document = util::Json::parse(json.str());
-
         store::StoreCounters counters;
         if (store)
             counters = store->counters();
         const bool warm = store != nullptr && counters.misses == 0
             && counters.hits > 0;
+        const std::string frame =
+            resultFrame(request->id, report, counters.hits,
+                        counters.misses, counters.inserts, warm,
+                        predictions);
         // State and counter first, frame second (like the cancel and
         // failure paths): a client that has its result frame must
         // never read a status that does not count it yet.
@@ -765,9 +763,7 @@ ExperimentServer::execute(const std::shared_ptr<Request> &request)
             std::lock_guard<std::mutex> lock(registryMutex_);
             ++stats_.completed;
         }
-        request->connection->sendLine(resultFrame(
-            request->id, document, counters.hits, counters.misses,
-            counters.inserts, warm, predictions));
+        request->connection->sendLine(frame);
         util::inform("serve: request " + std::to_string(request->id)
                      + " done (" + (warm ? "warm" : "cold") + ", "
                      + std::to_string(counters.hits) + " cache hits)");

@@ -285,6 +285,13 @@ void
 JsonReportSink::write(const Report &report, std::ostream &out)
 {
     util::JsonWriter writer;
+    write(report, writer);
+    out << writer.str() << "\n";
+}
+
+void
+JsonReportSink::write(const Report &report, util::JsonWriter &writer)
+{
     writer.beginObject();
     writer.member("schema", "vlpsim-report");
     writer.member("version", std::uint64_t{reportSchemaVersion});
@@ -351,7 +358,6 @@ JsonReportSink::write(const Report &report, std::ostream &out)
     }
     writer.endArray();
     writer.endObject();
-    out << writer.str() << "\n";
 }
 
 // --- Schema validation ----------------------------------------------

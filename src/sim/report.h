@@ -40,6 +40,7 @@
 namespace vlp {
 namespace util {
 class Json;
+class JsonWriter;
 } // namespace util
 
 namespace sim {
@@ -229,7 +230,14 @@ class CsvReportSink : public ReportSink
 class JsonReportSink : public ReportSink
 {
   public:
+    /** The pretty document plus a trailing newline. */
     void write(const Report &report, std::ostream &out) override;
+
+    /**
+     * Emit the document as one value into @p writer, in the writer's
+     * style (the serve result frame embeds it compact this way).
+     */
+    void write(const Report &report, util::JsonWriter &writer);
 };
 
 /** Sink factory for a parsed format. */

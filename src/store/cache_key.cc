@@ -5,6 +5,7 @@
 
 #include "store/cache_key.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "util/checksum.h"
@@ -79,9 +80,12 @@ KeyBuilder::field(const std::string &name, bool value)
 KeyBuilder &
 KeyBuilder::field(const std::string &name, double value)
 {
+    // Exactly printf's "%.17g", so stored keys keep their text.
     char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return field(name, std::string(buffer));
+    char *end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                              std::chars_format::general, 17)
+                    .ptr;
+    return field(name, std::string(buffer, end));
 }
 
 CacheKey

@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -461,16 +462,29 @@ JsonWriter::value(double number)
         out_ += "null";
         return;
     }
+    // The text is the lowest-precision %g form that round-trips
+    // (%.17g always does). No precision below the digit count of the
+    // shortest round-trip form can, so the search starts there; it
+    // steps up only when %g's correctly rounded digits at that
+    // precision differ from the shortest form's and miss the value.
     char buffer[64];
-    // %.17g round-trips every double; trim to the shortest exact form
-    // by preferring %g at increasing precision.
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buffer, sizeof(buffer), "%.*g", precision,
-                      number);
-        if (std::strtod(buffer, nullptr) == number)
+    char *const limit = buffer + sizeof(buffer);
+    char *end = std::to_chars(buffer, limit, number,
+                              std::chars_format::scientific)
+                    .ptr;
+    int precision = 0;
+    for (const char *c = buffer; c != end && *c != 'e'; ++c)
+        precision += *c >= '0' && *c <= '9';
+    for (;; ++precision) {
+        end = std::to_chars(buffer, limit, number,
+                            std::chars_format::general, precision)
+                  .ptr;
+        double parsed = 0.0;
+        std::from_chars(buffer, end, parsed);
+        if (parsed == number || precision >= 17)
             break;
     }
-    out_ += buffer;
+    out_.append(buffer, end);
 }
 
 void

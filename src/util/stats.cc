@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+#include <charconv>
 #include <sstream>
 
 namespace vlp {
@@ -24,9 +24,22 @@ percent(std::uint64_t numer, std::uint64_t denom)
 std::string
 formatDouble(double value, int decimals)
 {
+    // Exactly printf's "%.*f" (to_chars' fixed form is defined by it).
     char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.*f", decimals, value);
-    return buffer;
+    const auto fits = std::to_chars(buffer, buffer + sizeof(buffer),
+                                    value, std::chars_format::fixed,
+                                    decimals);
+    if (fits.ec == std::errc())
+        return std::string(buffer, fits.ptr);
+    // Past 64 characters: up to 309 integer digits, then the decimals
+    // (a negative count means printf's default of 6).
+    std::string wide(320 + static_cast<std::size_t>(std::max(decimals, 6)),
+                     '\0');
+    const auto result =
+        std::to_chars(wide.data(), wide.data() + wide.size(), value,
+                      std::chars_format::fixed, decimals);
+    wide.resize(static_cast<std::size_t>(result.ptr - wide.data()));
+    return wide;
 }
 
 std::string

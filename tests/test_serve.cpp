@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -441,6 +442,59 @@ TEST(Protocol, ServerFramesParseWithExpectedFields)
     const auto error = util::Json::parse(serve::errorFrame(0, "boom"));
     EXPECT_EQ(error.at("type").asString(), "error");
     EXPECT_EQ(error.at("id").asUint(), 0u);
+}
+
+/** The daemon renders a report once, straight into the frame. That
+ *  must equal the former composition: the pretty export parsed back
+ *  and re-emitted compact inside the same frame fields. */
+TEST(ServeProtocol, ResultFrameRendersTheReportOnce)
+{
+    sim::Report report;
+    report.title = "quote \" backslash \\ tab \t";
+    report.configuration = "line one\nline two \x01 \xc3\xa9";
+    report.setMeta("jobs", std::uint64_t{4});
+    report.setMeta("note", "a/b \"c\"");
+    sim::Section &table = report.addSection("conditional");
+    table.columns = {{"benchmark"}, {"count"}, {"scaled"},
+                     {"real"}, {"rate (%)"}};
+    table.addRow("go", {sim::Cell::text("go \"1\""),
+                        sim::Cell::count(12345678901234ull),
+                        sim::Cell::scaled(17600000),
+                        sim::Cell::real(0.1 + 0.2, 3),
+                        sim::Cell::percent(22.288636363636364)});
+    table.addRow("", {sim::Cell::text(""), sim::Cell::count(0),
+                      sim::Cell::scaled(999), sim::Cell::real(-0.0, 1),
+                      sim::Cell::percent(std::nan(""))});
+    sim::Section &captioned = report.addSection("figure");
+    captioned.caption = "caption\n";
+    captioned.footer = "footer \\ end\n";
+    captioned.columns = {{"x"}};
+    captioned.addRow("x", {sim::Cell::percent(1e-7, 4)});
+    report.addText("notes", "plain text section\n\ttabbed\n");
+
+    std::ostringstream pretty;
+    sim::JsonReportSink().write(report, pretty);
+    util::JsonWriter old(util::JsonWriter::Style::Compact);
+    old.beginObject();
+    old.member("type", "result");
+    old.member("id", std::uint64_t{7});
+    old.member("status", "ok");
+    old.member("cacheHits", std::uint64_t{45});
+    old.member("cacheMisses", std::uint64_t{1});
+    old.member("cacheInserts", std::uint64_t{2});
+    old.member("cacheHit", false);
+    old.member("predictions", std::uint64_t{41160000});
+    old.key("report");
+    util::writeJson(old, util::Json::parse(pretty.str()));
+    old.endObject();
+
+    const std::string frame =
+        serve::resultFrame(7, report, 45, 1, 2, false, 41160000);
+    EXPECT_EQ(frame, old.str());
+    EXPECT_EQ(frame.find('\n'), std::string::npos);
+    EXPECT_TRUE(sim::validateReportJson(
+                    util::Json::parse(frame).at("report"))
+                    .empty());
 }
 
 // --- cooperative cancellation ---------------------------------------

@@ -6,17 +6,24 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <initializer_list>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "store/cache_key.h"
 #include "util/args.h"
 #include "util/checksum.h"
 #include "util/history_register.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
 #include "util/retry.h"
@@ -271,6 +278,143 @@ TEST(Stats, Formatting)
     EXPECT_EQ(formatScaled(17600000), "17.6 M");
     EXPECT_EQ(formatScaled(999), "999");
     EXPECT_EQ(formatScaled(91400), "91.4 K");
+}
+
+// --- number formatting against the printf family ------------------
+
+/** Reference JSON number: the lowest %g precision whose text strtod
+ *  reads back exactly (a printf search over precisions 1-17). */
+std::string
+shortestPercentG(double number)
+{
+    char buffer[64];
+    for (int precision = 1; precision <= 17; ++precision) {
+        std::snprintf(buffer, sizeof(buffer), "%.*g", precision,
+                      number);
+        if (std::strtod(buffer, nullptr) == number)
+            break;
+    }
+    return buffer;
+}
+
+/** snprintf with a `%.*` @p format and a buffer no double outgrows. */
+std::string
+printfFormat(const char *format, double number, int precision)
+{
+    char buffer[512];
+    std::snprintf(buffer, sizeof(buffer), format, precision, number);
+    return buffer;
+}
+
+/** One double through a fresh compact JsonWriter. */
+std::string
+jsonNumber(double number)
+{
+    JsonWriter writer(JsonWriter::Style::Compact);
+    writer.value(number);
+    return writer.str();
+}
+
+/** Doubles that stress a formatter: ±0, subnormals, DBL_MAX, every
+ *  power of two in both signs, percent-style ratios, integers,
+ *  hundredths, printf halfway cases, then @p random_bits seeded
+ *  random bit patterns (NaNs and infinities among them). */
+std::vector<double>
+formatterInputs(std::size_t random_bits)
+{
+    std::vector<double> values = {0.0, -0.0, DBL_MIN, DBL_TRUE_MIN,
+                                  -DBL_TRUE_MIN, DBL_MAX, -DBL_MAX,
+                                  DBL_EPSILON, 0.125, 2.675, 1.005,
+                                  0.5, 1.5, 2.5, 1e15, 1e16, 1e17,
+                                  1e21, 1e-5, 123456789012345678.0};
+    for (int exponent = -1074; exponent <= 1023; ++exponent) {
+        values.push_back(std::ldexp(1.0, exponent));
+        values.push_back(-std::ldexp(1.0, exponent));
+    }
+    for (std::uint64_t denom = 1; denom <= 300; ++denom)
+        for (std::uint64_t numer = 0; numer <= denom; numer += 7)
+            values.push_back(100.0 * static_cast<double>(numer)
+                             / static_cast<double>(denom));
+    for (int i = -2000; i <= 2000; ++i) {
+        values.push_back(static_cast<double>(i));
+        values.push_back(i / 100.0);
+    }
+    Rng rng(20180618);
+    for (std::size_t i = 0; i < random_bits; ++i)
+        values.push_back(std::bit_cast<double>(rng.next()));
+    return values;
+}
+
+TEST(JsonWriter, DoubleMatchesShortestPercentGSearch)
+{
+    const std::vector<double> values = formatterInputs(1000000);
+    // The printf search costs microseconds a value (glibc's %g goes
+    // multi-precision at extreme exponents): split it over threads.
+    constexpr std::size_t shards = 4;
+    std::vector<std::vector<double>> mismatches(shards);
+    std::vector<std::thread> workers;
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+        workers.emplace_back([&values, &mismatches, shard] {
+            for (std::size_t i = shard; i < values.size(); i += shards) {
+                const double number = values[i];
+                const std::string expected = std::isfinite(number)
+                    ? shortestPercentG(number)
+                    : "null";
+                if (jsonNumber(number) != expected)
+                    mismatches[shard].push_back(number);
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    for (const std::vector<double> &shard : mismatches) {
+        if (shard.empty())
+            continue;
+        ADD_FAILURE() << shard.size() << " mismatches; first bits "
+                      << std::bit_cast<std::uint64_t>(shard.front())
+                      << ": writer " << jsonNumber(shard.front())
+                      << ", printf search "
+                      << shortestPercentG(shard.front());
+    }
+    EXPECT_EQ(jsonNumber(NAN), "null");
+    EXPECT_EQ(jsonNumber(INFINITY), "null");
+    EXPECT_EQ(jsonNumber(-INFINITY), "null");
+    EXPECT_EQ(jsonNumber(22.288636363636364), "22.288636363636364");
+    EXPECT_EQ(jsonNumber(-0.0), "-0");
+    EXPECT_EQ(jsonNumber(1e21), "1e+21");
+}
+
+TEST(FormatDouble, MatchesPrintfFixed)
+{
+    std::vector<double> values = formatterInputs(100000);
+    values.push_back(NAN);
+    values.push_back(-NAN);
+    values.push_back(INFINITY);
+    values.push_back(-INFINITY);
+    for (const double number : values)
+        for (int decimals = 0; decimals <= 6; ++decimals)
+            ASSERT_EQ(formatDouble(number, decimals),
+                      printfFormat("%.*f", number, decimals))
+                << std::bit_cast<std::uint64_t>(number) << " at "
+                << decimals;
+}
+
+TEST(KeyBuilder, DoubleFieldMatchesPercent17g)
+{
+    std::vector<double> values = formatterInputs(200000);
+    values.push_back(NAN);
+    values.push_back(INFINITY);
+    values.push_back(-INFINITY);
+    for (const double number : values) {
+        const std::string text =
+            vlp::store::KeyBuilder("k").field("x", number).build().text();
+        ASSERT_EQ(text, "kind=k;version="
+                            + std::to_string(
+                                vlp::store::artifactFormatVersion)
+                            + ";x=" + printfFormat("%.*g", number, 17)
+                            + ";")
+            << std::bit_cast<std::uint64_t>(number);
+    }
 }
 
 TEST(Stats, RunningStat)

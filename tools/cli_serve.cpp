@@ -25,6 +25,10 @@
 #include <sstream>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/run_options.h"
@@ -195,6 +199,17 @@ cmdServe(int argc, char **argv)
         options.chaos.activateProbability = chaos_activate;
         options.chaos.fireProbability = chaos_fire;
     }
+
+#if defined(__GLIBC__)
+    // A warm request holds a few MB of store payloads and frees them
+    // as it ends. With glibc's adaptive thresholds each worker's arena
+    // hands those pages back to the kernel after every request and
+    // the next request faults them all in again (about 650 faults on
+    // a three-budget conditional sweep, the slowest request and so
+    // the latency tail). Fixed thresholds keep freed pages for reuse.
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
 
     serve::ExperimentServer server(std::move(options));
     server.start();
