@@ -1,7 +1,7 @@
 /**
  * @file
  * Fetch-bundle front-end sweep (ours — not a paper table): runs the
- * speculative FetchEngine at fetch widths m ∈ {1, 2, 4} over gshare,
+ * FetchEngine at fetch widths m ∈ {1, 2, 4} over gshare,
  * the fixed length path predictor (per-benchmark tuned length), and
  * the variable length path predictor, reporting branch throughput and
  * IPC next to the misprediction rate. The VLP slot carries an HFNT so
@@ -128,13 +128,12 @@ main(int argc, char **argv)
                 for (const auto &result : expected)
                     runner.addPredictions(result.branches);
 
-                // The sweep: each width is a fresh speculative engine,
+                // The sweep: each width is a fresh engine,
                 // and a tripwire holds its accuracy to the reference.
                 std::vector<std::vector<sim::Cell>> result_rows;
                 for (unsigned m : widths) {
                     sim::FrontendParameters parameters;
                     parameters.bundleWidth = m;
-                    parameters.chaosIdentity = name;
 
                     Trio trio(k, tuned, assignment);
                     trio.flp.setBanks(m);

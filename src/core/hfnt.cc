@@ -36,52 +36,10 @@ void
 HashFunctionNumberTable::update(std::uint64_t pc,
                                 unsigned actual_number)
 {
-    const std::size_t slot = index(pc);
-    std::uint8_t &entry = table_[slot];
-    if (outstanding_ > 0)
-        journal_.emplace_back(static_cast<std::uint32_t>(slot), entry);
+    std::uint8_t &entry = table_[index(pc)];
     if (entry != actual_number)
         ++mismatches_;
     entry = static_cast<std::uint8_t>(actual_number);
-}
-
-HashFunctionNumberTable::Checkpoint
-HashFunctionNumberTable::checkpoint()
-{
-    ++outstanding_;
-    return {lookups_, mismatches_, journal_.size()};
-}
-
-void
-HashFunctionNumberTable::restore(const Checkpoint &checkpoint)
-{
-    if (outstanding_ == 0 || checkpoint.journalMark > journal_.size())
-        util::fatal("HFNT checkpoint restore without a matching "
-                    "outstanding checkpoint");
-    // Unwind newest-first so overlapping writes land on their oldest
-    // (pre-checkpoint) values.
-    while (journal_.size() > checkpoint.journalMark) {
-        const auto &[slot, value] = journal_.back();
-        table_[slot] = value;
-        journal_.pop_back();
-    }
-    lookups_ = checkpoint.lookups;
-    mismatches_ = checkpoint.mismatches;
-    --outstanding_;
-}
-
-void
-HashFunctionNumberTable::discard(const Checkpoint &checkpoint)
-{
-    if (outstanding_ == 0 || checkpoint.journalMark > journal_.size())
-        util::fatal("HFNT checkpoint discard without a matching "
-                    "outstanding checkpoint");
-    --outstanding_;
-    // Entries after the discarded mark may still be needed by an
-    // outer open checkpoint, so the journal can only be dropped once
-    // no checkpoint remains open.
-    if (outstanding_ == 0)
-        journal_.clear();
 }
 
 void
@@ -104,21 +62,6 @@ std::size_t
 HashFunctionNumberTable::sizeBytes() const
 {
     return (table_.size() * 5 + 7) / 8;
-}
-
-void
-HashFunctionNumberTable::restore(std::vector<std::uint8_t> table,
-                                 std::uint64_t lookups,
-                                 std::uint64_t mismatches)
-{
-    if (table.size() != std::size_t{1} << indexBits_)
-        util::fatal("restored HFNT table size does not match its "
-                    "index width");
-    table_ = std::move(table);
-    lookups_ = lookups;
-    mismatches_ = mismatches;
-    journal_.clear();
-    outstanding_ = 0;
 }
 
 } // namespace core

@@ -18,7 +18,6 @@
 #define VLPSIM_CORE_HFNT_H
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "util/stats.h"
@@ -60,44 +59,6 @@ class HashFunctionNumberTable
     /** Index width j in bits. */
     unsigned indexBits() const { return indexBits_; }
 
-    /** Raw table contents (serialization hook for the artifact
-     *  store). */
-    const std::vector<std::uint8_t> &rawTable() const { return table_; }
-
-    /**
-     * Adopt previously captured contents and counters (the inverse of
-     * rawTable()/lookups()/mismatches()). Drops any outstanding
-     * speculative checkpoints.
-     * @throws std::runtime_error if the table size does not match
-     *         this table's index width
-     */
-    void restore(std::vector<std::uint8_t> table, std::uint64_t lookups,
-                 std::uint64_t mismatches);
-
-    /**
-     * Speculative checkpoint (DESIGN.md §17): a journal mark plus the
-     * statistics counters. While any checkpoint is outstanding,
-     * update() logs the old value of each overwritten entry, so
-     * restoring costs O(writes since the checkpoint) — never a
-     * full-table copy. Checkpoints are LIFO: release each one with
-     * restore() or discard(), newest first.
-     */
-    struct Checkpoint
-    {
-        std::uint64_t lookups = 0;
-        std::uint64_t mismatches = 0;
-        std::size_t journalMark = 0;
-    };
-
-    /** Open a checkpoint and start journaling writes. */
-    Checkpoint checkpoint();
-
-    /** Unwind the journal back to @p checkpoint and release it. */
-    void restore(const Checkpoint &checkpoint);
-
-    /** Release @p checkpoint, keeping the writes made since. */
-    void discard(const Checkpoint &checkpoint);
-
     /**
      * Model the table as @p banks independent single-ported banks
      * (bank = low entry-index bits) for the fetch-bundle front end.
@@ -125,11 +86,6 @@ class HashFunctionNumberTable
     std::uint64_t lookups_ = 0;
     std::uint64_t mismatches_ = 0;
     unsigned banks_ = 1;
-    /** Undo log: (entry index, value before the write), oldest
-     *  first. Populated only while checkpoints are outstanding. */
-    std::vector<std::pair<std::uint32_t, std::uint8_t>> journal_;
-    /** Number of open checkpoints (LIFO). */
-    unsigned outstanding_ = 0;
 };
 
 } // namespace core

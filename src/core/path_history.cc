@@ -80,25 +80,6 @@ PathIndexBank::target(unsigned i) const
     return thb_[(head_ + i - 1) & thbMask_];
 }
 
-PathIndexBank::HistoryCheckpoint
-PathIndexBank::checkpoint() const
-{
-    return {thb_, sums_, pathSum_, head_, occupancy_, snapshots_};
-}
-
-void
-PathIndexBank::restore(const HistoryCheckpoint &checkpoint)
-{
-    assert(checkpoint.thb.size() == thb_.size());
-    assert(checkpoint.sums.size() == sums_.size());
-    thb_ = checkpoint.thb;
-    sums_ = checkpoint.sums;
-    pathSum_ = checkpoint.pathSum;
-    head_ = checkpoint.head;
-    occupancy_ = checkpoint.occupancy;
-    snapshots_ = checkpoint.callStack;
-}
-
 void
 PathIndexBank::clear()
 {

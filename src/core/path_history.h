@@ -243,35 +243,6 @@ class PathIndexBank
         unsigned occupancy = 0;
     };
 
-  public:
-    /**
-     * Value snapshot of the first-level history for speculative
-     * checkpoint/repair (DESIGN.md §17): the THB and partial-sum
-     * rings — O(depth) words, never a predictor-table copy — plus,
-     * when the historyStack extension is on, the saved call
-     * snapshots. Restoring a checkpoint is valid any number of
-     * times, in any order.
-     */
-    struct HistoryCheckpoint
-    {
-        std::vector<std::uint64_t> thb;
-        std::vector<std::uint64_t> sums;
-        std::uint64_t pathSum = 0;
-        unsigned head = 0;
-        unsigned occupancy = 0;
-        std::vector<Snapshot> callStack;
-    };
-
-    /** Snapshot the history state. */
-    HistoryCheckpoint checkpoint() const;
-
-    /**
-     * Rewind to @p checkpoint (taken from this bank — the ring sizes
-     * must match).
-     */
-    void restore(const HistoryCheckpoint &checkpoint);
-
-  private:
     unsigned indexBits_;
     PathHistoryOptions options_;
     /**

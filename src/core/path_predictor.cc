@@ -5,22 +5,12 @@
 
 #include "core/path_predictor.h"
 
-#include <memory>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace vlp {
 namespace core {
-
-namespace {
-
-/** The checkpoint: the first-level history snapshot. */
-struct PathCheckpoint final : pred::Checkpoint
-{
-    PathIndexBank::HistoryCheckpoint history;
-};
-
-} // anonymous namespace
 
 template <typename Class>
 PathPredictor<Class>::PathPredictor(unsigned index_bits,
@@ -73,23 +63,6 @@ void
 PathPredictor<Class>::observe(const trace::BranchRecord &record)
 {
     bank_.observe(record);
-}
-
-template <typename Class>
-pred::CheckpointPtr
-PathPredictor<Class>::checkpoint() const
-{
-    auto snapshot = std::make_unique<PathCheckpoint>();
-    snapshot->history = bank_.checkpoint();
-    return snapshot;
-}
-
-template <typename Class>
-void
-PathPredictor<Class>::restore(const pred::Checkpoint &checkpoint)
-{
-    bank_.restore(
-        dynamic_cast<const PathCheckpoint &>(checkpoint).history);
 }
 
 template <typename Class>

@@ -50,13 +50,6 @@ class PathPredictor : public Class::Predictor
 
     void observe(const trace::BranchRecord &record) override;
 
-    /** Snapshot of the first-level history (THB + sum rings); the
-     *  table is retirement state and is never captured. */
-    pred::CheckpointPtr checkpoint() const override;
-
-    /** Rewind the first-level history. */
-    void restore(const pred::Checkpoint &checkpoint) override;
-
     /**
      * Model the table as @p banks independent single-ported banks
      * (bank = low table-index bits) for the fetch-bundle front end.

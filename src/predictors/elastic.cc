@@ -10,31 +10,6 @@
 namespace vlp {
 namespace pred {
 
-namespace {
-
-/** History snapshot: the global pattern register. */
-struct ElasticCheckpoint final : Checkpoint
-{
-    std::uint64_t history = 0;
-};
-
-} // anonymous namespace
-
-CheckpointPtr
-ElasticGsharePredictor::checkpoint() const
-{
-    auto snapshot = std::make_unique<ElasticCheckpoint>();
-    snapshot->history = history_.value();
-    return snapshot;
-}
-
-void
-ElasticGsharePredictor::restore(const Checkpoint &checkpoint)
-{
-    history_.set(
-        dynamic_cast<const ElasticCheckpoint &>(checkpoint).history);
-}
-
 ElasticGsharePredictor::ElasticGsharePredictor(
         unsigned index_bits, PatternLengthAssignment assignment)
     : indexBits_(index_bits),

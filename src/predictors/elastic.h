@@ -57,12 +57,6 @@ class ElasticGsharePredictor : public ConditionalPredictor
 
     void observe(const trace::BranchRecord &record) override;
 
-    /** Snapshot the global history register. */
-    CheckpointPtr checkpoint() const override;
-
-    /** Rewind the global history register. */
-    void restore(const Checkpoint &checkpoint) override;
-
     std::string name() const override { return "elastic gshare"; }
 
     std::size_t sizeBytes() const override;

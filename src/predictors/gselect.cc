@@ -10,31 +10,6 @@
 namespace vlp {
 namespace pred {
 
-namespace {
-
-/** History snapshot: the global pattern register. */
-struct GselectCheckpoint final : Checkpoint
-{
-    std::uint64_t history = 0;
-};
-
-} // anonymous namespace
-
-CheckpointPtr
-GselectPredictor::checkpoint() const
-{
-    auto snapshot = std::make_unique<GselectCheckpoint>();
-    snapshot->history = history_.value();
-    return snapshot;
-}
-
-void
-GselectPredictor::restore(const Checkpoint &checkpoint)
-{
-    history_.set(
-        dynamic_cast<const GselectCheckpoint &>(checkpoint).history);
-}
-
 GselectPredictor::GselectPredictor(unsigned index_bits,
                                    unsigned history_bits)
     : indexBits_(index_bits),

@@ -34,12 +34,6 @@ class GselectPredictor : public ConditionalPredictor
 
     void observe(const trace::BranchRecord &record) override;
 
-    /** Snapshot the global history register. */
-    CheckpointPtr checkpoint() const override;
-
-    /** Rewind the global history register. */
-    void restore(const Checkpoint &checkpoint) override;
-
     std::string name() const override { return "gselect"; }
 
     std::size_t sizeBytes() const override;

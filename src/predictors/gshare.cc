@@ -8,31 +8,6 @@
 namespace vlp {
 namespace pred {
 
-namespace {
-
-/** History snapshot: the global pattern register. */
-struct GshareCheckpoint final : Checkpoint
-{
-    std::uint64_t history = 0;
-};
-
-} // anonymous namespace
-
-CheckpointPtr
-GsharePredictor::checkpoint() const
-{
-    auto snapshot = std::make_unique<GshareCheckpoint>();
-    snapshot->history = history_.value();
-    return snapshot;
-}
-
-void
-GsharePredictor::restore(const Checkpoint &checkpoint)
-{
-    history_.set(
-        dynamic_cast<const GshareCheckpoint &>(checkpoint).history);
-}
-
 GsharePredictor::GsharePredictor(unsigned index_bits,
                                  unsigned history_bits)
     : indexBits_(index_bits),

@@ -55,15 +55,6 @@ class GsharePredictor final : public ConditionalPredictor
             history_.push(record.taken);
     }
 
-    // speculate() is inherited: pushing the *predicted* outcome is
-    // exactly observe() of a record carrying it.
-
-    /** Snapshot the global history register. */
-    CheckpointPtr checkpoint() const override;
-
-    /** Rewind the global history register. */
-    void restore(const Checkpoint &checkpoint) override;
-
     std::string name() const override { return "gshare"; }
 
     std::size_t sizeBytes() const override;

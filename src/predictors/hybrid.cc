@@ -10,48 +10,6 @@
 namespace vlp {
 namespace pred {
 
-namespace {
-
-/** Snapshot pairing both components' checkpoints. */
-struct HybridCheckpoint final : Checkpoint
-{
-    CheckpointPtr first;
-    CheckpointPtr second;
-    bool lastFirst = false;
-    bool lastSecond = false;
-};
-
-} // anonymous namespace
-
-void
-HybridPredictor::speculate(const trace::BranchRecord &record)
-{
-    first_->speculate(record);
-    second_->speculate(record);
-}
-
-CheckpointPtr
-HybridPredictor::checkpoint() const
-{
-    auto snapshot = std::make_unique<HybridCheckpoint>();
-    snapshot->first = first_->checkpoint();
-    snapshot->second = second_->checkpoint();
-    snapshot->lastFirst = lastFirst_;
-    snapshot->lastSecond = lastSecond_;
-    return snapshot;
-}
-
-void
-HybridPredictor::restore(const Checkpoint &checkpoint)
-{
-    const auto &snapshot =
-        dynamic_cast<const HybridCheckpoint &>(checkpoint);
-    first_->restore(*snapshot.first);
-    second_->restore(*snapshot.second);
-    lastFirst_ = snapshot.lastFirst;
-    lastSecond_ = snapshot.lastSecond;
-}
-
 HybridPredictor::HybridPredictor(
         std::unique_ptr<ConditionalPredictor> first,
         std::unique_ptr<ConditionalPredictor> second,

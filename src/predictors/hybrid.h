@@ -41,16 +41,6 @@ class HybridPredictor : public ConditionalPredictor
 
     void observe(const trace::BranchRecord &record) override;
 
-    /** Forward the speculative history advance to both components. */
-    void speculate(const trace::BranchRecord &record) override;
-
-    /** Combined snapshot: both components' checkpoints plus the
-     *  captured component predictions the next update() consumes. */
-    CheckpointPtr checkpoint() const override;
-
-    /** Rewind both components and the captured predictions. */
-    void restore(const Checkpoint &checkpoint) override;
-
     std::string name() const override;
 
     std::size_t sizeBytes() const override;

@@ -20,51 +20,23 @@
  * for every fetched branch while tables are written at retirement, and
  * it lets each predictor decide which branch classes feed its history.
  *
- * Speculative protocol (sim::FetchEngine, DESIGN.md §17): a wide
- * front-end advances history at *fetch* with the predicted outcome and
- * must repair it when the branch resolves the other way. Predictors
- * expose that as three additional hooks:
- *   - speculate(record): advance history with a record embodying the
- *     *predicted* outcome (for a correctly predicted branch this is
- *     exactly observe() of the retired record);
- *   - checkpoint(): an opaque snapshot of the history state — tables
- *     are retirement state and are never captured;
- *   - restore(checkpoint): rewind history to a snapshot (mispredict
- *     repair).
- * The defaults keep every existing predictor and caller working: a
- * predictor with no override speculates by observing and has a
- * stateless (no-op) checkpoint. The retirement-order
- * predict→update→observe path is untouched.
+ * sim::FetchEngine (DESIGN.md §17) drives predictors through the same
+ * protocol: a wide front end's wrong-path history advance is repaired
+ * before the branch retires, so its effect on what the tables learn is
+ * nil, and the engine charges a misprediction as a flush penalty
+ * rather than re-enacting the repair.
  */
 
 #ifndef VLPSIM_PREDICTORS_PREDICTOR_H
 #define VLPSIM_PREDICTORS_PREDICTOR_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "trace/branch_record.h"
 
 namespace vlp {
 namespace pred {
-
-/**
- * Opaque snapshot of a predictor's history state, produced by
- * Predictor::checkpoint() and consumed by Predictor::restore(). Each
- * predictor derives its own snapshot type; restore() rejects foreign
- * checkpoints (std::bad_cast). The base class itself is the valid
- * checkpoint of a predictor with no history.
- */
-class Checkpoint
-{
-  public:
-    Checkpoint() = default;
-    virtual ~Checkpoint() = default;
-};
-
-/** Owning handle for an opaque history checkpoint. */
-using CheckpointPtr = std::unique_ptr<Checkpoint>;
 
 /** Common base: naming, sizing, and history observation. */
 class Predictor
@@ -80,39 +52,6 @@ class Predictor
     virtual void observe(const trace::BranchRecord &record)
     {
         (void)record;
-    }
-
-    /**
-     * Advance history speculatively at fetch with @p record carrying
-     * the *predicted* outcome (taken/nextPc as the front-end guessed
-     * them). For a correct prediction the record equals the retired
-     * one and this must behave exactly like observe(); the default
-     * does precisely that. Wrong-path effects are undone by
-     * restore(), never retired.
-     */
-    virtual void speculate(const trace::BranchRecord &record)
-    {
-        observe(record);
-    }
-
-    /**
-     * Snapshot the history state (never the tables). The snapshot is
-     * a value: restoring it is valid any number of times, in any
-     * order, unless a subclass documents a tighter protocol (the
-     * HFNT-style journaled snapshots are LIFO).
-     */
-    virtual CheckpointPtr checkpoint() const
-    {
-        return std::make_unique<Checkpoint>();
-    }
-
-    /**
-     * Rewind history to @p checkpoint (a snapshot this predictor
-     * produced). @throws std::bad_cast for a foreign checkpoint.
-     */
-    virtual void restore(const Checkpoint &checkpoint)
-    {
-        (void)checkpoint;
     }
 
     /**

@@ -5,42 +5,10 @@
 
 #include "predictors/two_level.h"
 
-#include <cassert>
-
 #include "util/bits.h"
 
 namespace vlp {
 namespace pred {
-
-namespace {
-
-/** First-level history snapshot: every register's pattern. */
-struct TwoLevelCheckpoint final : Checkpoint
-{
-    std::vector<std::uint64_t> patterns;
-};
-
-} // anonymous namespace
-
-CheckpointPtr
-TwoLevelPredictor::checkpoint() const
-{
-    auto snapshot = std::make_unique<TwoLevelCheckpoint>();
-    snapshot->patterns.reserve(histories_.size());
-    for (const util::BitHistoryRegister &history : histories_)
-        snapshot->patterns.push_back(history.value());
-    return snapshot;
-}
-
-void
-TwoLevelPredictor::restore(const Checkpoint &checkpoint)
-{
-    const auto &snapshot =
-        dynamic_cast<const TwoLevelCheckpoint &>(checkpoint);
-    assert(snapshot.patterns.size() == histories_.size());
-    for (std::size_t i = 0; i < histories_.size(); ++i)
-        histories_[i].set(snapshot.patterns[i]);
-}
 
 TwoLevelPredictor::TwoLevelPredictor(HistoryScope scope,
                                      unsigned history_bits,

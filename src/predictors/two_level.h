@@ -54,16 +54,6 @@ class TwoLevelPredictor : public ConditionalPredictor
 
     void observe(const trace::BranchRecord &record) override;
 
-    /**
-     * Snapshot the first-level history: one register for GAs, the
-     * whole BHT for PAs (the second-level counters are retirement
-     * state and are never captured).
-     */
-    CheckpointPtr checkpoint() const override;
-
-    /** Rewind the first-level history. */
-    void restore(const Checkpoint &checkpoint) override;
-
     std::string name() const override;
 
     std::size_t sizeBytes() const override;

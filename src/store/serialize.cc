@@ -14,12 +14,6 @@ namespace vlp {
 namespace store {
 
 void
-Encoder::u8(std::uint8_t value)
-{
-    buffer_.push_back(value);
-}
-
-void
 Encoder::u32(std::uint32_t value)
 {
     for (int i = 0; i < 4; ++i)
@@ -46,12 +40,6 @@ Encoder::str(const std::string &value)
     buffer_.insert(buffer_.end(), value.begin(), value.end());
 }
 
-void
-Encoder::bytes(const std::uint8_t *data, std::size_t size)
-{
-    buffer_.insert(buffer_.end(), data, data + size);
-}
-
 const std::uint8_t *
 Decoder::need(std::size_t size)
 {
@@ -60,12 +48,6 @@ Decoder::need(std::size_t size)
     const std::uint8_t *data = buffer_.data() + offset_;
     offset_ += size;
     return data;
-}
-
-std::uint8_t
-Decoder::u8()
-{
-    return *need(1);
 }
 
 std::uint32_t
@@ -297,38 +279,6 @@ decodeComparisonRow(const std::vector<std::uint8_t> &payload)
     }
     decoder.expectEnd();
     return row;
-}
-
-std::vector<std::uint8_t>
-encodeHfnt(const core::HashFunctionNumberTable &table)
-{
-    Encoder encoder;
-    encoder.u32(table.indexBits());
-    encoder.u64(table.lookups());
-    encoder.u64(table.mismatches());
-    encoder.bytes(table.rawTable().data(), table.rawTable().size());
-    return encoder.take();
-}
-
-core::HashFunctionNumberTable
-decodeHfnt(const std::vector<std::uint8_t> &payload)
-{
-    Decoder decoder(payload);
-    const std::uint32_t index_bits = decoder.u32();
-    if (index_bits > 30)
-        util::fatal("artifact HFNT has an impossible index width");
-    const std::uint64_t lookups = decoder.u64();
-    const std::uint64_t mismatches = decoder.u64();
-    const std::size_t size = std::size_t{1} << index_bits;
-    if (decoder.remaining() != size)
-        util::fatal("artifact HFNT table size mismatch");
-    std::vector<std::uint8_t> contents(size);
-    for (std::uint8_t &entry : contents)
-        entry = decoder.u8();
-    decoder.expectEnd();
-    core::HashFunctionNumberTable table(index_bits);
-    table.restore(std::move(contents), lookups, mismatches);
-    return table;
 }
 
 } // namespace store

@@ -19,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/hfnt.h"
 #include "core/hash_assignment.h"
 #include "core/profiler.h"
 #include "sim/experiment.h"
@@ -31,14 +30,12 @@ namespace store {
 class Encoder
 {
   public:
-    void u8(std::uint8_t value);
     void u32(std::uint32_t value);
     void u64(std::uint64_t value);
     /** Doubles are stored as their IEEE-754 bit pattern. */
     void f64(double value);
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &value);
-    void bytes(const std::uint8_t *data, std::size_t size);
 
     const std::vector<std::uint8_t> &buffer() const { return buffer_; }
     std::vector<std::uint8_t> take() { return std::move(buffer_); }
@@ -56,7 +53,6 @@ class Decoder
     {
     }
 
-    std::uint8_t u8();
     std::uint32_t u32();
     std::uint64_t u64();
     double f64();
@@ -112,12 +108,6 @@ std::vector<std::uint8_t>
 encodeComparisonRow(const sim::ComparisonRow &row);
 sim::ComparisonRow
 decodeComparisonRow(const std::vector<std::uint8_t> &payload);
-
-/** HFNT contents and counters (bench_ablation / timing artifacts). */
-std::vector<std::uint8_t>
-encodeHfnt(const core::HashFunctionNumberTable &table);
-core::HashFunctionNumberTable
-decodeHfnt(const std::vector<std::uint8_t> &payload);
 
 } // namespace store
 } // namespace vlp

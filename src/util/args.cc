@@ -87,14 +87,6 @@ ArgParser::addPositional(const std::string &name,
 }
 
 void
-ArgParser::allowExtraPositionals(const std::string &name,
-                                 const std::string &help)
-{
-    variadicTail_ = true;
-    positionals_.push_back(Positional{name + "...", help, false});
-}
-
-void
 ArgParser::allowExtra()
 {
     passUnknown_ = true;
@@ -168,7 +160,7 @@ ArgParser::parse(int argc, char **argv, int begin)
     if (positionals.size() < required)
         fail("missing required argument: "
              + positionals_[positionals.size()].name);
-    if (!variadicTail_ && positionals.size() > positionals_.size()) {
+    if (positionals.size() > positionals_.size()) {
         fail("unexpected argument: " + positionals[positionals_.size()]);
     }
     return positionals;

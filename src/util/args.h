@@ -71,11 +71,6 @@ class ArgParser
     void addPositional(const std::string &name,
                        const std::string &help, bool required = true);
 
-    /** Permit a variable tail of positionals after the declared
-     *  ones (e.g. a trace file list). */
-    void allowExtraPositionals(const std::string &name,
-                               const std::string &help);
-
     /**
      * Collect unknown `--flags` into extra() instead of rejecting
      * them (their values stay attached only in `--flag=value` form,
@@ -124,7 +119,6 @@ class ArgParser
     std::string summary_;
     std::vector<Flag> flags_;
     std::vector<Positional> positionals_;
-    bool variadicTail_ = false;
     bool passUnknown_ = false;
     std::vector<std::string> extra_;
 };

@@ -155,7 +155,6 @@ const std::vector<std::string> &
 knownSections()
 {
     static const std::vector<std::string> sections = {
-        "frontend.checkpoint.restore",
         "retry.transient",
         "serve.accept.drop",
         "serve.admission.queue-full",

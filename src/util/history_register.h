@@ -49,7 +49,7 @@ class BitHistoryRegister
     /** Clear all recorded history. */
     void clear() { value_ = 0; }
 
-    /** Restore a previously saved pattern (checkpoint/rollback). */
+    /** Force the pattern (truncated to the register width). */
     void
     set(std::uint64_t value)
     {

@@ -177,13 +177,6 @@ fatal(const std::string &message)
     throw std::runtime_error(message);
 }
 
-void
-panic(const std::string &message)
-{
-    std::fprintf(stderr, "panic: %s\n", message.c_str());
-    std::abort();
-}
-
 double
 workloadScale()
 {

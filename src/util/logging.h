@@ -4,7 +4,7 @@
  *
  * fatal() is for user-caused conditions (bad configuration, bad trace
  * file): it throws a std::runtime_error so callers and tests can catch
- * it. panic() is for internal invariant violations and aborts.
+ * it.
  *
  * The message functions (debug/inform/warn/error) share one
  * mutex-guarded writer, so lines from concurrent workers and daemon
@@ -88,9 +88,6 @@ void error(const std::string &message);
  * @throws std::runtime_error always
  */
 [[noreturn]] void fatal(const std::string &message);
-
-/** Abort on an internal invariant violation (a simulator bug). */
-[[noreturn]] void panic(const std::string &message);
 
 /**
  * Read the global workload scale factor from the VLPSIM_SCALE

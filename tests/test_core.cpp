@@ -227,7 +227,6 @@ TEST(PathIndexBank, MirroredRingSurvivesEveryMutation)
             options.historyStackDepth = 4;
             PathIndexBank bank(k, options);
             util::Rng rng(depth * 100 + k);
-            PathIndexBank::HistoryCheckpoint saved;
             expectMirroredAndExact(bank);
             for (int step = 0; step < 400; ++step) {
                 if (step % 3 == 0) {
@@ -237,10 +236,6 @@ TEST(PathIndexBank, MirroredRingSurvivesEveryMutation)
                     bank.observe(record(kinds[rng.nextBelow(5)],
                                         0x400000, rng.next()));
                 }
-                if (step == 100)
-                    saved = bank.checkpoint();
-                if (step == 200)
-                    bank.restore(saved);
                 if (step == 300)
                     bank.clear();
                 expectMirroredAndExact(bank);

@@ -224,21 +224,6 @@ TEST(SerializeTest, ComparisonRowRoundTrip)
     }
 }
 
-TEST(SerializeTest, HfntRoundTrip)
-{
-    core::HashFunctionNumberTable table(4);
-    for (std::uint64_t pc = 0; pc < 40; pc += 4) {
-        table.predictNumber(pc);
-        table.update(pc, static_cast<unsigned>(pc % 31 + 1));
-    }
-    const core::HashFunctionNumberTable decoded =
-        decodeHfnt(encodeHfnt(table));
-    EXPECT_EQ(decoded.indexBits(), table.indexBits());
-    EXPECT_EQ(decoded.lookups(), table.lookups());
-    EXPECT_EQ(decoded.mismatches(), table.mismatches());
-    EXPECT_EQ(decoded.rawTable(), table.rawTable());
-}
-
 TEST(SerializeTest, DecodersRejectDamage)
 {
     core::HashAssignment assignment(5);

@@ -28,13 +28,6 @@
  *       completed + cancelled + failed after a drain
  *     - completed suite answers are byte-identical to a chaos-off
  *       reference report
- *   front end (always runs; synthetic workload, no corpus needed)
- *     - spurious checkpoint restores forced into the speculative
- *       fetch engine (frontend.checkpoint.restore) leave every
- *       predictor statistic identical to a chaos-off run
- *     - the engine's restore counter accounts for exactly one repair
- *       per misprediction plus one per chaos firing
- *     - the fault pattern replays exactly from the seed
  *
  * Any violation prints the seed (the whole campaign is a pure
  * function of it) and exits 1. --out FILE writes a JSON summary —
@@ -61,13 +54,8 @@
 
 #include <unistd.h>
 
-#include "core/path_predictor.h"
-#include "predictors/budget.h"
-#include "predictors/gshare.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "sim/experiment.h"
-#include "sim/frontend.h"
 #include "sim/report.h"
 #include "sim/service.h"
 #include "sim/suite_runner.h"
@@ -112,9 +100,6 @@ struct CampaignResult
     bool suiteRan = false;
     std::size_t suiteOk = 0;
     std::size_t suiteQuarantined = 0;
-    bool frontendRan = false;
-    std::uint64_t frontendRestores = 0;
-    std::uint64_t frontendSpurious = 0;
     bool serveRan = false;
     std::uint64_t serveAccepted = 0;
     std::uint64_t serveRejected = 0;
@@ -363,127 +348,6 @@ runGcCampaign(const ChaosArgs &args, const fs::path &work,
     result.merge(first);
 }
 
-/** One fetch-bundle engine pass (gshare + banked VLP) over a
- *  synthetic workload; captures accuracy, repair counts, and — with
- *  chaos armed — the per-section counters. */
-struct FrontendRun
-{
-    std::vector<sim::PredictorResult> results;
-    std::uint64_t mispredictions = 0;
-    std::uint64_t restores = 0;
-    ChaosCounters counters;
-};
-
-FrontendRun
-runFrontendOnce(const ChaosArgs &args, bool with_chaos)
-{
-    if (with_chaos)
-        util::chaos::configure(campaignConfig(args));
-    else
-        util::chaos::disable();
-
-    sim::ExperimentContext context;
-    const workload::BenchmarkSpec &spec = workload::findBenchmark("go");
-    const unsigned k = pred::conditionalIndexBits(args.bytes);
-    const core::HashAssignment &assignment =
-        context.assignment(spec, k, false);
-
-    pred::GsharePredictor gshare(k);
-    core::PathConditionalPredictor vlp(k, assignment);
-    vlp.setBanks(4);
-
-    sim::FrontendParameters parameters;
-    parameters.bundleWidth = 4;
-    parameters.chaosIdentity = "chaos-frontend";
-    sim::FetchEngine engine(parameters);
-    engine.addConditional(&gshare);
-    engine.addConditional(&vlp);
-
-    const auto trace = context.trace(spec, workload::InputKind::Test);
-    trace->reset();
-    engine.run(*trace);
-
-    FrontendRun run;
-    run.results = engine.conditionalResults();
-    for (std::size_t i = 0; i < run.results.size(); ++i) {
-        run.mispredictions += run.results[i].mispredictions;
-        run.restores += engine.conditionalTiming(i).checkpointRestores;
-    }
-    if (with_chaos)
-        run.counters = util::chaos::counters();
-    util::chaos::disable();
-    return run;
-}
-
-/**
- * The front-end campaign: spurious checkpoint restores forced into
- * the speculative fetch engine must be invisible — restore-then-replay
- * leaves every statistic exactly as a chaos-off run computes it — and
- * the repair ledger must balance: one restore per misprediction plus
- * one per chaos firing.
- */
-void
-runFrontendCampaign(const ChaosArgs &args, CampaignResult &result)
-{
-    result.frontendRan = true;
-
-    const FrontendRun baseline = runFrontendOnce(args, false);
-    const FrontendRun chaos_a = runFrontendOnce(args, true);
-    const FrontendRun chaos_b = runFrontendOnce(args, true);
-
-    result.frontendRestores = chaos_a.restores;
-    result.merge(chaos_a.counters);
-
-    const auto sameResults = [](const FrontendRun &a,
-                                const FrontendRun &b) {
-        if (a.results.size() != b.results.size())
-            return false;
-        for (std::size_t i = 0; i < a.results.size(); ++i) {
-            if (a.results[i].branches != b.results[i].branches
-                || a.results[i].mispredictions
-                       != b.results[i].mispredictions)
-                return false;
-        }
-        return true;
-    };
-
-    if (!sameResults(baseline, chaos_a)) {
-        result.flag("front end: spurious checkpoint restores changed "
-                    "predictor statistics (restore-then-replay must "
-                    "be invisible)");
-    }
-    if (!sameResults(chaos_a, chaos_b)
-        || chaos_a.counters != chaos_b.counters
-        || chaos_a.restores != chaos_b.restores) {
-        result.flag("front end: two runs of seed "
-                    + std::to_string(args.seed)
-                    + " disagree (fault pattern must replay exactly)");
-    }
-
-    // Ledger: the baseline repairs once per misprediction; chaos adds
-    // exactly its fired count on top.
-    if (baseline.restores != baseline.mispredictions) {
-        result.flag("front end: chaos-off restore count ("
-                    + std::to_string(baseline.restores)
-                    + ") does not match mispredictions ("
-                    + std::to_string(baseline.mispredictions) + ")");
-    }
-    std::uint64_t fired = 0;
-    const auto section =
-        chaos_a.counters.find("frontend.checkpoint.restore");
-    if (section != chaos_a.counters.end())
-        fired = section->second.fired;
-    result.frontendSpurious = fired;
-    if (chaos_a.restores != chaos_a.mispredictions + fired) {
-        result.flag("front end: restore ledger does not balance ("
-                    + std::to_string(chaos_a.restores)
-                    + " restores != "
-                    + std::to_string(chaos_a.mispredictions)
-                    + " mispredictions + "
-                    + std::to_string(fired) + " chaos-forced)");
-    }
-}
-
 /** Connect + handshake with retries: chaos may drop the accept or
  *  stall the hello, and the campaign must ride through it. */
 std::unique_ptr<serve::ServeClient>
@@ -720,12 +584,6 @@ writeSummary(const ChaosArgs &args, const CampaignResult &result)
     writer.member("quarantined",
                   std::uint64_t{result.suiteQuarantined});
     writer.endObject();
-    writer.key("frontend");
-    writer.beginObject();
-    writer.member("ran", result.frontendRan);
-    writer.member("restores", result.frontendRestores);
-    writer.member("spurious", result.frontendSpurious);
-    writer.endObject();
     writer.key("serve");
     writer.beginObject();
     writer.member("ran", result.serveRan);
@@ -814,9 +672,6 @@ cmdChaos(int argc, char **argv)
 
     CampaignResult result;
     try {
-        // The front-end leg needs no corpus or daemon, so every
-        // campaign soaks it.
-        runFrontendCampaign(args, result);
         if (!args.suiteDirectory.empty()) {
             runSuiteCampaign(args, work, result);
             runGcCampaign(args, work, result);
