@@ -25,8 +25,6 @@
 #include "predictors/budget.h"
 #include "sim/report.h"
 #include "store/artifact_store.h"
-#include "store/checkpoint.h"
-#include "store/serialize.h"
 #include "trace/content_hash.h"
 #include "trace/fault_injection.h"
 #include "trace/mmap_file.h"
@@ -67,143 +65,28 @@ struct TraceWork
     std::vector<double> indRates;
 };
 
-/** Journal cell key for one per-trace sweep (profile trace only —
- *  sweeps depend on exactly one trace's bytes). */
-std::string
-sweepCellKey(const std::string &content_hash, bool indirect,
-             unsigned index_bits)
-{
-    return std::string("sweep;v")
-        + std::to_string(store::artifactFormatVersion)
-        + ";class=" + (indirect ? "ind" : "cond")
-        + ";trace=" + content_hash
-        + ";bits=" + std::to_string(index_bits);
-}
-
-/**
- * Journal cell key for one comparison row. The key names the *pair
- * identity* — both content hashes — so a manifest edit between a kill
- * and a resume can never replay a row that was recorded for a
- * different profile/test combination. It also carries
- * reportSchemaVersion: a schema change can never replay rows
- * journaled under an older layout.
- */
-std::string
-rowCellKey(const std::string &profile_hash,
-           const std::string &test_hash, bool indirect,
-           std::size_t bytes, unsigned global_length)
-{
-    return std::string("row;v")
-        + std::to_string(store::artifactFormatVersion)
-        + ";schema=" + std::to_string(reportSchemaVersion)
-        + ";class=" + (indirect ? "ind" : "cond")
-        + ";profile=" + profile_hash
-        + ";test=" + test_hash
-        + ";bytes=" + std::to_string(bytes)
-        + ";global=" + std::to_string(global_length);
-}
-
-/** Sweep cell payload: the integer counters, never the derived
- *  rates, so a resumed average is bit-identical by construction. */
-std::vector<std::uint8_t>
-encodeSweepCell(const core::FixedLengthSweep &sweep)
-{
-    store::Encoder encoder;
-    encoder.u64(sweep.branches);
-    encoder.u32(sweep.minLength);
-    encoder.u32(static_cast<std::uint32_t>(sweep.mispredictions.size()));
-    for (const std::uint64_t count : sweep.mispredictions)
-        encoder.u64(count);
-    return encoder.take();
-}
-
+/** One per-trace sweep, computed through the context (which consults
+ *  the store) with transient retries. */
 core::FixedLengthSweep
-decodeSweepCell(const std::vector<std::uint8_t> &payload)
-{
-    store::Decoder decoder(payload);
-    core::FixedLengthSweep sweep;
-    sweep.branches = decoder.u64();
-    sweep.minLength = decoder.u32();
-    const std::uint32_t count = decoder.u32();
-    if (count == 0 || count > core::maxPathLength)
-        throw std::runtime_error("sweep cell has absurd length count");
-    sweep.mispredictions.resize(count);
-    for (std::uint64_t &value : sweep.mispredictions)
-        value = decoder.u64();
-    decoder.expectEnd();
-    return sweep;
-}
-
-/** Journal lookup that treats undecodable payloads as misses. */
-template <typename Decode>
-auto
-journalFetch(store::CheckpointJournal *journal, const std::string &key,
-             Decode &&decode)
-    -> std::optional<decltype(decode(std::vector<std::uint8_t>{}))>
-{
-    if (journal == nullptr)
-        return std::nullopt;
-    const auto payload = journal->lookup(key);
-    if (!payload)
-        return std::nullopt;
-    try {
-        return decode(*payload);
-    } catch (const std::exception &error) {
-        util::warn(std::string("ignoring unusable checkpoint cell ")
-                   + key + ": " + error.what());
-        return std::nullopt;
-    }
-}
-
-/**
- * Obtain one per-trace sweep: journal first, else compute through the
- * context (with transient retries) and journal the result.
- */
-core::FixedLengthSweep
-obtainSweep(const TraceSuiteOptions &options,
-            store::CheckpointJournal *journal, ExperimentContext &context,
+obtainSweep(const TraceSuiteOptions &options, ExperimentContext &context,
             const ExternalTrace &ext, bool indirect, unsigned index_bits)
 {
-    const std::string key =
-        sweepCellKey(ext.contentHash, indirect, index_bits);
-    if (auto cached = journalFetch(journal, key, decodeSweepCell))
-        return *cached;
-
-    const core::FixedLengthSweep sweep =
-        util::retryTransient(options.retry, [&] {
-            return context.externalSweep(ext, index_bits, indirect);
-        });
-    if (journal != nullptr)
-        journal->record(key, encodeSweepCell(sweep));
-    return sweep;
+    return util::retryTransient(options.retry, [&] {
+        return context.externalSweep(ext, index_bits, indirect);
+    });
 }
 
-/**
- * Obtain one comparison row — profiled on @p profile, evaluated on
- * @p eval — journal first, else compute (with transient retries) and
- * journal the result.
- */
+/** One comparison row — profiled on @p profile, evaluated on @p eval
+ *  — computed through the context with transient retries. */
 ComparisonRow
-obtainRow(const TraceSuiteOptions &options,
-          store::CheckpointJournal *journal, ExperimentContext &context,
+obtainRow(const TraceSuiteOptions &options, ExperimentContext &context,
           const ExternalTrace &profile, const ExternalTrace &eval,
           bool indirect, std::size_t bytes, unsigned global_length)
 {
-    const std::string key =
-        rowCellKey(profile.contentHash, eval.contentHash, indirect,
-                   bytes, global_length);
-    if (auto cached = journalFetch(journal, key,
-                                   store::decodeComparisonRow)) {
-        return *cached;
-    }
-
-    const ComparisonRow row = util::retryTransient(options.retry, [&] {
+    return util::retryTransient(options.retry, [&] {
         return compareExternal(context, profile, eval, bytes, global_length,
                                indirect);
     });
-    if (journal != nullptr)
-        journal->record(key, store::encodeComparisonRow(row));
-    return row;
 }
 
 /** Drop @p work's resident traces and parked opens: returns their
@@ -424,7 +307,6 @@ SuiteReport::toReport() const
                    std::uint64_t{quarantinedCount()});
     report.setMeta("pairsSkipped", std::uint64_t{skippedCount()});
     report.setMeta("tracesOrphaned", std::uint64_t{orphanedCount()});
-    report.setMeta("resumedCells", std::uint64_t{resumedCells});
 
     std::string header = "external trace suite\n";
     header += "table budget: " + std::to_string(bytes) + " bytes\n";
@@ -718,12 +600,6 @@ TraceSuiteRunner::run()
     }
     const TracePairing pairing = pairTraces(discovered, manifest);
 
-    std::unique_ptr<store::CheckpointJournal> journal;
-    if (!options_.checkpoint.empty()) {
-        journal = std::make_unique<store::CheckpointJournal>(
-            options_.checkpoint);
-    }
-
     const unsigned jobs = options_.jobs == 0
         ? util::ThreadPool::defaultThreadCount()
         : options_.jobs;
@@ -886,11 +762,11 @@ TraceSuiteRunner::run()
             }
 
             const core::FixedLengthSweep cond_sweep =
-                obtainSweep(options_, journal.get(), context,
-                            item.profile, false, cond_bits);
+                obtainSweep(options_, context, item.profile, false,
+                            cond_bits);
             const core::FixedLengthSweep ind_sweep =
-                obtainSweep(options_, journal.get(), context,
-                            item.profile, true, ind_bits);
+                obtainSweep(options_, context, item.profile, true,
+                            ind_bits);
             item.outcome.conditionalBranches = cond_sweep.branches;
             item.outcome.indirectBranches = ind_sweep.branches;
             item.condRates = rateCurve(cond_sweep);
@@ -983,27 +859,25 @@ TraceSuiteRunner::run()
                 && global_cond > 0) {
                 if (!item.outcome.selfEval) {
                     item.outcome.conditionalTrain =
-                        obtainRow(options_, journal.get(), context,
-                                  item.profile, item.profile, false,
-                                  options_.bytes, global_cond);
+                        obtainRow(options_, context, item.profile,
+                                  item.profile, false, options_.bytes,
+                                  global_cond);
                 }
                 item.outcome.conditional =
-                    obtainRow(options_, journal.get(), context,
-                              item.profile, item.test, false,
-                              options_.bytes, global_cond);
+                    obtainRow(options_, context, item.profile, item.test,
+                              false, options_.bytes, global_cond);
             }
             if (item.outcome.indirectBranches >= minIndirectBranches
                 && global_ind > 0) {
                 if (!item.outcome.selfEval) {
                     item.outcome.indirectTrain =
-                        obtainRow(options_, journal.get(), context,
-                                  item.profile, item.profile, true,
-                                  options_.bytes, global_ind);
+                        obtainRow(options_, context, item.profile,
+                                  item.profile, true, options_.bytes,
+                                  global_ind);
                 }
                 item.outcome.indirect =
-                    obtainRow(options_, journal.get(), context,
-                              item.profile, item.test, true,
-                              options_.bytes, global_ind);
+                    obtainRow(options_, context, item.profile, item.test,
+                              true, options_.bytes, global_ind);
             }
         } catch (const util::CancelledError &) {
             throw; // aborts the run; never a quarantine cause
@@ -1025,8 +899,6 @@ TraceSuiteRunner::run()
     report.bytes = options_.bytes;
     report.globalConditionalLength = global_cond;
     report.globalIndirectLength = global_ind;
-    if (journal)
-        report.resumedCells = journal->resumedEntries();
     report.traces.reserve(work.size() + pairing.orphans.size());
     for (TraceWork &item : work)
         report.traces.push_back(std::move(item.outcome));

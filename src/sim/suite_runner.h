@@ -31,12 +31,12 @@
  *    cause and the run continues; the exit status is only nonzero when
  *    *every* pair failed (an empty corpus is a distinct condition —
  *    see SuiteReport::empty());
- *  - with a checkpoint journal attached, every completed (pair,
- *    predictor class, configuration) cell is durably recorded under a
- *    key naming both content hashes, so a killed run resumes where it
- *    left off and produces a report byte-identical to an
- *    uninterrupted run — and an edited manifest can never replay a
- *    cell recorded for a different pairing.
+ *  - with an artifact store attached, every completed sweep,
+ *    assignment and comparison row is published atomically under a
+ *    key naming the content hashes it depends on, so a killed run
+ *    rerun on the same store resumes where it left off and produces a
+ *    report byte-identical to an uninterrupted run — and an edited
+ *    manifest can never replay a row computed for a different pairing.
  *
  * Ingestion verifies once and is pipelined: every trace is opened and
  * read once per attempt by one fused pass — content hash, VBT2
@@ -90,7 +90,6 @@
 namespace vlp {
 namespace store {
 class ArtifactStore;
-class CheckpointJournal;
 } // namespace store
 
 namespace sim {
@@ -106,8 +105,6 @@ struct TraceSuiteOptions
      *  per-trace step-1 sweeps stay serial, so replay buffers stay at
      *  jobs x one chunk on top of the resident traces). */
     unsigned jobs = 1;
-    /** Checkpoint journal path; empty disables checkpointing. */
-    std::string checkpoint;
     /**
      * Pair-manifest path. Empty = use `<directory>/pairs.txt` when it
      * exists, otherwise pair by the `.profile.vbt`/`.test.vbt` name
@@ -134,7 +131,8 @@ struct TraceSuiteOptions
      *  pipeline (bounds how far verification runs ahead); 0 = auto
      *  (2 * jobs + 2). */
     std::size_t prefetchWindow = 0;
-    /** Optional artifact store shared by all workers. */
+    /** Optional artifact store shared by all workers; rerunning a
+     *  killed run on the same store is how it resumes. */
     std::shared_ptr<store::ArtifactStore> store;
     /**
      * Pin the suite-wide global history lengths instead of deriving
@@ -258,9 +256,6 @@ struct SuiteReport
     unsigned globalConditionalLength = 0;
     /** 0 when no trace had enough indirect branches to evaluate. */
     unsigned globalIndirectLength = 0;
-    /** Cells replayed from the checkpoint journal (not printed: the
-     *  report text stays identical across interruptions). */
-    std::size_t resumedCells = 0;
 
     std::size_t okCount() const;
     std::size_t quarantinedCount() const;
@@ -282,9 +277,8 @@ struct SuiteReport
      * Structured view of the suite: every trace becomes a section
      * (status text, then one Entries table per branch class), and the
      * suite-level facts — byte budget, global lengths, ok/quarantined/
-     * skipped counts, resumed cells, plus per-trace quarantine and
-     * skip causes — land in the report metadata so CSV/JSON exports
-     * carry them.
+     * skipped counts, plus per-trace quarantine and skip causes —
+     * land in the report metadata so CSV/JSON exports carry them.
      */
     Report toReport() const;
 
@@ -308,7 +302,7 @@ class TraceSuiteRunner
     /**
      * Execute the suite: discover, validate, sweep, compare.
      * @throws std::runtime_error only for environment-level failures
-     *         (unreadable directory, unusable checkpoint journal);
+     *         (unreadable directory);
      *         per-trace failures are reported, never thrown
      */
     SuiteReport run();

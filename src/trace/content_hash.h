@@ -5,7 +5,7 @@
  * The content identity of a trace file is two independently seeded
  * 64-bit FNV-1a streams over all its bytes, formatted as 32 hex digits
  * (high stream then low) — established by PR 4's hashTraceFile() and
- * baked into every cache key and checkpoint cell. ContentHasher
+ * baked into every cache key. ContentHasher
  * computes exactly that identity, but with the two serial
  * multiply-chains interleaved in one loop: FNV-1a is latency-bound
  * (one dependent 64-bit multiply per byte per stream), so fusing the

@@ -164,7 +164,6 @@ knownSections()
         "store.fetch.checksum-mismatch",
         "store.gc.reader-race",
         "store.insert.torn-rename",
-        "store.journal.torn-tail",
         "trace.mmap.stdio-fallback",
         "trace.open.transient",
         "trace.prefetch.producer-death",

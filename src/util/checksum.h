@@ -5,8 +5,8 @@
  * FNV-1a is the on-disk contract of everything that hashes as it
  * streams or that older files already carry: the binary trace format
  * (its record checksum and content identity), artifact-store key
- * hashing, the checkpoint journal and chaos seeding. It mixes one byte
- * per multiply, so it runs at well under a byte per cycle.
+ * hashing and chaos seeding. It mixes one byte per multiply, so it
+ * runs at well under a byte per cycle.
  *
  * XXH64 checks artifact-store entries, which are verified whole on
  * every warm hit: it mixes four independent 64-bit lanes per 32-byte

@@ -49,13 +49,6 @@ class BitHistoryRegister
     /** Clear all recorded history. */
     void clear() { value_ = 0; }
 
-    /** Force the pattern (truncated to the register width). */
-    void
-    set(std::uint64_t value)
-    {
-        value_ = truncate(value, width_);
-    }
-
   private:
     unsigned width_;
     std::uint64_t value_;

@@ -85,7 +85,7 @@ class SaturatingCounter
     /** Raw counter value. */
     unsigned value() const { return value_; }
 
-    /** Force the raw counter value (used by tests and checkpointing). */
+    /** Force the raw counter value (used by tests). */
     void
     set(unsigned value)
     {

@@ -175,7 +175,7 @@ TEST_F(ChaosTest, PathKeyStripsDirectories)
 TEST_F(ChaosTest, KnownSectionsRegistryIsSortedAndStable)
 {
     const auto &sections = util::chaos::knownSections();
-    EXPECT_GE(sections.size(), 16u);
+    EXPECT_GE(sections.size(), 15u);
     for (std::size_t i = 1; i < sections.size(); ++i)
         EXPECT_LT(sections[i - 1], sections[i]);
 }

@@ -3,9 +3,10 @@
  * Tests for the hardened external-trace ingestion pipeline: the
  * bounded-memory streaming reader, content hashing, the deterministic
  * fault-injection harnesses (and that every fault class actually
- * fires), the lenient text converter, the checkpoint journal, and the
- * suite runner's retry/quarantine/resume behavior — including that a
- * resumed run's report is byte-identical to an uninterrupted one, and
+ * fires), the lenient text converter, and the suite runner's
+ * retry/quarantine/resume behavior — including that a run resumed
+ * from the artifact store a killed run left behind reports byte for
+ * byte what an uninterrupted one does, and
  * that profile/test pairing (manifest and name convention) yields
  * honest train-vs-test numbers instead of self-evaluation.
  */
@@ -36,7 +37,6 @@
 #include "sim/shared_memo.h"
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
-#include "store/checkpoint.h"
 #include "trace/byte_file.h"
 #include "trace/compact_trace.h"
 #include "trace/content_hash.h"
@@ -439,79 +439,6 @@ TEST_F(IngestHarness, LenientConvertCapsDiagnostics)
               trace::ConvertReport::maxDiagnostics);
 }
 
-// --- checkpoint journal ----------------------------------------------
-
-TEST_F(IngestHarness, CheckpointJournalRoundTripsAcrossReopen)
-{
-    const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
-    {
-        store::CheckpointJournal journal(path("ck"));
-        EXPECT_EQ(journal.resumedEntries(), 0u);
-        journal.record("cell/a", payload);
-        journal.record("cell/empty", {});
-        // Completed cells are immutable.
-        journal.record("cell/a", {9, 9, 9});
-    }
-    store::CheckpointJournal journal(path("ck"));
-    EXPECT_EQ(journal.resumedEntries(), 2u);
-    ASSERT_TRUE(journal.lookup("cell/a").has_value());
-    EXPECT_EQ(*journal.lookup("cell/a"), payload);
-    ASSERT_TRUE(journal.lookup("cell/empty").has_value());
-    EXPECT_TRUE(journal.lookup("cell/empty")->empty());
-    EXPECT_FALSE(journal.lookup("cell/b").has_value());
-}
-
-TEST_F(IngestHarness, CheckpointJournalDropsTornTail)
-{
-    {
-        store::CheckpointJournal journal(path("ck"));
-        journal.record("cell/a", {1, 2, 3});
-        journal.record("cell/b", {4, 5, 6});
-    }
-    // Simulate a kill mid-append: half an entry of garbage at the end.
-    {
-        std::ofstream out(path("ck"),
-                          std::ios::binary | std::ios::app);
-        const char garbage[] = {7, 0, 0, 0, 3, 0};
-        out.write(garbage, sizeof(garbage));
-    }
-    const auto before = fs::file_size(path("ck"));
-    store::CheckpointJournal journal(path("ck"));
-    EXPECT_EQ(journal.resumedEntries(), 2u);
-    EXPECT_TRUE(journal.lookup("cell/a").has_value());
-    EXPECT_TRUE(journal.lookup("cell/b").has_value());
-    // The torn bytes were truncated away so appends start clean.
-    EXPECT_LT(fs::file_size(path("ck")), before);
-    journal.record("cell/c", {7});
-    EXPECT_EQ(journal.entries(), 3u);
-}
-
-TEST_F(IngestHarness, CheckpointJournalDropsCorruptLastEntry)
-{
-    {
-        store::CheckpointJournal journal(path("ck"));
-        journal.record("cell/a", {1, 2, 3});
-        journal.record("cell/b", {4, 5, 6});
-    }
-    // Flip a bit inside the final entry's payload: its trailer
-    // checksum no longer matches, so only that entry is dropped.
-    flipBit(path("ck"), fs::file_size(path("ck")) - 10);
-    store::CheckpointJournal journal(path("ck"));
-    EXPECT_EQ(journal.resumedEntries(), 1u);
-    EXPECT_TRUE(journal.lookup("cell/a").has_value());
-    EXPECT_FALSE(journal.lookup("cell/b").has_value());
-}
-
-TEST_F(IngestHarness, CheckpointJournalRejectsForeignFile)
-{
-    {
-        std::ofstream out(path("ck"), std::ios::binary);
-        out << "definitely not a journal";
-    }
-    EXPECT_THROW(store::CheckpointJournal journal(path("ck")),
-                 std::runtime_error);
-}
-
 // --- suite runner ----------------------------------------------------
 
 /** A corpus with good, corrupt, and empty members. */
@@ -560,11 +487,11 @@ class SuiteHarness : public IngestHarness
         store::StoreCounters counters;
     };
 
-    /** Run @p options against an empty store in @p cache. */
-    static StoreRun runWithFreshStore(sim::TraceSuiteOptions options,
-                                      const std::string &cache)
+    /** Run @p options against the store in @p cache, as left by
+     *  earlier runs. */
+    static StoreRun runWithStore(sim::TraceSuiteOptions options,
+                                 const std::string &cache)
     {
-        fs::remove_all(cache);
         store::StoreOptions store_options;
         store_options.directory = cache;
         const auto store =
@@ -574,6 +501,90 @@ class SuiteHarness : public IngestHarness
         run.report = render(sim::TraceSuiteRunner(std::move(options)).run());
         run.counters = store->counters();
         return run;
+    }
+
+    /** Run @p options against an empty store in @p cache. */
+    static StoreRun runWithFreshStore(sim::TraceSuiteOptions options,
+                                      const std::string &cache)
+    {
+        fs::remove_all(cache);
+        return runWithStore(std::move(options), cache);
+    }
+
+    /** Every entry file of the store in @p cache, by relative path,
+     *  with its bytes. */
+    static std::map<std::string, std::string>
+    storeEntries(const std::string &cache)
+    {
+        std::map<std::string, std::string> entries;
+        for (const auto &file :
+             fs::recursive_directory_iterator(cache + "/objects")) {
+            if (!file.is_regular_file())
+                continue;
+            std::ifstream in(file.path(), std::ios::binary);
+            std::ostringstream bytes;
+            bytes << in.rdbuf();
+            entries[fs::relative(file.path(), cache).string()] =
+                bytes.str();
+        }
+        return entries;
+    }
+
+    /**
+     * Leave @p cache as a killed run could have: entries are published
+     * by rename, so each is whole or absent. Removes every comparison
+     * row (so every surviving assignment is needed again) and every
+     * other remaining entry in path order, then truncates the first
+     * survivor — a damaged entry the rerun must detect and replace.
+     * @return the entries removed
+     */
+    static std::size_t simulateKill(const std::string &cache)
+    {
+        std::vector<std::string> survivors;
+        std::size_t removed = 0;
+        std::size_t others = 0;
+        for (const auto &[name, bytes] : storeEntries(cache)) {
+            const bool row =
+                bytes.find("kind=comparison;") != std::string::npos;
+            if (row || others++ % 2 == 1) {
+                fs::remove(cache + "/" + name);
+                ++removed;
+            } else {
+                survivors.push_back(name);
+            }
+        }
+        EXPECT_FALSE(survivors.empty());
+        if (!survivors.empty()) {
+            const std::string victim = cache + "/" + survivors.front();
+            fs::resize_file(victim, fs::file_size(victim) / 2);
+        }
+        return removed;
+    }
+
+    /**
+     * Kill-and-resume through the store: fill it with a full run of
+     * @p options, then at jobs 1 and 4 leave what a kill could leave
+     * and rerun. The rerun must print @p reference, replace exactly
+     * the removed and damaged entries, and put back the same bytes.
+     */
+    void expectStoreResume(sim::TraceSuiteOptions options,
+                           const std::string &reference)
+    {
+        const std::string cache = path("cache");
+        EXPECT_EQ(runWithFreshStore(options, cache).report, reference);
+        const auto cold = storeEntries(cache);
+        for (const unsigned jobs : {1u, 4u}) {
+            const std::size_t removed = simulateKill(cache);
+            EXPECT_GT(removed, 0u) << "jobs=" << jobs;
+            options.jobs = jobs;
+            const StoreRun resumed = runWithStore(options, cache);
+            EXPECT_EQ(resumed.report, reference) << "jobs=" << jobs;
+            EXPECT_GT(resumed.counters.hits, 0u) << "jobs=" << jobs;
+            EXPECT_EQ(resumed.counters.corrupt, 1u) << "jobs=" << jobs;
+            EXPECT_EQ(resumed.counters.inserts, removed + 1)
+                << "jobs=" << jobs;
+            EXPECT_EQ(storeEntries(cache), cold) << "jobs=" << jobs;
+        }
     }
 
     /** Expect @p run to match @p reference in report and traffic. */
@@ -676,35 +687,12 @@ TEST_F(SuiteHarness, PersistentTransientFaultsQuarantine)
 
 TEST_F(SuiteHarness, CheckpointResumeReproducesReportByteForByte)
 {
-    auto uninterrupted = baseOptions();
+    // A corpus with ok, quarantined and skipped traces, resumed from
+    // the store a killed run left: the report matches an uninterrupted
+    // run without a store byte for byte.
     const std::string reference =
-        render(sim::TraceSuiteRunner(std::move(uninterrupted)).run());
-
-    // Full run with a checkpoint, then a resumed rerun: everything is
-    // served from the journal and the report matches byte for byte.
-    auto first = baseOptions();
-    first.checkpoint = path("ck");
-    EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(first)).run()),
-              reference);
-    const auto journal_size = fs::file_size(path("ck"));
-
-    auto resumed = baseOptions();
-    resumed.checkpoint = path("ck");
-    const sim::SuiteReport resumed_report =
-        sim::TraceSuiteRunner(std::move(resumed)).run();
-    EXPECT_GT(resumed_report.resumedCells, 0u);
-    EXPECT_EQ(render(resumed_report), reference);
-    // The rerun recorded nothing new.
-    EXPECT_EQ(fs::file_size(path("ck")), journal_size);
-
-    // A kill mid-run leaves a partial (possibly torn) journal; resume
-    // from a truncated copy still converges to the same report.
-    fs::copy_file(path("ck"), path("ck_torn"));
-    fs::resize_file(path("ck_torn"), journal_size / 2);
-    auto torn = baseOptions();
-    torn.checkpoint = path("ck_torn");
-    EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(torn)).run()),
-              reference);
+        render(sim::TraceSuiteRunner(baseOptions()).run());
+    expectStoreResume(baseOptions(), reference);
 }
 
 TEST_F(IngestHarness, SuiteWithNoUsableTracesFails)
@@ -1003,26 +991,11 @@ TEST_F(SuiteHarness, PairedCheckpointResumeReproducesReport)
     trace::saveTrace(makeTrace(42, 3000), path("paired/app.test.vbt"));
     trace::saveTrace(makeTrace(43, 3000), path("paired/solo.vbt"));
 
-    auto plain = baseOptions();
-    plain.directory = path("paired");
+    auto options = baseOptions();
+    options.directory = path("paired");
     const std::string reference =
-        render(sim::TraceSuiteRunner(std::move(plain)).run());
-
-    auto first = baseOptions();
-    first.directory = path("paired");
-    first.checkpoint = path("ck");
-    EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(first)).run()),
-              reference);
-
-    // Resume from a half-written journal (a mid-run kill): the report
-    // still converges byte for byte.
-    fs::copy_file(path("ck"), path("ck_torn"));
-    fs::resize_file(path("ck_torn"), fs::file_size(path("ck")) / 2);
-    auto torn = baseOptions();
-    torn.directory = path("paired");
-    torn.checkpoint = path("ck_torn");
-    EXPECT_EQ(render(sim::TraceSuiteRunner(std::move(torn)).run()),
-              reference);
+        render(sim::TraceSuiteRunner(options).run());
+    expectStoreResume(options, reference);
 }
 
 TEST_F(SuiteHarness, ManifestEditBetweenKillAndResumeRecomputes)
@@ -1035,49 +1008,37 @@ TEST_F(SuiteHarness, ManifestEditBetweenKillAndResumeRecomputes)
         std::ofstream out(path("manifest.txt"));
         out << "app a.vbt " << test_trace << "\n";
     };
+    auto options = baseOptions();
+    options.directory = path("paired");
+    options.manifest = path("manifest.txt");
 
-    // Run to completion against b.vbt, journaling every cell.
+    // Fill the store against b.vbt: every b.vbt row stays in it.
     writeManifest("b.vbt");
-    auto first = baseOptions();
-    first.directory = path("paired");
-    first.manifest = path("manifest.txt");
-    first.checkpoint = path("ck");
     const std::string against_b =
-        render(sim::TraceSuiteRunner(std::move(first)).run());
+        runWithFreshStore(options, path("cache")).report;
 
-    // Edit the manifest to evaluate against c.vbt and "resume" with
-    // the stale journal: cell keys carry the pair identity, so the
-    // b.vbt rows cannot be replayed as c.vbt results.
+    // Edit the manifest to evaluate against c.vbt and rerun on the
+    // same store: row keys carry both content hashes, so the b.vbt
+    // rows cannot be replayed as c.vbt results, while everything
+    // profiled on a.vbt is reused.
     writeManifest("c.vbt");
-    auto resumed = baseOptions();
-    resumed.directory = path("paired");
-    resumed.manifest = path("manifest.txt");
-    resumed.checkpoint = path("ck");
-    const std::string resumed_text =
-        render(sim::TraceSuiteRunner(std::move(resumed)).run());
-
-    auto fresh = baseOptions();
-    fresh.directory = path("paired");
-    fresh.manifest = path("manifest.txt");
+    const StoreRun resumed = runWithStore(options, path("cache"));
     const std::string against_c =
-        render(sim::TraceSuiteRunner(std::move(fresh)).run());
-    EXPECT_EQ(resumed_text, against_c);
-    EXPECT_NE(resumed_text, against_b);
-}
-
-TEST_F(IngestHarness, CheckpointJournalFromOlderFormatIsRejected)
-{
-    {
-        std::ofstream out(path("ck_v1"), std::ios::binary);
-        out.write("VLPCKPT1", 8);
-    }
-    try {
-        store::CheckpointJournal journal(path("ck_v1"));
-        FAIL() << "format-1 journal was accepted";
-    } catch (const std::runtime_error &error) {
-        EXPECT_NE(std::string(error.what()).find("older run"),
-                  std::string::npos);
-    }
+        render(sim::TraceSuiteRunner(options).run());
+    EXPECT_EQ(resumed.report, against_c);
+    EXPECT_GT(resumed.counters.hits, 0u);
+    // And its test-side rates are not the b.vbt ones.
+    const auto test_rates = [](const std::string &report) {
+        std::istringstream in(report);
+        std::string rates;
+        for (std::string line; std::getline(in, line);) {
+            if (line.find("| test ") != std::string::npos)
+                rates += line + "\n";
+        }
+        return rates;
+    };
+    EXPECT_FALSE(test_rates(against_c).empty());
+    EXPECT_NE(test_rates(resumed.report), test_rates(against_b));
 }
 
 TEST_F(IngestHarness, BackoffDelayIsClampedForHugeAttemptBudgets)

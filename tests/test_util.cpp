@@ -128,7 +128,8 @@ TEST(BitHistoryRegister, ShiftsAndTruncates)
 TEST(BitHistoryRegister, SetAndClear)
 {
     BitHistoryRegister history(8);
-    history.set(0xfff);
+    for (int i = 0; i < 12; ++i)
+        history.push(true);
     EXPECT_EQ(history.value(), 0xffu);
     history.clear();
     EXPECT_EQ(history.value(), 0u);

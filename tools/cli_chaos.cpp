@@ -174,7 +174,6 @@ withoutPairs(const sim::SuiteReport &report,
 /** One external-trace suite run over the campaign corpus. */
 sim::SuiteReport
 runSuiteOnce(const ChaosArgs &args, const fs::path &store_dir,
-             const fs::path &checkpoint,
              std::optional<unsigned> force_cond = std::nullopt,
              std::optional<unsigned> force_ind = std::nullopt)
 {
@@ -185,7 +184,6 @@ runSuiteOnce(const ChaosArgs &args, const fs::path &store_dir,
     options.directory = args.suiteDirectory;
     options.bytes = args.bytes;
     options.jobs = args.jobs;
-    options.checkpoint = checkpoint.string();
     options.retry.jitterSeed = args.seed;
     options.store = std::make_shared<store::ArtifactStore>(store_options);
     options.forceGlobalConditionalLength = force_cond;
@@ -196,8 +194,8 @@ runSuiteOnce(const ChaosArgs &args, const fs::path &store_dir,
 
 /**
  * The suite campaign: chaos-off warm/baseline run, then a chaos run,
- * from identically-prepared state on two independent store/journal
- * sets — so the chaos runs must replay each other exactly.
+ * from identically-prepared state on two independent stores — so the
+ * chaos runs must replay each other exactly.
  */
 void
 runSuiteCampaign(const ChaosArgs &args, const fs::path &work,
@@ -208,28 +206,24 @@ runSuiteCampaign(const ChaosArgs &args, const fs::path &work,
     // Leg A: chaos-off baseline (which also warms store-a), then the
     // chaos run over the warmed store.
     util::chaos::disable();
-    const sim::SuiteReport baseline = runSuiteOnce(
-        args, work / "store-a", work / "journal-base-a");
+    const sim::SuiteReport baseline = runSuiteOnce(args, work / "store-a");
     const std::string baseline_text = renderSuite(baseline);
 
     util::chaos::configure(campaignConfig(args));
-    const sim::SuiteReport chaos_a = runSuiteOnce(
-        args, work / "store-a", work / "journal-a");
+    const sim::SuiteReport chaos_a = runSuiteOnce(args, work / "store-a");
     const ChaosCounters counters_a = util::chaos::counters();
     const std::string text_a = renderSuite(chaos_a);
 
     // Leg B: fresh store, same chaos-off warm-up, same seed.
     util::chaos::disable();
-    const sim::SuiteReport warm_b = runSuiteOnce(
-        args, work / "store-b", work / "journal-base-b");
+    const sim::SuiteReport warm_b = runSuiteOnce(args, work / "store-b");
     if (renderSuite(warm_b) != baseline_text) {
         result.flag("suite: two chaos-off runs disagree (determinism "
                     "broken before any fault was injected)");
     }
 
     util::chaos::configure(campaignConfig(args));
-    const sim::SuiteReport chaos_b = runSuiteOnce(
-        args, work / "store-b", work / "journal-b");
+    const sim::SuiteReport chaos_b = runSuiteOnce(args, work / "store-b");
     const ChaosCounters counters_b = util::chaos::counters();
     util::chaos::disable();
 
@@ -276,8 +270,7 @@ runSuiteCampaign(const ChaosArgs &args, const fs::path &work,
         // history lengths, shifting every other row. Pin a chaos-off
         // rerun to the chaos run's globals and compare the survivors.
         const sim::SuiteReport masked = runSuiteOnce(
-            args, work / "store-a", work / "journal-mask",
-            chaos_a.globalConditionalLength,
+            args, work / "store-a", chaos_a.globalConditionalLength,
             chaos_a.globalIndirectLength);
         const std::set<std::string> drop(quarantined_a.begin(),
                                          quarantined_a.end());

@@ -35,8 +35,8 @@
  *       and prints byte-identical results; --cache-max-bytes N bounds
  *       the store, --no-cache disables it. --format csv|json exports
  *       the comparison through the shared report schema.
- *   suite --traces <dir> [bytes] [--pairs FILE] [--checkpoint FILE]
- *         [--jobs N] [--read-mode auto|mmap|stdio]
+ *   suite --traces <dir> [bytes] [--pairs FILE] [--jobs N]
+ *         [--read-mode auto|mmap|stdio] [cache flags]
  *       External-trace mode: run the paper's methodology over the
  *       .vbt corpus under <dir> through the hardened ingestion
  *       pipeline: every trace is opened once (validation, content
@@ -52,9 +52,10 @@
  *       (streamed in bounded-memory chunks when it does not fit the
  *       resident budget), transient IO errors are retried with
  *       backoff, unreadable pairs are quarantined (listed with their
- *       cause) while the run continues, and with --checkpoint every
- *       completed per-pair cell is journaled so a killed run resumes
- *       where it left off with a byte-identical report. Exits 2 when
+ *       cause) while the run continues, and with --cache-dir every
+ *       completed sweep, assignment and row is stored atomically, so
+ *       a killed run rerun on the same store resumes where it left
+ *       off with a byte-identical report. Exits 2 when
  *       the corpus has no .vbt traces, 1 when no pair completed.
  *       Exports carry quarantine/orphan causes and cache counters as
  *       metadata.
@@ -463,15 +464,10 @@ cmdSuiteTraces(int argc, char **argv)
         "run the paper's methodology over an external .vbt corpus "
         "through the hardened ingestion pipeline");
     std::string directory;
-    std::string checkpoint;
     std::string pairs;
     parser.addString("--traces", "DIR",
                      "directory scanned recursively for .vbt traces",
                      &directory);
-    parser.addString("--checkpoint", "FILE",
-                     "journal completed cells so a killed run "
-                     "resumes where it left off",
-                     &checkpoint);
     parser.addString("--pairs", "FILE",
                      "profile/test pair manifest (default: DIR/pairs.txt "
                      "when present, else the .profile.vbt/.test.vbt "
@@ -493,7 +489,6 @@ cmdSuiteTraces(int argc, char **argv)
     const auto store = run.openStore();
     sim::TraceSuiteOptions options;
     options.directory = directory;
-    options.checkpoint = checkpoint;
     options.manifest = pairs;
     options.jobs = static_cast<unsigned>(run.jobs);
     options.readMode = read_mode;
@@ -508,10 +503,6 @@ cmdSuiteTraces(int argc, char **argv)
 
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport suite = runner.run();
-    if (suite.resumedCells > 0) {
-        std::cerr << "checkpoint: resumed " << suite.resumedCells
-                  << " completed cells\n";
-    }
 
     sim::Report report = suite.toReport();
     if (store) {
@@ -534,6 +525,9 @@ cmdSuiteTraces(int argc, char **argv)
         }
     }
     output.write(report);
+    // The store's traffic goes to stderr, as for `suite`: on a rerun
+    // of a killed run its hits are the resumed work.
+    sim::reportCacheCounters(store.get());
     // Exit codes distinguish the three failure shapes: 2 = the corpus
     // had no .vbt traces at all (empty or mistyped directory), 1 =
     // traces were found but every pair failed, 0 = at least one pair
