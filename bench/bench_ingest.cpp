@@ -152,6 +152,20 @@ drain(trace::TraceSource &reader)
     return count;
 }
 
+/** The stdio backend, pinned (trace::openByteFile would map). */
+std::unique_ptr<trace::ByteFile>
+openStdio(const std::string &path)
+{
+    return std::make_unique<trace::StdioByteFile>(path);
+}
+
+/** The mapped backend, pinned. */
+std::unique_ptr<trace::ByteFile>
+openMmap(const std::string &path)
+{
+    return std::make_unique<trace::MmapByteFile>(path);
+}
+
 /**
  * The legacy per-trace ingestion recipe the suite runner used to run:
  * one stdio open to hash (two sequential FNV passes), one to validate
@@ -161,15 +175,15 @@ std::uint64_t
 ingestLegacyStdio(const std::string &path)
 {
     const std::string digest = [&] {
-        const auto file = trace::openByteFile(path);
+        const auto file = openStdio(path);
         return legacySequentialHash(*file);
     }();
     benchmark::DoNotOptimize(digest.data());
     {
-        trace::StreamingTraceReader validate(trace::openByteFile(path));
+        trace::StreamingTraceReader validate(openStdio(path));
         benchmark::DoNotOptimize(validate.count());
     }
-    trace::StreamingTraceReader replay(trace::openByteFile(path));
+    trace::StreamingTraceReader replay(openStdio(path));
     return drain(replay);
 }
 
@@ -179,10 +193,10 @@ ingestLegacyStdio(const std::string &path)
  * then the replay pass the suite's sweeps make over the same session.
  */
 std::uint64_t
-ingestFast(const std::string &path, trace::ReadMode mode)
+ingestFast(std::unique_ptr<trace::ByteFile> file)
 {
-    auto hashing = std::make_unique<trace::HashingByteFile>(
-        trace::openByteFileFast(path, mode));
+    auto hashing =
+        std::make_unique<trace::HashingByteFile>(std::move(file));
     trace::HashingByteFile &hasher = *hashing;
     trace::StreamingTraceReader reader(std::move(hashing));
     const std::string digest = hasher.finish();
@@ -196,13 +210,10 @@ void
 verifyDigests()
 {
     const std::string &path = corpus().paths.front();
-    const auto stdio_file = trace::openByteFile(path);
-    const std::string legacy = legacySequentialHash(*stdio_file);
-    if (trace::hashTraceFile(path) != legacy)
+    const std::string legacy = legacySequentialHash(*openStdio(path));
+    if (trace::hashTraceFile(*openStdio(path)) != legacy)
         util::fatal("fused stdio hash diverged from legacy digest");
-    const auto mapped =
-        trace::openByteFileFast(path, trace::ReadMode::Mmap);
-    if (trace::hashTraceFile(*mapped) != legacy)
+    if (trace::hashTraceFile(*openMmap(path)) != legacy)
         util::fatal("fused mmap hash diverged from legacy digest");
 }
 
@@ -243,7 +254,7 @@ BM_ReadStdio(benchmark::State &state)
 {
     for (auto _ : state) {
         for (const std::string &path : corpus().paths) {
-            const auto file = trace::openByteFile(path);
+            const auto file = openStdio(path);
             readAllTouching(*file);
         }
     }
@@ -258,8 +269,7 @@ BM_ReadMmap(benchmark::State &state)
 {
     for (auto _ : state) {
         for (const std::string &path : corpus().paths) {
-            const auto file =
-                trace::openByteFileFast(path, trace::ReadMode::Mmap);
+            const auto file = openMmap(path);
             readAllTouching(*file);
         }
     }
@@ -276,7 +286,7 @@ BM_HashLegacyTwoPass(benchmark::State &state)
 {
     for (auto _ : state) {
         for (const std::string &path : corpus().paths) {
-            const auto file = trace::openByteFile(path);
+            const auto file = openStdio(path);
             const std::string digest = legacySequentialHash(*file);
             benchmark::DoNotOptimize(digest.data());
         }
@@ -292,7 +302,7 @@ BM_HashFusedStdio(benchmark::State &state)
 {
     for (auto _ : state) {
         for (const std::string &path : corpus().paths) {
-            const auto file = trace::openByteFile(path);
+            const auto file = openStdio(path);
             const std::string digest = trace::hashTraceFile(*file);
             benchmark::DoNotOptimize(digest.data());
         }
@@ -308,8 +318,7 @@ BM_HashFusedMmap(benchmark::State &state)
 {
     for (auto _ : state) {
         for (const std::string &path : corpus().paths) {
-            const auto file =
-                trace::openByteFileFast(path, trace::ReadMode::Mmap);
+            const auto file = openMmap(path);
             const std::string digest = trace::hashTraceFile(*file);
             benchmark::DoNotOptimize(digest.data());
         }
@@ -343,7 +352,7 @@ BM_IngestFastStdio(benchmark::State &state)
     std::uint64_t records = 0;
     for (auto _ : state) {
         for (const std::string &path : corpus().paths)
-            records += ingestFast(path, trace::ReadMode::Stdio);
+            records += ingestFast(openStdio(path));
     }
     benchmark::DoNotOptimize(records);
     state.SetBytesProcessed(
@@ -358,7 +367,7 @@ BM_IngestFastMmap(benchmark::State &state)
     std::uint64_t records = 0;
     for (auto _ : state) {
         for (const std::string &path : corpus().paths)
-            records += ingestFast(path, trace::ReadMode::Mmap);
+            records += ingestFast(openMmap(path));
     }
     benchmark::DoNotOptimize(records);
     state.SetBytesProcessed(
@@ -370,7 +379,7 @@ BENCHMARK(BM_IngestFastMmap)->Unit(benchmark::kMillisecond);
 /**
  * The suite frontend as actually wired: a TracePrefetcher opening and
  * verifying the corpus in one fused pass per trace (bounded window,
- * mmap-auto backend), the consumer replaying each resident copy — the
+ * mmap backend), the consumer replaying each resident copy — the
  * pipelined counterpart of BM_IngestLegacyStdio.
  */
 void
@@ -379,7 +388,7 @@ BM_SuiteIngestPipelinedMmap(benchmark::State &state)
     std::uint64_t records = 0;
     for (auto _ : state) {
         trace::TracePrefetcher::Options options;
-        options.opener = trace::fastOpener(trace::ReadMode::Mmap);
+        options.opener = openMmap;
         options.window = 4;
         options.threads = 2;
         trace::TracePrefetcher prefetch(corpus().paths, options);

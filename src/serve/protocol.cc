@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "sim/report.h"
-#include "trace/mmap_file.h"
 #include "util/version.h"
 
 namespace vlp {
@@ -128,14 +127,6 @@ parseSubmit(const util::Json &frame)
             uintField(frame, "bytes", 8 * 1024));
         spec.traceJobs =
             static_cast<unsigned>(uintField(frame, "jobs", 1));
-        if (const util::Json *mode = frame.find("readMode")) {
-            if (!mode->isString())
-                throw std::runtime_error(
-                    "submit frame field 'readMode' must be a string");
-            spec.traceReadMode = mode->asString();
-            // Reject at admission, not when the experiment runs.
-            trace::parseReadMode(spec.traceReadMode);
-        }
         if (spec.traceBytes == 0)
             throw std::runtime_error(
                 "submit frame 'bytes' must be positive");
@@ -194,8 +185,6 @@ submitFrame(const SubmitSpec &spec)
             writer.member("pairs", spec.pairsManifest);
         writer.member("bytes", std::uint64_t{spec.traceBytes});
         writer.member("jobs", std::uint64_t{spec.traceJobs});
-        if (spec.traceReadMode != "auto")
-            writer.member("readMode", spec.traceReadMode);
     } else if (spec.op == "sleep") {
         writer.member("ms", std::uint64_t{spec.sleepMs});
     }

@@ -59,10 +59,6 @@ struct SubmitSpec
     std::size_t traceBytes = 8 * 1024;
     /** Worker threads for trace-suite. */
     unsigned traceJobs = 1;
-    /** Trace backend for trace-suite: "auto", "mmap", or "stdio".
-     *  Optional on the wire ("readMode"; absent = auto), so protocol
-     *  version 1 peers interoperate unchanged. */
-    std::string traceReadMode = "auto";
     /**
      * op == "sleep": hold a worker for this many milliseconds, then
      * return an empty report. Exists so tests and the CI smoke job
@@ -84,7 +80,9 @@ struct SubmitSpec
 };
 
 /**
- * Parse a client submit frame.
+ * Parse a client submit frame. Members it does not know are ignored,
+ * so a protocol-v1 peer that still sends a retired field (the
+ * trace-suite "readMode") is served unchanged.
  * @throws std::runtime_error naming the missing/malformed field
  */
 SubmitSpec parseSubmit(const util::Json &frame);

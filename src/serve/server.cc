@@ -673,7 +673,6 @@ ExperimentServer::runOperation(
         options.manifest = spec.pairsManifest;
         options.bytes = spec.traceBytes;
         options.jobs = clampJobs(spec.traceJobs);
-        options.readMode = trace::parseReadMode(spec.traceReadMode);
         options.store = store;
         options.cancel = request.cancel;
         progress({"trace suite", 0, 1});

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 
 #include "predictors/budget.h"
 #include "sim/replay.h"
@@ -194,15 +195,13 @@ ExperimentContext::openExternal(const ExternalTrace &trace) const
 {
     if (trace.resident)
         return std::make_shared<trace::CompactTraceCursor>(trace.resident);
-    if (trace.session) {
-        trace.session->reset();
-        return trace.session;
-    }
-    std::unique_ptr<trace::ByteFile> file = trace.opener
-        ? trace.opener(trace.path)
-        : trace::openByteFile(trace.path);
-    return std::make_shared<trace::StreamingTraceReader>(
-        std::move(file), trace.chunkRecords);
+    if (!trace.session)
+        throw std::logic_error("external trace " + trace.path
+                               + " was never verified: it carries "
+                                 "neither a resident copy nor a "
+                                 "session");
+    trace.session->reset();
+    return trace.session;
 }
 
 ExperimentContext::ProfilerEntry &

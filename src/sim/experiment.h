@@ -83,8 +83,10 @@ struct ComparisonRow
  * file, and a changed file can never be served stale artifacts.
  * A trace the suite runner has verified arrives resident (an interned
  * trace::CompactTrace, file already closed) or, when the process's
- * resident budget could not hold it, as a parked streaming session;
- * a bare path is streamed from a fresh open on every replay.
+ * resident budget could not hold it, as a parked streaming session.
+ * One of the two is always set: external traces enter the experiment
+ * layer only through the verifying open (trace::TracePrefetcher::
+ * openTrace), never as a bare path.
  */
 struct ExternalTrace
 {
@@ -94,12 +96,6 @@ struct ExternalTrace
     std::string path;
     /** 32-hex content hash of the file (trace::hashTraceFile). */
     std::string contentHash;
-    /** Records buffered per streaming chunk. */
-    std::size_t chunkRecords =
-        trace::StreamingTraceReader::defaultChunkRecords;
-    /** How to open the file; empty = plain stdio (tests inject
-     *  fault-wrapped openers here). */
-    trace::FileOpener opener;
     /** The verified records held in memory (the suite runner's
      *  ingestion pass interns them here). When set, openExternal()
      *  returns a cursor over them and never touches the file. */
@@ -237,13 +233,14 @@ class ExperimentContext
     /**
      * Open an external trace for one replay: a fresh cursor over the
      * resident copy when the trace carries one (cursors may overlap),
-     * else the parked session rewound, else a fresh bounded-memory
-     * streaming reader. External traces live with their ExternalTrace,
-     * not in this context's trace memo. Replays of a shared session
-     * must not overlap (the suite runner keeps each pair's sessions on
-     * one thread at a time).
-     * @throws util::TransientError / std::runtime_error from the
-     *         underlying file
+     * else the parked session rewound. External traces live with
+     * their ExternalTrace, not in this context's trace memo. Replays
+     * of a shared session must not overlap (the suite runner keeps
+     * each pair's sessions on one thread at a time).
+     * @throws std::logic_error when the trace carries neither (it
+     *         was never verified)
+     * @throws util::TransientError / std::runtime_error from a
+     *         session's file
      */
     std::shared_ptr<trace::TraceSource>
     openExternal(const ExternalTrace &trace) const;

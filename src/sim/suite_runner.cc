@@ -27,7 +27,6 @@
 #include "store/artifact_store.h"
 #include "trace/content_hash.h"
 #include "trace/fault_injection.h"
-#include "trace/mmap_file.h"
 #include "trace/prefetch.h"
 #include "trace/streaming.h"
 #include "util/chaos.h"
@@ -648,9 +647,8 @@ TraceSuiteRunner::run()
     // upcoming traces while workers simulate earlier ones. Overlap
     // changes throughput only — every result is still a pure function
     // of the trace bytes and options.
-    trace::FileOpener effective_opener = options_.opener
-        ? options_.opener
-        : trace::fastOpener(options_.readMode);
+    trace::FileOpener effective_opener =
+        options_.opener ? options_.opener : trace::openByteFile;
     // Under an active chaos campaign every open and read goes through
     // the fault-injecting wrapper, so ingestion hazards (transient
     // opens, short reads, refused views) are exercised on the same
@@ -674,10 +672,9 @@ TraceSuiteRunner::run()
     }
     trace::TracePrefetcher::Options prefetch_options;
     prefetch_options.opener = effective_opener;
-    prefetch_options.chunkRecords = options_.chunkRecords;
-    prefetch_options.window = options_.prefetchWindow != 0
-        ? options_.prefetchWindow
-        : 2 * static_cast<std::size_t>(jobs) + 2;
+    // The window bounds how far verification runs ahead of the
+    // workers (and how many parked sessions hold descriptors).
+    prefetch_options.window = 2 * static_cast<std::size_t>(jobs) + 2;
     prefetch_options.threads = jobs;
     prefetch_options.retry = options_.retry;
     prefetch_options.cancel = options_.cancel;
@@ -723,8 +720,6 @@ TraceSuiteRunner::run()
 
             item.profile.name = pair.profileName;
             item.profile.path = pair.profilePath;
-            item.profile.chunkRecords = options_.chunkRecords;
-            item.profile.opener = effective_opener;
             item.profile.contentHash = profile_open.contentHash;
             item.profile.resident = std::move(profile_open.resident);
             item.profile.session = std::move(profile_open.session);
@@ -742,8 +737,6 @@ TraceSuiteRunner::run()
                     std::rethrow_exception(test_open.error);
                 item.test.name = pair.testName;
                 item.test.path = pair.testPath;
-                item.test.chunkRecords = options_.chunkRecords;
-                item.test.opener = effective_opener;
                 item.test.contentHash = test_open.contentHash;
                 item.test.resident = std::move(test_open.resident);
                 item.test.session = std::move(test_open.session);

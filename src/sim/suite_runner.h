@@ -84,7 +84,6 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "trace/byte_file.h"
-#include "trace/mmap_file.h"
 #include "util/retry.h"
 
 namespace vlp {
@@ -116,21 +115,10 @@ struct TraceSuiteOptions
      * cancel token is ignored: the runner sets it from cancel below).
      */
     util::RetryPolicy retry;
-    /** Records per chunk of the verifying pass and of streamed
-     *  (over-budget) replays. */
-    std::size_t chunkRecords =
-        trace::StreamingTraceReader::defaultChunkRecords;
-    /** File opener override; empty = open via readMode (tests inject
-     *  faults here — an override wins over readMode). */
+    /** File opener override; empty = trace::openByteFile, which maps
+     *  a regular file and reads anything else through stdio (tests
+     *  inject faults, count opens or pin a backend here). */
     trace::FileOpener opener;
-    /** How traces open when no opener override is given: Auto (mmap
-     *  with stdio fallback), Mmap, or Stdio. The report is
-     *  byte-identical across backends; only throughput changes. */
-    trace::ReadMode readMode = trace::ReadMode::Auto;
-    /** Max verified-but-unconsumed read-ahead opens in the ingestion
-     *  pipeline (bounds how far verification runs ahead); 0 = auto
-     *  (2 * jobs + 2). */
-    std::size_t prefetchWindow = 0;
     /** Optional artifact store shared by all workers; rerunning a
      *  killed run on the same store is how it resumes. */
     std::shared_ptr<store::ArtifactStore> store;

@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -34,6 +35,8 @@ namespace {
 // entry.
 constexpr char entryMagic[8] = {'V', 'L', 'P', 'S', 'T', 'O', 'R', '2'};
 constexpr const char *entrySuffix = ".vlpa";
+/** An insert writes `<key>.vlpa.tmp.<pid>.<n>`, then renames it. */
+constexpr const char *tempInfix = ".tmp.";
 constexpr const char *statsLogName = "stats.log";
 
 /**
@@ -185,15 +188,21 @@ removeQuietly(const fs::path &path)
     fs::remove(path, error);
 }
 
-/** All entry files under @p directory/objects. */
+/**
+ * All entry files under @p directory/objects; with @p temps, also the
+ * `<key>.vlpa.tmp.<pid>.<n>` files of inserts still being written or
+ * whose writer was killed before its rename.
+ */
 std::vector<fs::path>
-entryFiles(const std::string &directory)
+entryFiles(const std::string &directory,
+           std::vector<fs::path> *temps = nullptr)
 {
     std::vector<fs::path> entries;
     const fs::path objects = fs::path(directory) / "objects";
     std::error_code error;
     if (!fs::is_directory(objects, error))
         return entries;
+    const std::string temp_infix = std::string(entrySuffix) + tempInfix;
     for (fs::recursive_directory_iterator
              it(objects, fs::directory_options::skip_permission_denied,
                 error),
@@ -201,12 +210,40 @@ entryFiles(const std::string &directory)
          it != end; it.increment(error)) {
         if (error)
             break;
-        if (it->is_regular_file(error)
-            && it->path().extension() == entrySuffix) {
+        if (!it->is_regular_file(error))
+            continue;
+        if (it->path().extension() == entrySuffix)
             entries.push_back(it->path());
-        }
+        else if (temps != nullptr
+                 && it->path().filename().string().find(temp_infix)
+                        != std::string::npos)
+            temps->push_back(it->path());
     }
     return entries;
+}
+
+/**
+ * Remove each of @p temps whose writer is gone: the pid in its name
+ * answers kill(pid, 0) with ESRCH. A live writer's file (this
+ * process's included) stays; so does one whose name carries no pid.
+ * Pids are only meaningful inside one pid namespace, so a store
+ * shared across containers should not be written from both at once.
+ */
+void
+removeDeadWritersTemps(const std::vector<fs::path> &temps)
+{
+    const std::string temp_infix = std::string(entrySuffix) + tempInfix;
+    for (const fs::path &temp : temps) {
+        const std::string name = temp.filename().string();
+        const char *pid_text =
+            name.c_str() + name.find(temp_infix) + temp_infix.size();
+        char *end = nullptr;
+        const long pid = std::strtol(pid_text, &end, 10);
+        if (end == pid_text || *end != '.' || pid <= 0)
+            continue;
+        if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH)
+            removeQuietly(temp);
+    }
 }
 
 } // anonymous namespace
@@ -294,7 +331,7 @@ ArtifactStore::insert(const CacheKey &key,
     // Unique temp name per process and per insert, in the same
     // directory as the final name so the rename is atomic.
     const fs::path temp = path.parent_path()
-        / (path.filename().string() + ".tmp."
+        / (path.filename().string() + tempInfix
            + std::to_string(static_cast<long>(getpid())) + "."
            + std::to_string(temp_id));
 
@@ -345,7 +382,12 @@ ArtifactStore::collectGarbage()
     std::vector<Aged> aged;
     std::uint64_t total = 0;
     std::error_code error;
-    for (const fs::path &path : entryFiles(directory_)) {
+    // A killed insert's temp file would otherwise sit outside the
+    // bound for good; reclaim it before counting.
+    std::vector<fs::path> temps;
+    const std::vector<fs::path> entries = entryFiles(directory_, &temps);
+    removeDeadWritersTemps(temps);
+    for (const fs::path &path : entries) {
         // Chaos: a racing reader (or another GC) removed this entry
         // between the directory scan and the stat — the sweep must
         // carry on over vanished files.
@@ -420,9 +462,17 @@ ArtifactStore::summarize(const std::string &directory)
 {
     Summary summary;
     std::error_code error;
-    for (const fs::path &path : entryFiles(directory)) {
-        ++summary.entries;
-        summary.bytes += fs::file_size(path, error);
+    std::vector<fs::path> temps;
+    const std::vector<fs::path> entries = entryFiles(directory, &temps);
+    summary.entries = entries.size();
+    // Temp files take disk space too, whether in flight or left by a
+    // killed writer. A file removed since the scan adds nothing.
+    for (const std::vector<fs::path> &files : {entries, temps}) {
+        for (const fs::path &path : files) {
+            const std::uintmax_t bytes = fs::file_size(path, error);
+            if (!error)
+                summary.bytes += bytes;
+        }
     }
     std::ifstream log(fs::path(directory) / statsLogName);
     std::string line;
@@ -455,7 +505,10 @@ ArtifactStore::VerifyResult
 ArtifactStore::verify(const std::string &directory)
 {
     VerifyResult result;
-    for (const fs::path &path : entryFiles(directory)) {
+    std::vector<fs::path> temps;
+    const std::vector<fs::path> entries = entryFiles(directory, &temps);
+    removeDeadWritersTemps(temps);
+    for (const fs::path &path : entries) {
         bool corrupt = false;
         const auto entry = readEntry(path, corrupt);
         if (entry && !corrupt) {

@@ -22,7 +22,9 @@
  * An LRU-style garbage collector bounds the cache: when maxBytes is
  * set, inserts evict the least-recently-used entries (file mtime) until
  * the total fits. A hit refreshes the mtime only when it is a minute or
- * more old, so the LRU order has that resolution.
+ * more old, so the LRU order has that resolution. The collector (and
+ * `verify`) also removes the temp file an insert was writing when its
+ * process was killed, once that writer's pid is gone.
  */
 
 #ifndef VLPSIM_STORE_ARTIFACT_STORE_H
@@ -107,6 +109,7 @@ class ArtifactStore
     struct Summary
     {
         std::uint64_t entries = 0;
+        /** Bytes of the entries and of any insert temp files. */
         std::uint64_t bytes = 0;
         /** Totals accumulated in stats.log across all runs. */
         StoreCounters lifetime;
@@ -122,7 +125,8 @@ class ArtifactStore
         std::uint64_t corrupt = 0;
     };
 
-    /** Re-validate every entry under @p directory; remove bad ones. */
+    /** Re-validate every entry under @p directory; remove bad ones
+     *  and the temp files of writers that no longer run. */
     static VerifyResult verify(const std::string &directory);
 
     /** Remove all entries, temp files, and stats under @p directory.

@@ -83,16 +83,9 @@ StdioByteFile::size()
     return static_cast<std::uint64_t>(end);
 }
 
-std::unique_ptr<ByteFile>
-openByteFile(const std::string &path)
-{
-    return std::make_unique<StdioByteFile>(path);
-}
-
 ByteFileStreamBuf::ByteFileStreamBuf(ByteFile &file)
-    : file_(file), size_(file.size())
+    : file_(file), mapped_(file.view(0, 1) != nullptr)
 {
-    file_.seek(0);
 }
 
 ByteFileStreamBuf::int_type
@@ -100,26 +93,32 @@ ByteFileStreamBuf::underflow()
 {
     if (gptr() < egptr())
         return traits_type::to_int_type(*gptr());
-    if (offset_ >= size_)
-        return traits_type::eof();
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(windowBytes, size_ - offset_));
-    // The get area is read-only by construction (no putback support
-    // beyond what's buffered), so serving the mapped window directly
-    // through the non-const streambuf pointers is safe.
-    if (const std::uint8_t *window = file_.view(offset_, want)) {
-        char *base =
-            const_cast<char *>(reinterpret_cast<const char *>(window));
-        setg(base, base, base + want);
-        offset_ += want;
-        return traits_type::to_int_type(*gptr());
+    if (mapped_) {
+        const std::uint64_t size = file_.size();
+        if (offset_ >= size)
+            return traits_type::eof();
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(windowBytes, size - offset_));
+        // The get area is read-only by construction (no putback
+        // support beyond what's buffered), so serving the mapped
+        // window directly through the non-const streambuf pointers is
+        // safe.
+        if (const std::uint8_t *window = file_.view(offset_, want)) {
+            char *base = const_cast<char *>(
+                reinterpret_cast<const char *>(window));
+            setg(base, base, base + want);
+            offset_ += want;
+            return traits_type::to_int_type(*gptr());
+        }
+        // The window was lost: carry on buffered from here.
+        file_.seek(offset_);
+        mapped_ = false;
     }
     buffer_.resize(windowBytes);
-    file_.seek(offset_);
     std::size_t got = 0;
-    while (got < want) {
+    while (got < windowBytes) {
         const std::size_t chunk =
-            file_.read(buffer_.data() + got, want - got);
+            file_.read(buffer_.data() + got, windowBytes - got);
         if (chunk == 0)
             break;
         got += chunk;

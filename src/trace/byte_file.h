@@ -106,22 +106,29 @@ class StdioByteFile : public ByteFile
 };
 
 /**
- * How trace consumers open files. The default opener returns a
- * StdioByteFile; tests substitute a fault-injecting opener (see
+ * How trace consumers open files. The default opener is
+ * openByteFile(); tests substitute a fault-injecting opener (see
  * trace::FaultInjector::opener()).
  */
 using FileOpener =
     std::function<std::unique_ptr<ByteFile>(const std::string &path)>;
 
-/** Open @p path as a plain StdioByteFile. */
+/**
+ * Open @p path for reading: the input picks the backend. A regular
+ * file is mapped (MmapByteFile, zero-copy views); a FIFO, /dev/stdin
+ * on a pipe, or a file the kernel will not map falls back to
+ * StdioByteFile. Never fails because of a backend limitation — only
+ * genuine open errors propagate. (Defined in mmap_file.cc.)
+ */
 std::unique_ptr<ByteFile> openByteFile(const std::string &path);
 
 /**
- * Adapts a ByteFile to std::streambuf so istream-based consumers (the
- * lenient text-trace importer) read through the same seam — and
+ * Adapts a freshly opened ByteFile to std::streambuf so istream-based
+ * consumers (the text-trace importer) read through the same seam — and
  * zero-copy when the backend is mapped: underflow() serves the
- * backend's view() window directly as the get area when available,
- * falling back to a buffered read() otherwise.
+ * backend's view() window directly as the get area when available.
+ * Any other backend is read sequentially into a buffer, with no seek
+ * and no size query, so a pipe streams through too.
  */
 class ByteFileStreamBuf : public std::streambuf
 {
@@ -137,7 +144,7 @@ class ByteFileStreamBuf : public std::streambuf
   private:
     ByteFile &file_;
     std::uint64_t offset_ = 0; // file offset of the next window
-    std::uint64_t size_ = 0;
+    bool mapped_;              // serve view() windows in place
     std::vector<char> buffer_;
 };
 

@@ -19,9 +19,7 @@ FileOpener
 FaultInjector::opener(FileOpener inner)
 {
     if (!inner)
-        inner = [](const std::string &path) {
-            return openByteFile(path);
-        };
+        inner = openByteFile;
     return [this, inner](const std::string &path) {
         PathState &state = pathState(path);
         bool fail_open = false;
@@ -227,9 +225,7 @@ FileOpener
 chaosOpener(FileOpener inner)
 {
     if (!inner)
-        inner = [](const std::string &path) {
-            return openByteFile(path);
-        };
+        inner = openByteFile;
     return [inner](const std::string &path)
         -> std::unique_ptr<ByteFile> {
         if (!util::chaos::enabled())

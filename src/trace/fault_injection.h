@@ -92,7 +92,7 @@ class FaultInjector
     explicit FaultInjector(FaultPlan plan) : plan_(plan) {}
 
     /**
-     * An opener that wraps @p inner (default: plain stdio files) with
+     * An opener that wraps @p inner (default: openByteFile) with
      * this injector's faults. The returned opener may outlive no
      * longer than the injector.
      */

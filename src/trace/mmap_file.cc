@@ -1,6 +1,6 @@
 /**
  * @file
- * Mapped ByteFile implementation and read-mode selection.
+ * Mapped ByteFile implementation and the one trace-file opener.
  */
 
 #include "trace/mmap_file.h"
@@ -178,62 +178,20 @@ MmapByteFile::seek(std::uint64_t offset)
     position_ = offset;
 }
 
-ReadMode
-parseReadMode(const std::string &text)
-{
-    if (text == "auto")
-        return ReadMode::Auto;
-    if (text == "mmap")
-        return ReadMode::Mmap;
-    if (text == "stdio")
-        return ReadMode::Stdio;
-    throw std::runtime_error("unknown read mode '" + text
-                             + "' (expected auto, mmap, or stdio)");
-}
-
-const char *
-readModeName(ReadMode mode)
-{
-    switch (mode) {
-    case ReadMode::Auto:
-        return "auto";
-    case ReadMode::Mmap:
-        return "mmap";
-    case ReadMode::Stdio:
-        return "stdio";
-    }
-    return "auto";
-}
-
 std::unique_ptr<ByteFile>
-openByteFileFast(const std::string &path, ReadMode mode)
+openByteFile(const std::string &path)
 {
-    if (mode != ReadMode::Stdio) {
-        try {
-            // Chaos: the mapping fails (address-space pressure, an
-            // unmappable filesystem) and the open degrades to stdio —
-            // reports are backend-agnostic, so this must be invisible.
-            if (CHAOS_SECTION("trace.mmap.stdio-fallback",
-                              util::chaos::pathKey(path)))
-                throw MmapUnsupported("chaos: mmap refused: " + path);
-            return std::make_unique<MmapByteFile>(path);
-        } catch (const MmapUnsupported &reason) {
-            if (mode == ReadMode::Mmap) {
-                util::warn(std::string("--read-mode mmap: ")
-                           + reason.what()
-                           + "; falling back to stdio");
-            }
-        }
+    try {
+        // Chaos: the mapping fails (address-space pressure, an
+        // unmappable filesystem) and the open degrades to stdio —
+        // reports are backend-agnostic, so this must be invisible.
+        if (CHAOS_SECTION("trace.mmap.stdio-fallback",
+                          util::chaos::pathKey(path)))
+            throw MmapUnsupported("chaos: mmap refused: " + path);
+        return std::make_unique<MmapByteFile>(path);
+    } catch (const MmapUnsupported &) {
+        return std::make_unique<StdioByteFile>(path);
     }
-    return std::make_unique<StdioByteFile>(path);
-}
-
-FileOpener
-fastOpener(ReadMode mode)
-{
-    return [mode](const std::string &path) {
-        return openByteFileFast(path, mode);
-    };
 }
 
 } // namespace trace

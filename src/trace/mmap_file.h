@@ -11,7 +11,7 @@
  * pattern.
  *
  * Non-regular inputs (FIFOs, /dev/stdin, sockets) and mmap failures
- * raise MmapUnsupported from the constructor; openByteFileFast() turns
+ * raise MmapUnsupported from the constructor; openByteFile() turns
  * that into a graceful fallback to StdioByteFile, so callers never
  * lose a trace to a backend limitation. The fallback matrix lives in
  * DESIGN §15.
@@ -86,36 +86,13 @@ class MmapByteFile : public ByteFile
     std::uint64_t remaps_ = 0;
 };
 
-/** How trace files are opened for reading. */
-enum class ReadMode {
-    /** mmap when possible, silent stdio fallback otherwise. */
-    Auto,
-    /** mmap, with a logged warning when falling back to stdio. */
-    Mmap,
-    /** Always stdio. */
-    Stdio,
-};
+/** openByteFile's one mode; kept for perfbench/src until the replica
+ *  is re-mirrored. */
+enum class ReadMode { Auto };
 
-/**
- * Parse "auto" / "mmap" / "stdio" (the `--read-mode` flag values).
- * @throws std::runtime_error on anything else
- */
-ReadMode parseReadMode(const std::string &text);
-
-/** The canonical flag spelling of @p mode. */
-const char *readModeName(ReadMode mode);
-
-/**
- * Open @p path for @p mode: the mapped fast path when allowed and
- * possible, StdioByteFile otherwise. Never fails because of a backend
- * limitation — only genuine open errors propagate.
- */
-std::unique_ptr<ByteFile>
-openByteFileFast(const std::string &path,
-                 ReadMode mode = ReadMode::Auto);
-
-/** A FileOpener calling openByteFileFast(path, mode). */
-FileOpener fastOpener(ReadMode mode);
+/** The openByteFile opener; kept for perfbench/src until the replica
+ *  is re-mirrored. */
+inline FileOpener fastOpener(ReadMode) { return openByteFile; }
 
 } // namespace trace
 } // namespace vlp

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "trace/content_hash.h"
-#include "trace/mmap_file.h"
 #include "util/chaos.h"
 
 namespace vlp {
@@ -36,12 +35,12 @@ TracePrefetcher::openTrace(const std::string &path,
         result = util::retryTransient(
             options.retry, [&]() -> PrefetchedTrace {
                 auto raw = options.opener ? options.opener(path)
-                                          : openByteFileFast(path);
+                                          : openByteFile(path);
                 auto hashing =
                     std::make_unique<HashingByteFile>(std::move(raw));
                 HashingByteFile &hasher = *hashing;
                 auto reader = std::make_shared<StreamingTraceReader>(
-                    std::move(hashing), options.chunkRecords);
+                    std::move(hashing));
                 PrefetchedTrace open;
                 open.formatVersion = reader->formatVersion();
                 open.records = reader->count();

@@ -80,12 +80,8 @@ class TracePrefetcher
   public:
     struct Options
     {
-        /** How paths open; empty = mmap-auto fast open. */
+        /** How paths open; empty = openByteFile. */
         FileOpener opener;
-        /** Records per streaming chunk, for the verifying pass and
-         *  the sessions. */
-        std::size_t chunkRecords =
-            StreamingTraceReader::defaultChunkRecords;
         /** Max verified-but-untaken opens; 0 = no read-ahead
          *  (take() opens inline on the consumer thread). */
         std::size_t window = 0;

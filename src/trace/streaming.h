@@ -61,7 +61,7 @@ class StreamingTraceReader : public TraceSource
         std::unique_ptr<ByteFile> file,
         std::size_t chunk_records = defaultChunkRecords);
 
-    /** Convenience: open @p path with a plain stdio file. */
+    /** Convenience: open @p path with openByteFile(). */
     explicit StreamingTraceReader(
         const std::string &path,
         std::size_t chunk_records = defaultChunkRecords);

@@ -109,33 +109,6 @@ tryParseLine(const std::string &line, BranchRecord &record,
     return true;
 }
 
-/**
- * Parse every record line of @p in; @p bad(message) sees each
- * malformed line's "line N: why" message, and the line is skipped.
- */
-template <typename Bad>
-VectorTraceSource
-parseLines(std::istream &in, Bad &&bad)
-{
-    VectorTraceSource source;
-    std::string line;
-    std::size_t line_number = 0;
-    while (std::getline(in, line)) {
-        ++line_number;
-        const auto first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-
-        BranchRecord record;
-        std::string error;
-        if (tryParseLine(line, record, error))
-            source.append(record);
-        else
-            bad("line " + std::to_string(line_number) + ": " + error);
-    }
-    return source;
-}
-
 } // anonymous namespace
 
 BranchKind
@@ -148,33 +121,30 @@ parseBranchKind(const std::string &name)
 }
 
 VectorTraceSource
-readTextTrace(std::istream &in)
+readTextTraceLenient(std::istream &in, ImportReport &report)
 {
-    return parseLines(in, [](const std::string &message) {
-        util::fatal("malformed text trace: " + message);
-    });
-}
+    VectorTraceSource source;
+    std::string line;
+    std::size_t line_number = 0;
+    while (std::getline(in, line)) {
+        ++line_number;
+        const auto first = line.find_first_not_of(" \t");
+        if (first == std::string::npos || line[first] == '#')
+            continue;
 
-VectorTraceSource
-readTextTraceLenient(std::istream &in, ConvertReport &report)
-{
-    VectorTraceSource source =
-        parseLines(in, [&](const std::string &message) {
-            ++report.skipped;
-            if (report.diagnostics.size() < ConvertReport::maxDiagnostics)
-                report.diagnostics.push_back(message);
-        });
+        BranchRecord record;
+        std::string error;
+        if (tryParseLine(line, record, error)) {
+            source.append(record);
+            continue;
+        }
+        ++report.skipped;
+        if (report.diagnostics.size() < ImportReport::maxDiagnostics)
+            report.diagnostics.push_back(
+                "line " + std::to_string(line_number) + ": " + error);
+    }
     report.imported = source.size();
     return source;
-}
-
-VectorTraceSource
-loadTextTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        util::fatal("cannot open text trace: " + path);
-    return readTextTrace(in);
 }
 
 void

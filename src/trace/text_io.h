@@ -29,20 +29,6 @@
 namespace vlp {
 namespace trace {
 
-/**
- * Parse a text trace from @p in, in the grammar readTextTraceLenient()
- * accepts.
- * @throws std::runtime_error at the first line the lenient parser
- *         would skip, with its "line N: why" message
- */
-VectorTraceSource readTextTrace(std::istream &in);
-
-/**
- * Parse a text trace file.
- * @throws std::runtime_error on I/O or format errors
- */
-VectorTraceSource loadTextTrace(const std::string &path);
-
 /** Write @p source as text to @p out. */
 void writeTextTrace(const VectorTraceSource &source, std::ostream &out);
 
@@ -60,12 +46,12 @@ void saveTextTrace(const VectorTraceSource &source,
 BranchKind parseBranchKind(const std::string &name);
 
 /**
- * Outcome of a lenient text-to-.vbt conversion (`vlpsim convert`).
- * Malformed lines are skipped and reported with their line numbers
- * instead of aborting the import — external branch logs routinely
- * carry a handful of mangled lines.
+ * Outcome of a text-to-.vbt import (`vlpsim import`). Malformed lines
+ * are skipped and reported with their line numbers instead of
+ * aborting the import — external branch logs routinely carry a
+ * handful of mangled lines.
  */
-struct ConvertReport
+struct ImportReport
 {
     /** Diagnostics kept; further bad lines only bump skipped. */
     static constexpr std::size_t maxDiagnostics = 20;
@@ -79,13 +65,14 @@ struct ConvertReport
 };
 
 /**
- * Parse a text branch log leniently. Accepts the native format
- * (`kind pc next T|N`) and a ChampSim-style reduced form
+ * Parse a text branch log — the one text grammar. Accepts the native
+ * format (`kind pc next T|N`) and a ChampSim-style reduced form
  * (`pc next T|N|1|0`, kind defaulting to cond). Malformed lines are
- * recorded in @p report and skipped; never throws on content.
+ * recorded in @p report as "line N: why" and skipped; never throws
+ * on content.
  */
 VectorTraceSource readTextTraceLenient(std::istream &in,
-                                       ConvertReport &report);
+                                       ImportReport &report);
 
 } // namespace trace
 } // namespace vlp

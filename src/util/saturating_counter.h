@@ -85,14 +85,6 @@ class SaturatingCounter
     /** Raw counter value. */
     unsigned value() const { return value_; }
 
-    /** Force the raw counter value (used by tests). */
-    void
-    set(unsigned value)
-    {
-        assert(value <= maxValue_);
-        value_ = value;
-    }
-
     /** Maximum (saturated) value. */
     unsigned maxValue() const { return maxValue_; }
 

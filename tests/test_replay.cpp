@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -523,6 +524,17 @@ TEST(ReplayOracle, ExternalPairMatchesReferenceResidentAndStreamed)
         }
     }
     fs::remove_all(directory);
+}
+
+/** External traces enter only through the verifying open: one that
+ *  carries neither a resident copy nor a session is a caller bug. */
+TEST(ReplayOracle, UnverifiedExternalTraceIsALogicError)
+{
+    sim::ExternalTrace bare;
+    bare.name = "bare";
+    bare.path = "bare.vbt";
+    const sim::ExperimentContext context;
+    EXPECT_THROW(context.openExternal(bare), std::logic_error);
 }
 
 } // anonymous namespace

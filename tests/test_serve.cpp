@@ -34,11 +34,13 @@
 #include "serve/server.h"
 #include "sim/report.h"
 #include "sim/service.h"
+#include "trace/trace_io.h"
 #include "util/cancel.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/socket.h"
 #include "util/version.h"
+#include "workload/benchmarks.h"
 
 namespace {
 
@@ -934,6 +936,49 @@ TEST_F(ServeTest, WarmReportMatchesCliJsonByteForByte)
             util::toPrettyJson(result.at("report")) + "\n";
         EXPECT_EQ(serveBytes, cliBytes.str()) << "jobs " << jobs;
     }
+}
+
+/**
+ * Wire compatibility: a protocol-v1 peer from before the trace-suite
+ * `readMode` member was retired still sends it. The frame parses (the
+ * member is ignored, the protocol version stays 1), and the request
+ * runs to the report the same request gets without it.
+ */
+TEST_F(ServeTest, RetiredReadModeSubmitFieldIsIgnored)
+{
+    TempDir corpus;
+    trace::saveTrace(
+        workload::generateTrace(workload::findBenchmark("compress"),
+                                workload::InputKind::Profile),
+        corpus.path() + "/compress.vbt");
+    serve::SubmitSpec spec;
+    spec.op = "trace-suite";
+    spec.tracesDirectory = corpus.path();
+    spec.traceBytes = 1024;
+    const std::string frame = serve::submitFrame(spec);
+    EXPECT_EQ(frame.find("readMode"), std::string::npos);
+    ASSERT_EQ(frame.back(), '}');
+    const std::string legacy = frame.substr(0, frame.size() - 1)
+        + R"(,"readMode":"stdio"})";
+    EXPECT_EQ(serve::submitFrame(
+                  serve::parseSubmit(util::Json::parse(legacy))),
+              frame);
+
+    startServer({});
+    const auto client = connect();
+    EXPECT_EQ(client->hello().at("protocolVersion").asUint(), 1u);
+    client->sendFrame(legacy);
+    const util::Json accepted = client->readFrame();
+    ASSERT_EQ(accepted.at("type").asString(), "accepted");
+    const util::Json result =
+        client->await(accepted.at("id").asUint());
+    ASSERT_EQ(result.at("type").asString(), "result");
+    ASSERT_EQ(result.at("status").asString(), "ok");
+
+    const util::Json plain = submitAndAwait(*client, spec);
+    ASSERT_EQ(plain.at("status").asString(), "ok");
+    EXPECT_EQ(util::toCompactJson(result.at("report")),
+              util::toCompactJson(plain.at("report")));
 }
 
 } // anonymous namespace

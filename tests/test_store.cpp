@@ -20,6 +20,9 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "core/profiler.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
@@ -27,6 +30,7 @@
 #include "store/artifact_store.h"
 #include "store/cache_key.h"
 #include "store/serialize.h"
+#include "trace/prefetch.h"
 #include "trace/streaming.h"
 #include "trace/trace_io.h"
 #include "util/checksum.h"
@@ -665,6 +669,59 @@ TEST_F(StoreHarness, SummarizeVerifyAndClear)
     EXPECT_EQ(ArtifactStore::summarize(directory_).entries, 0u);
 }
 
+/** A pid no process holds: a child that has exited and been reaped. */
+pid_t
+deadPid()
+{
+    const pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    ::waitpid(child, nullptr, 0);
+    return child;
+}
+
+/**
+ * A killed insert leaves `<key>.vlpa.tmp.<pid>.<n>` behind. The GC
+ * (under a byte bound) and `cache verify` remove it once its writer's
+ * pid is gone, leave a live writer's file alone, and `cache stats`
+ * counts temp bytes as disk the store uses.
+ */
+TEST_F(StoreHarness, DeadWritersTempFilesAreReclaimed)
+{
+    const auto payload = samplePayload(1024);
+    ArtifactStore store = open(64 * 1024);
+    const CacheKey key = sampleKey("kept");
+    store.insert(key, payload);
+    const fs::path entry = entryFiles().front();
+    constexpr std::size_t temp_bytes = 4096;
+    const auto temp = [&](pid_t pid) {
+        fs::path path = entry;
+        path += ".tmp." + std::to_string(pid) + ".1";
+        std::ofstream(path, std::ios::binary)
+            << std::string(temp_bytes, 'x');
+        return path;
+    };
+    const fs::path dead = temp(deadPid());
+    const fs::path live = temp(::getpid());
+
+    const auto summary = ArtifactStore::summarize(directory_);
+    EXPECT_EQ(summary.entries, 1u);
+    EXPECT_EQ(summary.bytes, fs::file_size(entry) + 2 * temp_bytes);
+
+    store.insert(sampleKey("next"), payload); // runs the GC
+    EXPECT_FALSE(fs::exists(dead));
+    EXPECT_TRUE(fs::exists(live));
+    EXPECT_TRUE(store.fetch(key).has_value());
+    EXPECT_EQ(store.counters().evicted, 0u);
+
+    const fs::path dead_again = temp(deadPid());
+    const auto verified = ArtifactStore::verify(directory_);
+    EXPECT_EQ(verified.ok, 2u);
+    EXPECT_EQ(verified.corrupt, 0u);
+    EXPECT_FALSE(fs::exists(dead_again));
+    EXPECT_TRUE(fs::exists(live));
+}
+
 /**
  * End-to-end cache contract on real (scaled-down) workloads. Mirrors
  * the ParallelHarness scale so the suite stays fast.
@@ -1103,7 +1160,12 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
         trace.name = name;
         trace.path = directory_ + "/traces/" + name + ".vbt";
         trace::saveTrace(workload::generateTrace(spec, kind), trace.path);
-        trace.contentHash = trace::hashTraceFile(trace.path);
+        trace::PrefetchedTrace opened =
+            trace::TracePrefetcher::openTrace(trace.path, {});
+        EXPECT_FALSE(opened.error);
+        trace.contentHash = opened.contentHash;
+        trace.resident = std::move(opened.resident);
+        trace.session = std::move(opened.session);
         return trace;
     };
     const sim::ExternalTrace profile =

@@ -10,8 +10,10 @@
 #include <sstream>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "trace/branch_record.h"
+#include "trace/byte_file.h"
 #include "trace/streaming.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
@@ -346,8 +348,11 @@ TEST(TextIo, RoundTripAllKinds)
     std::ostringstream out;
     writeTextTrace(original, out);
     std::istringstream in(out.str());
-    const VectorTraceSource loaded = readTextTrace(in);
+    ImportReport report;
+    const VectorTraceSource loaded = readTextTraceLenient(in, report);
     EXPECT_EQ(loaded.records(), original.records());
+    EXPECT_EQ(report.imported, original.size());
+    EXPECT_EQ(report.skipped, 0u);
 }
 
 TEST(TextIo, ParsesCommentsAndBlankLines)
@@ -358,33 +363,44 @@ TEST(TextIo, ParsesCommentsAndBlankLines)
         "cond 400000 400040 T\n"
         "   # indented comment\n"
         "ret 400040 400004 T\n");
-    const VectorTraceSource loaded = readTextTrace(in);
+    ImportReport report;
+    const VectorTraceSource loaded = readTextTraceLenient(in, report);
     ASSERT_EQ(loaded.size(), 2u);
     EXPECT_EQ(loaded.records()[0].pc, 0x400000u);
     EXPECT_TRUE(loaded.records()[1].isReturn());
+    EXPECT_EQ(report.skipped, 0u);
 }
 
 TEST(TextIo, RejectsMalformedLines)
 {
+    const struct
     {
-        std::istringstream in("cond 400000 400040\n"); // missing T|N
-        EXPECT_THROW(readTextTrace(in), std::runtime_error);
-    }
-    {
-        std::istringstream in("blorp 400000 400040 T\n"); // bad kind
-        EXPECT_THROW(readTextTrace(in), std::runtime_error);
-    }
-    {
-        std::istringstream in("cond zz9 400040 T\n"); // bad pc
-        EXPECT_THROW(readTextTrace(in), std::runtime_error);
-    }
-    {
-        std::istringstream in("cond 400000 400040 X\n"); // bad dir
-        EXPECT_THROW(readTextTrace(in), std::runtime_error);
-    }
-    {
-        std::istringstream in("jump 400000 400040 N\n"); // jump N
-        EXPECT_THROW(readTextTrace(in), std::runtime_error);
+        const char *line;
+        const char *why;
+    } cases[] = {
+        {"cond 400000 400040", // missing T|N
+         "line 2: too few fields for 'cond' record"},
+        {"blorp 400000 400040 T", // bad kind
+         "line 2: unknown branch kind or bad pc 'blorp'"},
+        {"cond zz9 400040 T", "line 2: bad pc 'zz9'"},
+        {"cond 400000 400040 X", // bad direction
+         "line 2: bad direction 'X' (want T or N)"},
+        {"jump 400000 400040 N",
+         "line 2: non-conditional branch marked not-taken"},
+    };
+    for (const auto &c : cases) {
+        // The malformed line sits between two good ones: it is skipped
+        // and reported, and both neighbours still import.
+        std::istringstream in(std::string("cond 400000 400040 T\n")
+                              + c.line + "\nret 400040 400004 T\n");
+        ImportReport report;
+        const VectorTraceSource loaded =
+            readTextTraceLenient(in, report);
+        EXPECT_EQ(loaded.size(), 2u) << c.line;
+        EXPECT_EQ(report.imported, 2u) << c.line;
+        EXPECT_EQ(report.skipped, 1u) << c.line;
+        EXPECT_EQ(report.diagnostics,
+                  std::vector<std::string>{c.why});
     }
 }
 
@@ -398,16 +414,24 @@ TEST(TextIo, ParseBranchKindNames)
 
 TEST(TextIo, FileRoundTrip)
 {
+    // The file goes back in the way `vlpsim import` reads it.
     const std::string path = tempPath("text_trace.txt");
     VectorTraceSource original;
     original.append(make(0x400000, 0x400040, true,
                          BranchKind::Conditional));
     saveTextTrace(original, path);
-    const VectorTraceSource loaded = loadTextTrace(path);
-    EXPECT_EQ(loaded.records(), original.records());
+    {
+        const auto file = openByteFile(path);
+        ByteFileStreamBuf buffer(*file);
+        std::istream in(&buffer);
+        ImportReport report;
+        const VectorTraceSource loaded =
+            readTextTraceLenient(in, report);
+        EXPECT_EQ(loaded.records(), original.records());
+        EXPECT_EQ(report.skipped, 0u);
+    }
     std::remove(path.c_str());
-    EXPECT_THROW(loadTextTrace("/no/such/file.txt"),
-                 std::runtime_error);
+    EXPECT_THROW(openByteFile("/no/such/file.txt"), std::runtime_error);
 }
 
 TEST(WindowTraceSource, SkipAndTake)

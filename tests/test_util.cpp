@@ -82,11 +82,11 @@ TEST(SaturatingCounter, Confidence)
 {
     SaturatingCounter counter(2, 3);
     EXPECT_EQ(counter.confidence(), 1u); // strongly taken
-    counter.set(2);
+    counter.update(false);
     EXPECT_EQ(counter.confidence(), 0u); // weakly taken
-    counter.set(1);
+    counter.update(false);
     EXPECT_EQ(counter.confidence(), 0u); // weakly not-taken
-    counter.set(0);
+    counter.update(false);
     EXPECT_EQ(counter.confidence(), 1u); // strongly not-taken
 }
 

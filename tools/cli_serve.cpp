@@ -32,7 +32,6 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/run_options.h"
-#include "trace/mmap_file.h"
 #include "util/args.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -240,7 +239,6 @@ struct SubmitFlags
     std::uint64_t sleep_ms = 100;
     std::string traces;
     std::string pairs;
-    std::string read_mode = "auto";
 
     void registerFlags(util::ArgParser &parser)
     {
@@ -277,10 +275,6 @@ struct SubmitFlags
                          &traces);
         parser.addString("--pairs", "FILE",
                          "pair manifest (op trace-suite)", &pairs);
-        parser.addString("--read-mode", "M",
-                         "trace backend: auto (default), mmap, or "
-                         "stdio (op trace-suite)",
-                         &read_mode);
     }
 
     serve::SubmitSpec toSpec(util::ArgParser &parser) const
@@ -315,12 +309,6 @@ struct SubmitFlags
             spec.pairsManifest = pairs;
             spec.traceBytes = static_cast<std::size_t>(bytes);
             spec.traceJobs = static_cast<unsigned>(jobs);
-            try {
-                trace::parseReadMode(read_mode);
-            } catch (const std::exception &error) {
-                parser.fail(error.what());
-            }
-            spec.traceReadMode = read_mode;
         } else if (op == "sleep") {
             spec.sleepMs = static_cast<unsigned>(sleep_ms);
         } else {

@@ -13,9 +13,9 @@
  *       Run the paper's two-step profiling heuristic over a trace and
  *       save the per-branch hash-number assignment (one line per pc,
  *       in ascending pc order). The trace streams in bounded-memory
- *       chunks (zero-copy when it maps; --read-mode auto|mmap|stdio
- *       picks the backend). The summary goes through the report
- *       model, so --format csv|json exports it machine-readably.
+ *       chunks (zero-copy when the file maps). The summary goes
+ *       through the report model, so --format csv|json exports it
+ *       machine-readably.
  *   eval <trace.vbt> <bytes> <cond|ind> [assignment]
  *       Evaluate predictors on a trace: the paper's baselines plus
  *       fixed length path, and — when an assignment file is given —
@@ -36,12 +36,12 @@
  *       the store, --no-cache disables it. --format csv|json exports
  *       the comparison through the shared report schema.
  *   suite --traces <dir> [bytes] [--pairs FILE] [--jobs N]
- *         [--read-mode auto|mmap|stdio] [cache flags]
+ *         [cache flags]
  *       External-trace mode: run the paper's methodology over the
  *       .vbt corpus under <dir> through the hardened ingestion
  *       pipeline: every trace is opened once (validation, content
  *       hash, and replay share the open), decoded zero-copy from an
- *       mmap window when possible (--read-mode selects the backend;
+ *       mmap window when the file maps (through stdio otherwise;
  *       reports are byte-identical either way), and prefetched ahead
  *       of the simulation. Traces are grouped into profile/test pairs — via
  *       --pairs (or <dir>/pairs.txt), else the
@@ -69,11 +69,12 @@
  *       entry's checksum (removing corrupt ones); clear empties it.
  *   import <in.txt> <out.vbt> / export <in.vbt> <out.txt>
  *       Convert between the text trace format (one branch per line —
- *       the adapter path for external tools) and the binary format.
- *   convert <in.txt> <out.vbt>
- *       Like import, but lenient: malformed lines are skipped and
- *       reported with their line numbers instead of aborting, for
- *       external branch logs (ChampSim-style reduced lines accepted).
+ *       the adapter path for external tools; ChampSim-style reduced
+ *       lines accepted) and the binary format. import reads any
+ *       input the file opener does (a pipe via /dev/stdin too),
+ *       skips each malformed line and reports it as
+ *       `file: line N: why` (the first 20), and fails only when no
+ *       line imports.
  *   serve / submit / status / cancel / shutdown
  *       The async experiment service and its client verbs
  *       (tools/cli_serve.cpp): a daemon on a local socket with a
@@ -125,7 +126,7 @@
 #include "sim/simulator.h"
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
-#include "trace/mmap_file.h"
+#include "trace/byte_file.h"
 #include "trace/streaming.h"
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
@@ -143,20 +144,6 @@
 namespace {
 
 using namespace vlp;
-
-/** Register --read-mode on @p parser, parsed into @p mode. */
-void
-addReadModeFlag(util::ArgParser &parser, trace::ReadMode *mode)
-{
-    parser.addOption(
-        "--read-mode", "auto|mmap|stdio",
-        "trace file backend: zero-copy mmap with stdio fallback "
-        "(auto, the default), mmap (falls back with a warning when "
-        "the file cannot map), or buffered stdio",
-        [mode](const std::string &text) {
-            *mode = trace::parseReadMode(text);
-        });
-}
 
 workload::InputKind
 parseInput(const std::string &text)
@@ -273,8 +260,6 @@ cmdProfile(int argc, char **argv)
     parser.addPositional("cond|ind", "branch class");
     parser.addPositional("out.assignment",
                          "output per-branch hash assignment");
-    trace::ReadMode read_mode = trace::ReadMode::Auto;
-    addReadModeFlag(parser, &read_mode);
     sim::OutputOptions output;
     output.registerFlags(parser);
     const auto args = parser.parse(argc, argv, 2);
@@ -282,8 +267,7 @@ cmdProfile(int argc, char **argv)
     // Stream the trace instead of materializing it: profiling replays
     // in bounded-memory chunks (zero-copy when the file maps), so
     // multi-gigabyte inputs profile at a flat memory footprint.
-    trace::StreamingTraceReader trace(
-        trace::openByteFileFast(args[0], read_mode));
+    trace::StreamingTraceReader trace(args[0]);
     const std::size_t bytes =
         std::strtoul(args[1].c_str(), nullptr, 0);
     const bool indirect = parseIndirect(args[2]);
@@ -473,8 +457,6 @@ cmdSuiteTraces(int argc, char **argv)
                      "when present, else the .profile.vbt/.test.vbt "
                      "name convention)",
                      &pairs);
-    trace::ReadMode read_mode = trace::ReadMode::Auto;
-    addReadModeFlag(parser, &read_mode);
     sim::RunOptions run;
     run.registerFlags(parser);
     sim::OutputOptions output;
@@ -491,7 +473,6 @@ cmdSuiteTraces(int argc, char **argv)
     options.directory = directory;
     options.manifest = pairs;
     options.jobs = static_cast<unsigned>(run.jobs);
-    options.readMode = read_mode;
     options.store = store;
     if (!args.empty()) {
         options.bytes = std::strtoul(args[0].c_str(), nullptr, 0);
@@ -675,14 +656,40 @@ cmdImport(int argc, char **argv)
 {
     util::ArgParser parser(
         "vlpsim import",
-        "convert a text trace to the binary .vbt format");
-    parser.addPositional("in.txt", "text trace (one branch per line)");
+        "convert a text branch log to the binary .vbt format "
+        "(malformed lines are skipped and reported)");
+    parser.addPositional("in.txt",
+                         "text branch log (one branch per line; a "
+                         "pipe via /dev/stdin works)");
     parser.addPositional("out.vbt", "output binary trace");
     const auto args = parser.parse(argc, argv, 2);
-    auto trace = trace::loadTextTrace(args[0]);
+    // The lenient parser wants an istream; ByteFileStreamBuf adapts
+    // the opened file (zero-copy windows when the log maps, plain
+    // stdio for a pipe) without changing the parsing.
+    std::unique_ptr<trace::ByteFile> file;
+    try {
+        file = trace::openByteFile(args[0]);
+    } catch (const std::exception &error) {
+        util::fatal("cannot open text trace: " + args[0] + " ("
+                    + error.what() + ")");
+    }
+    trace::ByteFileStreamBuf stream_buffer(*file);
+    std::istream in(&stream_buffer);
+    trace::ImportReport report;
+    auto trace = trace::readTextTraceLenient(in, report);
+    for (const std::string &diagnostic : report.diagnostics)
+        std::cerr << args[0] << ": " << diagnostic << "\n";
+    if (report.skipped > report.diagnostics.size()) {
+        std::cerr << args[0] << ": ... and "
+                  << report.skipped - report.diagnostics.size()
+                  << " more malformed lines\n";
+    }
+    if (report.imported == 0)
+        util::fatal("no usable records in " + args[0]);
     trace::saveTrace(trace, args[1]);
-    std::cout << "imported " << util::formatScaled(trace.size())
-              << " records -> " << args[1] << "\n";
+    std::cout << "imported " << util::formatScaled(report.imported)
+              << " records (" << report.skipped
+              << " malformed lines skipped) -> " << args[1] << "\n";
     return 0;
 }
 
@@ -702,48 +709,6 @@ cmdExport(int argc, char **argv)
     return 0;
 }
 
-int
-cmdConvert(int argc, char **argv)
-{
-    util::ArgParser parser(
-        "vlpsim convert",
-        "leniently import an external text branch log (malformed "
-        "lines are skipped and reported)");
-    parser.addPositional("in.txt", "text branch log");
-    parser.addPositional("out.vbt", "output binary trace");
-    trace::ReadMode read_mode = trace::ReadMode::Auto;
-    addReadModeFlag(parser, &read_mode);
-    const auto args = parser.parse(argc, argv, 2);
-    // The lenient parser wants an istream; ByteFileStreamBuf adapts
-    // the fast byte-file (zero-copy windows when the log maps, plain
-    // stdio otherwise) without changing the parsing.
-    std::unique_ptr<trace::ByteFile> file;
-    try {
-        file = trace::openByteFileFast(args[0], read_mode);
-    } catch (const std::exception &error) {
-        util::fatal("cannot open text trace: " + args[0] + " ("
-                    + error.what() + ")");
-    }
-    trace::ByteFileStreamBuf stream_buffer(*file);
-    std::istream in(&stream_buffer);
-    trace::ConvertReport report;
-    auto trace = trace::readTextTraceLenient(in, report);
-    for (const std::string &diagnostic : report.diagnostics)
-        std::cerr << args[0] << ": " << diagnostic << "\n";
-    if (report.skipped > report.diagnostics.size()) {
-        std::cerr << args[0] << ": ... and "
-                  << report.skipped - report.diagnostics.size()
-                  << " more malformed lines\n";
-    }
-    if (report.imported == 0)
-        util::fatal("no usable records in " + args[0]);
-    trace::saveTrace(trace, args[1]);
-    std::cout << "converted " << util::formatScaled(report.imported)
-              << " records (" << report.skipped
-              << " malformed lines skipped) -> " << args[1] << "\n";
-    return 0;
-}
-
 /**
  * The subcommand table. The top-level help below is generated from
  * it, so a new subcommand is one entry here plus its handler.
@@ -756,8 +721,7 @@ const cli::Command commandTable[] = {
      "generate a synthetic branch trace as a .vbt file", cmdGen},
     {"stats", "<trace.vbt>",
      "print Table-1-style statistics for a trace file", cmdStats},
-    {"profile",
-     "<trace.vbt> <bytes> <cond|ind> <out.asgn> [--read-mode M]",
+    {"profile", "<trace.vbt> <bytes> <cond|ind> <out.asgn>",
      "run the paper's two-step profiling heuristic over a trace",
      cmdProfile},
     {"eval", "<trace.vbt> <bytes> <cond|ind> [assignment]",
@@ -773,11 +737,10 @@ const cli::Command commandTable[] = {
     {"cache", "<stats|verify|clear> <dir>",
      "inspect or maintain an artifact cache", cmdCache},
     {"import", "<in.txt> <out.vbt>",
-     "convert a text trace to the binary .vbt format", cmdImport},
+     "convert a text branch log to the binary .vbt format, skipping "
+     "malformed lines", cmdImport},
     {"export", "<in.vbt> <out.txt>",
      "convert a binary .vbt trace to the text format", cmdExport},
-    {"convert", "<in.txt> <out.vbt>",
-     "leniently import an external text branch log", cmdConvert},
     {"serve", "[--listen EP] [--workers N] [cache flags]",
      "run the async experiment daemon (see docs/FORMATS.md)",
      cli::cmdServe},
