@@ -157,6 +157,29 @@ externalComparisonKey(const ExternalTrace &profile,
     return builder.build();
 }
 
+/**
+ * The checked sweep of a stored step-1 payload (a sweep or a profile
+ * entry, @p kind), or nullopt when there is none or it is unusable.
+ * The payload passes every check a full restore makes, but the
+ * per-branch records are only walked, never built.
+ */
+std::optional<core::FixedLengthSweep>
+storedSweep(const std::optional<std::vector<std::uint8_t>> &payload,
+            const core::ProfileOptions &options, const char *kind)
+{
+    if (!payload)
+        return std::nullopt;
+    try {
+        core::FixedLengthSweep sweep = store::decodeStep1Sweep(*payload);
+        core::checkRestoredSweep(options, sweep);
+        return sweep;
+    } catch (const std::exception &error) {
+        util::warn(std::string("discarding unusable cached ") + kind
+                   + ": " + error.what());
+        return std::nullopt;
+    }
+}
+
 } // anonymous namespace
 
 const RateEntry &
@@ -224,6 +247,7 @@ ExperimentContext::profilerEntry(const KeyPrefix &prefix,
         entry.indirect = indirect;
         entry.shared = shared;
         entry.profileKey = std::move(profile_key);
+        entry.sweepKey = profileKey(prefix("sweep"), options, indirect);
         entry.assignmentKey =
             assignmentKey(prefix("assignment"), options, indirect);
     }
@@ -237,49 +261,74 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
     entry.step1.call([&] {
         throwIfCancelled();
         if (store_) {
-            if (auto payload = store_->fetch(entry.profileKey)) {
-                try {
-                    // Every check a full restore makes, without
-                    // building the per-branch map: step 2 restores
-                    // it from the held payload if it ever runs.
-                    core::FixedLengthSweep sweep =
-                        store::decodeStep1Sweep(*payload);
-                    core::checkRestoredSweep(entry.options, sweep);
-                    entry.sweep = std::move(sweep);
-                    entry.payload = std::move(*payload);
-                    return;
-                } catch (const std::exception &error) {
-                    util::warn(std::string("discarding unusable cached "
-                                           "profile: ")
-                               + error.what());
-                }
+            // An absent sweep entry is no miss: the profile entry
+            // below holds the same sweep.
+            if (auto sweep = storedSweep(store_->probe(entry.sweepKey),
+                                         entry.options, "sweep")) {
+                entry.sweep = std::move(*sweep);
+                return;
+            }
+            if (auto sweep = storedSweep(store_->fetch(entry.profileKey),
+                                         entry.options, "profile")) {
+                entry.sweep = std::move(*sweep);
+                // Once per key: the next warm hit reads the sweep
+                // entry instead of the whole profile.
+                store_->insert(entry.sweepKey,
+                               store::encodeStep1Profile(entry.sweep, {}));
+                return;
             }
         }
-
-        const auto run = [&] {
-            auto profiler = std::make_shared<core::Profiler>(
-                entry.options, entry.indirect);
-            const auto source = profile_trace();
-            // Generating the trace may have taken a while: check
-            // again before the pass.
-            throwIfCancelled();
-            source->reset();
-            profiler->runStep1(*source);
-            return std::shared_ptr<const core::Profiler>(
-                std::move(profiler));
-        };
-        entry.profiler = entry.shared
-            ? memo_.step1(entry.profileKey.text(), cancel_.get(), run)
-            : run();
+        entry.profiler = computeStep1(entry, profile_trace);
         entry.sweep = entry.profiler->step1Sweep();
-        if (store_) {
-            store_->insert(entry.profileKey,
-                           store::encodeStep1Profile(
-                               entry.sweep,
-                               entry.profiler->branchProfiles()));
-        }
     });
     return entry.sweep;
+}
+
+std::shared_ptr<const core::Profiler>
+ExperimentContext::computeStep1(const ProfilerEntry &entry,
+                                const TraceProvider &profile_trace)
+{
+    const auto run = [&] {
+        auto profiler =
+            std::make_shared<core::Profiler>(entry.options, entry.indirect);
+        const auto source = profile_trace();
+        // Generating the trace may have taken a while: check again
+        // before the pass.
+        throwIfCancelled();
+        source->reset();
+        profiler->runStep1(*source);
+        return std::shared_ptr<const core::Profiler>(std::move(profiler));
+    };
+    auto profiler = entry.shared
+        ? memo_.step1(entry.profileKey.text(), cancel_.get(), run)
+        : run();
+    if (store_) {
+        store_->insert(entry.profileKey,
+                       store::encodeStep1Profile(profiler->step1Sweep(),
+                                                 profiler->branchProfiles()));
+    }
+    return profiler;
+}
+
+std::shared_ptr<const core::Profiler>
+ExperimentContext::storedProfiler(const ProfilerEntry &entry)
+{
+    const auto payload = store_->fetch(entry.profileKey);
+    if (!payload)
+        return nullptr;
+    try {
+        core::FixedLengthSweep sweep;
+        std::unordered_map<std::uint64_t, core::BranchProfile> profiles;
+        store::decodeStep1Profile(*payload, sweep, profiles);
+        auto profiler =
+            std::make_shared<core::Profiler>(entry.options, entry.indirect);
+        profiler->restoreStep1(std::move(sweep), std::move(profiles));
+        return profiler;
+    } catch (const std::exception &error) {
+        util::warn(std::string("discarding unusable cached profile: ")
+                   + error.what());
+        return nullptr;
+    }
 }
 
 const core::HashAssignment &
@@ -305,17 +354,10 @@ ExperimentContext::ensureAssignment(ProfilerEntry &entry,
 
         ensureStep1(entry, profile_trace);
         if (!entry.profiler) {
-            // Step 1 was a store hit: its payload already passed
-            // every check, so this decode cannot fail on its bytes.
-            core::FixedLengthSweep sweep;
-            std::unordered_map<std::uint64_t, core::BranchProfile>
-                profiles;
-            store::decodeStep1Profile(entry.payload, sweep, profiles);
-            auto profiler = std::make_shared<core::Profiler>(
-                entry.options, entry.indirect);
-            profiler->restoreStep1(std::move(sweep), std::move(profiles));
-            entry.profiler = std::move(profiler);
-            std::vector<std::uint8_t>().swap(entry.payload);
+            // Step 1 was a store hit, which kept only the sweep.
+            entry.profiler = storedProfiler(entry);
+            if (!entry.profiler)
+                entry.profiler = computeStep1(entry, profile_trace);
         }
         const auto source = profile_trace();
         source->reset();

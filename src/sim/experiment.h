@@ -304,22 +304,22 @@ class ExperimentContext
          *  evicts keeps its room for the suite's keys, which do. */
         bool shared = false;
         store::CacheKey profileKey;
+        /** The profile key with kind "sweep": step 1's aggregate
+         *  alone, so a warm hit reads 32 counts, not every branch's
+         *  profile. */
+        store::CacheKey sweepKey;
         store::CacheKey assignmentKey;
         util::Once step1;
         /** Step 1's aggregate, by value on every path: decoded from a
          *  store hit, copied from the memo's or this context's
          *  profiler. Written under step1 only. */
         core::FixedLengthSweep sweep;
-        /** On a store hit, the verified profile payload (checksum,
-         *  key and every structural check passed), held so step 2
-         *  can restore the per-branch records without a second fetch.
-         *  Emptied once restored. */
-        std::vector<std::uint8_t> payload;
         util::Once step2;
         /** The per-branch records for step 2: the profiler step 1
          *  ran or took from the memo (set under step1), or, after a
-         *  store hit, one restored from payload under step2 when the
-         *  assignment misses. Read only under step2. */
+         *  store hit, one restored from the profile entry (or step 1
+         *  run again) under step2 when the assignment misses. Read
+         *  only under step2. */
         std::shared_ptr<const core::Profiler> profiler;
         std::optional<core::HashAssignment> assignment;
     };
@@ -347,7 +347,7 @@ class ExperimentContext
         std::function<std::shared_ptr<trace::TraceSource>()>;
 
     /** The store-key prefix of one artifact kind ("profile",
-     *  "assignment") for the profiled trace. */
+     *  "sweep", "assignment") for the profiled trace. */
     using KeyPrefix = std::function<store::KeyBuilder(const char *kind)>;
 
     /**
@@ -362,18 +362,31 @@ class ExperimentContext
 
     /**
      * Ensure step 1 has run for @p entry: take its sweep from the
-     * store when possible (the per-branch records are checked but
-     * left in the held payload), otherwise take step 1 from the
-     * SharedMemo (a shared entry) or replay the trace from
-     * @p profile_trace, and persist the result.
+     * store's sweep entry, else from its profile entry (checking the
+     * per-branch records without keeping them) and then write the
+     * sweep entry, so the next warm hit reads only that; otherwise
+     * run step 1 (computeStep1()).
      */
     const core::FixedLengthSweep &
     ensureStep1(ProfilerEntry &entry, const TraceProvider &profile_trace);
 
+    /** Step 1 for @p entry from the SharedMemo (a shared entry) or a
+     *  replay of @p profile_trace, its profile entry persisted. A
+     *  cold run writes no sweep entry: a file create costs more than
+     *  the one warm conversion it saves. */
+    std::shared_ptr<const core::Profiler>
+    computeStep1(const ProfilerEntry &entry,
+                 const TraceProvider &profile_trace);
+
+    /** The profiler restored from @p entry's profile entry, or
+     *  nullptr when the store no longer holds a usable one. */
+    std::shared_ptr<const core::Profiler>
+    storedProfiler(const ProfilerEntry &entry);
+
     /** Shared body of the two assignment accessors: the stored
-     *  assignment, else step 1 (ensureStep1()), the profiler restored
-     *  from a held profile payload if step 1 was a store hit, then
-     *  step 2. */
+     *  assignment, else step 1 (ensureStep1()), the per-branch
+     *  records (storedProfiler(), or computeStep1() when that entry
+     *  is gone) if step 1 was a store hit, then step 2. */
     const core::HashAssignment &
     ensureAssignment(ProfilerEntry &entry,
                      const TraceProvider &profile_trace);

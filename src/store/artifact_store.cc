@@ -275,6 +275,18 @@ ArtifactStore::objectPath(const CacheKey &key) const
 std::optional<std::vector<std::uint8_t>>
 ArtifactStore::fetch(const CacheKey &key)
 {
+    return lookup(key, true);
+}
+
+std::optional<std::vector<std::uint8_t>>
+ArtifactStore::probe(const CacheKey &key)
+{
+    return lookup(key, false);
+}
+
+std::optional<std::vector<std::uint8_t>>
+ArtifactStore::lookup(const CacheKey &key, bool absent_is_miss)
+{
     const fs::path path = objectPath(key);
     bool corrupt = false;
     auto entry = readEntry(path, corrupt);
@@ -296,11 +308,13 @@ ArtifactStore::fetch(const CacheKey &key)
     if (corrupt) {
         removeQuietly(path);
         ++counters_.corrupt;
-        ++counters_.misses;
+        if (absent_is_miss)
+            ++counters_.misses;
         return std::nullopt;
     }
     if (!entry) {
-        ++counters_.misses;
+        if (absent_is_miss)
+            ++counters_.misses;
         return std::nullopt;
     }
     ++counters_.hits;

@@ -85,6 +85,15 @@ class ArtifactStore
     fetch(const CacheKey &key);
 
     /**
+     * fetch() for an entry the caller can rebuild from another one, so
+     * that finding nothing is not a miss: a hit counts as a hit and a
+     * corrupt entry is evicted and counted corrupt, as in fetch(), but
+     * an absent entry counts nothing.
+     */
+    std::optional<std::vector<std::uint8_t>>
+    probe(const CacheKey &key);
+
+    /**
      * Store @p payload under @p key (atomic replace), then garbage
      * collect if over budget. I/O failures degrade to a warning — a
      * full disk must not fail the computation that produced the
@@ -135,6 +144,8 @@ class ArtifactStore
 
   private:
     std::string objectPath(const CacheKey &key) const;
+    std::optional<std::vector<std::uint8_t>>
+    lookup(const CacheKey &key, bool absent_is_miss);
     void collectGarbage();
 
     std::string directory_;

@@ -587,11 +587,19 @@ class SuiteHarness : public IngestHarness
         return removed;
     }
 
+    /** Whether @p bytes is a step-1 sweep entry: written only when a
+     *  run hits a profile entry, never by a cold run. */
+    static bool isSweepEntry(const std::string &bytes)
+    {
+        return bytes.find("kind=sweep;") != std::string::npos;
+    }
+
     /**
      * Kill-and-resume through the store: fill it with a full run of
-     * @p options, then at jobs 1 and 4 leave what a kill could leave
-     * and rerun. The rerun must print @p reference, replace exactly
-     * the removed and damaged entries, and put back the same bytes.
+     * @p options, then at jobs 1 and 4 leave what a killed cold run
+     * could leave and rerun. The rerun must print @p reference,
+     * replace exactly the removed and damaged entries, put back the
+     * same bytes, and add the sweep entries of the profiles it hit.
      */
     void expectStoreResume(sim::TraceSuiteOptions options,
                            const std::string &reference)
@@ -600,6 +608,11 @@ class SuiteHarness : public IngestHarness
         EXPECT_EQ(runWithFreshStore(options, cache).report, reference);
         const auto cold = storeEntries(cache);
         for (const unsigned jobs : {1u, 4u}) {
+            // The previous rerun's sweep entries are not a cold run's.
+            for (const auto &[name, bytes] : storeEntries(cache)) {
+                if (isSweepEntry(bytes))
+                    fs::remove(cache + "/" + name);
+            }
             const std::size_t removed = simulateKill(cache);
             EXPECT_GT(removed, 0u) << "jobs=" << jobs;
             options.jobs = jobs;
@@ -607,9 +620,20 @@ class SuiteHarness : public IngestHarness
             EXPECT_EQ(resumed.report, reference) << "jobs=" << jobs;
             EXPECT_GT(resumed.counters.hits, 0u) << "jobs=" << jobs;
             EXPECT_EQ(resumed.counters.corrupt, 1u) << "jobs=" << jobs;
-            EXPECT_EQ(resumed.counters.inserts, removed + 1)
+            auto entries = storeEntries(cache);
+            std::size_t sweeps = 0;
+            for (auto it = entries.begin(); it != entries.end();) {
+                if (isSweepEntry(it->second)) {
+                    ++sweeps;
+                    it = entries.erase(it);
+                } else {
+                    ++it;
+                }
+            }
+            EXPECT_GT(sweeps, 0u) << "jobs=" << jobs;
+            EXPECT_EQ(resumed.counters.inserts, removed + 1 + sweeps)
                 << "jobs=" << jobs;
-            EXPECT_EQ(storeEntries(cache), cold) << "jobs=" << jobs;
+            EXPECT_EQ(entries, cold) << "jobs=" << jobs;
         }
     }
 
@@ -969,14 +993,24 @@ TEST_F(IngestHarness, PairedArtifactsAreCachedUnderProfileHash)
     const store::StoreCounters after_cold = store->counters();
     EXPECT_GT(after_cold.inserts, 0u);
 
-    // Warm rerun: byte-identical report, everything served from the
-    // store (no new inserts), step-1/assignment artifacts keyed by the
-    // profile trace's content hash.
+    // Warm reruns: byte-identical reports, everything served from the
+    // store, step-1/assignment artifacts keyed by the profile trace's
+    // content hash. The first adds only the sweep entries of the
+    // profile trace's two step-1 keys (one per branch class); the
+    // second reads them and inserts nothing.
     const std::string warm = runOnce();
     EXPECT_EQ(warm, cold);
     const store::StoreCounters after_warm = store->counters();
-    EXPECT_EQ(after_warm.inserts, after_cold.inserts);
+    EXPECT_EQ(after_warm.misses, after_cold.misses);
+    EXPECT_EQ(after_warm.inserts, after_cold.inserts + 2);
     EXPECT_GT(after_warm.hits, after_cold.hits);
+
+    EXPECT_EQ(runOnce(), cold);
+    const store::StoreCounters after_rewarm = store->counters();
+    EXPECT_EQ(after_rewarm.misses, after_cold.misses);
+    EXPECT_EQ(after_rewarm.inserts, after_warm.inserts);
+    EXPECT_EQ(after_rewarm.hits - after_warm.hits,
+              after_warm.hits - after_cold.hits);
 }
 
 TEST_F(SuiteHarness, PairedReportIsIdenticalAcrossJobCounts)

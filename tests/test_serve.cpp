@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -34,6 +36,7 @@
 #include "serve/server.h"
 #include "sim/report.h"
 #include "sim/service.h"
+#include "store/artifact_store.h"
 #include "trace/trace_io.h"
 #include "util/cancel.h"
 #include "util/json.h"
@@ -583,6 +586,8 @@ class ServeTest : public ::testing::Test
 
     serve::ExperimentServer &server() { return *server_; }
 
+    const std::string &cacheDirectory() const { return cacheDir_.path(); }
+
     std::unique_ptr<serve::ServeClient> connect()
     {
         return std::make_unique<serve::ServeClient>(
@@ -671,6 +676,54 @@ TEST_F(ServeTest, DuplicateRequestIsServedWarmFromTheStore)
     // The warm answer is the same document, byte for byte.
     EXPECT_EQ(util::toCompactJson(warm.at("report")),
               util::toCompactJson(cold.at("report")));
+}
+
+/**
+ * A store filled before sweep entries existed holds only profile
+ * entries. The first warm request writes their sweep entries and is
+ * still a warm answer; the next one reads them and writes nothing.
+ */
+TEST_F(ServeTest, UnconvertedStoreIsServedWarm)
+{
+    const auto sweepEntries = [&] {
+        std::size_t count = 0;
+        for (const auto &file : std::filesystem::recursive_directory_iterator(
+                 cacheDirectory() + "/objects")) {
+            if (!file.is_regular_file())
+                continue;
+            std::ifstream in(file.path(), std::ios::binary);
+            const std::string bytes(std::istreambuf_iterator<char>(in), {});
+            count += bytes.find("kind=sweep;") != std::string::npos;
+        }
+        return count;
+    };
+    sim::SuiteCompareSpec cold;
+    cold.bytes = suiteSpec(1).suite.bytes;
+    store::StoreOptions store_options;
+    store_options.directory = cacheDirectory();
+    sim::Report report =
+        sim::runSuiteCompare(
+            cold, std::make_shared<store::ArtifactStore>(store_options))
+            .report;
+    ASSERT_EQ(sweepEntries(), 0u);
+    sim::stampBuildInfo(report);
+    std::ostringstream expected;
+    sim::JsonReportSink().write(report, expected);
+    const std::string cold_json =
+        util::toCompactJson(util::Json::parse(expected.str()));
+
+    startServer({});
+    const auto client = connect();
+    const std::uint64_t keys = workload::benchmarkSuite().size();
+    for (const std::uint64_t inserts : {keys, std::uint64_t{0}}) {
+        const auto warm = submitAndAwait(*client, suiteSpec(1));
+        ASSERT_EQ(warm.at("status").asString(), "ok");
+        EXPECT_TRUE(warm.at("cacheHit").asBool());
+        EXPECT_EQ(warm.at("cacheMisses").asUint(), 0u);
+        EXPECT_EQ(warm.at("cacheInserts").asUint(), inserts);
+        EXPECT_EQ(sweepEntries(), keys);
+        EXPECT_EQ(util::toCompactJson(warm.at("report")), cold_json);
+    }
 }
 
 TEST_F(ServeTest, EightConcurrentWarmRequestsAllSucceed)

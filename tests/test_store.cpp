@@ -24,9 +24,11 @@
 #include <unistd.h>
 
 #include "core/profiler.h"
+#include "predictors/budget.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
 #include "sim/service.h"
+#include "sim/shared_memo.h"
 #include "store/artifact_store.h"
 #include "store/cache_key.h"
 #include "store/serialize.h"
@@ -409,6 +411,35 @@ TEST_F(StoreHarness, MissThenInsertThenHit)
     EXPECT_EQ(counters.inserts, 1u);
     EXPECT_EQ(counters.hits, 1u);
     EXPECT_EQ(counters.corrupt, 0u);
+}
+
+/**
+ * probe() is fetch() for an entry the caller can rebuild from another:
+ * a hit counts, a damaged entry is evicted and counted corrupt, but
+ * finding nothing is not a miss.
+ */
+TEST_F(StoreHarness, ProbeCountsNoMissForAnAbsentEntry)
+{
+    ArtifactStore store = open();
+    const CacheKey key = sampleKey();
+    EXPECT_FALSE(store.probe(key).has_value());
+    EXPECT_EQ(store.counters().misses, 0u);
+
+    const auto payload = samplePayload();
+    store.insert(key, payload);
+    const auto probed = store.probe(key);
+    ASSERT_TRUE(probed.has_value());
+    EXPECT_EQ(*probed, payload);
+    EXPECT_EQ(store.counters().hits, 1u);
+
+    const auto files = entryFiles();
+    ASSERT_EQ(files.size(), 1u);
+    fs::resize_file(files.front(), fs::file_size(files.front()) - 1);
+    EXPECT_FALSE(store.probe(key).has_value());
+    const StoreCounters counters = store.counters();
+    EXPECT_EQ(counters.corrupt, 1u);
+    EXPECT_EQ(counters.misses, 0u);
+    EXPECT_TRUE(entryFiles().empty());
 }
 
 TEST_F(StoreHarness, DistinctKeysDoNotAlias)
@@ -855,6 +886,25 @@ expectIdenticalRows(const std::vector<sim::ComparisonRow> &cold,
     }
 }
 
+/** Same sections, captions and cells, cell by cell. */
+void
+expectSameReport(const sim::Report &cold, const sim::Report &warm)
+{
+    ASSERT_EQ(warm.sections.size(), cold.sections.size());
+    for (std::size_t i = 0; i < cold.sections.size(); ++i) {
+        const sim::Section &a = cold.sections[i];
+        const sim::Section &b = warm.sections[i];
+        EXPECT_EQ(a.caption, b.caption);
+        ASSERT_EQ(a.rows.size(), b.rows.size());
+        for (std::size_t r = 0; r < a.rows.size(); ++r) {
+            ASSERT_EQ(a.rows[r].cells.size(), b.rows[r].cells.size());
+            for (std::size_t c = 0; c < a.rows[r].cells.size(); ++c)
+                EXPECT_EQ(a.rows[r].cells[c].ascii(),
+                          b.rows[r].cells[c].ascii());
+        }
+    }
+}
+
 TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunSerially)
 {
     const auto suite = specs();
@@ -1052,9 +1102,10 @@ TEST_F(CachedExperimentHarness, UnusableCachedProfileIsDiscardedOnHit)
 }
 
 /**
- * A profile hit holds its verified payload; when the assignment then
- * misses, step 2 restores the per-branch records from it without a
- * second fetch, and stores the same assignment and row as a cold run.
+ * A profile hit keeps only its sweep (and writes the sweep entry);
+ * when the assignment then misses, step 2 fetches the profile entry a
+ * second time, restores the per-branch records from it, and stores
+ * the same assignment and row as a cold run.
  */
 TEST_F(CachedExperimentHarness, AssignmentMissRestoresTheHeldProfile)
 {
@@ -1084,23 +1135,35 @@ TEST_F(CachedExperimentHarness, AssignmentMissRestoresTheHeldProfile)
         runner.setStore(store);
         expectIdenticalRows(cold,
                             runner.compareSuite(suite, 4096, 5, false));
-        // Per benchmark: a row miss, one profile hit, an assignment
-        // miss and two inserts; the restore fetched nothing.
+        // Per benchmark: a row miss, an assignment miss, two profile
+        // hits (step 1, then the restore) and three inserts (the
+        // sweep, the assignment and the row).
         const StoreCounters counters = store->counters();
-        EXPECT_EQ(counters.hits, suite.size());
+        EXPECT_EQ(counters.hits, 2 * suite.size());
         EXPECT_EQ(counters.misses, 2 * suite.size());
-        EXPECT_EQ(counters.inserts, 2 * suite.size());
+        EXPECT_EQ(counters.inserts, 3 * suite.size());
         EXPECT_EQ(counters.corrupt, 0u);
-        // The re-inserted assignments and rows are the cold bytes.
-        EXPECT_EQ(entryBytes(), filled);
+        // The re-inserted assignments and rows are the cold bytes,
+        // next to one new sweep entry per benchmark.
+        auto entries = entryBytes();
+        EXPECT_EQ(std::erase_if(entries,
+                                [](const auto &entry) {
+                                    return keyKind(entry.second)
+                                        == "sweep";
+                                }),
+                  suite.size());
+        EXPECT_EQ(entries, filled);
     }
 }
 
 /**
  * The fetches of a sweep request, cold and warm. Per budget the global
- * length reads all 16 step-1 profiles and the comparison reads all 16
- * rows; a cold run also misses the 16 assignments. A change that adds
- * or drops a fetch fails here.
+ * length reads all 16 step-1 sweeps and the comparison reads all 16
+ * rows; a cold run also misses the 16 assignments, and its sweep
+ * lookups find nothing without counting a miss. The first warm run
+ * reads the 16 profile entries and writes their sweep entries; later
+ * warm runs read those. A change that adds or drops a fetch fails
+ * here.
  */
 TEST_F(CachedExperimentHarness, SweepRequestFetchesArePinned)
 {
@@ -1115,37 +1178,194 @@ TEST_F(CachedExperimentHarness, SweepRequestFetchesArePinned)
     EXPECT_EQ(cold_store->counters().misses, 2 * 3 * perBudget);
     EXPECT_EQ(cold_store->counters().inserts, 2 * 3 * perBudget);
 
-    for (const unsigned jobs : {1u, 4u}) {
+    bool converted = false;
+    for (const unsigned jobs : {1u, 4u, 1u}) {
+        SCOPED_TRACE(jobs);
         spec.jobs = jobs;
         const auto store = openShared();
-        const sim::ServiceResult warm = sim::runSweep(spec, store);
-        ASSERT_EQ(warm.report.sections.size(),
-                  cold.report.sections.size());
-        for (std::size_t i = 0; i < cold.report.sections.size(); ++i) {
-            const sim::Section &a = cold.report.sections[i];
-            const sim::Section &b = warm.report.sections[i];
-            EXPECT_EQ(a.caption, b.caption);
-            ASSERT_EQ(a.rows.size(), b.rows.size());
-            for (std::size_t r = 0; r < a.rows.size(); ++r) {
-                ASSERT_EQ(a.rows[r].cells.size(), b.rows[r].cells.size());
-                for (std::size_t c = 0; c < a.rows[r].cells.size(); ++c)
-                    EXPECT_EQ(a.rows[r].cells[c].ascii(),
-                              b.rows[r].cells[c].ascii());
-            }
-        }
+        expectSameReport(cold.report, sim::runSweep(spec, store).report);
         const StoreCounters counters = store->counters();
         EXPECT_EQ(counters.hits, 2 * 2 * perBudget);
         EXPECT_EQ(counters.misses, 0u);
+        EXPECT_EQ(counters.inserts, converted ? 0u : 2 * perBudget);
+        converted = true;
+    }
+}
+
+/**
+ * Once the sweep entries are written, a warm request needs no profile
+ * entry: with every one deleted, sweep and suite requests give the
+ * cold reports with no miss and no insert, at jobs 1 and 4.
+ */
+TEST_F(CachedExperimentHarness, ConvertedStoreAnswersWithoutProfiles)
+{
+    sim::SweepSpec sweep;
+    sweep.budgets = {1024, 4096};
+    sim::SuiteCompareSpec suite;
+    suite.indirect = true;
+    suite.bytes = 2048;
+    const auto cold_store = openShared();
+    const sim::Report cold_sweep = sim::runSweep(sweep, cold_store).report;
+    const sim::Report cold_suite =
+        sim::runSuiteCompare(suite, cold_store).report;
+    sim::runSweep(sweep, openShared());
+    sim::runSuiteCompare(suite, openShared());
+
+    std::size_t profiles = 0;
+    std::size_t sweeps = 0;
+    for (const auto &[file, bytes] : entryBytes()) {
+        if (keyKind(bytes) == "profile") {
+            fs::remove(file);
+            ++profiles;
+        } else if (keyKind(bytes) == "sweep") {
+            ++sweeps;
+        }
+    }
+    EXPECT_EQ(profiles, 3 * workload::benchmarkSuite().size());
+    EXPECT_EQ(sweeps, profiles);
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        sweep.jobs = jobs;
+        suite.jobs = jobs;
+        const auto store = openShared();
+        expectSameReport(cold_sweep, sim::runSweep(sweep, store).report);
+        expectSameReport(cold_suite,
+                         sim::runSuiteCompare(suite, store).report);
+        const StoreCounters counters = store->counters();
+        EXPECT_GT(counters.hits, 0u);
+        EXPECT_EQ(counters.misses, 0u);
         EXPECT_EQ(counters.inserts, 0u);
+        EXPECT_EQ(counters.corrupt, 0u);
+    }
+}
+
+/**
+ * A sweep entry the store rejects (a flipped byte, a lost tail) is
+ * evicted, and one whose checksummed payload fails the sweep checks is
+ * discarded; either way the run falls back to the profile entry and
+ * writes the sweep entry again.
+ */
+TEST_F(CachedExperimentHarness, DamagedSweepEntryFallsBackToTheProfile)
+{
+    const auto &spec = workload::findBenchmark("compress");
+    core::FixedLengthSweep cold;
+    for (int run = 0; run < 2; ++run) {
+        sim::ExperimentContext context;
+        context.setStore(openShared());
+        cold = context.sweep(spec, 12, false);
+    }
+    fs::path file;
+    std::vector<std::uint8_t> original;
+    for (const auto &[path, bytes] : entryBytes()) {
+        if (keyKind(bytes) == "sweep") {
+            file = path;
+            original = bytes;
+        }
+    }
+    ASSERT_FALSE(original.empty());
+    EXPECT_EQ(entryFiles().size(), 2u);
+    EXPECT_EQ(payloadOf(original), encodeStep1Profile(cold, {}));
+
+    struct Damage
+    {
+        std::string what;
+        std::vector<std::uint8_t> bytes;
+        bool rejectedByStore;
+    };
+    std::vector<Damage> damaged;
+    {
+        auto flipped = original;
+        flipped.back() ^= 0x40;
+        damaged.push_back({"flipped byte", std::move(flipped), true});
+        auto truncated = original;
+        truncated.resize(truncated.size() / 2);
+        damaged.push_back({"truncated", std::move(truncated), true});
+        core::FixedLengthSweep shifted = cold;
+        shifted.minLength = 2;
+        damaged.push_back(
+            {"minLength 2",
+             withPayload(original, encodeStep1Profile(shifted, {})),
+             false});
+    }
+    for (const Damage &damage : damaged) {
+        SCOPED_TRACE(damage.what);
+        writeFile(file, damage.bytes);
+        sim::ExperimentContext warm;
+        const auto store = openShared();
+        warm.setStore(store);
+        const core::FixedLengthSweep &again = warm.sweep(spec, 12, false);
+        EXPECT_EQ(again.minLength, cold.minLength);
+        EXPECT_EQ(again.mispredictions, cold.mispredictions);
+        EXPECT_EQ(again.branches, cold.branches);
+        const StoreCounters counters = store->counters();
+        EXPECT_EQ(counters.corrupt, damage.rejectedByStore ? 1u : 0u);
+        EXPECT_EQ(counters.hits, damage.rejectedByStore ? 1u : 2u);
+        EXPECT_EQ(counters.misses, 0u);
+        EXPECT_EQ(counters.inserts, 1u);
+        const auto entries = entryBytes();
+        ASSERT_EQ(entries.count(file), 1u);
+        EXPECT_EQ(entries.at(file), original);
+    }
+}
+
+/**
+ * A sweep hit keeps no per-branch records, so step 2 fetches the
+ * profile entry; when that entry is gone (a bounded store evicted it),
+ * step 1 runs again and re-stores it. Either way the assignment and
+ * rows are the cold run's.
+ */
+TEST_F(CachedExperimentHarness, StepTwoAfterASweepHitFetchesTheProfile)
+{
+    const auto suite = specs();
+    std::vector<sim::ComparisonRow> cold;
+    {
+        sim::ParallelRunner runner(1);
+        runner.setStore(openShared());
+        cold = runner.compareSuite(suite, 4096, 5, false);
+    }
+    {
+        sim::ExperimentContext context;
+        context.setStore(openShared());
+        for (const auto &spec : suite)
+            context.sweep(spec, pred::conditionalIndexBits(4096), false);
+    }
+    const auto converted = entryBytes();
+    ASSERT_EQ(converted.size(), 4 * suite.size());
+
+    for (const bool keep_profiles : {true, false}) {
+        SCOPED_TRACE(keep_profiles);
+        for (const auto &[file, bytes] : converted) {
+            const std::string kind = keyKind(bytes);
+            if (kind == "assignment" || kind == "comparison"
+                || (kind == "profile" && !keep_profiles))
+                fs::remove(file);
+        }
+        sim::SharedMemo memo;
+        sim::ParallelRunner runner(1, memo);
+        const auto store = openShared();
+        runner.setStore(store);
+        expectIdenticalRows(cold,
+                            runner.compareSuite(suite, 4096, 5, false));
+        // Per benchmark: row and assignment misses and a sweep hit,
+        // then a profile hit, or a profile miss and step 1 again.
+        const StoreCounters counters = store->counters();
+        const std::size_t n = suite.size();
+        EXPECT_EQ(counters.hits, keep_profiles ? 2 * n : n);
+        EXPECT_EQ(counters.misses, keep_profiles ? 2 * n : 3 * n);
+        EXPECT_EQ(counters.inserts, keep_profiles ? 2 * n : 3 * n);
+        EXPECT_EQ(memo.step1Passes(), keep_profiles ? 0u : n);
+        EXPECT_EQ(entryBytes(), converted);
     }
 }
 
 /**
  * The store-key pin: every artifact kind the experiment layer writes —
- * step-1 sweeps, step-2 assignments and comparison rows (with and
- * without the tuned column) for one synthetic benchmark, and the same
- * for one external profile/test pair — in both branch classes, lands
- * under exactly these object names. Each name is the hash of the
+ * step-1 profiles and the sweep entries a warm hit adds, step-2
+ * assignments and comparison rows (with and without the tuned column)
+ * for one synthetic benchmark, and the same for one external
+ * profile/test pair — in both branch classes, lands under exactly
+ * these object names. Each name is the hash of the
  * canonical key text, so a store filled by an earlier build still hits
  * only while this list holds; a refactor that changes any key text
  * fails here.
@@ -1187,13 +1407,29 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
         sim::compareExternal(context, profile, test, 4096, 5, false);
         sim::compareExternal(context, profile, test, 512, 3, true);
     }
+    {
+        // A warm pass over every step-1 key writes its sweep entry.
+        sim::ExperimentContext context;
+        context.setStore(openShared());
+        for (const auto &[bits, indirect] :
+             {std::pair{12u, false}, std::pair{8u, true},
+              std::pair{pred::conditionalIndexBits(4096), false},
+              std::pair{pred::indirectIndexBits(512), true}})
+            context.sweep(spec, bits, indirect);
+        context.externalSweep(profile, pred::conditionalIndexBits(4096),
+                              false);
+        context.externalSweep(profile, pred::indirectIndexBits(512), true);
+    }
 
     // Each entry's name (its key), an FNV-1a digest of its whole file
     // (container and payload) and an FNV-1a digest of its payload
     // alone. The payload digests were taken before the entry container
     // last changed (VLPSTOR1 to VLPSTOR2), so they show that no stored
     // profile, assignment or row moved with it; a change to step 1 or
-    // step 2 that alters one fails here.
+    // step 2 that alters one fails here. The six sweep entries
+    // (22f3…, 3c52…, 7a28…, ce16…, f3c9…, f41c…) came later; the
+    // external profile's sweeps equal the synthetic ones, since its
+    // trace is compress's profile input.
     struct Pinned
     {
         std::string name;
@@ -1219,10 +1455,14 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
          0x3e5aa2cc1ee59edcull, 0x293aa5da7014251ull},
         {"1dc3f08489939c25872b1845230e0bc7",
          0xb266ecfc3539318dull, 0xe9239d1b7194c1daull},
+        {"22f3baa41bb4dc9c947d5e59d2130dca",
+         0xc3be6eebfe68dd45ull, 0x102d9f53340e2611ull},
         {"26891e99a10963233a40205fa2cf5d79",
          0xf8c0f3ecdcdf5316ull, 0xe33fa51434dd357aull},
         {"383a266c12686745d88708cd228a276b",
          0xbd7cd1f23300e82dull, 0x4d24d31a848ecc1aull},
+        {"3c524605f0790d844f143bca7c9cb6b2",
+         0x6d8f947778f28467ull, 0x2b3f521450d84580ull},
         {"43daac20626eae2ad1bed851b76b3be0",
          0x405b693f61dba2edull, 0xd2e1c226cd6e49a8ull},
         {"47c569e8cd3aaddd80b0f185b2340773",
@@ -1233,6 +1473,8 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
          0x1a2e04f660954807ull, 0x7502e6c9dec7a4caull},
         {"70fcfff09a4400194ca1cb92a3993e83",
          0xa9a1d15526b7a1ebull, 0xea577c2fe1fc7150ull},
+        {"7a28d0dccb68e716d61225055453e988",
+         0x2b8483879cf68b7bull, 0x86484b6bf326b12aull},
         {"7fc6b4506d3353ecce1f85e16e4d3726",
          0xdc6abf926bd973c7ull, 0x7e73c4830f640dedull},
         {"88af9ee32da12ad57e23214957302f77",
@@ -1245,8 +1487,14 @@ TEST_F(CachedExperimentHarness, StoreKeysArePinned)
          0xff5bf6add1c034caull, 0x37c90a0006b76c50ull},
         {"b772830d6d0e530a0d65e702c52e7454",
          0xf664f76f05abc99dull, 0x7502e6c9dec7a4caull},
+        {"ce16df1b91bb51c8242eee87726160e2",
+         0xe2302a7e09b86f53ull, 0x102d9f53340e2611ull},
         {"d5f04193ca80466f24ddc7c998ed1175",
          0x7b42c6e5f891e528ull, 0x114248851ce12428ull},
+        {"f3c91771a1995b7b419c23791ed148cd",
+         0x55ba3432cff3c213ull, 0x2bbb56931fb3f3c7ull},
+        {"f41c4a1cb74d174f8517b696d4ab7765",
+         0xa38dc2a1ff8876d1ull, 0x2bbb56931fb3f3c7ull},
         {"fd235e20b93724c9613d8f4bdb7c3bf3",
          0xe6c0ccc48d0d1193ull, 0x8bb533829c366e9bull},
     };
