@@ -16,20 +16,21 @@ namespace bench {
 using namespace vlp;
 
 void
-RunSummary::print(std::uint64_t predictions, unsigned jobs) const
+RunSummary::print(std::uint64_t predictions, std::uint64_t simulated,
+                  unsigned jobs) const
 {
     const auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start_);
     const double seconds = elapsed.count();
     const double per_second =
-        seconds > 0.0 ? static_cast<double>(predictions) / seconds
-                      : 0.0;
+        seconds > 0.0 ? static_cast<double>(simulated) / seconds : 0.0;
     std::cerr << "run summary: " << util::formatCount(predictions)
-              << " branch predictions in "
-              << util::formatDouble(seconds, 2) << " s ("
+              << " branch predictions (" << util::formatCount(simulated)
+              << " simulated) in " << util::formatDouble(seconds, 2)
+              << " s ("
               << util::formatScaled(
                      static_cast<std::uint64_t>(per_second))
-              << " branches/s; jobs=" << jobs << ")\n";
+              << " simulated branches/s; jobs=" << jobs << ")\n";
 }
 
 Driver::Driver(std::string program, std::string title,

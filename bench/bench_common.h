@@ -69,6 +69,8 @@ reduction(const vlp::sim::RateEntry &base,
 
 /**
  * Wall-clock run summary with a branches-per-second throughput line.
+ * The rate counts simulated work only, so a run answered from the
+ * store reports 0 simulated predictions and 0 branches/s.
  *
  * Printed to stderr so that a binary's table output on stdout stays
  * byte-identical no matter the --jobs value (bench_throughput and the
@@ -79,14 +81,16 @@ class RunSummary
   public:
     RunSummary() : start_(std::chrono::steady_clock::now()) {}
 
-    /** Report @p predictions dynamic predictions from @p jobs
-     *  workers. */
-    void print(std::uint64_t predictions, unsigned jobs) const;
+    /** Report @p predictions dynamic predictions, @p simulated of
+     *  them simulated, from @p jobs workers. */
+    void print(std::uint64_t predictions, std::uint64_t simulated,
+               unsigned jobs) const;
 
-    /** Convenience over a runner's built-in prediction counter. */
+    /** Convenience over a runner's prediction counters. */
     void print(const vlp::sim::ParallelRunner &runner) const
     {
-        print(runner.predictions(), runner.jobs());
+        print(runner.predictions(), runner.simulatedPredictions(),
+              runner.jobs());
     }
 
   private:

@@ -73,30 +73,5 @@ PathIndexBank::directIndex(unsigned length) const
     return result;
 }
 
-std::uint64_t
-PathIndexBank::target(unsigned i) const
-{
-    assert(i >= 1 && i <= options_.depth);
-    return thb_[(head_ + i - 1) & thbMask_];
-}
-
-void
-PathIndexBank::clear()
-{
-    thb_.assign(thb_.size(), 0);
-    sums_.assign(sums_.size(), 0);
-    pathSum_ = 0;
-    head_ = 0;
-    occupancy_ = 0;
-    snapshots_.clear();
-}
-
-std::size_t
-PathIndexBank::historyBytes() const
-{
-    // N k-bit targets plus N k-bit partial-sum registers.
-    return (2 * options_.depth * indexBits_ + 7) / 8;
-}
-
 } // namespace core
 } // namespace vlp

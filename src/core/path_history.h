@@ -26,7 +26,7 @@
  *
  * satisfies I_X(t) = S_t XOR rotl(S_{t-X}, X), so one register plus a
  * ring of the last N sums replaces the N-register update (the
- * hardware still pays N registers — historyBytes() is unchanged).
+ * hardware still pays N registers).
  * The sum ring is stored twice back to back (mirrored), so S_{t-X}
  * for any run of consecutive X is one contiguous read that never
  * wraps. directIndex() recomputes an index from the buffered targets
@@ -166,13 +166,11 @@ class PathIndexBank
 
     /**
      * Reference recomputation of HF_length directly from the buffered
-     * targets (rotate-and-XOR tree). Used by tests to validate the
-     * incremental running-sum maintenance; O(length).
+     * targets (rotate-and-XOR tree); O(length). Test seam: the
+     * mirrored-ring test locks that index() — the step-1 kernel's and
+     * every path predictor's read — always equals this definition.
      */
     std::uint64_t directIndex(unsigned length) const;
-
-    /** The i-th most recent compressed target, i in 1..depth(). */
-    std::uint64_t target(unsigned i) const;
 
     /** Number of targets inserted so far (saturating at depth). */
     unsigned occupancy() const { return occupancy_; }
@@ -215,16 +213,6 @@ class PathIndexBank
                 indexMask_,   head_,              thbMask_, indexBits_};
     }
 
-    /** Clear all history. */
-    void clear();
-
-    /**
-     * Hardware cost of the first-level history: the THB (N targets of
-     * k bits) plus the N partial-sum registers of k bits. Reported
-     * separately from predictor-table budgets, as the paper does.
-     */
-    std::size_t historyBytes() const;
-
   private:
     /**
      * The historyStack extension's half of observe(): snapshot on a
@@ -249,7 +237,7 @@ class PathIndexBank
      * The THB as a ring buffer: thb_[head_] is the most recent
      * compressed target and older targets follow at ascending
      * (masked) offsets. The capacity is depth + 1 rounded up to a
-     * power of two so target() is a masked read, and insert() is a
+     * power of two so a lookup is a masked read, and insert() is a
      * single head decrement instead of an O(depth) shift.
      */
     std::vector<std::uint64_t> thb_;

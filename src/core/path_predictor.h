@@ -72,9 +72,6 @@ class PathPredictor : public Class::Predictor
     /** The shared first-level history (exposed for tests/profiling). */
     const PathIndexBank &bank() const { return bank_; }
 
-    /** First-level history hardware cost (reported separately). */
-    std::size_t historyBytes() const { return bank_.historyBytes(); }
-
   private:
     std::size_t tableIndex(std::uint64_t pc) const;
 

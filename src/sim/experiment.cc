@@ -297,6 +297,10 @@ ExperimentContext::computeStep1(const ProfilerEntry &entry,
         throwIfCancelled();
         source->reset();
         profiler->runStep1(*source);
+        // One fixed-length predictor per swept length.
+        const core::FixedLengthSweep &sweep = profiler->step1Sweep();
+        addSimulated(sweep.branches
+                     * (sweep.mispredictions.size() + 1 - sweep.minLength));
         return std::shared_ptr<const core::Profiler>(std::move(profiler));
     };
     auto profiler = entry.shared
@@ -574,6 +578,8 @@ compareWith(ExperimentContext &context, const store::CacheKey &key,
         ComparisonRow row = replayComparison(
             name, *trace, indirect, index_bits, global_length,
             tuned_length, assignment, include_tuned);
+        for (const RateEntry &entry : row.entries)
+            context.addSimulated(entry.branches);
         if (auto *store = context.store())
             store->insert(key, store::encodeComparisonRow(row));
         return row;

@@ -20,6 +20,7 @@
 #ifndef VLPSIM_SIM_EXPERIMENT_H
 #define VLPSIM_SIM_EXPERIMENT_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -293,6 +294,23 @@ class ExperimentContext
     ComparisonRow row(const std::string &key,
                       const std::function<ComparisonRow()> &compute);
 
+    /**
+     * Predictions this context simulated, one per predictor per
+     * branch: the step-1 passes it ran (not the sweeps it took from
+     * the store or the SharedMemo) and the comparison replays. A run
+     * answered from the store alone counts 0.
+     */
+    std::uint64_t simulatedPredictions() const
+    {
+        return simulated_.load(std::memory_order_relaxed);
+    }
+
+    /** Thread-safe: count @p count predictions simulated here. */
+    void addSimulated(std::uint64_t count)
+    {
+        simulated_.fetch_add(count, std::memory_order_relaxed);
+    }
+
   private:
     struct ProfilerEntry
     {
@@ -403,6 +421,7 @@ class ExperimentContext
     std::map<std::string, ProfilerEntry> profilers_;
     std::map<std::string, AverageEntry> averages_;
     std::map<std::string, RowEntry> rows_;
+    std::atomic<std::uint64_t> simulated_{0};
 };
 
 /** Indirect sweeps with fewer branches stay out of suite averages: a

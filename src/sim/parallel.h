@@ -156,6 +156,16 @@ class ParallelRunner
         predictions_.fetch_add(count, std::memory_order_relaxed);
     }
 
+    /**
+     * The part of the work behind predictions() that this runner
+     * simulated rather than fetched from the store
+     * (ExperimentContext::simulatedPredictions()).
+     */
+    std::uint64_t simulatedPredictions() const
+    {
+        return context_.simulatedPredictions();
+    }
+
   private:
     /** fn(context, i) for i in [0, count), claimed dynamically. */
     void runSharded(std::size_t count,

@@ -137,16 +137,6 @@ Report::setMeta(const std::string &key, std::uint64_t value)
     setMeta(key, std::to_string(value));
 }
 
-const std::string *
-Report::meta(const std::string &key) const
-{
-    for (const auto &[name, value] : metadata) {
-        if (name == key)
-            return &value;
-    }
-    return nullptr;
-}
-
 ReportFormat
 parseReportFormat(const std::string &text)
 {

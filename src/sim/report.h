@@ -188,9 +188,6 @@ struct Report
     /** Set (or overwrite) one metadata entry. */
     void setMeta(const std::string &key, std::string value);
     void setMeta(const std::string &key, std::uint64_t value);
-
-    /** Metadata value by key; nullptr when absent. */
-    const std::string *meta(const std::string &key) const;
 };
 
 /** Output format of a report sink. */

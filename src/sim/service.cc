@@ -91,6 +91,7 @@ runSuiteCompare(const SuiteCompareSpec &spec,
                       spec.indirect ? "indirect" : "conditional");
     result.report.setMeta("predictions", runner.predictions());
     result.predictions = runner.predictions();
+    result.simulatedPredictions = runner.simulatedPredictions();
     result.jobs = runner.jobs();
 
     tick(progress, "done", 2, 2);
@@ -140,6 +141,7 @@ runSweep(const SweepSpec &spec,
     }
     result.report.setMeta("predictions", runner.predictions());
     result.predictions = runner.predictions();
+    result.simulatedPredictions = runner.simulatedPredictions();
     result.jobs = runner.jobs();
 
     tick(progress, "done", spec.budgets.size(), spec.budgets.size());

@@ -82,6 +82,9 @@ struct ServiceResult
     Report report;
     /** Dynamic predictions issued (one per predictor per branch). */
     std::uint64_t predictions = 0;
+    /** The part of predictions simulated rather than fetched from
+     *  the store (ParallelRunner::simulatedPredictions()). */
+    std::uint64_t simulatedPredictions = 0;
     /** Effective worker count used. */
     unsigned jobs = 1;
 };

@@ -139,11 +139,5 @@ Simulator::conditionalPerBranch(std::size_t index) const
     return perBranch(conditional_, index);
 }
 
-const std::unordered_map<std::uint64_t, BranchAccuracy> &
-Simulator::indirectPerBranch(std::size_t index) const
-{
-    return perBranch(indirect_, index);
-}
-
 } // namespace sim
 } // namespace vlp

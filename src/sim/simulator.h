@@ -88,10 +88,6 @@ class Simulator
     const std::unordered_map<std::uint64_t, BranchAccuracy> &
     conditionalPerBranch(std::size_t index) const;
 
-    /** Per-branch accuracy for indirect predictor @p index. */
-    const std::unordered_map<std::uint64_t, BranchAccuracy> &
-    indirectPerBranch(std::size_t index) const;
-
   private:
     /** A registered predictor of either class and its statistics. */
     template <typename Predictor>

@@ -5,8 +5,6 @@
 
 #include "trace/branch_record.h"
 
-#include <sstream>
-
 namespace vlp {
 namespace trace {
 
@@ -28,16 +26,6 @@ branchKindName(BranchKind kind)
         return "ret";
     }
     return "unknown";
-}
-
-std::string
-toString(const BranchRecord &record)
-{
-    std::ostringstream out;
-    out << std::hex << "0x" << record.pc << " -> 0x" << record.nextPc
-        << std::dec << ' ' << branchKindName(record.kind)
-        << (record.taken ? " taken" : " not-taken");
-    return out.str();
 }
 
 } // namespace trace

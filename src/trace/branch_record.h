@@ -14,7 +14,6 @@
 #define VLPSIM_TRACE_BRANCH_RECORD_H
 
 #include <cstdint>
-#include <string>
 
 namespace vlp {
 namespace trace {
@@ -116,9 +115,6 @@ struct BranchRecord
 
     bool operator==(const BranchRecord &other) const = default;
 };
-
-/** Render a record as "pc -> nextPc kind taken" for diagnostics. */
-std::string toString(const BranchRecord &record);
 
 } // namespace trace
 } // namespace vlp

@@ -3,10 +3,11 @@
  * Byte-level file access behind a virtual seam.
  *
  * Trace readers consume raw bytes through the ByteFile interface
- * instead of touching stdio directly, so tests can interpose
- * deterministic fault injection (trace/fault_injection.h) on the exact
- * code paths production uses: the same short-read loops, the same
- * error classification, the same checksum verification.
+ * instead of touching stdio directly, so a decorator can inject faults
+ * (the chaos switchboard's trace/fault_injection.h, or a test's own
+ * opener) on the exact code paths production uses: the same
+ * short-read loops, the same error classification, the same checksum
+ * verification.
  *
  * Error model: read()/seek()/size() throw util::TransientError for
  * failures worth retrying (EINTR/EAGAIN-class) and std::runtime_error
@@ -107,8 +108,8 @@ class StdioByteFile : public ByteFile
 
 /**
  * How trace consumers open files. The default opener is
- * openByteFile(); tests substitute a fault-injecting opener (see
- * trace::FaultInjector::opener()).
+ * openByteFile(); chaos campaigns wrap it with trace::chaosOpener(),
+ * and tests substitute counting or failing openers.
  */
 using FileOpener =
     std::function<std::unique_ptr<ByteFile>(const std::string &path)>;

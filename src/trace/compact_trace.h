@@ -221,8 +221,10 @@ class CompactTraceCursor : public TraceSource
 
 /**
  * Test seam: sets the process budget's capacity for its lifetime and
- * restores it afterwards, so tests can force every trace onto the
- * streaming path. Not an option; nothing outside tests uses it.
+ * restores it afterwards. Tests force every trace onto the parked
+ * session path with it and lock that a trace over the budget reports
+ * byte for byte what a resident one does. Not an option; nothing
+ * outside tests uses it.
  */
 class ScopedResidentCapacity
 {

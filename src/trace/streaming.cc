@@ -235,12 +235,5 @@ hashTraceFile(ByteFile &file)
     return hasher.digest();
 }
 
-std::string
-hashTraceFile(const std::string &path)
-{
-    const auto file = openByteFile(path);
-    return hashTraceFile(*file);
-}
-
 } // namespace trace
 } // namespace vlp

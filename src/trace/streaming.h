@@ -134,9 +134,6 @@ class StreamingTraceReader : public TraceSource
  */
 std::string hashTraceFile(ByteFile &file);
 
-/** Convenience: hash the file at @p path. */
-std::string hashTraceFile(const std::string &path);
-
 } // namespace trace
 } // namespace vlp
 

@@ -111,15 +111,6 @@ tryParseLine(const std::string &line, BranchRecord &record,
 
 } // anonymous namespace
 
-BranchKind
-parseBranchKind(const std::string &name)
-{
-    BranchKind kind;
-    if (!tryParseKind(name, kind))
-        util::fatal("unknown branch kind: " + name);
-    return kind;
-}
-
 VectorTraceSource
 readTextTraceLenient(std::istream &in, ImportReport &report)
 {

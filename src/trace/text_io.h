@@ -40,12 +40,6 @@ void saveTextTrace(const VectorTraceSource &source,
                    const std::string &path);
 
 /**
- * Parse a branch kind name ("cond", "jump", ...).
- * @throws std::runtime_error for unknown names
- */
-BranchKind parseBranchKind(const std::string &name);
-
-/**
  * Outcome of a text-to-.vbt import (`vlpsim import`). Malformed lines
  * are skipped and reported with their line numbers instead of
  * aborting the import — external branch logs routinely carry a

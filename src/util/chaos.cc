@@ -84,14 +84,6 @@ enabled()
     return gEnabled.load(std::memory_order_relaxed);
 }
 
-Config
-config()
-{
-    Switchboard &b = board();
-    std::lock_guard<std::mutex> lock(b.mutex);
-    return b.config;
-}
-
 bool
 fire(const std::string &section, const std::string &identity)
 {

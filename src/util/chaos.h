@@ -61,9 +61,6 @@ void disable();
 /** Is the switchboard on? */
 bool enabled();
 
-/** The installed configuration. */
-Config config();
-
 /**
  * Reach the named section: true when the section is activated this
  * run and this reach fires. @p identity names the work unit (trace

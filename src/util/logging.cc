@@ -126,12 +126,6 @@ setLogLevel(LogLevel level)
     levelThreshold().store(static_cast<int>(level));
 }
 
-LogLevel
-logLevel()
-{
-    return static_cast<LogLevel>(levelThreshold().load());
-}
-
 void
 setLogTimestamps(bool enabled)
 {

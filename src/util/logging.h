@@ -54,9 +54,6 @@ LogLevel parseLogLevel(const std::string &text);
  */
 void setLogLevel(LogLevel level);
 
-/** The current severity threshold. */
-LogLevel logLevel();
-
 /**
  * Prefix every line with "[<seconds>] " measured on the monotonic
  * clock since the first log call. Off by default so one-shot CLI
@@ -67,7 +64,9 @@ void setLogTimestamps(bool enabled);
 /**
  * Redirect log lines (the fully formatted text, no trailing newline)
  * to @p sink instead of stderr; pass an empty function to restore
- * stderr. Tests use this to capture and assert on log output.
+ * stderr. Test seam: tests capture the warnings production prints on
+ * stderr, such as the store's "discarding unusable cached ..." line
+ * and the serve daemon's connection diagnostics.
  */
 void setLogSink(std::function<void(const std::string &)> sink);
 

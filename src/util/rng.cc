@@ -140,11 +140,5 @@ Rng::nextZipf(std::size_t n, double s)
     return n - 1;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next() ^ 0xa5a5a5a55a5a5a5aULL);
-}
-
 } // namespace util
 } // namespace vlp

@@ -64,9 +64,6 @@ class Rng
      */
     std::size_t nextZipf(std::size_t n, double s);
 
-    /** Derive an independent child generator (for per-module streams). */
-    Rng split();
-
   private:
     std::uint64_t s_[4];
 };

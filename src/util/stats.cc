@@ -72,26 +72,6 @@ formatScaled(std::uint64_t value)
     return std::to_string(value);
 }
 
-void
-RunningStat::add(double sample)
-{
-    if (count_ == 0) {
-        min_ = sample;
-        max_ = sample;
-    } else {
-        min_ = std::min(min_, sample);
-        max_ = std::max(max_, sample);
-    }
-    sum_ += sample;
-    ++count_;
-}
-
-double
-RunningStat::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
 Histogram::Histogram(std::size_t buckets)
     : counts_(buckets, 0)
 {
@@ -112,17 +92,6 @@ Histogram::bucket(std::size_t value) const
 {
     assert(value < counts_.size());
     return counts_[value];
-}
-
-std::size_t
-Histogram::argMax() const
-{
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < counts_.size(); ++i) {
-        if (counts_[i] > counts_[best])
-            best = i;
-    }
-    return best;
 }
 
 std::string

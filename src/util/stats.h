@@ -1,6 +1,6 @@
 /**
  * @file
- * Small statistics helpers: ratios, running statistics, histograms.
+ * Small statistics helpers: ratios, formatting, histograms.
  */
 
 #ifndef VLPSIM_UTIL_STATS_H
@@ -28,37 +28,6 @@ std::string formatCount(std::uint64_t value);
  */
 std::string formatScaled(std::uint64_t value);
 
-/** Online mean / min / max / count accumulator. */
-class RunningStat
-{
-  public:
-    RunningStat() = default;
-
-    /** Record one sample. */
-    void add(double sample);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Mean of samples (0 when empty). */
-    double mean() const;
-
-    /** Smallest sample (0 when empty). */
-    double min() const { return count_ ? min_ : 0.0; }
-
-    /** Largest sample (0 when empty). */
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Sum of samples. */
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /**
  * Fixed-bucket histogram over small unsigned values (e.g. selected hash
  * function numbers 1..32, loop trip counts). Values beyond the last
@@ -73,7 +42,9 @@ class Histogram
     /** Record one sample of @p value. */
     void add(std::size_t value, std::uint64_t weight = 1);
 
-    /** Count in bucket @p value. */
+    /** Count in bucket @p value. Test seam: tests read the hash-number
+     *  assignment's lengthHistogram() through it, the distribution
+     *  `vlpsim profile` and the examples print. */
     std::uint64_t bucket(std::size_t value) const;
 
     /** Total weight recorded. */
@@ -81,9 +52,6 @@ class Histogram
 
     /** Number of buckets. */
     std::size_t size() const { return counts_.size(); }
-
-    /** Index of the most populated bucket (0 when empty). */
-    std::size_t argMax() const;
 
     /** Render as "v0:c0 v1:c1 ..." skipping empty buckets. */
     std::string toString() const;

@@ -54,30 +54,6 @@ TablePrinter::print(std::ostream &out) const
         print_row(row);
 }
 
-void
-TablePrinter::printCsv(std::ostream &out) const
-{
-    auto print_row = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            out << csvEscape(cells[c]);
-            if (c + 1 < cells.size())
-                out << ',';
-        }
-        out << '\n';
-    };
-    print_row(headers_);
-    for (const auto &row : rows_)
-        print_row(row);
-}
-
-const std::string &
-TablePrinter::cell(std::size_t row, std::size_t col) const
-{
-    assert(row < rows_.size());
-    assert(col < rows_[row].size());
-    return rows_[row][col];
-}
-
 std::string
 csvEscape(const std::string &field)
 {

@@ -3,8 +3,8 @@
  * ASCII table and CSV rendering for experiment output.
  *
  * Every bench binary prints the rows/series of the paper table or figure
- * it reproduces; this helper keeps that output aligned and also emits
- * machine-readable CSV for plotting.
+ * it reproduces; this helper keeps that output aligned. CSV output goes
+ * through sim::Report, which escapes fields with csvEscape().
  */
 
 #ifndef VLPSIM_UTIL_TABLE_H
@@ -40,14 +40,8 @@ class TablePrinter
     /** Render the table with a header separator to @p out. */
     void print(std::ostream &out) const;
 
-    /** Render as CSV (no alignment padding) to @p out. */
-    void printCsv(std::ostream &out) const;
-
     /** Number of data rows added so far. */
     std::size_t rowCount() const { return rows_.size(); }
-
-    /** Access a cell of a data row (row/column bounds-checked). */
-    const std::string &cell(std::size_t row, std::size_t col) const;
 
   private:
     std::vector<std::string> headers_;

@@ -34,16 +34,6 @@ concentratedTarget(std::uint64_t key, std::size_t fan)
     return target >= fan ? fan - 1 : target;
 }
 
-std::uint64_t
-hashPath(const std::uint64_t *path, unsigned depth)
-{
-    assert(depth >= 1 && depth <= pathHistoryDepth);
-    std::uint64_t key = 0x243f6a8885a308d3ULL;
-    for (unsigned i = 0; i < depth; ++i)
-        key = mix64(key ^ path[i]);
-    return key;
-}
-
 LoopBehavior::LoopBehavior(unsigned minTrip, unsigned maxTrip,
                            bool regular)
     : minTrip_(minTrip), maxTrip_(maxTrip), regular_(regular)

@@ -69,9 +69,6 @@ struct BehaviorContext
 /** Number of path-history entries the engine maintains for behaviours. */
 constexpr unsigned pathHistoryDepth = 32;
 
-/** Mix a path prefix of @p depth entries into one 64-bit key. */
-std::uint64_t hashPath(const std::uint64_t *path, unsigned depth);
-
 /**
  * Deterministically map a hashed context to one of @p fan targets with
  * a skewed popularity distribution (a few targets dominate).

@@ -424,17 +424,6 @@ findBenchmark(const std::string &name)
 }
 
 std::vector<std::string>
-benchmarkNames(bool spec_only)
-{
-    std::vector<std::string> names;
-    for (const auto &spec : benchmarkSuite()) {
-        if (!spec_only || spec.isSpec)
-            names.push_back(spec.name);
-    }
-    return names;
-}
-
-std::vector<std::string>
 indirectHeavyNames()
 {
     std::vector<std::string> names;

@@ -89,9 +89,6 @@ const std::vector<BenchmarkSpec> &benchmarkSuite();
  */
 const BenchmarkSpec &findBenchmark(const std::string &name);
 
-/** Names of all benchmarks; @p spec_only restricts to SPECint95. */
-std::vector<std::string> benchmarkNames(bool spec_only = false);
-
 /** Names of the 8 indirect-branch-heavy benchmarks (Table 3). */
 std::vector<std::string> indirectHeavyNames();
 

@@ -124,10 +124,14 @@ class Program
     /** Address of @p block's instruction. */
     std::uint64_t blockAddr(BlockId id) const { return block(id).addr; }
 
-    /** Number of static conditional branches. */
+    /** Number of static conditional branches. Test seam, like
+     *  staticIndirects(): tests lock that the generator builds each
+     *  benchmark with its static-branch targets, which set the trace
+     *  every production binary simulates. */
     std::uint64_t staticConditionals() const;
 
-    /** Number of static indirect branches (jumps + calls). */
+    /** Number of static indirect branches (jumps + calls). Test seam,
+     *  as staticConditionals() is. */
     std::uint64_t staticIndirects() const;
 
     /** Reset all per-branch behaviour state for a fresh run. */

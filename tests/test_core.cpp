@@ -56,7 +56,6 @@ TEST(PathIndexBank, IndexOneIsLastTarget)
     EXPECT_EQ(bank.index(1), bank.compress(0x400040));
     bank.insert(0x400080);
     EXPECT_EQ(bank.index(1), bank.compress(0x400080));
-    EXPECT_EQ(bank.target(2), bank.compress(0x400040));
 }
 
 TEST(PathIndexBank, ObserveFollowsThbPolicy)
@@ -89,17 +88,6 @@ TEST(PathIndexBank, NotTakenDestinationIsRecorded)
     bank.observe(record(BranchKind::Conditional, 0x400000, 0x400004,
                         false));
     EXPECT_EQ(bank.index(1), bank.compress(0x400004));
-}
-
-TEST(PathIndexBank, ClearResetsEverything)
-{
-    PathIndexBank bank(10);
-    bank.insert(0x400040);
-    bank.insert(0x400080);
-    bank.clear();
-    EXPECT_EQ(bank.occupancy(), 0u);
-    EXPECT_EQ(bank.index(1), 0u);
-    EXPECT_EQ(bank.index(5), 0u);
 }
 
 TEST(PathIndexBank, RotationEncodesOrder)
@@ -138,12 +126,6 @@ TEST(PathIndexBank, MatchesPaperHashDefinition)
         ^ util::rotl(bank.compress(t2), 1, k)
         ^ util::rotl(bank.compress(t3), 2, k);
     EXPECT_EQ(bank.index(3), expected);
-}
-
-TEST(PathIndexBank, HistoryBytes)
-{
-    // 32 targets + 32 partial sums of 14 bits = 2 * 32 * 14 / 8 bytes.
-    EXPECT_EQ(PathIndexBank(14).historyBytes(), 112u);
 }
 
 TEST(PathIndexBank, HistoryStackRestoresAcrossCalls)
@@ -236,8 +218,6 @@ TEST(PathIndexBank, MirroredRingSurvivesEveryMutation)
                     bank.observe(record(kinds[rng.nextBelow(5)],
                                         0x400000, rng.next()));
                 }
-                if (step == 300)
-                    bank.clear();
                 expectMirroredAndExact(bank);
             }
         }
@@ -582,7 +562,6 @@ TYPED_TEST(PathPredictorClass, NamesAndSizes)
     constexpr bool indirect = std::is_same_v<TypeParam, IndirectClass>;
     EXPECT_EQ(flp.sizeBytes(), indirect ? 65536u : 4096u);
     EXPECT_EQ(flp.assignment().defaultLength(), 4u);
-    EXPECT_GT(flp.historyBytes(), 0u);
 
     PathPredictor<TypeParam> vlp(14, HashAssignment(4));
     EXPECT_EQ(vlp.name(), "variable length path");

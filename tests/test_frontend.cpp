@@ -241,7 +241,9 @@ expectSameCounts(const std::vector<sim::PredictorResult> &expected,
 
 TEST(FrontendEquivalence, AllWorkloadsBothModesAndJobCounts)
 {
-    const auto names = workload::benchmarkNames();
+    std::vector<std::string> names;
+    for (const auto &spec : workload::benchmarkSuite())
+        names.push_back(spec.name);
     ASSERT_EQ(names.size(), 16u);
 
     const auto run_all = [&](unsigned jobs) {

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the hardened external-trace ingestion pipeline: the
- * bounded-memory streaming reader, content hashing, the deterministic
- * fault-injection harnesses (and that every fault class actually
- * fires), the lenient text converter, and the suite runner's
+ * bounded-memory streaming reader, content hashing, damaged files and
+ * injected I/O faults (chaos trace sections and a counting opener that
+ * fails on demand), the lenient text converter, and the suite runner's
  * retry/quarantine/resume behavior — including that a run resumed
  * from the artifact store a killed run left behind reports byte for
  * byte what an uninterrupted one does, and
@@ -47,6 +47,7 @@
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
 #include "util/cancel.h"
+#include "util/chaos.h"
 #include "util/checksum.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -123,6 +124,13 @@ flipBit(const std::string &path, std::uint64_t offset)
     file.seekp(static_cast<std::streamoff>(offset));
     byte = static_cast<char>(byte ^ 0x10);
     file.write(&byte, 1);
+}
+
+/** The content hash of the file at @p path, as the suite takes it. */
+std::string
+hashFile(const std::string &path)
+{
+    return trace::hashTraceFile(*trace::openByteFile(path));
 }
 
 /** One file backend as an opener, named for failure messages. */
@@ -231,27 +239,43 @@ TEST_F(IngestHarness, StreamingReadsHandcraftedVbt1)
 
 TEST_F(IngestHarness, StreamingRejectsTruncationAtOpen)
 {
-    trace::saveTrace(makeTrace(5, 100), path("cut.vbt"));
-    fs::resize_file(path("cut.vbt"), fs::file_size(path("cut.vbt")) - 9);
-    EXPECT_THROW(trace::StreamingTraceReader reader(path("cut.vbt")),
-                 std::runtime_error);
+    trace::saveTrace(makeTrace(5, 100), path("whole.vbt"));
+    const std::uint64_t size = fs::file_size(path("whole.vbt"));
+    // Mid-record and mid-file cuts: the header's count no longer
+    // matches the size, whichever backend reads it.
+    for (const std::uint64_t cut : {size - 9, size / 2}) {
+        fs::copy_file(path("whole.vbt"), path("cut.vbt"),
+                      fs::copy_options::overwrite_existing);
+        fs::resize_file(path("cut.vbt"), cut);
+        for (const Backend &backend : backends) {
+            EXPECT_THROW(trace::StreamingTraceReader reader(
+                             backend.open(path("cut.vbt"))),
+                         std::runtime_error)
+                << backend.name << " cut at " << cut;
+        }
+    }
 }
 
 TEST_F(IngestHarness, StreamingDetectsBitFlipViaChecksum)
 {
     trace::saveTrace(makeTrace(5, 200), path("flip.vbt"));
     // Somewhere inside a pc field: record validation cannot see it,
-    // only the stream checksum can.
+    // only the stream checksum can, on the buffered read() path and
+    // the mapped view() path alike.
     flipBit(path("flip.vbt"), 20 + 18 * 100 + 5);
 
-    trace::StreamingTraceReader reader(path("flip.vbt"), 16);
-    trace::BranchRecord record;
-    EXPECT_THROW(
-        {
-            while (reader.next(record)) {
-            }
-        },
-        std::runtime_error);
+    for (const Backend &backend : backends) {
+        trace::StreamingTraceReader reader(backend.open(path("flip.vbt")),
+                                           16);
+        trace::BranchRecord record;
+        EXPECT_THROW(
+            {
+                while (reader.next(record)) {
+                }
+            },
+            std::runtime_error)
+            << backend.name;
+    }
 }
 
 // --- content hashing --------------------------------------------------
@@ -259,156 +283,65 @@ TEST_F(IngestHarness, StreamingDetectsBitFlipViaChecksum)
 TEST_F(IngestHarness, ContentHashIsStableAndSensitive)
 {
     trace::saveTrace(makeTrace(9, 500), path("a.vbt"));
-    const std::string first = trace::hashTraceFile(path("a.vbt"));
+    const std::string first = hashFile(path("a.vbt"));
     EXPECT_EQ(first.size(), 32u);
     EXPECT_EQ(first.find_first_not_of("0123456789abcdef"),
               std::string::npos);
-    EXPECT_EQ(trace::hashTraceFile(path("a.vbt")), first);
+    EXPECT_EQ(hashFile(path("a.vbt")), first);
 
     // A renamed copy hashes identically; a one-bit change does not.
     fs::copy_file(path("a.vbt"), path("b.vbt"));
-    EXPECT_EQ(trace::hashTraceFile(path("b.vbt")), first);
+    EXPECT_EQ(hashFile(path("b.vbt")), first);
     flipBit(path("b.vbt"), 100);
-    EXPECT_NE(trace::hashTraceFile(path("b.vbt")), first);
+    EXPECT_NE(hashFile(path("b.vbt")), first);
 }
 
-// --- trace fault injection -------------------------------------------
+// --- chaos trace faults ----------------------------------------------
 
-TEST_F(IngestHarness, EveryTraceFaultClassFiresUnderFixedSeed)
+/**
+ * Arms the chaos switchboard so that one trace section fires on every
+ * reach and no other section fires; disarms it on scope exit.
+ */
+class ChaosSection
 {
-    trace::saveTrace(makeTrace(13, 4000), path("victim.vbt"));
-    const std::uint64_t full_size = fs::file_size(path("victim.vbt"));
-
-    trace::FaultPlan plan;
-    plan.seed = 42;
-    plan.transientOpens = 2;
-    plan.transientReads = 2;
-    plan.shortReadProbability = 0.5;
-    plan.bitFlipProbability = 0.5;
-    plan.truncateAt = full_size - 1000;
-    trace::FaultInjector injector(plan);
-    const trace::FileOpener opener = injector.opener();
-
-    // Drain the file through the injector with dumb retries, small
-    // reads so the probabilistic faults get many draws.
-    std::unique_ptr<trace::ByteFile> file;
-    for (;;) {
-        try {
-            file = opener(path("victim.vbt"));
-            break;
-        } catch (const util::TransientError &) {
-        }
+  public:
+    explicit ChaosSection(std::string section) : section_(std::move(section))
+    {
+        util::chaos::Config config;
+        config.enabled = true;
+        config.activateProbability = 1.0;
+        config.fireProbability = 1.0;
+        config.only = {section_};
+        util::chaos::configure(config);
     }
-    std::uint8_t buffer[64];
-    std::uint64_t drained = 0;
-    for (;;) {
-        std::size_t got = 0;
-        try {
-            got = file->read(buffer, sizeof(buffer));
-        } catch (const util::TransientError &) {
-            continue;
-        }
-        if (got == 0)
-            break;
-        drained += got;
+
+    ~ChaosSection() { util::chaos::disable(); }
+
+    ChaosSection(const ChaosSection &) = delete;
+    ChaosSection &operator=(const ChaosSection &) = delete;
+
+    /** Reaches of the section that injected its fault. */
+    std::uint64_t fired() const
+    {
+        const auto counters = util::chaos::counters();
+        const auto it = counters.find(section_);
+        return it == counters.end() ? 0 : it->second.fired;
     }
-    EXPECT_EQ(drained, plan.truncateAt);
 
-    const trace::FaultCounters counters = injector.counters();
-    EXPECT_EQ(counters.transientOpens, plan.transientOpens);
-    EXPECT_EQ(counters.transientReads, plan.transientReads);
-    EXPECT_GT(counters.shortReads, 0u);
-    EXPECT_GT(counters.bitFlips, 0u);
-    EXPECT_EQ(counters.truncations, 1u);
-}
-
-TEST_F(IngestHarness, FaultStreamIsPerPathDeterministic)
-{
-    trace::saveTrace(makeTrace(17, 1000), path("d.vbt"));
-
-    const auto drain = [&](trace::FaultInjector &injector) {
-        const auto opener = injector.opener();
-        auto file = opener(path("d.vbt"));
-        std::vector<std::uint8_t> bytes;
-        std::uint8_t buffer[256];
-        for (;;) {
-            const std::size_t got = file->read(buffer, sizeof(buffer));
-            if (got == 0)
-                break;
-            bytes.insert(bytes.end(), buffer, buffer + got);
-        }
-        return bytes;
-    };
-
-    trace::FaultPlan plan;
-    plan.seed = 7;
-    plan.shortReadProbability = 0.3;
-    plan.bitFlipProbability = 0.3;
-    trace::FaultInjector first(plan);
-    trace::FaultInjector second(plan);
-    // Same seed, same path, same read sizes -> bitwise-identical
-    // corrupted stream, independent of injector instance.
-    EXPECT_EQ(drain(first), drain(second));
-}
-
-TEST_F(IngestHarness, InjectedTruncationIsCaughtByHeaderCheck)
-{
-    trace::saveTrace(makeTrace(19, 300), path("t.vbt"));
-    trace::FaultPlan plan;
-    plan.truncateAt = fs::file_size(path("t.vbt")) / 2;
-    trace::FaultInjector injector(plan);
-    EXPECT_THROW(trace::StreamingTraceReader reader(
-                     injector.opener()(path("t.vbt"))),
-                 std::runtime_error);
-}
-
-TEST_F(IngestHarness, ServedViewBitFlipIsCaughtByChecksum)
-{
-    trace::saveTrace(makeTrace(23, 2000), path("v.vbt"));
-
-    // With views served and every served view carrying a flipped bit,
-    // the zero-copy decode path must fail the stream checksum — the
-    // same guarantee the read() path already proves.
-    trace::FaultPlan plan;
-    plan.seed = 5;
-    plan.serveViews = true;
-    plan.viewBitFlipProbability = 1.0;
-    trace::FaultInjector injector(plan);
-
-    trace::StreamingTraceReader reader(
-        injector.opener()(path("v.vbt")), 64);
-    trace::BranchRecord record;
-    EXPECT_THROW(
-        {
-            while (reader.next(record)) {
-            }
-        },
-        std::runtime_error);
-    EXPECT_GT(injector.counters().viewBitFlips, 0u);
-
-    // The flip lived in the injector's buffer, never in the file:
-    // a clean open replays the trace intact.
-    trace::StreamingTraceReader clean(path("v.vbt"), 64);
-    std::size_t records = 0;
-    while (clean.next(record))
-        ++records;
-    EXPECT_EQ(records, 2000u);
-}
+  private:
+    std::string section_;
+};
 
 TEST_F(IngestHarness, RefusedViewsFallBackToBufferedReads)
 {
     trace::saveTrace(makeTrace(29, 1500), path("r.vbt"));
 
-    // Every view refused mid-stream: the reader must silently fall
-    // back to read() and still decode the identical record sequence.
-    trace::FaultPlan plan;
-    plan.seed = 6;
-    plan.serveViews = true;
-    plan.shortViewProbability = 1.0;
-    trace::FaultInjector injector(plan);
-
+    // Every view of the mapped file refused mid-stream: the reader
+    // must silently fall back to read() and still decode the
+    // identical record sequence.
+    const ChaosSection refuse("trace.view.refuse");
     trace::StreamingTraceReader faulty(
-        injector.opener()(path("r.vbt")), 64);
+        trace::chaosOpener(trace::openByteFile)(path("r.vbt")), 64);
     trace::StreamingTraceReader clean(path("r.vbt"), 64);
     trace::BranchRecord got, want;
     for (;;) {
@@ -418,7 +351,7 @@ TEST_F(IngestHarness, RefusedViewsFallBackToBufferedReads)
             break;
         ASSERT_EQ(got, want);
     }
-    EXPECT_GT(injector.counters().shortViews, 0u);
+    EXPECT_GT(refuse.fired(), 0u);
 }
 
 // --- lenient text conversion -----------------------------------------
@@ -690,38 +623,11 @@ TEST_F(SuiteHarness, ReportIsIdenticalAcrossJobCounts)
     EXPECT_EQ(render(serial.run()), render(parallel.run()));
 }
 
-TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccess)
-{
-    // One failed open plus one failed read per path: three attempts
-    // suffice, within the default budget of four.
-    trace::FaultPlan plan;
-    plan.transientOpens = 1;
-    plan.transientReads = 1;
-    trace::FaultInjector injector(plan);
-
-    auto options = baseOptions();
-    options.opener = injector.opener();
-    std::uint64_t naps = 0;
-    options.retry.sleeper = [&naps](unsigned) { ++naps; };
-    sim::TraceSuiteRunner faulty(std::move(options));
-    const std::string faulty_report = render(faulty.run());
-
-    EXPECT_GT(naps, 0u);
-    EXPECT_GT(injector.counters().transientOpens, 0u);
-
-    // Transient faults change nothing about the final report.
-    sim::TraceSuiteRunner clean(baseOptions());
-    EXPECT_EQ(faulty_report, render(clean.run()));
-}
-
 TEST_F(SuiteHarness, PersistentTransientFaultsQuarantine)
 {
-    trace::FaultPlan plan;
-    plan.transientOpens = 1000; // never succeeds within the budget
-    trace::FaultInjector injector(plan);
-
+    // Every open fails: none succeeds within the budget.
+    const ChaosSection failing("trace.open.transient");
     auto options = baseOptions();
-    options.opener = injector.opener();
     options.retry.maxAttempts = 3;
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
@@ -733,6 +639,7 @@ TEST_F(SuiteHarness, PersistentTransientFaultsQuarantine)
         EXPECT_NE(outcome.cause.find("transient"), std::string::npos);
         EXPECT_NE(outcome.cause.find("3 attempts"), std::string::npos);
     }
+    EXPECT_GT(failing.fired(), 0u);
 }
 
 TEST_F(SuiteHarness, CheckpointResumeReproducesReportByteForByte)
@@ -1109,14 +1016,11 @@ TEST_F(IngestHarness, BackoffDelayIsClampedForHugeAttemptBudgets)
     // Every open fails transiently, exhausting a 40-attempt budget:
     // before the clamp, attempt 33 shifted a 32-bit base by 32 —
     // undefined behavior that UBSan flags in sanitizer builds.
-    trace::FaultPlan plan;
-    plan.transientOpens = 1000;
-    trace::FaultInjector injector(plan);
+    const ChaosSection failing("trace.open.transient");
 
     sim::TraceSuiteOptions options;
     options.directory = path("corpus");
     options.bytes = 1024;
-    options.opener = injector.opener();
     options.retry.maxAttempts = 40;
     options.retry.backoffBaseMs = 3;
     options.retry.backoffMaxMs = 24;
@@ -1272,8 +1176,9 @@ TEST_F(IngestHarness, FusedHashMatchesSequentialTwoStreamReference)
     // The companion chain fused into the triple kernel sees exactly
     // the bytes a standalone chain would.
     EXPECT_EQ(companion.digest(), companion_reference.digest());
-    // And the public entry points agree, over both backends.
-    EXPECT_EQ(trace::hashTraceFile(path("h.vbt")), reference);
+    // And the public entry point agrees, over both backends.
+    trace::StdioByteFile buffered(path("h.vbt"));
+    EXPECT_EQ(trace::hashTraceFile(buffered), reference);
     trace::MmapByteFile mapped(path("h.vbt"));
     EXPECT_EQ(trace::hashTraceFile(mapped), reference);
 }
@@ -1281,7 +1186,7 @@ TEST_F(IngestHarness, FusedHashMatchesSequentialTwoStreamReference)
 TEST_F(IngestHarness, HashingByteFileFrontierNeverDoubleHashes)
 {
     trace::saveTrace(makeTrace(31, 400), path("f.vbt"));
-    const std::string expected = trace::hashTraceFile(path("f.vbt"));
+    const std::string expected = hashFile(path("f.vbt"));
 
     trace::HashingByteFile hashing(
         std::make_unique<trace::StdioByteFile>(path("f.vbt")));
@@ -1547,7 +1452,7 @@ TEST_F(IngestHarness, PrefetcherDeliversFailuresInBandAndInOrder)
 
     auto first = prefetch.take(0);
     ASSERT_FALSE(first.error);
-    EXPECT_EQ(first.contentHash, trace::hashTraceFile(path("ok1.vbt")));
+    EXPECT_EQ(first.contentHash, hashFile(path("ok1.vbt")));
     EXPECT_EQ(first.records, 300u);
     ASSERT_TRUE(first.resident);
     EXPECT_FALSE(first.session);
@@ -1590,27 +1495,35 @@ TEST_F(IngestHarness, PrefetcherTakeUnblocksOnCancellation)
 /**
  * A FileOpener decorator counting opens and the bytes served (read()
  * and view() alike) per trace file name. Optionally it fails the first
- * record access of each path's first open with a transient error —
- * inside the verifying pass, after the header has been read.
+ * @p failed_opens opens of each path, and then the first record access
+ * of the path's first successful open, with transient errors — the
+ * latter inside the verifying pass, after the header has been read.
  */
 class CountingOpener
 {
   public:
     explicit CountingOpener(trace::FileOpener inner,
-                            bool fail_first_records = false)
-        : inner_(std::move(inner)), failFirstRecords_(fail_first_records)
+                            bool fail_first_records = false,
+                            unsigned failed_opens = 0)
+        : inner_(std::move(inner)), failFirstRecords_(fail_first_records),
+          failedOpens_(failed_opens)
     {
     }
 
     trace::FileOpener opener()
     {
         return [this](const std::string &path) {
-            bool fail = false;
+            const std::string name = fs::path(path).filename().string();
+            std::uint64_t attempt = 0;
             {
                 const std::lock_guard<std::mutex> hold(mutex_);
-                fail = opens_[fs::path(path).filename().string()]++ == 0
-                    && failFirstRecords_;
+                attempt = opens_[name]++;
             }
+            if (attempt < failedOpens_) {
+                ++faults_;
+                throw util::TransientError("injected open fault: " + name);
+            }
+            const bool fail = failFirstRecords_ && attempt == failedOpens_;
             return std::make_unique<File>(inner_(path), *this, fail);
         };
     }
@@ -1698,6 +1611,7 @@ class CountingOpener
 
     trace::FileOpener inner_;
     const bool failFirstRecords_;
+    const unsigned failedOpens_;
     mutable std::mutex mutex_;
     std::map<std::string, std::uint64_t> opens_;
     std::map<std::string, std::uint64_t> served_;
@@ -1776,22 +1690,40 @@ TEST_F(SuiteHarness, ReportIsIdenticalAcrossPrefetchWindows)
     }
 }
 
-TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccessUnderMmap)
+TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccess)
 {
-    trace::FaultPlan plan;
-    plan.transientOpens = 1;
-    plan.transientReads = 1;
-    trace::FaultInjector injector(plan);
-
+    // One failed open plus one failed record read per path, over the
+    // buffered backend: three attempts suffice, within the default
+    // budget of four.
+    CountingOpener counting(backends[0].open, true, 1);
     auto options = baseOptions();
-    // Faults injected *over the mmap fast path*: FaultyFile exposes no
-    // view(), so the reader must degrade to buffered reads and still
-    // produce the clean report.
-    options.opener = injector.opener(trace::openByteFile);
+    options.opener = counting.opener();
+    std::uint64_t naps = 0;
+    options.retry.sleeper = [&naps](unsigned) { ++naps; };
     sim::TraceSuiteRunner faulty(std::move(options));
     const std::string faulty_report = render(faulty.run());
 
-    EXPECT_GT(injector.counters().transientOpens, 0u);
+    EXPECT_GT(naps, 0u);
+    // Five failed opens, and four failed record reads (epsilon.vbt
+    // has no record bytes).
+    EXPECT_EQ(counting.faults(), 9u);
+
+    // Transient faults change nothing about the final report.
+    sim::TraceSuiteRunner clean(baseOptions());
+    EXPECT_EQ(faulty_report, render(clean.run()));
+}
+
+TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccessUnderMmap)
+{
+    // The same faults over the mapped backend: the retried attempt
+    // decodes through views and still produces the clean report.
+    CountingOpener counting(trace::openByteFile, true, 1);
+    auto options = baseOptions();
+    options.opener = counting.opener();
+    sim::TraceSuiteRunner faulty(std::move(options));
+    const std::string faulty_report = render(faulty.run());
+
+    EXPECT_EQ(counting.faults(), 9u);
     sim::TraceSuiteRunner clean(baseOptions());
     EXPECT_EQ(faulty_report, render(clean.run()));
 }

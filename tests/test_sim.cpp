@@ -203,21 +203,14 @@ TEST(Simulator, PathPredictorMissCountsArePinned)
 
     // The per-branch tallies add up to the totals.
     for (std::size_t i = 0; i < 3; ++i) {
-        for (const bool indirect : {false, true}) {
-            const auto &per_branch = indirect
-                ? simulator.indirectPerBranch(i)
-                : simulator.conditionalPerBranch(i);
-            const PredictorResult total = indirect
-                ? simulator.indirectResults()[i]
-                : simulator.conditionalResults()[i];
-            BranchAccuracy sum;
-            for (const auto &[pc, accuracy] : per_branch) {
-                sum.executions += accuracy.executions;
-                sum.mispredictions += accuracy.mispredictions;
-            }
-            EXPECT_EQ(sum.executions, total.branches);
-            EXPECT_EQ(sum.mispredictions, total.mispredictions);
+        const PredictorResult total = simulator.conditionalResults()[i];
+        BranchAccuracy sum;
+        for (const auto &[pc, accuracy] : simulator.conditionalPerBranch(i)) {
+            sum.executions += accuracy.executions;
+            sum.mispredictions += accuracy.mispredictions;
         }
+        EXPECT_EQ(sum.executions, total.branches);
+        EXPECT_EQ(sum.mispredictions, total.mispredictions);
     }
 }
 

@@ -955,6 +955,34 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunInParallel)
     }
 }
 
+TEST_F(CachedExperimentHarness, WarmRunSimulatesNothing)
+{
+    // The run summary's throughput counts simulated work: a cold run
+    // simulates step 1 and the comparison replays, a warm run on the
+    // same store simulates nothing, and both report the same
+    // predictions() (the report's metadata) at any jobs value.
+    const auto suite = specs();
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        StoreOptions options;
+        options.directory = directory_ + "/jobs" + std::to_string(jobs);
+        const auto run = [&] {
+            sim::SharedMemo memo;
+            sim::ParallelRunner runner(jobs, memo);
+            runner.setStore(std::make_shared<ArtifactStore>(options));
+            const unsigned length = runner.globalLength(4096, false);
+            runner.compareSuite(suite, 4096, length, false);
+            return std::make_pair(runner.predictions(),
+                                  runner.simulatedPredictions());
+        };
+        const auto [cold_predictions, cold_simulated] = run();
+        const auto [warm_predictions, warm_simulated] = run();
+        EXPECT_GT(cold_simulated, 0u);
+        EXPECT_EQ(warm_simulated, 0u);
+        EXPECT_EQ(warm_predictions, cold_predictions);
+    }
+}
+
 TEST_F(CachedExperimentHarness, CachedRunMatchesUncachedRun)
 {
     const auto suite = specs();

@@ -86,16 +86,6 @@ TEST(BranchRecord, Names)
     EXPECT_STREQ(branchKindName(BranchKind::Return), "ret");
 }
 
-TEST(BranchRecord, ToStringMentionsFields)
-{
-    const auto text =
-        toString(make(0x400000, 0x400010, true, BranchKind::Conditional));
-    EXPECT_NE(text.find("400000"), std::string::npos);
-    EXPECT_NE(text.find("400010"), std::string::npos);
-    EXPECT_NE(text.find("cond"), std::string::npos);
-    EXPECT_NE(text.find("taken"), std::string::npos);
-}
-
 TEST(VectorTraceSource, NextAndReset)
 {
     VectorTraceSource source;
@@ -402,14 +392,6 @@ TEST(TextIo, RejectsMalformedLines)
         EXPECT_EQ(report.diagnostics,
                   std::vector<std::string>{c.why});
     }
-}
-
-TEST(TextIo, ParseBranchKindNames)
-{
-    EXPECT_EQ(parseBranchKind("cond"), BranchKind::Conditional);
-    EXPECT_EQ(parseBranchKind("ijump"), BranchKind::IndirectJump);
-    EXPECT_EQ(parseBranchKind("ret"), BranchKind::Return);
-    EXPECT_THROW(parseBranchKind("unknown"), std::runtime_error);
 }
 
 TEST(TextIo, FileRoundTrip)

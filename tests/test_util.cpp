@@ -253,17 +253,6 @@ TEST(Rng, ZipfSkewsTowardSmallIndices)
     EXPECT_GT(zero, last * 4);
 }
 
-TEST(Rng, SplitIndependence)
-{
-    Rng parent(31);
-    Rng child = parent.split();
-    // Parent and child streams diverge.
-    bool differ = false;
-    for (int i = 0; i < 10; ++i)
-        differ = differ || (parent.next() != child.next());
-    EXPECT_TRUE(differ);
-}
-
 TEST(Stats, Percent)
 {
     EXPECT_DOUBLE_EQ(percent(1, 4), 25.0);
@@ -418,21 +407,6 @@ TEST(KeyBuilder, DoubleFieldMatchesPercent17g)
     }
 }
 
-TEST(Stats, RunningStat)
-{
-    RunningStat stat;
-    EXPECT_EQ(stat.count(), 0u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 0.0);
-    stat.add(2.0);
-    stat.add(4.0);
-    stat.add(9.0);
-    EXPECT_EQ(stat.count(), 3u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(stat.min(), 2.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-    EXPECT_DOUBLE_EQ(stat.sum(), 15.0);
-}
-
 TEST(Stats, HistogramBasics)
 {
     Histogram histogram(8);
@@ -444,7 +418,6 @@ TEST(Stats, HistogramBasics)
     EXPECT_EQ(histogram.bucket(3), 5u);
     EXPECT_EQ(histogram.bucket(7), 1u);
     EXPECT_EQ(histogram.total(), 8u);
-    EXPECT_EQ(histogram.argMax(), 3u);
     EXPECT_EQ(histogram.toString(), "1:2 3:5 7:1");
 }
 
@@ -454,16 +427,11 @@ TEST(Table, AlignmentAndCsv)
     table.addRow({"gcc", "4.3"});
     table.addRow({"a,b", "8.8"});
     EXPECT_EQ(table.rowCount(), 2u);
-    EXPECT_EQ(table.cell(0, 1), "4.3");
 
     std::ostringstream text;
     table.print(text);
     EXPECT_NE(text.str().find("name"), std::string::npos);
     EXPECT_NE(text.str().find("gcc"), std::string::npos);
-
-    std::ostringstream csv;
-    table.printCsv(csv);
-    EXPECT_NE(csv.str().find("\"a,b\",8.8"), std::string::npos);
 }
 
 TEST(Table, CsvEscape)

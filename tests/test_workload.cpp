@@ -232,16 +232,6 @@ TEST(ConcentratedTarget, InRangeAndSkewed)
     EXPECT_GT(counts[0], counts[15] * 4);
 }
 
-TEST(HashPath, DependsOnAllTokens)
-{
-    std::uint64_t path[pathHistoryDepth] = {1, 2, 3, 4};
-    const std::uint64_t base = hashPath(path, 4);
-    path[3] = 5;
-    EXPECT_NE(hashPath(path, 4), base);
-    path[3] = 4;
-    EXPECT_EQ(hashPath(path, 4), base);
-}
-
 // --- Program construction -------------------------------------------
 
 TEST(ProgramBuilder, MinimalValidProgram)

@@ -568,19 +568,22 @@ cmdSuite(int argc, char **argv)
     output.write(report);
 
     // Throughput goes to stderr so stdout stays bit-identical across
-    // --jobs values.
+    // --jobs values. The rate counts simulated work only: a warm run
+    // answered from the store simulates nothing.
     const double seconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start).count();
     const double per_second = seconds > 0.0
-        ? static_cast<double>(result.predictions) / seconds
+        ? static_cast<double>(result.simulatedPredictions) / seconds
         : 0.0;
     std::cerr << "run summary: "
               << util::formatCount(result.predictions)
-              << " branch predictions in "
-              << util::formatDouble(seconds, 2) << " s ("
+              << " branch predictions ("
+              << util::formatCount(result.simulatedPredictions)
+              << " simulated) in " << util::formatDouble(seconds, 2)
+              << " s ("
               << util::formatScaled(
                      static_cast<std::uint64_t>(per_second))
-              << " branches/s; jobs=" << result.jobs << ")\n";
+              << " simulated branches/s; jobs=" << result.jobs << ")\n";
     sim::reportCacheCounters(cache.get());
     return 0;
 }
